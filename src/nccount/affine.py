@@ -36,11 +36,6 @@ class AffObject(NamedTuple):
             return self.family
         return f"{self.family}^{self.index}"
 
-    def shifted(self, t: int) -> "AffObject":
-        if self.index is None:
-            raise ValueError(f"{self} carries no index")
-        return AffObject(self.quiver, self.family, self.index + t)
-
 
 def obj(quiver: str, family: str, index: int | None = None) -> AffObject:
     if quiver not in SERIES:

@@ -12,7 +12,6 @@ closed-form count and its brute-force oracle, 2 on usage errors.
 
 import argparse
 import json
-import os
 import sys
 
 from . import INFINITE, affine, d4, digraph, incidence, markov, necklace, typea
@@ -50,21 +49,6 @@ def _verify_failed(name, lhs, rhs):
     return 1
 
 
-def thread_cap() -> int:
-    """Optional cap on internal parallelism; all current enumerations are
-    serial, so the cap is validated and respected trivially."""
-    raw = os.environ.get("NC_COUNT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise SystemExit(f"NC_COUNT_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise SystemExit("NC_COUNT_THREADS must be >= 1")
-    return cap
-
-
 # --- subcommand handlers ------------------------------------------------------
 
 
@@ -86,6 +70,7 @@ def _cmd_an_count(args):
 
 
 def _cmd_an_orbits(args):
+    typea.check_k_vertices(args.k, args.vertices)
     parts = typea.orbit_partition(args.vertices - 1, args.k)
     census = {}
     for orb in parts:
@@ -423,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

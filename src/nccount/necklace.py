@@ -2,15 +2,13 @@
 
 This is the independent geometric oracle for the Serre-orbit counts: the
 s-subsets of Z/m up to rotation are counted both by a Burnside divisor sum
-and by explicit canonical-form enumeration, and the two must agree.
+and by a streaming enumeration that emits one necklace per class, and the
+two must agree.
 Reflections are never quotiented out.
 """
 
-from functools import lru_cache
 from math import comb, gcd
 from typing import NamedTuple
-
-import numpy as np
 
 from .arith import divisors, euler_phi
 from .typea import MonotoneSeq
@@ -49,37 +47,53 @@ def count_subgon_classes_burnside(m: int, s: int) -> int:
     return total // m
 
 
-@lru_cache(maxsize=8)
-def _brute_counts(m: int) -> tuple:
-    """Rotation-class counts for every subset size 0..m, by canonicalizing
-    all 2^m bitmask subsets (vectorized; m <= 24 stays cheap)."""
-    if m > 24:
-        raise ValueError("brute-force enumeration is capped at m = 24")
-    masks = np.arange(1 << m, dtype=np.uint32)
-    full = np.uint32((1 << m) - 1)
-    canon = masks.copy()
-    for r in range(1, m):
-        rot = ((masks >> np.uint32(r)) | (masks << np.uint32(m - r))) & full
-        np.minimum(canon, rot, out=canon)
-    classes = np.unique(canon)
-    counts = [0] * (m + 1)
-    for c in classes.tolist():
-        counts[c.bit_count()] += 1
-    return tuple(counts)
+def gap_necklaces(m: int, s: int):
+    """Yield one gap sequence per rotation class of s-subsets of Z/m.
+
+    The subset v_0 < ... < v_{s-1} has the gaps v_{i+1} - v_i (the last one
+    wrapping round past m), a composition of m into s positive parts, and
+    rotating the subset rotates its gaps cyclically.  Each class is emitted
+    as its lexicographically least gap sequence, by the FKM prenecklace
+    recursion with the part sum pinned to m (cf. Ruskey & Sawada, "An
+    efficient algorithm for generating necklaces with fixed density", SIAM
+    J. Comput. 29, 1999).  Memory is O(s); nothing of size 2^m is built.
+    """
+    if not 1 <= s <= m:
+        raise ValueError(f"need 1 <= s <= m, got s={s}, m={m}")
+    a = [1] * (s + 1)  # a[1..s] are the parts; a[0] = 1 is the floor of a[1]
+
+    def extend(t, p, total):
+        # a[1..t-1] is a prenecklace with least period p and part sum total
+        lo = a[t - p]
+        if t == s:  # the last part is forced by the sum
+            last = m - total
+            if last >= lo and s % (p if last == lo else t) == 0:
+                a[t] = last
+                yield tuple(a[1:])
+            return
+        # every later part is at least a[1], the least part of a prenecklace
+        hi = m // s if t == 1 else m - total - (s - t) * a[1]
+        for j in range(lo, hi + 1):
+            a[t] = j
+            yield from extend(t + 1, p if j == lo else t, total + j)
+
+    return extend(1, 1, 0)
 
 
 def count_subgon_classes_brute(m: int, s: int) -> int:
-    """Rotation classes of s-subsets by canonical-form enumeration."""
+    """Rotation classes of s-subsets by streaming fixed-density enumeration."""
     if not 1 <= s <= m:
         raise ValueError(f"need 1 <= s <= m, got s={s}, m={m}")
-    return _brute_counts(m)[s]
+    if m > 24:
+        raise ValueError("brute-force enumeration is capped at m = 24")
+    return sum(1 for _ in gap_necklaces(m, s))
 
 
 def count_subgon_classes(m: int, s: int) -> int:
     """Number of s-subgons of a regular m-gon up to rotation.
 
-    Computed independently by Burnside's lemma and by canonical-form brute
-    force; a disagreement raises.
+    Computed independently by Burnside's lemma and by enumerating one
+    necklace per class; a disagreement raises.
     """
     burnside = count_subgon_classes_burnside(m, s)
     brute = count_subgon_classes_brute(m, s)

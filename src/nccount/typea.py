@@ -109,13 +109,18 @@ def seq_to_subcategory(seq: MonotoneSeq) -> GenSetA:
     return GenSetA(gens)
 
 
+def check_k_vertices(k: int, vertices: int) -> None:
+    """Reject (k, N) outside the domain of the A_k-in-D^b(A_N) counts."""
+    if k < 1 or vertices < 1:
+        raise ValueError("need k >= 1 and vertices >= 1")
+
+
 def count_id(k: int, vertices: int) -> int:
     """Number of A_k-type subcategories of D^b(A_N), N = vertices.
 
     Equals C(N+1, k+1); zero when k > N, one when k = N.
     """
-    if k < 1 or vertices < 1:
-        raise ValueError("need k >= 1 and vertices >= 1")
+    check_k_vertices(k, vertices)
     return comb(vertices + 1, k + 1)
 
 
@@ -152,8 +157,7 @@ def orbit_partition(n: int, k: int) -> list:
 
 def count_orbits_brute(k: int, vertices: int) -> int:
     """Serre-orbit count on X_{N-1}^k by explicit orbit partition."""
-    if k < 1 or vertices < 1:
-        raise ValueError("need k >= 1 and vertices >= 1")
+    check_k_vertices(k, vertices)
     return len(orbit_partition(vertices - 1, k))
 
 
@@ -222,8 +226,7 @@ def count_orbits_formula(k: int, vertices: int) -> int:
     Agrees with count_orbits_brute everywhere; equals 1 at k = N and 0 for
     k > N.
     """
-    if k < 1 or vertices < 1:
-        raise ValueError("need k >= 1 and vertices >= 1")
+    check_k_vertices(k, vertices)
     if k > vertices:
         return 0
     m = vertices + 1  # = n+2 in internal indexing

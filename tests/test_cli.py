@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -195,17 +199,25 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("NC_COUNT_THREADS", "4")
-    assert cli.thread_cap() == 4
-    monkeypatch.setenv("NC_COUNT_THREADS", "zero")
-    with pytest.raises(SystemExit):
-        cli.thread_cap()
-    monkeypatch.setenv("NC_COUNT_THREADS", "0")
-    with pytest.raises(SystemExit):
-        cli.thread_cap()
-    monkeypatch.delenv("NC_COUNT_THREADS")
-    assert cli.thread_cap() == 1
+@pytest.mark.parametrize("k, vertices", [(0, 3), (1, 0)])
+def test_an_orbits_rejects_bad_domain(capsys, k, vertices):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["an", "orbits", "--k", str(k), "--vertices", str(vertices)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "need k >= 1 and vertices >= 1" in captured.err
+
+
+def test_cli_import_leaves_numpy_out():
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = "import sys, nccount.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "False\n"
 
 
 def test_deterministic_output(capsys):

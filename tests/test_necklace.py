@@ -1,12 +1,15 @@
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nccount.necklace import (
     Subgon,
     count_subgon_classes,
     count_subgon_classes_brute,
     count_subgon_classes_burnside,
+    gap_necklaces,
     seq_to_subgon,
     subgon,
 )
@@ -37,12 +40,37 @@ def test_canonical_form():
 
 
 def test_burnside_equals_brute_small_slow_path():
-    # plain-python cross-check of the vectorized canonicalization
+    # cross-check of the necklace enumeration against canonical forms
     for m in range(1, 9):
         for s in range(1, m + 1):
             classes = {subgon(m, c).canonical() for c in combinations(range(m), s)}
             assert len(classes) == count_subgon_classes_brute(m, s), (m, s)
             assert len(classes) == count_subgon_classes_burnside(m, s), (m, s)
+
+
+@st.composite
+def _m_and_s(draw):
+    m = draw(st.integers(1, 14))
+    return m, draw(st.integers(1, m))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_m_and_s())
+def test_gap_necklaces_one_per_rotation_class(ms):
+    m, s = ms
+    classes = {subgon(m, c).canonical() for c in combinations(range(m), s)}
+    emitted = list(gap_necklaces(m, s))
+    # a gap sequence (g_0, ..., g_{s-1}) is the subset of its partial sums
+    assert {subgon(m, accumulate(g[:-1], initial=0)).canonical()
+            for g in emitted} == classes
+    assert len(emitted) == len(classes) == count_subgon_classes_burnside(m, s)
+    assert all(sum(g) == m and g == min(g[i:] + g[:i] for i in range(s))
+               for g in emitted)
+
+
+def test_brute_cap():
+    with pytest.raises(ValueError, match="capped at m = 24"):
+        count_subgon_classes(25, 3)
 
 
 def test_burnside_equals_brute_full_range():
