@@ -130,11 +130,11 @@ def _cmd_an_graph(args):
 
 
 def _cmd_necklace_count(args):
-    try:
-        count = necklace.count_subgon_classes(args.m, args.s)
-    except AssertionError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    count = necklace.count_subgon_classes_burnside(args.m, args.s)
+    if args.verify:
+        brute = necklace.count_subgon_classes_brute(args.m, args.s)
+        if brute != count:
+            return _verify_failed("necklace count", count, brute)
     _emit({"count": _count_str(count)}, args.format)
     return 0
 
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = nk.add_parser("count")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--verify", action="store_true")  # always dual-computed
+    p.add_argument("--verify", action="store_true")
     _add_format(p)
     p.set_defaults(func=_cmd_necklace_count)
 

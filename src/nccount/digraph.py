@@ -25,10 +25,17 @@ class ValuedDigraph:
         self.genus = dict(genus or {})
         self.boundary = set(boundary)  # window-truncated vertices, in-memory only
         self._edges = {}
+        # vertex -> successors / predecessors, as lists rather than sets:
+        # on the a30 graph sets would raise peak memory by nearly half
+        self._out = {}
+        self._in = {}
 
     def add_edge(self, src, dst, weight=None):
         if src == dst:
             raise ValueError("self-loops are excluded")
+        if (src, dst) not in self._edges:
+            self._out.setdefault(src, []).append(dst)
+            self._in.setdefault(dst, []).append(src)
         self._edges[(src, dst)] = weight
 
     def finalize(self):
@@ -62,19 +69,20 @@ class ValuedDigraph:
         )
 
     def out_degree(self, v):
-        return sum(1 for s, _ in self._edges if s == v)
+        return len(self._out.get(v, ()))
 
     def in_degree(self, v):
-        return sum(1 for _, t in self._edges if t == v)
+        return len(self._in.get(v, ()))
 
     def successors(self, v):
-        return sorted(t for s, t in self._edges if s == v)
+        return sorted(self._out.get(v, ()))
+
+    def neighbours(self, v):
+        """The vertices joined to v by an edge in either direction."""
+        return set(self._out.get(v, ())).union(self._in.get(v, ()))
 
     def undirected_components(self):
-        adj = {v: set() for v in self.vertices}
-        for s, t in self._edges:
-            adj[s].add(t)
-            adj[t].add(s)
+        adj = {v: self.neighbours(v) for v in self.vertices}
         seen, comps = set(), []
         for v in self.vertices:
             if v in seen:
@@ -247,31 +255,62 @@ def build_curve_graph(category: str, window=None) -> ValuedDigraph:
 
 
 def is_simplex(g: ValuedDigraph, subset) -> bool:
-    """True iff some ordering of the subset is a semi-orthogonal chain."""
+    """True iff some ordering of the subset is a semi-orthogonal chain.
+
+    Such an ordering exists iff every pair is joined and the one-sided
+    edges among the subset are acyclic (a topological order of them is the
+    chain), which is tested in O(k^2) for k vertices.
+    """
     subset = list(subset)
     if len(set(subset)) != len(subset):
         raise ValueError("repeated vertices")
-    # every pair must be joined in at least one direction
-    if not all(
-        g.has_edge(a, b) or g.has_edge(b, a) for a, b in combinations(subset, 2)
-    ):
-        return False
-    return any(
-        all(g.has_edge(p[i], p[j]) for i in range(len(p)) for j in range(i + 1, len(p)))
-        for p in permutations(subset)
-    )
+    succs = {v: [] for v in subset}  # one-sided edges within the subset
+    indeg = dict.fromkeys(subset, 0)
+    for a, b in combinations(subset, 2):
+        ab, ba = g.has_edge(a, b), g.has_edge(b, a)
+        if ab != ba:
+            src, dst = (a, b) if ab else (b, a)
+            succs[src].append(dst)
+            indeg[dst] += 1
+        elif not ab:
+            return False
+    # Kahn's algorithm: `order` grows while it is walked
+    order = [v for v in subset if not indeg[v]]
+    for v in order:
+        for w in succs[v]:
+            indeg[w] -= 1
+            if not indeg[w]:
+                order.append(w)
+    return len(order) == len(subset)
 
 
 def sc_simplices(g: ValuedDigraph, max_dim: int) -> list:
     """All simplices of dimension <= max_dim (vertex sets of size <=
-    max_dim + 1 admitting a semi-orthogonal ordering), as sorted tuples."""
+    max_dim + 1 admitting a semi-orthogonal ordering), as sorted tuples.
+
+    The complex is closed under taking faces, so each (d+1)-simplex is a
+    d-simplex extended by a later vertex joined to all of its members.
+    Layers are grown in lexicographic order, by size, until one is empty.
+    """
     if max_dim < 0:
         raise ValueError("need max_dim >= 0")
-    out = [(v,) for v in g.vertices]
-    for size in range(2, max_dim + 2):
-        for sub in combinations(g.vertices, size):
-            if is_simplex(g, sub):
-                out.append(sub)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    later = {  # v -> the vertices after v joined to it
+        v: {w for w in g.neighbours(v) if index.get(w, -1) > index[v]}
+        for v in g.vertices
+    }
+    layer = [(v,) for v in g.vertices]
+    out = list(layer)
+    for _ in range(max_dim):
+        layer = [
+            sub + (w,)
+            for sub in layer
+            for w in sorted(set.intersection(*(later[v] for v in sub)), key=index.get)
+            if is_simplex(g, sub + (w,))
+        ]
+        if not layer:
+            break
+        out += layer
     return out
 
 

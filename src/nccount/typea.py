@@ -16,7 +16,6 @@ from math import comb, gcd
 from typing import NamedTuple
 
 from .arith import divisors, mobius
-from .quiver import euler_form, line_quiver
 
 
 class Interval(NamedTuple):
@@ -351,13 +350,25 @@ def point_orbits(n: int) -> list:
 # exhaustive pair classification, used by the graph layer ------------------
 
 
+def _interval_euler(x: Interval, y: Interval, n: int) -> int:
+    """Euler form <dim x, dim y> on the equioriented line with vertices 0..n.
+
+    In closed form, <[a,b],[c,d]> = |[a,b] & [c,d]| - |[a,b] & [c-1,d-1]|:
+    the vertex term minus the arrows i -> i+1 with i in x and i+1 in y.
+    """
+    for iv in (x, y):
+        if not 0 <= iv.i <= iv.j <= n:
+            raise ValueError(f"interval {iv} outside 0..{n}")
+    lo, hi = max(x.i, y.i), min(x.j, y.j)
+    lo1, hi1 = max(x.i, y.i - 1), min(x.j, y.j - 1)
+    return max(hi - lo + 1, 0) - max(hi1 - lo1 + 1, 0)
+
+
 def interval_pair_is_exceptional(x: Interval, y: Interval, n: int) -> bool:
     """(s_x, s_y) is an exceptional pair iff all homs from s_y to s_x vanish."""
-    q = line_quiver(n)
-    return euler_form(q, interval_dim(y, n), interval_dim(x, n)) == 0
+    return _interval_euler(y, x, n) == 0
 
 
 def interval_total_hom(x: Interval, y: Interval, n: int) -> int:
     """Total hom dimension (all degrees) from s_x to s_y: |<dim x, dim y>|."""
-    q = line_quiver(n)
-    return abs(euler_form(q, interval_dim(x, n), interval_dim(y, n)))
+    return abs(_interval_euler(x, y, n))

@@ -74,6 +74,31 @@ def test_an_genus(capsys):
 def test_necklace_count(capsys):
     code, doc = run_json(capsys, ["necklace", "count", "--m", "6", "--s", "3"])
     assert code == 0 and doc == {"count": "4"}
+    # Burnside alone answers by default, past the streaming oracle's cap
+    code, doc = run_json(capsys, ["necklace", "count", "--m", "25", "--s", "3"])
+    assert code == 0 and doc == {"count": "92"}  # C(25, 3) / 25
+
+
+def test_necklace_verify(capsys):
+    code, doc = run_json(
+        capsys, ["necklace", "count", "--m", "12", "--s", "4", "--verify"]
+    )
+    assert code == 0 and doc == {"count": "43"}
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["necklace", "count", "--m", "25", "--s", "3", "--verify"])
+    assert exc.value.code == 2
+    assert "capped at m = 24" in capsys.readouterr().err
+
+
+def test_necklace_verify_mismatch_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli.necklace, "count_subgon_classes_brute", lambda m, s: 999)
+    assert cli.run(["necklace", "count", "--m", "6", "--s", "3"]) == 0
+    capsys.readouterr()
+    code = cli.run(["necklace", "count", "--m", "6", "--s", "3", "--verify"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "verification failed for necklace count" in captured.err
+    assert "formula=4, oracle=999" in captured.err
 
 
 def test_d4_table(capsys):

@@ -1,9 +1,15 @@
 from collections import defaultdict
+from functools import lru_cache
+from graphlib import CycleError, TopologicalSorter
 from itertools import permutations
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nccount.digraph import (
+    ValuedDigraph,
     build_curve_graph,
     build_point_graph,
     export,
@@ -237,3 +243,83 @@ def test_export_deterministic():
     a = export(build_point_graph("q2", window=(0, 3)), "json")
     b = export(build_point_graph("q2", window=(0, 3)), "json")
     assert a == b
+
+
+@lru_cache(maxsize=None)
+def _graph(category, window=None):
+    return build_point_graph(category, window)
+
+
+def _is_simplex_by_orderings(g, subset):
+    """Reference definition: some ordering of the subset is a chain in which
+    every earlier vertex has an edge to every later one (k! orderings)."""
+    return any(
+        all(g.has_edge(p[i], p[j]) for i in range(len(p)) for j in range(i + 1, len(p)))
+        for p in permutations(subset)
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from([("a5", None), ("d4", None), ("q1", (0, 3))]), st.data())
+def test_is_simplex_matches_ordering_search(graph, data):
+    g = _graph(*graph)
+    subset = data.draw(
+        st.lists(st.sampled_from(g.vertices), min_size=1, max_size=6, unique=True)
+    )
+    assert is_simplex(g, subset) == _is_simplex_by_orderings(g, subset)
+
+
+def _simplices_from_cliques(g, max_dim):
+    """Independent oracle: networkx cliques of the joined-pair graph whose
+    one-sided edges form a DAG (graphlib finds no cycle), sorted like
+    sc_simplices."""
+    joined = nx.Graph()
+    joined.add_nodes_from(g.vertices)
+    joined.add_edges_from(g.one_sided_edges())
+    joined.add_edges_from(g.double_sided_pairs())
+    one_sided = set(g.one_sided_edges())
+    out = []
+    for clique in nx.enumerate_all_cliques(joined):
+        if len(clique) > max_dim + 1:
+            break
+        preds = {v: [u for u in clique if (u, v) in one_sided] for v in clique}
+        try:
+            TopologicalSorter(preds).prepare()
+        except CycleError:
+            continue
+        out.append(tuple(sorted(clique)))
+    return sorted(out, key=lambda s: (len(s), s))
+
+
+@pytest.mark.parametrize(
+    "category, window, max_dim",
+    [("a7", None, 5), ("d4", None, 8), ("q2", (0, 2), 8)],
+)
+def test_simplices_match_dag_cliques(category, window, max_dim):
+    g = _graph(category, window)
+    simps = sc_simplices(g, max_dim)
+    assert simps == _simplices_from_cliques(g, max_dim)
+
+
+def test_adjacency_accessors_match_edge_scan():
+    twice = ValuedDigraph("t", ["x", "y"])
+    twice.add_edge("x", "y", 1)
+    twice.add_edge("x", "y", 2)  # re-adding an edge only replaces its weight
+    graphs = [
+        twice.finalize(),
+        _graph("a4"),
+        _graph("d4"),
+        _graph("q2", (0, 3)),
+        build_curve_graph("d4"),
+        build_curve_graph("q2", window=(-1, 1)),
+        from_json(export(_graph("a4"), "json")),
+    ]
+    for g in graphs:
+        edges = g.induced(g.vertices)
+        for v in g.vertices:
+            assert g.out_degree(v) == sum(1 for s, _ in edges if s == v)
+            assert g.in_degree(v) == sum(1 for _, t in edges if t == v)
+            assert g.successors(v) == sorted(t for s, t in edges if s == v)
+            assert g.neighbours(v) == (
+                {t for s, t in edges if s == v} | {s for s, t in edges if t == v}
+            )

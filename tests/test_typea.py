@@ -2,8 +2,11 @@ import itertools
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nccount import typea
+from nccount.quiver import euler_form, line_quiver
 from nccount.typea import (
     GenSetA,
     Interval,
@@ -18,6 +21,9 @@ from nccount.typea import (
     enum_points,
     enum_seqs,
     genus_minus1_orbits,
+    interval_dim,
+    interval_pair_is_exceptional,
+    interval_total_hom,
     is_d_additive,
     monotone_seq,
     orbit,
@@ -311,3 +317,37 @@ def test_point_orbit_sizes():
                 assert len(orb) == n // 2 + 1
             else:
                 assert len(orb) == n + 2
+
+
+@st.composite
+def _interval_pair(draw):
+    n = draw(st.integers(0, 12))
+    interval = st.tuples(st.integers(0, n), st.integers(0, n)).map(
+        lambda ij: Interval(*sorted(ij))
+    )
+    return n, draw(interval), draw(interval)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_interval_pair())
+def test_interval_hom_matches_euler_form(nxy):
+    # the closed-form hom against the Euler form of the line quiver
+    n, x, y = nxy
+    q = line_quiver(n)
+    dx, dy = interval_dim(x, n), interval_dim(y, n)
+    assert interval_total_hom(x, y, n) == abs(euler_form(q, dx, dy))
+    assert interval_total_hom(y, x, n) == abs(euler_form(q, dy, dx))
+    assert interval_pair_is_exceptional(x, y, n) == (euler_form(q, dy, dx) == 0)
+    assert interval_pair_is_exceptional(y, x, n) == (euler_form(q, dx, dy) == 0)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 12), st.integers(-3, 15), st.integers(-3, 15))
+def test_interval_hom_rejects_intervals_outside_range(n, i, j):
+    assume(not 0 <= i <= j <= n)
+    bad, good = Interval(i, j), Interval(0, n)
+    for x, y in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError):
+            interval_pair_is_exceptional(x, y, n)
+        with pytest.raises(ValueError):
+            interval_total_hom(x, y, n)
