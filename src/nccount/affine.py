@@ -21,6 +21,7 @@ from math import gcd
 from typing import NamedTuple
 
 from . import INFINITE
+from .arith import orbits
 
 SERIES = {"q1": ("a", "b"), "q2": ("a", "b", "c", "d")}
 SPORADIC = {"q1": ("M", "M'"), "q2": ("F+", "F-", "G+", "G-")}
@@ -428,20 +429,8 @@ def _count_shift_system(families: dict, maps: list):
     series = [f for f, indexed in families.items() if indexed]
     sporadic = [f for f, indexed in families.items() if not indexed]
 
-    # sporadic part: plain union-find
-    parent = {f: f for f in sporadic}
-
-    def find(f):
-        while parent[f] != f:
-            parent[f] = parent[parent[f]]
-            f = parent[f]
-        return f
-
-    for m in maps:
-        for f in sporadic:
-            g, _ = m[f]
-            parent[find(f)] = find(g)
-    spor_orbits = len({find(f) for f in sporadic})
+    # sporadic part: the maps permute the sporadic families
+    spor_orbits = len(orbits(sporadic, *(lambda f, m=m: m[f][0] for m in maps)))
 
     # series part: BFS with potentials, collecting cycle discrepancies
     potential = {}

@@ -1,4 +1,5 @@
-"""Small exact number-theory helpers shared by the counting modules."""
+"""Small exact number-theory helpers and the orbit partition shared by the
+counting modules."""
 
 from functools import lru_cache
 
@@ -54,3 +55,28 @@ def euler_phi(x: int) -> int:
     for p, _ in prime_factors(x):
         out = out // p * (p - 1)
     return out
+
+
+def orbits(items, *steps) -> list:
+    """Partition items into the orbits of the group generated by steps.
+
+    Each step maps an item to an item and must permute every orbit it
+    meets.  An orbit is a list that starts at its first member in items and
+    lists the others in the order they are reached; orbits come in the
+    order of their first members.  With no steps each item is its own orbit.
+    """
+    seen = set()
+    parts = []
+    for item in items:
+        if item in seen:
+            continue
+        seen.add(item)
+        orb = [item]
+        for cur in orb:  # orb grows while it is walked
+            for step in steps:
+                img = step(cur)
+                if img not in seen:
+                    seen.add(img)
+                    orb.append(img)
+        parts.append(orb)
+    return parts

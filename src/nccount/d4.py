@@ -11,9 +11,11 @@ is read off the Euler form of the D_4 quiver.
 """
 
 from enum import Enum
+from functools import partial
 from itertools import combinations, permutations
 from typing import NamedTuple
 
+from .arith import orbits
 from .quiver import d4_quiver, euler_form
 
 QUIVER = d4_quiver()  # vertices (1, 2, 3, 'o')
@@ -216,24 +218,8 @@ def d4_count(kind: str, group: str) -> int:
     explicit orbit partition."""
     if group not in _GROUPS:
         raise ValueError(f"unknown group {group!r}")
-    gens = _GROUPS[group]
-    items = _orbit_reps(kind)
-    seen = set()
-    orbits = 0
-    for item in items:
-        if item in seen:
-            continue
-        orbits += 1
-        frontier = [item]
-        seen.add(item)
-        while frontier:
-            cur = frontier.pop()
-            for perm in gens:
-                img = _apply(perm, cur)
-                if img not in seen:
-                    seen.add(img)
-                    frontier.append(img)
-    return orbits
+    steps = [partial(_apply, perm) for perm in _GROUPS[group]]
+    return len(orbits(_orbit_reps(kind), *steps))
 
 
 class GenSet(NamedTuple):

@@ -112,14 +112,22 @@ class ValuedDigraph:
 # --- construction ------------------------------------------------------------
 
 
-def _add_pairwise_edges(g, objs, is_pair, hom_value):
-    """Edges from a pair classifier: edge (x, y) iff (x, y) is exceptional;
-    weight = total forward hom, dropped later on double-sided edges."""
-    ids = {id(o): str(o) for o in objs}
-    for x, y in permutations(objs, 2):
+def _pair_graph(category, objs, is_pair, weight=None, genus=None, boundary=()):
+    """The finalized graph on objs = {name: object} with an edge (x, y) iff
+    is_pair(x, y), that is iff every hom from y to x vanishes.  An edge
+    carries weight(x, y), the total forward hom, until finalize drops it
+    from double-sided edges."""
+    g = ValuedDigraph(category, objs, genus, boundary)
+    for (a, x), (b, y) in permutations(objs.items(), 2):
         if is_pair(x, y):
-            g.add_edge(ids[id(x)], ids[id(y)], hom_value(x, y))
+            g.add_edge(a, b, None if weight is None else weight(x, y))
     return g.finalize()
+
+
+def _lift(vanishes):
+    """Pair test on generator sets, from vanishes(x, y) = 'all homs from x to
+    y vanish': it must hold from every generator of B to every one of A."""
+    return lambda a, b: all(vanishes(x, y) for x in b for y in a)
 
 
 def _parse_category(category):
@@ -147,25 +155,25 @@ def build_point_graph(category: str, window=None) -> ValuedDigraph:
     """Graph of derived points for 'aN', 'd4', 'q1'/'q2' (windowed) or
     'npL' (the genus-L two-generator category; windowed for L >= 1)."""
     kind, param = _parse_category(category)
+    if window is not None and not (kind in ("q1", "q2") or kind == "np" and param >= 1):
+        raise ValueError(f"{category} takes no window")
     if kind == "a":
         n = param - 1
         if param < 1:
             raise ValueError("need at least one vertex")
-        pts = typea.enum_points(n)
-        g = ValuedDigraph(category, [str(p) for p in pts], {str(p): None for p in pts})
-        return _add_pairwise_edges(
-            g,
-            pts,
+        return _pair_graph(
+            category,
+            {str(p): p for p in typea.enum_points(n)},
             lambda x, y: typea.interval_pair_is_exceptional(x, y, n),
             lambda x, y: typea.interval_total_hom(x, y, n),
         )
     if kind == "d4":
-        objs = d4.LABELS
-        g = ValuedDigraph(category, list(objs), {o: None for o in objs})
-        for x, y in permutations(objs, 2):
-            if d4.d4_pair_class(x, y) is not d4.PairClass.NOT_EXCEPTIONAL:
-                g.add_edge(x, y, d4.total_hom(x, y))
-        return g.finalize()
+        return _pair_graph(
+            category,
+            {o: o for o in d4.LABELS},
+            lambda x, y: d4.d4_pair_class(x, y) is not d4.PairClass.NOT_EXCEPTIONAL,
+            d4.total_hom,
+        )
     if kind in ("q1", "q2"):
         lo, hi = _window_pair(window)
         objs = [
@@ -174,34 +182,31 @@ def build_point_graph(category: str, window=None) -> ValuedDigraph:
             for m in range(lo, hi + 1)
         ]
         objs += [affine.obj(kind, fam) for fam in affine.SPORADIC[kind]]
-        boundary = [str(o) for o in objs if o.index in (lo, hi)]
-        g = ValuedDigraph(
-            category, [str(o) for o in objs], {str(o): None for o in objs}, boundary
-        )
-        return _add_pairwise_edges(
-            g,
-            objs,
+        return _pair_graph(
+            category,
+            {str(o): o for o in objs},
             lambda x, y: affine.aff_pair_class(x, y)
             is not affine.AffPairClass.NOT_EXCEPTIONAL,
             affine.pair_total_hom,
+            boundary=[str(o) for o in objs if o.index in (lo, hi)],
         )
     # np: the category generated by a strong pair with l+1 connecting homs
     l = param
     if l < -1:
         raise ValueError("genus must be >= -1")
-    if l == -1:
-        g = ValuedDigraph(category, ["E1", "E2"], {"E1": None, "E2": None})
-        g.add_edge("E1", "E2")
-        g.add_edge("E2", "E1")
-        return g.finalize()
+    if l == -1:  # two mutually orthogonal objects
+        return _pair_graph(category, {"E1": 1, "E2": 2}, lambda x, y: True)
     if l == 0:
         return build_point_graph("a2").rename_category(category)
+    # a window of the chain s_i whose only exceptional pairs are (s_i, s_i+1)
     lo, hi = _window_pair(window)
-    ids = [f"s{i}" for i in range(lo, hi + 1)]
-    g = ValuedDigraph(category, ids, {i: None for i in ids}, {ids[0], ids[-1]})
-    for i in range(lo, hi):
-        g.add_edge(f"s{i}", f"s{i + 1}", l + 1)
-    return g.finalize()
+    return _pair_graph(
+        category,
+        {f"s{i}": i for i in range(lo, hi + 1)},
+        lambda i, j: j == i + 1,
+        lambda i, j: l + 1,
+        boundary={f"s{lo}", f"s{hi}"},
+    )
 
 
 def _d4_curve_vertices():
@@ -221,33 +226,25 @@ def build_curve_graph(category: str, window=None) -> ValuedDigraph:
     for 'd4'; genus 1, 0 and -1 on a window for 'q2'."""
     if category == "d4":
         verts = _d4_curve_vertices()
-        g = ValuedDigraph(
-            "d4-curves", [v for v, _, _ in verts], {v: gen for v, gen, _ in verts}
+        return _pair_graph(
+            "d4-curves",
+            {v: gens for v, _, gens in verts},
+            _lift(lambda x, y: d4.total_hom(x, y) == 0),
+            genus={v: gen for v, gen, _ in verts},
         )
-        for (va, _, gens_a), (vb, _, gens_b) in permutations(verts, 2):
-            if all(d4.total_hom(x, y) == 0 for x in gens_b for y in gens_a):
-                g.add_edge(va, vb)
-        return g.finalize()
     if category == "q2":
         lo, hi = _window_pair(window)
         subs = []
         for genus in (1, 0, -1):
             subs.extend(affine.aff_enum_curves("q2", genus, (lo, hi)))
-        genus_of = {
-            str(s): {"genus1": 1, "genus0": 0, "genus-1": -1}[s.kind] for s in subs
-        }
-        boundary = {str(s) for s in subs if s.index in (lo, hi)}
-        g = ValuedDigraph(
-            "q2-curves", [str(s) for s in subs], genus_of, boundary
+        genus_of = {"genus1": 1, "genus0": 0, "genus-1": -1}
+        return _pair_graph(
+            "q2-curves",
+            {str(s): s.generators() for s in subs},
+            _lift(affine.hom_vanishes),
+            genus={str(s): genus_of[s.kind] for s in subs},
+            boundary={str(s) for s in subs if s.index in (lo, hi)},
         )
-        for sa, sb in permutations(subs, 2):
-            if all(
-                affine.hom_vanishes(x, y)
-                for x in sb.generators()
-                for y in sa.generators()
-            ):
-                g.add_edge(str(sa), str(sb))
-        return g.finalize()
     raise ValueError(f"no curve graph for {category!r}")
 
 

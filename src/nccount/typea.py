@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb, gcd
 from typing import NamedTuple
 
-from .arith import divisors, mobius
+from .arith import divisors, mobius, orbits
 
 
 class Interval(NamedTuple):
@@ -131,27 +131,10 @@ def serre_step(seq: MonotoneSeq) -> MonotoneSeq:
     return MonotoneSeq(seq.n, seq.k, (0,) + a[:-1])
 
 
-def orbit(seq: MonotoneSeq) -> list:
-    """The full Serre orbit of seq, starting at seq."""
-    out = [seq]
-    cur = serre_step(seq)
-    while cur != seq:
-        out.append(cur)
-        cur = serre_step(cur)
-    return out
-
-
 def orbit_partition(n: int, k: int) -> list:
-    """All Serre orbits on X_n^k (each orbit a list of sequences)."""
-    seen = set()
-    parts = []
-    for seq in enum_seqs(n, k):
-        if seq in seen:
-            continue
-        orb = orbit(seq)
-        seen.update(orb)
-        parts.append(orb)
-    return parts
+    """All Serre orbits on X_n^k (each orbit a list of sequences, starting at
+    its lexicographically least member)."""
+    return orbits(enum_seqs(n, k), serre_step)
 
 
 def count_orbits_brute(k: int, vertices: int) -> int:
@@ -315,36 +298,12 @@ def serre_on_pair(pair: GenSetA, n: int) -> GenSetA:
 
 def genus_minus1_orbits(n: int) -> list:
     """Serre orbits on the genus -1 subcategories, by explicit partition."""
-    seen = set()
-    parts = []
-    for pair in enum_genus_minus1(n):
-        if pair in seen:
-            continue
-        orb = [pair]
-        cur = serre_on_pair(pair, n)
-        while cur != pair:
-            orb.append(cur)
-            cur = serre_on_pair(cur, n)
-        seen.update(orb)
-        parts.append(orb)
-    return parts
+    return orbits(enum_genus_minus1(n), lambda pair: serre_on_pair(pair, n))
 
 
 def point_orbits(n: int) -> list:
     """Serre orbits on the interval objects themselves."""
-    seen = set()
-    parts = []
-    for iv in enum_points(n):
-        if iv in seen:
-            continue
-        orb = [iv]
-        cur = serre_on_point(iv.i, iv.j, n)[0]
-        while cur != iv:
-            orb.append(cur)
-            cur = serre_on_point(cur.i, cur.j, n)[0]
-        seen.update(orb)
-        parts.append(orb)
-    return parts
+    return orbits(enum_points(n), lambda iv: serre_on_point(iv.i, iv.j, n)[0])
 
 
 # exhaustive pair classification, used by the graph layer ------------------

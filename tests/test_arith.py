@@ -1,0 +1,38 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.combinatorics import Permutation, PermutationGroup
+
+from nccount.arith import orbits
+
+
+@st.composite
+def _permutations(draw):
+    n = draw(st.integers(1, 12))
+    gens = draw(st.lists(st.permutations(range(n)), min_size=0, max_size=3))
+    return n, gens
+
+
+@settings(max_examples=200, deadline=None)
+@given(_permutations(), st.randoms(use_true_random=False))
+def test_orbits_match_sympy(drawn, rnd):
+    n, gens = drawn
+    items = list(range(n))
+    rnd.shuffle(items)
+    parts = orbits(items, *(g.__getitem__ for g in gens))
+    if gens:
+        expected = PermutationGroup([Permutation(g) for g in gens]).orbits()
+    else:
+        expected = [{i} for i in items]
+    assert sorted(map(frozenset, parts), key=min) == sorted(
+        map(frozenset, expected), key=min
+    )
+    assert sum(len(orb) for orb in parts) == n  # no item twice
+    # each orbit starts at its first member in items, in that order
+    firsts = [next(i for i in items if i in orb) for orb in parts]
+    assert [orb[0] for orb in parts] == firsts
+    assert firsts == sorted(firsts, key=items.index)
+
+
+def test_orbits_without_steps_are_singletons():
+    assert orbits("cab") == [["c"], ["a"], ["b"]]
+    assert orbits([]) == []

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -190,6 +191,23 @@ def test_generic_graph_command(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graph", "--category", "a4", "--window", "3"],
+        ["sc", "--category", "d4", "--window", "2"],
+        ["graph", "--category", "np0", "--window", "3"],
+    ],
+)
+def test_window_rejected_where_unused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{argv[2]} takes no window" in captured.err
+
+
 def test_incidence_command(capsys):
     code, doc = run_json(capsys, ["incidence", "--category", "d4"])
     assert code == 0
@@ -250,3 +268,33 @@ def test_deterministic_output(capsys):
     first = capsys.readouterr().out
     cli.run(["d4", "graph", "--format", "json"])
     assert capsys.readouterr().out == first
+
+
+# sha256 of stdout, each with exit code 0, for one small call per graph
+# builder and per orbit-partition caller; any change to these outputs is a
+# change of behaviour, not a refactor
+GOLDEN_STDOUT = [
+    ("an graph --vertices 6 --format json",
+     "2ad8427e7b7e1de03e98cc27a6e5e7aa8a65fc2895998997b07b4ee37a512100"),
+    ("d4 graph --kind curves",
+     "0bb0153c6840b83bc15108908904c67305bbdd792dc2537287e528a22737e016"),
+    ("affine graph --quiver q2 --kind curves --window 3",
+     "5c2fb08a3f6736280680e7c30aa9013e044efa522147a7ab5dec0217ed53a74a"),
+    ("graph --category q1 --window 4 --format dot",
+     "032bfcfcc5bd2fefb9512060fb4eec8d745bce6da3f994d405dde320b4179351"),
+    ("sc --category d4 --max-dim 6",
+     "3e75ad4322f831c3139f893d20709e9e3b38d2a77c294e2c3613b4076ab37d82"),
+    ("an orbits --k 3 --vertices 9",
+     "1629722f2120778550b78ad97500f8202c70d5181234d7a441b55d411eabec17"),
+    ("d4 table",
+     "d2478f2255fcd5a96bccb83826f2270eb1bc72f98269f0e66158fa17f8febf33"),
+    ("affine count --quiver q2 --kind genus-1 --group full",
+     "53fd66ae465aa5af1d0c07587a4236870fdef483ff5f19ab094d65c7348d03b3"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_STDOUT)
+def test_golden_stdout(capsys, argv, digest):
+    assert cli.run(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
