@@ -55,16 +55,14 @@ def _verify_failed(name, lhs, rhs):
 def _cmd_an_count(args):
     if args.group == "id":
         count = typea.count_id(args.k, args.vertices)
-        if args.verify:
-            brute = len(typea.enum_seqs(args.vertices - 1, args.k))
-            if brute != count:
-                return _verify_failed("an count", count, brute)
+        brute_count = typea.count_id_brute
     else:
         count = typea.count_orbits_formula(args.k, args.vertices)
-        if args.verify:
-            brute = typea.count_orbits_brute(args.k, args.vertices)
-            if brute != count:
-                return _verify_failed("an count", count, brute)
+        brute_count = typea.count_orbits_brute
+    if args.verify:
+        brute = brute_count(args.k, args.vertices)
+        if brute != count:
+            return _verify_failed("an count", count, brute)
     _emit({"count": _count_str(count)}, args.format)
     return 0
 
@@ -90,20 +88,15 @@ def _cmd_an_orbits(args):
 def _cmd_an_genus(args):
     count = typea.count_genus(args.genus, args.vertices, args.group)
     if args.verify:
-        n = args.vertices - 1
+        n, full = args.vertices - 1, args.group == "full"
         if args.genus == 0:
-            brute = (
-                len(typea.enum_seqs(n, 2))
-                if args.group == "id"
-                else typea.count_orbits_brute(2, args.vertices)
-            )
+            # genus 0 curves are the A_2-type subcategories
+            brute_count = typea.count_orbits_brute if full else typea.count_id_brute
+            brute = brute_count(2, args.vertices)
+        elif full:
+            brute = len(typea.pair_orbits(n, args.genus + 1))
         else:
-            pairs = typea.enum_genus_minus1(n)
-            brute = (
-                len(pairs)
-                if args.group == "id"
-                else len(typea.genus_minus1_orbits(n))
-            )
+            brute = len(typea.exceptional_pairs(n, args.genus + 1))
         if brute != count:
             return _verify_failed("an genus", count, brute)
     _emit({"count": _count_str(count)}, args.format)

@@ -225,6 +225,8 @@ def build_curve_graph(category: str, window=None) -> ValuedDigraph:
     """Semi-orthogonality graph on noncommutative curves: genus 0 and -1
     for 'd4'; genus 1, 0 and -1 on a window for 'q2'."""
     if category == "d4":
+        if window is not None:
+            raise ValueError("d4 takes no window")
         verts = _d4_curve_vertices()
         return _pair_graph(
             "d4-curves",

@@ -12,10 +12,25 @@ counts coincide with counts modulo the entire autoequivalence group.
 """
 
 from fractions import Fraction
+from itertools import combinations_with_replacement, count
 from math import comb, gcd
 from typing import NamedTuple
 
 from .arith import divisors, mobius, orbits
+
+# The largest set a brute-force oracle may enumerate: sequences for the
+# subcategory counts, ordered point pairs for the curve scan.  Beyond it an
+# oracle refuses up front instead of exhausting time and memory.
+MAX_ENUMERATION = 1_000_000
+
+
+def _check_enumeration(size: int, what: str) -> None:
+    """Refuse a brute-force enumeration of more than MAX_ENUMERATION items."""
+    if size > MAX_ENUMERATION:
+        raise ValueError(
+            f"refusing to enumerate {what} = {size}; "
+            f"the brute-force cap is {MAX_ENUMERATION}"
+        )
 
 
 class Interval(NamedTuple):
@@ -78,23 +93,19 @@ def enum_points(n: int) -> list:
     return [Interval(i, j) for i in range(n + 1) for j in range(i, n + 1)]
 
 
+def seq_values(n: int, k: int):
+    """Stream the value tuples of X_n^k in lexicographic order.
+
+    These are the weakly increasing (k+1)-tuples over 0..n+1-k, C(n+2, k+1)
+    of them; a larger set than MAX_ENUMERATION is refused up front.
+    """
+    _check_enumeration(comb(n + 2, k + 1), f"C({n + 2}, {k + 1}) sequences")
+    return combinations_with_replacement(range(n + 2 - k), k + 1)
+
+
 def enum_seqs(n: int, k: int) -> list:
     """The set X_n^k in lexicographic order; C(n+2, k+1) elements."""
-    bound = n + 1 - k
-    if bound < 0:
-        return []
-    out = []
-
-    def extend(prefix):
-        if len(prefix) == k + 1:
-            out.append(MonotoneSeq(n, k, tuple(prefix)))
-            return
-        lo = prefix[-1] if prefix else 0
-        for v in range(lo, bound + 1):
-            extend(prefix + [v])
-
-    extend([])
-    return out
+    return [MonotoneSeq(n, k, a) for a in seq_values(n, k)]
 
 
 def seq_to_subcategory(seq: MonotoneSeq) -> GenSetA:
@@ -123,24 +134,40 @@ def count_id(k: int, vertices: int) -> int:
     return comb(vertices + 1, k + 1)
 
 
+def _serre_values(a: tuple, bound: int) -> tuple:
+    """The Serre step on the value tuple of a sequence bounded by bound."""
+    if a[-1] < bound:
+        return tuple([v + 1 for v in a])
+    return (0,) + a[:-1]
+
+
 def serre_step(seq: MonotoneSeq) -> MonotoneSeq:
     """One application of the Serre functor on X_n^k."""
-    a = seq.values
-    if a[-1] < seq.bound:
-        return MonotoneSeq(seq.n, seq.k, tuple(v + 1 for v in a))
-    return MonotoneSeq(seq.n, seq.k, (0,) + a[:-1])
+    return MonotoneSeq(seq.n, seq.k, _serre_values(seq.values, seq.bound))
+
+
+def _seq_orbits(n: int, k: int) -> list:
+    """Serre orbits on the value tuples of X_n^k."""
+    bound = n + 1 - k
+    return orbits(seq_values(n, k), lambda a: _serre_values(a, bound))
 
 
 def orbit_partition(n: int, k: int) -> list:
     """All Serre orbits on X_n^k (each orbit a list of sequences, starting at
     its lexicographically least member)."""
-    return orbits(enum_seqs(n, k), serre_step)
+    return [[MonotoneSeq(n, k, a) for a in orb] for orb in _seq_orbits(n, k)]
+
+
+def count_id_brute(k: int, vertices: int) -> int:
+    """Size of X_{N-1}^k, counted off the stream without storing it."""
+    check_k_vertices(k, vertices)
+    return sum(1 for _ in seq_values(vertices - 1, k))
 
 
 def count_orbits_brute(k: int, vertices: int) -> int:
     """Serre-orbit count on X_{N-1}^k by explicit orbit partition."""
     check_k_vertices(k, vertices)
-    return len(orbit_partition(vertices - 1, k))
+    return len(_seq_orbits(vertices - 1, k))
 
 
 def divisors_of_kn(k: int, n: int) -> list:
@@ -259,7 +286,8 @@ def count_genus(genus: int, vertices: int, group: str = "id") -> int:
 
 def enum_genus_minus1(n: int) -> list:
     """All genus -1 subcategories of the ambient category with n+1 vertices,
-    as sorted orthogonal interval pairs; 2*C(n+2, 4) of them.
+    as sorted orthogonal interval pairs; 2*C(n+2, 4) of them.  The tests
+    check exceptional_pairs(n, 0) against this enumeration.
 
     The two shapes are separated intervals with a gap of at least two
     (b < i-1) and strictly nested intervals (a < i <= j < b).
@@ -290,15 +318,55 @@ def serre_on_point(i: int, j: int, n: int):
     return Interval(0, i), False
 
 
-def serre_on_pair(pair: GenSetA, n: int) -> GenSetA:
-    """Serre image of an orthogonal pair, renormalized (sorted)."""
-    imgs = [serre_on_point(g.i, g.j, n)[0] for g in pair.generators]
-    return GenSetA(tuple(sorted(imgs)))
+def exceptional_pairs(n: int, hom: int) -> list:
+    """Codes x*P + y of the exceptional pairs (s_x, s_y) of interval objects
+    with total hom dimension hom from s_x to s_y, in increasing order.
+
+    x and y index enum_points(n), P = len(enum_points(n)).  Each object is
+    its dimension vector as a bitmask, and the Euler form of the quiver is
+    <x, y> = |x & y| - |x & (y >> 1)|, the vertex term minus the arrows
+    i -> i+1; (s_x, s_y) is exceptional iff <y, x> = 0.  An orthogonal pair
+    (hom = 0) is unordered and listed once, with x < y.  A curve of genus
+    g is generated by such a pair with hom = g + 1; between interval objects
+    the total hom is at most 1, so the list is empty for hom >= 2.
+    """
+    p = (n + 1) * (n + 2) // 2
+    _check_enumeration(p * p, f"{p}^2 point pairs")
+    masks = [(2 << j) - (1 << i) for i, j in enum_points(n)]
+    out = []
+    for x, mx in enumerate(masks):
+        # |y & (x >> 1)| and |x & (y >> 1)| = |(x << 1) & y|
+        sx, lx = mx >> 1, mx << 1
+        start = x + 1 if hom == 0 else 0
+        out += [
+            code
+            for code, my in zip(count(x * p + start), masks[start:])
+            if (c := (mx & my).bit_count()) == (sx & my).bit_count()
+            and abs(c - (lx & my).bit_count()) == hom
+        ]
+    return out
+
+
+def pair_orbits(n: int, hom: int) -> list:
+    """Serre orbits on the codes of exceptional_pairs(n, hom)."""
+    codes = exceptional_pairs(n, hom)
+    points = enum_points(n)
+    p = len(points)
+    index = {iv: t for t, iv in enumerate(points)}
+    perm = [index[serre_on_point(i, j, n)[0]] for i, j in points]
+
+    def step(code):
+        x, y = divmod(code, p)
+        x, y = perm[x], perm[y]
+        return y * p + x if hom == 0 and y < x else x * p + y
+
+    return orbits(codes, step)
 
 
 def genus_minus1_orbits(n: int) -> list:
-    """Serre orbits on the genus -1 subcategories, by explicit partition."""
-    return orbits(enum_genus_minus1(n), lambda pair: serre_on_pair(pair, n))
+    """Serre orbits on the genus -1 subcategories, as orbits of the codes of
+    their orthogonal generator pairs."""
+    return pair_orbits(n, 0)
 
 
 def point_orbits(n: int) -> list:

@@ -1,8 +1,16 @@
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
-from nccount.arith import orbits
+from nccount.arith import divisors, euler_phi, mobius, orbits
+
+
+def test_number_theory_matches_sympy():
+    for x in range(1, 501):
+        assert mobius(x) == sympy.mobius(x), x
+        assert euler_phi(x) == sympy.totient(x), x
+        assert divisors(x) == sympy.divisors(x), x
 
 
 @st.composite

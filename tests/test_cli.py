@@ -72,6 +72,57 @@ def test_an_genus(capsys):
     assert code == 0 and doc == {"count": "2"}
 
 
+@pytest.mark.parametrize("genus", [1, 2])
+@pytest.mark.parametrize("group", ["id", "full"])
+def test_an_genus_positive_verify(capsys, genus, group):
+    # no exceptional pair of interval objects has total hom >= 2
+    code, doc = run_json(
+        capsys,
+        ["an", "genus", "--genus", str(genus), "--vertices", "7", "--group", group,
+         "--verify"],
+    )
+    assert code == 0 and doc == {"count": "0"}
+
+
+@pytest.mark.parametrize(
+    "group, name, fake",
+    [("id", "exceptional_pairs", lambda n, hom: [0]),
+     ("full", "pair_orbits", lambda n, hom: [[0]])],
+)
+def test_an_genus_verify_mismatch_exits_1(capsys, monkeypatch, group, name, fake):
+    monkeypatch.setattr(cli.typea, name, fake)
+    code = cli.run(
+        ["an", "genus", "--genus", "1", "--vertices", "5", "--group", group,
+         "--verify"]
+    )
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "verification failed for an genus: formula=0, oracle=1" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        ("an count --k 10 --vertices 30 --group full --verify", 84672315),
+        ("an count --k 10 --vertices 30 --verify", 84672315),
+        ("an orbits --k 10 --vertices 30", 84672315),
+        ("an genus --genus 0 --vertices 200 --verify", 1333300),
+        ("an genus --genus 1 --vertices 60 --group full --verify", 3348900),
+    ],
+)
+def test_oversized_enumeration_exits_2(capsys, argv, size):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv.split())
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "refusing to enumerate" in captured.err and f"= {size};" in captured.err
+    # without --verify the closed form still answers
+    if "--verify" in argv:
+        argv = argv.replace(" --verify", "")
+        assert cli.run(argv.split()) == 0
+
+
 def test_necklace_count(capsys):
     code, doc = run_json(capsys, ["necklace", "count", "--m", "6", "--s", "3"])
     assert code == 0 and doc == {"count": "4"}

@@ -145,6 +145,12 @@ def test_d4_curve_graph_structure():
                 assert g.genus[v] != g.genus[w]
 
 
+def test_d4_curve_graph_rejects_window():
+    with pytest.raises(ValueError, match="d4 takes no window"):
+        build_curve_graph("d4", window=(0, 3))
+    assert build_curve_graph("d4").census()[0] == 24
+
+
 def test_q2_curve_graph_cycles():
     g = build_curve_graph("q2", window=(-2, 2))
     for cycle in (["C", "FG-", "D", "FG+"], ["A", "F+-", "B", "G+-"]):

@@ -20,6 +20,7 @@ from nccount.typea import (
     enum_genus_minus1,
     enum_points,
     enum_seqs,
+    exceptional_pairs,
     genus_minus1_orbits,
     interval_dim,
     interval_pair_is_exceptional,
@@ -27,6 +28,7 @@ from nccount.typea import (
     is_d_additive,
     monotone_seq,
     orbit_partition,
+    pair_orbits,
     period,
     point_orbits,
     seq_to_subcategory,
@@ -238,6 +240,25 @@ def test_count_orbits_formula_vs_brute():
             ), (k, vertices)
 
 
+@st.composite
+def _k_vertices(draw, limit=20_000):
+    # (k, N) with N <= 40 whose C(N+1, k+1) sequences stay cheap to
+    # partition; k > N, where both counts are 0, is included
+    vertices = draw(st.integers(1, 40))
+    ks = [k for k in range(1, vertices + 3) if comb(vertices + 1, k + 1) <= limit]
+    return draw(st.sampled_from(ks)), vertices
+
+
+@settings(deadline=None, max_examples=60)
+@given(_k_vertices())
+def test_count_orbits_formula_vs_brute_random(kv):
+    k, vertices = kv
+    assert count_orbits_formula(k, vertices) == count_orbits_brute(k, vertices)
+    parts = orbit_partition(vertices - 1, k)
+    assert len(parts) == count_orbits_brute(k, vertices)
+    assert all((vertices + 1) % len(orb) == 0 for orb in parts)
+
+
 def test_count_orbits_special_cases():
     for k in range(1, 12):
         assert count_orbits_formula(k, k) == 1
@@ -287,6 +308,71 @@ def test_enum_genus_minus1():
             assert typea.interval_pair_is_exceptional(x, y, n)
             assert typea.interval_pair_is_exceptional(y, x, n)
             assert typea.interval_total_hom(x, y, n) == 0
+
+
+def _decode(codes, n):
+    points = enum_points(n)
+    return [(points[c // len(points)], points[c % len(points)]) for c in codes]
+
+
+def test_exceptional_pairs_genus_minus1_scan_matches_two_shapes():
+    for n in range(0, 11):
+        got = {GenSetA(pair) for pair in _decode(exceptional_pairs(n, 0), n)}
+        assert got == set(enum_genus_minus1(n)), n
+
+
+def test_exceptional_pairs_hom_census():
+    # each A_2-type subcategory has three exceptional pairs, all with total
+    # hom 1, and no two interval objects have a larger total hom
+    for n in range(0, 13):
+        assert len(exceptional_pairs(n, 1)) == 3 * comb(n + 2, 3), n
+        for hom in (2, 3):
+            assert exceptional_pairs(n, hom) == [], (n, hom)
+
+
+def test_exceptional_pairs_match_quiver_euler_form():
+    # the bitmask scan against the Euler form of the line quiver
+    for n in range(0, 6):
+        q, points = line_quiver(n), enum_points(n)
+        dims = {iv: interval_dim(iv, n) for iv in points}
+        for hom in range(3):
+            want = [
+                (x, y)
+                for x in points
+                for y in points
+                if euler_form(q, dims[y], dims[x]) == 0
+                and abs(euler_form(q, dims[x], dims[y])) == hom
+                and (hom > 0 or x < y)
+            ]
+            codes = exceptional_pairs(n, hom)
+            assert codes == sorted(codes)
+            assert _decode(codes, n) == want, (n, hom)
+
+
+def test_pair_orbits_partition_the_scan():
+    for n in range(0, 9):
+        for hom in (0, 1):
+            parts = pair_orbits(n, hom)
+            flat = sorted(c for orb in parts for c in orb)
+            assert flat == exceptional_pairs(n, hom)
+            assert all((n + 2) % len(orb) == 0 for orb in parts)
+
+
+def test_enumeration_cap(monkeypatch):
+    with pytest.raises(ValueError, match="C\\(31, 11\\) sequences = 84672315;"):
+        typea.seq_values(29, 10)
+    with pytest.raises(ValueError, match="1830\\^2 point pairs = 3348900;"):
+        exceptional_pairs(59, 2)
+    # the largest sizes the tests and the benchmark ask for stay below it
+    assert max(comb(21, 6), comb(41, 3), (30 * 31 // 2) ** 2) <= typea.MAX_ENUMERATION
+    # the cap itself is allowed, one more is refused
+    monkeypatch.setattr(typea, "MAX_ENUMERATION", 15)
+    assert count_orbits_brute(1, 5) == 3  # C(6, 2) = 15 sequences
+    with pytest.raises(ValueError, match="C\\(7, 2\\) sequences = 21;"):
+        count_orbits_brute(1, 6)
+    assert exceptional_pairs(1, 2) == []  # 3^2 pairs
+    with pytest.raises(ValueError, match="6\\^2 point pairs = 36;"):
+        exceptional_pairs(2, 2)
 
 
 def test_genus_minus1_orbit_census():
