@@ -1,0 +1,154 @@
+"""The categories of the graph layer, one record each.
+
+`category(name, window)` is the one place a category name is parsed.  Its
+record lists the objects by vertex label and carries the pair test and the
+hom that the graph, complex and incidence builders need, so none of them
+asks which category it has.  The names are 'aN' (D^b(A_N), N >= 1), 'd4',
+the affine quivers 'q1' and 'q2', and 'npL', the category generated by a
+strong pair with L + 1 homs (L >= -1).  q1, q2 and npL with L >= 1 take a
+window (lo, hi) of series indices, inclusive, and no other category does.
+Records are built per call, so they use the backend functions as their
+modules bind them at that moment.
+"""
+
+import re
+from typing import Callable, NamedTuple
+
+from . import affine, d4, typea
+
+
+class Category(NamedTuple):
+    """Objects and homs of one category, as the graph builders see them.
+
+    is_pair(x, y) holds iff every hom from y to x vanishes: (x, y) is a
+    semi-orthogonal pair.  total_hom(x, y) is the total forward hom of such
+    a pair, or None where edges carry no weight.  dims maps each object to
+    its dimension vector where the homs are read off a quiver's Euler form.
+    boundary holds the labels whose edge sets the window truncates, genus
+    the genus of each curve of a curve category, and curves, where curve
+    graphs exist, returns the category whose objects are the curves.
+    """
+
+    name: str
+    objects: dict  # vertex label -> object
+    is_pair: Callable
+    total_hom: Callable | None
+    dims: dict | None = None
+    boundary: frozenset = frozenset()
+    genus: dict | None = None
+    curves: Callable | None = None
+
+
+def category(name: str, window=None) -> Category:
+    """The record of the named category, with window = (lo, hi) for the
+    windowed ones."""
+    m = re.fullmatch(r"a(\d+)|np(-?\d+)|(d4|q1|q2)", name)
+    if m is None:
+        raise ValueError(f"unknown category {name!r}")
+    vertices, genus, fixed = m.groups()
+    windowed = fixed in ("q1", "q2") or genus is not None and int(genus) >= 1
+    if window is not None and not windowed:
+        raise ValueError(f"{name} takes no window")
+    if windowed:
+        if window is None:
+            raise ValueError("this category needs a finite window=(lo, hi)")
+        if window[0] > window[1]:
+            raise ValueError("empty window")
+    if vertices is not None:
+        return _line(name, int(vertices))
+    if fixed == "d4":
+        return _d4(name)
+    if fixed is not None:
+        return _affine(name, *window)
+    return _strong_pair(name, int(genus), window)
+
+
+def _line(name, vertices):
+    if vertices < 1:
+        raise ValueError("need at least one vertex")
+    n = vertices - 1
+    points = typea.enum_points(n)
+    return Category(
+        name,
+        {str(p): p for p in points},
+        lambda x, y: typea.interval_pair_is_exceptional(x, y, n),
+        lambda x, y: typea.interval_total_hom(x, y, n),
+        dims={p: typea.interval_dim(p, n) for p in points},
+    )
+
+
+def _d4(name):
+    def curves():
+        return _curve_category(points, [
+            (str(s), genus, s.generators, False)
+            for genus, kind in ((0, "genus0"), (-1, "genusMinus1"))
+            for s in d4.d4_enum(kind)
+        ])
+
+    points = Category(
+        name,
+        {x: x for x in d4.LABELS},
+        lambda x, y: d4.d4_pair_class(x, y) is not d4.PairClass.NOT_EXCEPTIONAL,
+        d4.total_hom,
+        dims=d4.DIMS,
+        curves=curves,
+    )
+    return points
+
+
+def _affine(name, lo, hi):
+    def curves():
+        return _curve_category(points, [
+            (str(s), genus, s.generators(), s.index in (lo, hi))
+            for genus in (1, 0, -1)
+            for s in affine.aff_enum_curves(name, genus, (lo, hi))
+        ])
+
+    objs = [
+        affine.obj(name, fam, m)
+        for fam in affine.SERIES[name]
+        for m in range(lo, hi + 1)
+    ]
+    objs += [affine.obj(name, fam) for fam in affine.SPORADIC[name]]
+    points = Category(
+        name,
+        {str(o): o for o in objs},
+        lambda x, y: affine.aff_pair_class(x, y)
+        is not affine.AffPairClass.NOT_EXCEPTIONAL,
+        affine.pair_total_hom,
+        boundary=frozenset(str(o) for o in objs if o.index in (lo, hi)),
+        curves=curves,
+    )
+    return points
+
+
+def _strong_pair(name, l, window):
+    if l < -1:
+        raise ValueError("genus must be >= -1")
+    if l == -1:
+        return Category(name, {"E1": 1, "E2": 2}, lambda x, y: True, lambda x, y: 0)
+    if l == 0:
+        return _line(name, 2)
+    lo, hi = window
+    return Category(
+        name,
+        {f"s{i}": i for i in range(lo, hi + 1)},
+        lambda i, j: j == i + 1,
+        lambda i, j: l + 1,
+        boundary=frozenset((f"s{lo}", f"s{hi}")),
+    )
+
+
+def _curve_category(points, entries):
+    """The curves of a point category as a category of their own, from
+    entries (label, genus, generators, at the window boundary).  (A, B) is
+    a pair iff every hom from a generator of B to one of A vanishes; the
+    edges carry no weight."""
+    return Category(
+        f"{points.name}-curves",
+        {label: gens for label, _, gens, _ in entries},
+        lambda a, b: all(x != y and points.is_pair(y, x) for x in b for y in a),
+        None,
+        boundary=frozenset(label for label, _, _, edge in entries if edge),
+        genus={label: genus for label, genus, _, _ in entries},
+    )

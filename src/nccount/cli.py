@@ -103,25 +103,6 @@ def _cmd_an_genus(args):
     return 0
 
 
-def _graph_out(g, args):
-    if args.format == "dot":
-        sys.stdout.write(digraph.export(g, "dot"))
-    elif args.format == "json":
-        sys.stdout.write(digraph.export(g, "json"))
-    else:
-        v, one, two = g.census()
-        _emit(
-            {"category": g.category, "vertices": v,
-             "one_sided_edges": one, "double_sided_edges": two},
-            "plain",
-        )
-    return 0
-
-
-def _cmd_an_graph(args):
-    return _graph_out(digraph.build_point_graph(f"a{args.vertices}"), args)
-
-
 def _cmd_necklace_count(args):
     count = necklace.count_subgon_classes_burnside(args.m, args.s)
     if args.verify:
@@ -140,14 +121,6 @@ def _cmd_d4_table(args):
     }
     _emit(doc, args.format)
     return 0
-
-
-def _cmd_d4_graph(args):
-    if args.kind == "points":
-        g = digraph.build_point_graph("d4")
-    else:
-        g = digraph.build_curve_graph("d4")
-    return _graph_out(g, args)
 
 
 _D4_KINDS = {
@@ -178,15 +151,6 @@ def _cmd_affine_count(args):
     count = affine.aff_count(args.quiver, _AFF_KINDS[args.kind], args.group)
     _emit({"count": _count_str(count)}, args.format)
     return 0
-
-
-def _cmd_affine_graph(args):
-    window = (0, args.window - 1)
-    if args.kind == "points":
-        g = digraph.build_point_graph(args.quiver, window)
-    else:
-        g = digraph.build_curve_graph(args.quiver, window)
-    return _graph_out(g, args)
 
 
 def _cmd_markov_table(args):
@@ -251,14 +215,32 @@ def _cmd_incidence(args):
     return 0
 
 
+def _window(args):
+    """--window W as the series indices 0..W-1."""
+    return None if args.window is None else (0, args.window - 1)
+
+
 def _cmd_graph(args):
-    window = None if args.window is None else (0, args.window - 1)
-    return _graph_out(digraph.build_point_graph(args.category, window), args)
+    """Point or curve graph of args.category; every graph subcommand sets
+    the arguments it does not take through its parser defaults."""
+    if args.kind == "curves":
+        g = digraph.build_curve_graph(args.category, _window(args))
+    else:
+        g = digraph.build_point_graph(args.category, _window(args))
+    if args.format == "plain":
+        v, one, two = g.census()
+        _emit(
+            {"category": g.category, "vertices": v,
+             "one_sided_edges": one, "double_sided_edges": two},
+            "plain",
+        )
+    else:
+        sys.stdout.write(digraph.export(g, args.format))
+    return 0
 
 
 def _cmd_sc(args):
-    window = None if args.window is None else (0, args.window - 1)
-    g = digraph.build_point_graph(args.category, window)
+    g = digraph.build_point_graph(args.category, _window(args))
     simps = digraph.sc_simplices(g, args.max_dim)
     by_dim = {}
     for s in simps:
@@ -273,6 +255,14 @@ def _cmd_sc(args):
 
 
 # --- parser -------------------------------------------------------------------
+
+
+def _a_category(vertices: str) -> str:
+    """`an graph --vertices N` draws the point graph of aN."""
+    try:
+        return f"a{int(vertices)}"
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {vertices!r}") from None
 
 
 def _add_format(p, choices=("json", "plain")):
@@ -312,9 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_an_genus)
 
     p = an.add_parser("graph", help="derived-point graph")
-    p.add_argument("--vertices", type=int, required=True)
+    p.add_argument("--vertices", dest="category", metavar="VERTICES",
+                   type=_a_category, required=True)
     _add_format(p, ("json", "plain", "dot"))
-    p.set_defaults(func=_cmd_an_graph)
+    p.set_defaults(func=_cmd_graph, kind="points", window=None)
 
     nk = sub.add_parser("necklace", help="polygon rotation classes").add_subparsers(
         dest="sub", required=True
@@ -335,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = d4p.add_parser("graph")
     p.add_argument("--kind", choices=("points", "curves"), default="points")
     _add_format(p, ("json", "plain", "dot"))
-    p.set_defaults(func=_cmd_d4_graph)
+    p.set_defaults(func=_cmd_graph, category="d4", window=None)
     p = d4p.add_parser("enum")
     p.add_argument("--kind", choices=tuple(_D4_KINDS), required=True)
     _add_format(p)
@@ -351,11 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(func=_cmd_affine_count)
     p = aff.add_parser("graph")
-    p.add_argument("--quiver", choices=("q1", "q2"), required=True)
+    p.add_argument("--quiver", dest="category", choices=("q1", "q2"), required=True)
     p.add_argument("--kind", choices=("points", "curves"), default="points")
     p.add_argument("--window", type=int, default=5)
     _add_format(p, ("json", "plain", "dot"))
-    p.set_defaults(func=_cmd_affine_graph)
+    p.set_defaults(func=_cmd_graph)
 
     mk = sub.add_parser("markov", help="the projective plane").add_subparsers(
         dest="sub", required=True
@@ -379,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_markov_tyurin)
 
     p = sub.add_parser("incidence", help="point/line incidence structures")
-    p.add_argument("--category", choices=("a3", "d4"), required=True)
+    p.add_argument("--category", choices=incidence.DRAWN, required=True)
     _add_format(p)
     p.set_defaults(func=_cmd_incidence)
 
@@ -388,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="aN, d4, q1, q2 or npL (L >= -1)")
     p.add_argument("--window", type=int)
     _add_format(p, ("json", "plain", "dot"))
-    p.set_defaults(func=_cmd_graph)
+    p.set_defaults(func=_cmd_graph, kind="points")
 
     p = sub.add_parser("sc", help="simplicial complex of a point graph")
     p.add_argument("--category", required=True)

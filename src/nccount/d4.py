@@ -15,6 +15,7 @@ from functools import partial
 from itertools import combinations, permutations
 from typing import NamedTuple
 
+from . import quiver
 from .arith import orbits
 from .quiver import d4_quiver, euler_form
 
@@ -115,17 +116,8 @@ def d4_act(g: str, x):
 
 def third_point(a: str, b: str) -> str:
     """Third derived point of the genus-0 curve spanned by the hom-one pair
-    {a, b}: the unique label whose dimension vector is the sum or difference
-    of theirs."""
-    da, db = DIMS[a], DIMS[b]
-    cands = [
-        tuple(x + y for x, y in zip(da, db)),
-        tuple(abs(x - y) for x, y in zip(da, db)),
-    ]
-    hits = [lbl for lbl, d in DIMS.items() if d in cands]
-    if len(hits) != 1:
-        raise ValueError(f"({a}, {b}) does not span a genus-0 curve")
-    return hits[0]
+    {a, b}."""
+    return quiver.third_point(DIMS, a, b)
 
 
 def genus0_curves() -> list:

@@ -3,17 +3,16 @@
 Vertices are subcategories; there is an edge (a, b) whenever all homs from b
 to a vanish, so edges are exactly the semi-orthogonal pairs.  A one-sided
 edge carries the total hom dimension in the forward direction as its weight;
-double-sided edges (mutually orthogonal vertices) carry none.  Point graphs
-exist for the A-type and D_4 categories, for finite windows of the two
-affine quivers, and for the two-object categories of every genus l >= -1;
-curve graphs for D_4 and windows of the square quiver.
+double-sided edges (mutually orthogonal vertices) carry none.  Every
+category of `nccount.category` has a point graph, and each one with curves
+a curve graph; the builders read objects and homs from its record alone.
 """
 
 import json
-import re
 from itertools import combinations, permutations
 
-from . import affine, d4, typea
+from . import affine
+from . import category as registry
 
 
 class ValuedDigraph:
@@ -104,150 +103,35 @@ class ValuedDigraph:
             e: w for e, w in self._edges.items() if e[0] in vs and e[1] in vs
         }
 
-    def rename_category(self, category):
-        self.category = category
-        return self
-
 
 # --- construction ------------------------------------------------------------
 
 
-def _pair_graph(category, objs, is_pair, weight=None, genus=None, boundary=()):
-    """The finalized graph on objs = {name: object} with an edge (x, y) iff
-    is_pair(x, y), that is iff every hom from y to x vanishes.  An edge
-    carries weight(x, y), the total forward hom, until finalize drops it
-    from double-sided edges."""
-    g = ValuedDigraph(category, objs, genus, boundary)
-    for (a, x), (b, y) in permutations(objs.items(), 2):
+def _pair_graph(cat) -> ValuedDigraph:
+    """The finalized graph on the objects of a category record, with an edge
+    (a, b) iff cat.is_pair holds for their objects, that is iff every hom
+    from b to a vanishes.  An edge carries the total forward hom, until
+    finalize drops it from double-sided edges."""
+    g = ValuedDigraph(cat.name, cat.objects, cat.genus, cat.boundary)
+    is_pair, weight = cat.is_pair, cat.total_hom
+    for (a, x), (b, y) in permutations(cat.objects.items(), 2):
         if is_pair(x, y):
             g.add_edge(a, b, None if weight is None else weight(x, y))
     return g.finalize()
 
 
-def _lift(vanishes):
-    """Pair test on generator sets, from vanishes(x, y) = 'all homs from x to
-    y vanish': it must hold from every generator of B to every one of A."""
-    return lambda a, b: all(vanishes(x, y) for x in b for y in a)
-
-
-def _parse_category(category):
-    m = re.fullmatch(r"a(\d+)", category)
-    if m:
-        return ("a", int(m.group(1)))
-    m = re.fullmatch(r"np(-?\d+)", category)
-    if m:
-        return ("np", int(m.group(1)))
-    if category in ("d4", "q1", "q2"):
-        return (category, None)
-    raise ValueError(f"unknown category {category!r}")
-
-
-def _window_pair(window):
-    if window is None:
-        raise ValueError("this category needs a finite window=(lo, hi)")
-    lo, hi = window
-    if lo > hi:
-        raise ValueError("empty window")
-    return lo, hi
-
-
 def build_point_graph(category: str, window=None) -> ValuedDigraph:
-    """Graph of derived points for 'aN', 'd4', 'q1'/'q2' (windowed) or
-    'npL' (the genus-L two-generator category; windowed for L >= 1)."""
-    kind, param = _parse_category(category)
-    if window is not None and not (kind in ("q1", "q2") or kind == "np" and param >= 1):
-        raise ValueError(f"{category} takes no window")
-    if kind == "a":
-        n = param - 1
-        if param < 1:
-            raise ValueError("need at least one vertex")
-        return _pair_graph(
-            category,
-            {str(p): p for p in typea.enum_points(n)},
-            lambda x, y: typea.interval_pair_is_exceptional(x, y, n),
-            lambda x, y: typea.interval_total_hom(x, y, n),
-        )
-    if kind == "d4":
-        return _pair_graph(
-            category,
-            {o: o for o in d4.LABELS},
-            lambda x, y: d4.d4_pair_class(x, y) is not d4.PairClass.NOT_EXCEPTIONAL,
-            d4.total_hom,
-        )
-    if kind in ("q1", "q2"):
-        lo, hi = _window_pair(window)
-        objs = [
-            affine.obj(kind, fam, m)
-            for fam in affine.SERIES[kind]
-            for m in range(lo, hi + 1)
-        ]
-        objs += [affine.obj(kind, fam) for fam in affine.SPORADIC[kind]]
-        return _pair_graph(
-            category,
-            {str(o): o for o in objs},
-            lambda x, y: affine.aff_pair_class(x, y)
-            is not affine.AffPairClass.NOT_EXCEPTIONAL,
-            affine.pair_total_hom,
-            boundary=[str(o) for o in objs if o.index in (lo, hi)],
-        )
-    # np: the category generated by a strong pair with l+1 connecting homs
-    l = param
-    if l < -1:
-        raise ValueError("genus must be >= -1")
-    if l == -1:  # two mutually orthogonal objects
-        return _pair_graph(category, {"E1": 1, "E2": 2}, lambda x, y: True)
-    if l == 0:
-        return build_point_graph("a2").rename_category(category)
-    # a window of the chain s_i whose only exceptional pairs are (s_i, s_i+1)
-    lo, hi = _window_pair(window)
-    return _pair_graph(
-        category,
-        {f"s{i}": i for i in range(lo, hi + 1)},
-        lambda i, j: j == i + 1,
-        lambda i, j: l + 1,
-        boundary={f"s{lo}", f"s{hi}"},
-    )
-
-
-def _d4_curve_vertices():
-    """(id, genus, generator labels) for all 24 D_4 curves."""
-    out = []
-    for curve in d4.genus0_curves():
-        gens = d4.curve_presentations(curve)[0]
-        out.append(("<" + ",".join(gens) + ">", 0, tuple(sorted(curve))))
-    for curve in d4.genus_minus1_curves():
-        gens = tuple(sorted(curve))
-        out.append(("<" + ",".join(gens) + ">", -1, gens))
-    return out
+    """Graph of derived points of a category named as in `nccount.category`."""
+    return _pair_graph(registry.category(category, window))
 
 
 def build_curve_graph(category: str, window=None) -> ValuedDigraph:
-    """Semi-orthogonality graph on noncommutative curves: genus 0 and -1
-    for 'd4'; genus 1, 0 and -1 on a window for 'q2'."""
-    if category == "d4":
-        if window is not None:
-            raise ValueError("d4 takes no window")
-        verts = _d4_curve_vertices()
-        return _pair_graph(
-            "d4-curves",
-            {v: gens for v, _, gens in verts},
-            _lift(lambda x, y: d4.total_hom(x, y) == 0),
-            genus={v: gen for v, gen, _ in verts},
-        )
-    if category == "q2":
-        lo, hi = _window_pair(window)
-        subs = []
-        for genus in (1, 0, -1):
-            subs.extend(affine.aff_enum_curves("q2", genus, (lo, hi)))
-        genus_of = {"genus1": 1, "genus0": 0, "genus-1": -1}
-        return _pair_graph(
-            "q2-curves",
-            {str(s): s.generators() for s in subs},
-            _lift(affine.hom_vanishes),
-            genus={str(s): genus_of[s.kind] for s in subs},
-            boundary={str(s) for s in subs if s.index in (lo, hi)},
-        )
-    raise ValueError(f"no curve graph for {category!r}")
+    """Semi-orthogonality graph on the noncommutative curves of a category
+    that has them, with the genus of each curve."""
+    cat = registry.category(category, window)
+    if cat.curves is None:
+        raise ValueError(f"no curve graph for {category!r}")
+    return _pair_graph(cat.curves())
 
 
 # --- simplicial complex -------------------------------------------------------
@@ -385,9 +269,9 @@ def q1_pattern_subgraphs(window) -> list:
     """Vertex sets of subgraphs of the windowed q2 point graph isomorphic to
     the q1 point graph on the same window: pairs of series plus two sporadic
     objects reproducing the q1 edge-and-weight pattern exactly."""
-    lo, hi = _window_pair(window)
     g2 = build_point_graph("q2", window)
     reference = build_point_graph("q1", window)
+    lo, hi = window
     found = set()
     for x, y in permutations(affine.SERIES["q2"], 2):
         for p, q in permutations(affine.SPORADIC["q2"], 2):

@@ -1,85 +1,52 @@
 """Derived points of genus-0 curves, pairwise curve intersections, greatest
-lower bounds, and the point/line incidence structures of the A_3 and D_4
-categories.
+lower bounds, and point/line incidence structures.
 
-Only the abstract incidence data is modelled; the planar drawings that
-realize these structures are not.
+A curve is given by its two generators, and the category by a name of
+`nccount.category` whose record has dimension vectors.  Only the abstract
+incidence data is modelled; the planar drawings that realize these
+structures are not.
 """
 
 import json
+from itertools import permutations
 from typing import NamedTuple
 
-from . import d4, typea
-from .typea import GenSetA, Interval
+from . import category as registry
+from .quiver import third_point
+
+# the categories whose incidence structures are drawn in the plane
+DRAWN = ("a3", "d4")
 
 
-def _interval_from_dim(vec) -> Interval | None:
-    ones = [i for i, x in enumerate(vec) if x == 1]
-    if not ones or any(x not in (0, 1) for x in vec):
-        return None
-    if ones != list(range(ones[0], ones[-1] + 1)):
-        return None
-    return Interval(ones[0], ones[-1])
-
-
-def derived_points_a(curve: GenSetA, n: int) -> frozenset:
-    """The three derived points of a genus-0 curve in the (n+1)-vertex
-    A-type category, given by any spanning pair of interval objects."""
-    if len(curve.generators) != 2:
-        raise ValueError(f"{curve} is not given by a pair of generators")
-    x, y = curve.generators
-    fwd = typea.interval_pair_is_exceptional(x, y, n)
-    bwd = typea.interval_pair_is_exceptional(y, x, n)
-    if not (fwd or bwd) or typea.interval_total_hom(x, y, n) + typea.interval_total_hom(
-        y, x, n
-    ) != 1:
-        raise ValueError(f"{curve} is not a genus-0 curve")
-    dx, dy = typea.interval_dim(x, n), typea.interval_dim(y, n)
-    for cand in (
-        tuple(a + b for a, b in zip(dx, dy)),
-        tuple(abs(a - b) for a, b in zip(dx, dy)),
-    ):
-        third = _interval_from_dim(cand)
-        if third is not None:
-            return frozenset((x, y, third))
-    raise AssertionError(f"no third point below {curve}")
-
-
-def derived_points(curve, category: str) -> frozenset:
-    """Derived points of a genus-0 curve; category 'aN' or 'd4'."""
-    if category == "d4":
-        gens = curve.generators if isinstance(curve, d4.GenSet) else tuple(curve)
-        if len(gens) != 2:
-            raise ValueError(f"{curve} is not given by a pair of generators")
-        a, b = gens
-        return frozenset((a, b, d4.third_point(a, b)))
-    if category.startswith("a"):
-        n = int(category[1:]) - 1
-        return derived_points_a(curve, n)
-    raise ValueError(f"unknown category {category!r}")
-
-
-def _curve_point_set(curve, category: str):
+def _curve_points(cat, curve):
     """(genus, derived-point set) of a curve of genus 0 or -1.
 
     A genus -1 curve (orthogonal pair) contains exactly its two generators
     as derived points; a genus-0 curve contains three.
     """
-    if category == "d4":
-        gens = curve.generators if isinstance(curve, d4.GenSet) else tuple(curve)
-        if len(gens) == 2 and d4.d4_pair_class(*gens) is d4.PairClass.ORTHOGONAL:
-            return -1, frozenset(gens)
-        return 0, derived_points(curve, category)
-    if category.startswith("a"):
-        n = int(category[1:]) - 1
-        x, y = curve.generators
-        if (
-            typea.interval_total_hom(x, y, n) == 0
-            and typea.interval_total_hom(y, x, n) == 0
-        ):
-            return -1, frozenset((x, y))
-        return 0, derived_points_a(curve, n)
-    raise ValueError(f"unknown category {category!r}")
+    gens = tuple(getattr(curve, "generators", curve))
+    if len(gens) != 2:
+        raise ValueError(f"{curve} is not given by a pair of generators")
+    x, y = gens
+    if cat.is_pair(y, x):
+        x, y = y, x
+    if not cat.is_pair(x, y):
+        raise ValueError(f"{curve} is not spanned by an exceptional pair")
+    genus = cat.total_hom(x, y) - 1
+    if genus == -1:
+        return -1, frozenset(gens)
+    if genus == 0:
+        return 0, frozenset((x, y, third_point(cat.dims, x, y)))
+    raise ValueError(f"{curve} has genus {genus}")
+
+
+def derived_points(curve, category: str) -> frozenset:
+    """The three derived points of a genus-0 curve, given by any spanning
+    pair of objects."""
+    genus, points = _curve_points(registry.category(category), curve)
+    if genus:
+        raise ValueError(f"{curve} is not a genus-0 curve")
+    return points
 
 
 class Intersection(NamedTuple):
@@ -90,7 +57,11 @@ class Intersection(NamedTuple):
 def intersect_curves(c1, c2, category: str) -> Intersection:
     """Intersection of two curves of genus 0 or -1: themselves, a single
     shared derived point, or nothing."""
-    (_, t1), (_, t2) = _curve_point_set(c1, category), _curve_point_set(c2, category)
+    return _intersect(registry.category(category), c1, c2)
+
+
+def _intersect(cat, c1, c2):
+    (_, t1), (_, t2) = _curve_points(cat, c1), _curve_points(cat, c2)
     if t1 == t2:
         return Intersection("equal")
     common = t1 & t2
@@ -112,12 +83,13 @@ def glb(x, y, category: str, include_orthogonal_pairs: bool = False):
     Elements are tagged pairs ('trivial', None), ('point', p) or
     ('curve', c); the result is another such pair.
     """
+    cat = registry.category(category)
     for item in (x, y):
         if not (isinstance(item, tuple) and len(item) == 2
                 and item[0] in ("trivial", "point", "curve")):
             raise ValueError(f"{item!r} is outside the supported family")
         if item[0] == "curve" and not include_orthogonal_pairs:
-            genus, _ = _curve_point_set(item[1], category)
+            genus, _ = _curve_points(cat, item[1])
             if genus == -1:
                 raise ValueError(
                     f"{item[1]} has genus -1; pass include_orthogonal_pairs=True"
@@ -128,7 +100,7 @@ def glb(x, y, category: str, include_orthogonal_pairs: bool = False):
     if kx == "point" and ky == "point":
         return x if px == py else TRIVIAL
     if kx == "curve" and ky == "curve":
-        hit = intersect_curves(px, py, category)
+        hit = _intersect(cat, px, py)
         if hit.kind == "equal":
             return x
         if hit.kind == "point":
@@ -136,7 +108,7 @@ def glb(x, y, category: str, include_orthogonal_pairs: bool = False):
         return TRIVIAL
     # mixed point / curve
     point, curve = (px, py) if kx == "point" else (py, px)
-    if point in _curve_point_set(curve, category)[1]:
+    if point in _curve_points(cat, curve)[1]:
         return ("point", point)
     return TRIVIAL
 
@@ -152,33 +124,21 @@ class IncidenceStructure(NamedTuple):
         return sum(1 for lid, pts in self.lines if point in pts)
 
 
-def _a3_lines():
-    out = []
-    for seq in typea.enum_seqs(2, 2):
-        curve = typea.seq_to_subcategory(seq)
-        out.append(tuple(sorted(str(p) for p in derived_points_a(curve, 2))))
-    return out
-
-
-def _d4_lines():
-    return [tuple(sorted(c)) for c in d4.genus0_curves()]
-
-
 def incidence_structure(category: str) -> IncidenceStructure:
-    """Point/line incidence of the genus-0 curves: 6 points and 4 lines for
-    'a3', 12 points and 15 lines for 'd4'."""
-    if category == "a3":
-        points = tuple(sorted(str(p) for p in typea.enum_points(2)))
-        triples = _a3_lines()
-    elif category == "d4":
-        points = d4.LABELS
-        triples = _d4_lines()
-    else:
+    """Point/line incidence of the genus-0 curves, each line the set of its
+    derived points: 6 points and 4 lines for 'a3', 12 points and 15 lines
+    for 'd4'."""
+    if category not in DRAWN:
         raise ValueError(f"unknown category {category!r}")
-    lines = tuple(
-        (";".join(t), t) for t in sorted(triples)
-    )
-    return IncidenceStructure(points, lines)
+    cat = registry.category(category)
+    label = {x: a for a, x in cat.objects.items()}
+    triples = {
+        tuple(sorted(label[p] for p in (x, y, third_point(cat.dims, x, y))))
+        for x, y in permutations(cat.objects.values(), 2)
+        if cat.is_pair(x, y) and cat.total_hom(x, y) == 1
+    }
+    lines = tuple((";".join(t), t) for t in sorted(triples))
+    return IncidenceStructure(tuple(sorted(cat.objects)), lines)
 
 
 def export_incidence(struct: IncidenceStructure) -> str:

@@ -103,9 +103,6 @@ def exc_triple(e1: ChernPair, e2: ChernPair, e3: ChernPair) -> ExcTriple:
 
 SEED = ExcTriple((ChernPair(1, 0), ChernPair(1, 1), ChernPair(1, 2)))
 
-MOVES = ("left-12", "left-23", "right-12", "right-23", "twist")
-
-
 def _mutate_class(chi: int, a: ChernPair, b: ChernPair) -> ChernPair:
     """chi*[a] - [b], normalized to positive rank."""
     r, c = chi * a.r - b.r, chi * a.c - b.c
@@ -144,7 +141,7 @@ def _canonical_triple(t: ExcTriple) -> ExcTriple:
     return ExcTriple(tuple(e.twist(shift) for e in t.entries))
 
 
-def generate_triples(max_rank: int, order: str = "bfs") -> list:
+def generate_triples(max_rank: int) -> list:
     """Closure of the seed triple under mutations, pruned to ranks
     <= max_rank, modulo simultaneous twist."""
     if max_rank < 1:
@@ -153,7 +150,7 @@ def generate_triples(max_rank: int, order: str = "bfs") -> list:
     seen = {start}
     frontier = [start]
     while frontier:
-        cur = frontier.pop(0) if order == "bfs" else frontier.pop()
+        cur = frontier.pop()
         for move in ("left-12", "left-23", "right-12", "right-23"):
             img = _canonical_triple(mutate(cur, move))
             if img not in seen and max(img.ranks()) <= max_rank:
@@ -162,10 +159,10 @@ def generate_triples(max_rank: int, order: str = "bfs") -> list:
     return sorted(seen)
 
 
-def exceptional_slopes(max_rank: int, order: str = "bfs") -> set:
+def exceptional_slopes(max_rank: int) -> set:
     """Normalized slopes of all exceptional bundles of rank <= max_rank."""
     slopes = set()
-    for t in generate_triples(max_rank, order):
+    for t in generate_triples(max_rank):
         for e in t.entries:
             if e.r <= max_rank:
                 slopes.add(normalized_slope(e))

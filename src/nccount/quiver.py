@@ -155,6 +155,21 @@ def dynkin_hom_profile(q: Quiver, a, b) -> HomProfile:
     return HomProfile(max(e, 0), max(-e, 0))
 
 
+def third_point(dims: Mapping, a, b):
+    """Third derived point of the genus-0 curve spanned by the hom-one pair
+    {a, b}, where dims maps objects to their dimension vectors: the unique
+    object whose vector is the sum or the difference of theirs."""
+    da, db = dims[a], dims[b]
+    cands = (
+        tuple(x + y for x, y in zip(da, db)),
+        tuple(abs(x - y) for x, y in zip(da, db)),
+    )
+    hits = [obj for obj, d in dims.items() if d in cands]
+    if len(hits) != 1:
+        raise ValueError(f"({a}, {b}) does not span a genus-0 curve")
+    return hits[0]
+
+
 def is_exceptional_pair(q: Quiver, a, b) -> bool:
     """True iff (A, B) with dim A = a, dim B = b is an exceptional pair,
     i.e. all homs from B to A vanish: <b, a> = 0."""

@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nccount import cli
 
@@ -341,6 +346,22 @@ GOLDEN_STDOUT = [
      "d2478f2255fcd5a96bccb83826f2270eb1bc72f98269f0e66158fa17f8febf33"),
     ("affine count --quiver q2 --kind genus-1 --group full",
      "53fd66ae465aa5af1d0c07587a4236870fdef483ff5f19ab094d65c7348d03b3"),
+    ("graph --category np-1",
+     "1b26d3351081334fa12dba2909dcda5127e4d545117b2d5217008c390b965967"),
+    ("graph --category np0",
+     "d9e504f5808fb59e917954966be2a2712e76833b2eab2e76dadd56299932cfe3"),
+    ("graph --category np2 --window 5",
+     "8a0ec7d59e6ebd14553e9d1bf123764cb9ad5fe8d71cd90b1ff53cf50e2916a1"),
+    ("an graph --vertices 5 --format dot",
+     "492e43a9995cfb2a71f9a85fe8c4998028f8dcf7063737be7c42b74f7e3addee"),
+    ("d4 graph",
+     "b99156dd7c8501ab84d89911f2ca825ec805c7ca7c388e59df991a8619f45f03"),
+    ("incidence --category a3",
+     "3a17289ee685d24b14a62d584c5acb0cbf93a8ee19d032423d5cf56b7114e888"),
+    ("incidence --category d4",
+     "09697954e094a16accc744cdca2819cf02302f0f613a147cf91d691631932d28"),
+    ("sc --category q2 --window 3 --max-dim 3",
+     "c0eb13ad3ba52f2113049cf6204ca09b8e62c105ae5c72cb7bb0602d01074252"),
 ]
 
 
@@ -349,3 +370,59 @@ def test_golden_stdout(capsys, argv, digest):
     assert cli.run(argv.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+GRAPH_COMMANDS = [
+    ("graph",), ("sc",), ("an", "graph"), ("d4", "graph"), ("affine", "graph"),
+    ("incidence",),
+]
+CATEGORY_NAMES = (
+    [f"a{n}" for n in range(-1, 8)] + ["d4", "q1", "q2"]
+    + [f"np{l}" for l in range(-2, 5)] + ["b3"]
+)
+
+
+def _subparser(path):
+    parser = cli.build_parser()
+    for name in path:
+        (sub,) = (a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[name]
+    return parser
+
+
+@st.composite
+def graph_argv(draw):
+    """An argv of one graph command, its options drawn from the parser's
+    own choices, the category names and small or edge integers."""
+    path = draw(st.sampled_from(GRAPH_COMMANDS))
+    argv = list(path)
+    for action in _subparser(path)._actions:
+        if not action.option_strings or action.dest == "help":
+            continue
+        if not action.required and draw(st.booleans()):
+            continue
+        flag = action.option_strings[0]
+        if action.choices is not None:
+            value = draw(st.sampled_from(list(action.choices)))
+        elif flag == "--category":
+            value = draw(st.sampled_from(CATEGORY_NAMES))
+        elif flag == "--max-dim":
+            value = draw(st.integers(-2, 4))
+        else:
+            value = draw(st.integers(-2, 8))
+        argv += [flag, str(value)]
+    return argv
+
+
+@settings(deadline=None, max_examples=60)
+@given(graph_argv())
+def test_graph_commands_answer_or_refuse(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2), argv
+    assert (code == 0) == (out.getvalue() != ""), argv

@@ -7,7 +7,6 @@ from nccount.d4 import GenSet
 from nccount.incidence import (
     TRIVIAL,
     derived_points,
-    derived_points_a,
     export_incidence,
     glb,
     incidence_structure,
@@ -24,8 +23,8 @@ def test_derived_points_a3():
     got = derived_points(curve((0, 0), (1, 1)), "a3")
     assert got == {Interval(0, 0), Interval(1, 1), Interval(0, 1)}
     # shared-end presentations give the same triple
-    assert derived_points_a(curve((0, 1), (0, 0)), 2) == got
-    assert derived_points_a(curve((1, 1), (0, 1)), 2) == got
+    assert derived_points(curve((0, 1), (0, 0)), "a3") == got
+    assert derived_points(curve((1, 1), (0, 1)), "a3") == got
 
 
 def test_derived_points_rejects_non_genus0():

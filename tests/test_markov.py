@@ -1,3 +1,4 @@
+from collections import deque
 from fractions import Fraction
 from math import gcd
 
@@ -110,8 +111,23 @@ def test_exceptional_slopes():
 
 
 def test_generation_is_confluent():
-    assert exceptional_slopes(200, "bfs") == exceptional_slopes(200, "dfs")
-    assert generate_triples(80, "bfs") == generate_triples(80, "dfs")
+    # a breadth-first closure written out here reaches the same triples, and
+    # so the same slopes, as the depth-first one of generate_triples
+    import nccount.markov as mk
+
+    for max_rank in (80, 200):
+        start = mk._canonical_triple(SEED)
+        seen, queue = {start}, deque([start])
+        while queue:
+            cur = queue.popleft()
+            for move in ("left-12", "left-23", "right-12", "right-23"):
+                img = mk._canonical_triple(mutate(cur, move))
+                if img not in seen and max(img.ranks()) <= max_rank:
+                    seen.add(img)
+                    queue.append(img)
+        assert sorted(seen) == generate_triples(max_rank)
+    slopes = {normalized_slope(e) for t in seen for e in t.entries if e.r <= 200}
+    assert slopes == exceptional_slopes(200)
 
 
 def test_seed_twist_generates_same_slopes():
