@@ -26,4 +26,8 @@ class _Infinite:
 
 INFINITE = _Infinite()
 
-__all__ = ["INFINITE"]
+# the categories whose incidence structures are drawn in the plane; defined
+# here so that the CLI parser offers them without importing a backend
+DRAWN = ("a3", "d4")
+
+__all__ = ["DRAWN", "INFINITE"]

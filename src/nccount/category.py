@@ -8,13 +8,12 @@ the affine quivers 'q1' and 'q2', and 'npL', the category generated by a
 strong pair with L + 1 homs (L >= -1).  q1, q2 and npL with L >= 1 take a
 window (lo, hi) of series indices, inclusive, and no other category does.
 Records are built per call, so they use the backend functions as their
-modules bind them at that moment.
+modules bind them at that moment; each builder imports its own backend, so
+a record loads only the modules its category needs.
 """
 
 import re
 from typing import Callable, NamedTuple
-
-from . import affine, d4, typea
 
 
 class Category(NamedTuple):
@@ -42,7 +41,8 @@ class Category(NamedTuple):
 def category(name: str, window=None) -> Category:
     """The record of the named category, with window = (lo, hi) for the
     windowed ones."""
-    m = re.fullmatch(r"a(\d+)|np(-?\d+)|(d4|q1|q2)", name)
+    # integers without leading zeros, so that each category has one name
+    m = re.fullmatch(r"a(0|[1-9]\d*)|np(0|-?[1-9]\d*)|(d4|q1|q2)", name)
     if m is None:
         raise ValueError(f"unknown category {name!r}")
     vertices, genus, fixed = m.groups()
@@ -64,6 +64,7 @@ def category(name: str, window=None) -> Category:
 
 
 def _line(name, vertices):
+    from . import typea
     if vertices < 1:
         raise ValueError("need at least one vertex")
     n = vertices - 1
@@ -78,6 +79,8 @@ def _line(name, vertices):
 
 
 def _d4(name):
+    from . import d4
+
     def curves():
         return _curve_category(points, [
             (str(s), genus, s.generators, False)
@@ -97,6 +100,8 @@ def _d4(name):
 
 
 def _affine(name, lo, hi):
+    from . import affine
+
     def curves():
         return _curve_category(points, [
             (str(s), genus, s.generators(), s.index in (lo, hi))

@@ -14,7 +14,9 @@ import argparse
 import json
 import sys
 
-from . import INFINITE, affine, d4, digraph, incidence, markov, necklace, typea
+# Each handler imports its own backend, so a call loads and compiles only
+# the modules its subcommand needs; the parser imports none.
+from . import DRAWN, INFINITE
 
 
 def _count_str(x) -> str:
@@ -53,6 +55,7 @@ def _verify_failed(name, lhs, rhs):
 
 
 def _cmd_an_count(args):
+    from . import typea
     if args.group == "id":
         count = typea.count_id(args.k, args.vertices)
         brute_count = typea.count_id_brute
@@ -68,6 +71,7 @@ def _cmd_an_count(args):
 
 
 def _cmd_an_orbits(args):
+    from . import typea
     typea.check_k_vertices(args.k, args.vertices)
     parts = typea.orbit_partition(args.vertices - 1, args.k)
     census = {}
@@ -86,6 +90,7 @@ def _cmd_an_orbits(args):
 
 
 def _cmd_an_genus(args):
+    from . import typea
     count = typea.count_genus(args.genus, args.vertices, args.group)
     if args.verify:
         n, full = args.vertices - 1, args.group == "full"
@@ -104,6 +109,7 @@ def _cmd_an_genus(args):
 
 
 def _cmd_necklace_count(args):
+    from . import necklace
     count = necklace.count_subgon_classes_burnside(args.m, args.s)
     if args.verify:
         brute = necklace.count_subgon_classes_brute(args.m, args.s)
@@ -114,6 +120,7 @@ def _cmd_necklace_count(args):
 
 
 def _cmd_d4_table(args):
+    from . import d4
     tables = d4.d4_tables()
     doc = {
         kind: {g: _count_str(v) for g, v in row.items()}
@@ -133,6 +140,7 @@ _D4_KINDS = {
 
 
 def _cmd_d4_enum(args):
+    from . import d4
     gens = d4.d4_enum(_D4_KINDS[args.kind])
     _emit({"kind": args.kind, "subcategories": [str(g) for g in gens]}, args.format)
     return 0
@@ -148,12 +156,14 @@ _AFF_KINDS = {
 
 
 def _cmd_affine_count(args):
+    from . import affine
     count = affine.aff_count(args.quiver, _AFF_KINDS[args.kind], args.group)
     _emit({"count": _count_str(count)}, args.format)
     return 0
 
 
 def _cmd_markov_table(args):
+    from . import markov
     rows = []
     for m in markov.markov_numbers(args.limit):
         full = markov.count_c(m, "full")
@@ -166,6 +176,7 @@ def _cmd_markov_table(args):
 
 
 def _cmd_markov_slopes(args):
+    from . import markov
     slopes = sorted(
         markov.exceptional_slopes(args.max_rank),
         key=lambda mu: (mu.denominator, mu.numerator),
@@ -179,12 +190,14 @@ def _cmd_markov_slopes(args):
 
 
 def _cmd_markov_tree(args):
+    from . import markov
     triples = markov.markov_triples(args.limit)
     _emit({"triples": [list(map(_count_str, t)) for t in triples]}, args.format)
     return 0
 
 
 def _cmd_markov_tyurin(args):
+    from . import markov
     rows = markov.tyurin_scan(args.max_rank)
     doc = {
         "rows": [
@@ -200,6 +213,7 @@ def _cmd_markov_tyurin(args):
 
 
 def _cmd_incidence(args):
+    from . import incidence
     struct = incidence.incidence_structure(args.category)
     if args.format == "json":
         sys.stdout.write(incidence.export_incidence(struct))
@@ -223,6 +237,7 @@ def _window(args):
 def _cmd_graph(args):
     """Point or curve graph of args.category; every graph subcommand sets
     the arguments it does not take through its parser defaults."""
+    from . import digraph
     if args.kind == "curves":
         g = digraph.build_curve_graph(args.category, _window(args))
     else:
@@ -240,6 +255,7 @@ def _cmd_graph(args):
 
 
 def _cmd_sc(args):
+    from . import digraph
     g = digraph.build_point_graph(args.category, _window(args))
     simps = digraph.sc_simplices(g, args.max_dim)
     by_dim = {}
@@ -370,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_markov_tyurin)
 
     p = sub.add_parser("incidence", help="point/line incidence structures")
-    p.add_argument("--category", choices=incidence.DRAWN, required=True)
+    p.add_argument("--category", choices=DRAWN, required=True)
     _add_format(p)
     p.set_defaults(func=_cmd_incidence)
 

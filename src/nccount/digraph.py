@@ -11,7 +11,6 @@ a curve graph; the builders read objects and homs from its record alone.
 import json
 from itertools import combinations, permutations
 
-from . import affine
 from . import category as registry
 
 
@@ -269,6 +268,7 @@ def q1_pattern_subgraphs(window) -> list:
     """Vertex sets of subgraphs of the windowed q2 point graph isomorphic to
     the q1 point graph on the same window: pairs of series plus two sporadic
     objects reproducing the q1 edge-and-weight pattern exactly."""
+    from . import affine
     g2 = build_point_graph("q2", window)
     reference = build_point_graph("q1", window)
     lo, hi = window

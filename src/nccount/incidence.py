@@ -11,11 +11,9 @@ import json
 from itertools import permutations
 from typing import NamedTuple
 
+from . import DRAWN
 from . import category as registry
 from .quiver import third_point
-
-# the categories whose incidence structures are drawn in the plane
-DRAWN = ("a3", "d4")
 
 
 def _curve_points(cat, curve):

@@ -11,7 +11,6 @@ The generator of all group actions here is the Serre functor; its orbit
 counts coincide with counts modulo the entire autoequivalence group.
 """
 
-from fractions import Fraction
 from itertools import combinations_with_replacement, count
 from math import comb, gcd
 from typing import NamedTuple
@@ -240,18 +239,22 @@ def count_orbits_formula(k: int, vertices: int) -> int:
         return 0
     m = vertices + 1  # = n+2 in internal indexing
     d_big = gcd(k + 1, m)
-    total = Fraction(0)
+    # the sum times (k+1)*D, in integers: x divides D, so every term's
+    # denominator (k+1)*x divides the scale
+    scale = (k + 1) * d_big
+    total = 0
     for x in divisors(d_big):
         for y in divisors(x):
             mu = mobius(x // y)
             if mu == 0:
                 continue
-            total += Fraction(d_big * mu, (k + 1) * x) * comb(
+            total += d_big * mu * (d_big // x) * comb(
                 y * m // d_big - 1, y * (k + 1) // d_big - 1
             )
-    if total.denominator != 1:
-        raise AssertionError(f"non-integral orbit count {total}")
-    return int(total)
+    orbit_count, rest = divmod(total, scale)
+    if rest:
+        raise AssertionError(f"non-integral orbit count {total}/{scale}")
+    return orbit_count
 
 
 # ---------------------------------------------------------------------------

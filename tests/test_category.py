@@ -56,6 +56,9 @@ def test_np0_is_a2():
         ("q1", None, "needs a finite window"),
         ("np3", None, "needs a finite window"),
         ("q2", (1, 0), "empty window"),
+        ("a03", None, "unknown category 'a03'"),
+        ("np01", None, "unknown category 'np01'"),
+        ("np-01", None, "unknown category 'np-01'"),
     ],
 )
 def test_names_and_windows_are_checked_once(name, window, message):

@@ -42,7 +42,7 @@ def test_an_count_id_and_verify(capsys):
 
 
 def test_verify_mismatch_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(cli.typea, "count_orbits_brute", lambda k, n: 999)
+    monkeypatch.setattr("nccount.typea.count_orbits_brute", lambda k, n: 999)
     code = cli.run(
         ["an", "count", "--k", "2", "--vertices", "5", "--group", "full", "--verify"]
     )
@@ -95,7 +95,7 @@ def test_an_genus_positive_verify(capsys, genus, group):
      ("full", "pair_orbits", lambda n, hom: [[0]])],
 )
 def test_an_genus_verify_mismatch_exits_1(capsys, monkeypatch, group, name, fake):
-    monkeypatch.setattr(cli.typea, name, fake)
+    monkeypatch.setattr(f"nccount.typea.{name}", fake)
     code = cli.run(
         ["an", "genus", "--genus", "1", "--vertices", "5", "--group", group,
          "--verify"]
@@ -148,7 +148,9 @@ def test_necklace_verify(capsys):
 
 
 def test_necklace_verify_mismatch_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(cli.necklace, "count_subgon_classes_brute", lambda m, s: 999)
+    monkeypatch.setattr(
+        "nccount.necklace.count_subgon_classes_brute", lambda m, s: 999
+    )
     assert cli.run(["necklace", "count", "--m", "6", "--s", "3"]) == 0
     capsys.readouterr()
     code = cli.run(["necklace", "count", "--m", "6", "--s", "3", "--verify"])
@@ -264,6 +266,18 @@ def test_window_rejected_where_unused(capsys, argv):
     assert f"{argv[2]} takes no window" in captured.err
 
 
+@pytest.mark.parametrize("name", ["a03", "np01", "np-01"])
+def test_leading_zero_category_exits_2(capsys, name):
+    # a3 and np1 have one name each
+    for argv in (["graph", "--category", name], ["sc", "--category", name]):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unknown category '{name}'" in captured.err
+
+
 def test_incidence_command(capsys):
     code, doc = run_json(capsys, ["incidence", "--category", "d4"])
     assert code == 0
@@ -319,6 +333,40 @@ def test_cli_import_leaves_numpy_out():
     assert out == "False\n"
 
 
+# the nccount modules a call has loaded, and fractions: the A_N counts
+# need neither it nor the decimal module it imports
+STARTUP_PROBE = """
+import contextlib, io, sys
+import nccount.cli as cli
+cli.build_parser()
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(sys.argv[1:]) == 0
+print(sorted(m for m in sys.modules if m.startswith("nccount") or m == "fractions"))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        ([], []),
+        (["markov", "table"], ["fractions", "nccount.markov"]),
+        (["an", "count", "--k", "2", "--vertices", "5"],
+         ["nccount.arith", "nccount.typea"]),
+    ],
+    ids=["parser", "markov-table", "an-count"],
+)
+def test_startup_imports(argv, loaded):
+    # each call loads only the backend its subcommand needs, the parser none
+    src = Path(cli.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == f"{sorted(['nccount', 'nccount.cli', *loaded])}\n"
+
+
 def test_deterministic_output(capsys):
     cli.run(["d4", "graph", "--format", "json"])
     first = capsys.readouterr().out
@@ -372,13 +420,9 @@ def test_golden_stdout(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-GRAPH_COMMANDS = [
-    ("graph",), ("sc",), ("an", "graph"), ("d4", "graph"), ("affine", "graph"),
-    ("incidence",),
-]
 CATEGORY_NAMES = (
     [f"a{n}" for n in range(-1, 8)] + ["d4", "q1", "q2"]
-    + [f"np{l}" for l in range(-2, 5)] + ["b3"]
+    + [f"np{l}" for l in range(-2, 5)] + ["b3", "a03", "np01", "np-01"]
 )
 
 
@@ -391,11 +435,23 @@ def _subparser(path):
     return parser
 
 
+def _commands(path=()):
+    """The argv prefix of every subcommand, from the parser itself."""
+    subs = [a for a in _subparser(path)._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [path]
+    return [leaf for name in subs[0].choices for leaf in _commands((*path, name))]
+
+
+COMMANDS = _commands()
+
+
 @st.composite
-def graph_argv(draw):
-    """An argv of one graph command, its options drawn from the parser's
-    own choices, the category names and small or edge integers."""
-    path = draw(st.sampled_from(GRAPH_COMMANDS))
+def command_argv(draw):
+    """An argv of one subcommand, its options drawn from the parser's own
+    choices, the category names and small or edge integers."""
+    path = draw(st.sampled_from(COMMANDS))
     argv = list(path)
     for action in _subparser(path)._actions:
         if not action.option_strings or action.dest == "help":
@@ -403,6 +459,9 @@ def graph_argv(draw):
         if not action.required and draw(st.booleans()):
             continue
         flag = action.option_strings[0]
+        if action.nargs == 0:  # --verify
+            argv.append(flag)
+            continue
         if action.choices is not None:
             value = draw(st.sampled_from(list(action.choices)))
         elif flag == "--category":
@@ -415,14 +474,18 @@ def graph_argv(draw):
     return argv
 
 
-@settings(deadline=None, max_examples=60)
-@given(graph_argv())
-def test_graph_commands_answer_or_refuse(argv):
+@settings(deadline=None, max_examples=150)
+@given(command_argv())
+def test_commands_answer_or_refuse(argv):
+    # 0 with an answer, 1 on a verify mismatch, 2 on a usage error; any
+    # other exception, such as a handler's missing import, escapes run
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.run(argv)
         except SystemExit as exc:
             code = exc.code
-    assert code in (0, 2), argv
-    assert (code == 0) == (out.getvalue() != ""), argv
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code != 1:
+        assert (code == 0) == (out.getvalue() != ""), argv
