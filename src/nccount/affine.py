@@ -226,83 +226,65 @@ class AffSubcat(NamedTuple):
         return f"{self.family}^{self.index}"
 
     def generators(self) -> tuple:
-        return _generators(self)
+        gens = _FAMILIES[(self.quiver, self.kind)][self.family][1]
+        base = self.index or 0
+        return tuple(
+            obj(self.quiver, f) if shift is None else obj(self.quiver, f, base + shift)
+            for f, shift in gens
+        )
 
 
-# family name -> tuple of (series family | sporadic name, index shift | None);
-# for indexed families the shifts are relative to the subcategory index.
-_FAMILY_GENS = {
-    "q1": {
-        ("genus1", "M-perp"): (("a", 0), ("a", 1)),
-        ("genus1", "M'-perp"): (("b", 0), ("b", 1)),
-        ("genus0", "a-perp"): (("a", -1), ("b", 0)),
-        ("genus0", "b-perp"): (("b", -1), ("a", -1)),
-    },
-    "q2": {
-        ("genus1", "A"): (("a", 0), ("a", 1)),
-        ("genus1", "B"): (("b", 0), ("b", 1)),
-        ("genus1", "C"): (("c", 0), ("c", 1)),
-        ("genus1", "D"): (("d", 0), ("d", 1)),
-        ("genus0", "aF+"): (("a", 0), ("F+", None)),
-        ("genus0", "aF-"): (("a", 0), ("F-", None)),
-        ("genus0", "bG+"): (("b", 0), ("G+", None)),
-        ("genus0", "bG-"): (("b", 0), ("G-", None)),
-        ("genus0", "cG-"): (("c", 0), ("G-", None)),
-        ("genus0", "cF-"): (("c", 0), ("F-", None)),
-        ("genus0", "dG+"): (("d", 0), ("G+", None)),
-        ("genus0", "dF+"): (("d", 0), ("F+", None)),
-        ("genus-1", "AB"): (("a", 0), ("b", 1)),
-        ("genus-1", "CD"): (("c", 0), ("d", 0)),
-        ("genus-1", "F+-"): (("F+", None), ("F-", None)),
-        ("genus-1", "G+-"): (("G+", None), ("G-", None)),
-        ("genus-1", "FG+"): (("F+", None), ("G+", None)),
-        ("genus-1", "FG-"): (("F-", None), ("G-", None)),
-        ("triples-A3", "a-perp"): (("c", 0), ("G-", None), ("d", 0)),
-        ("triples-A3", "b-perp"): (("c", -1), ("a", -1), ("F-", None)),
-        ("triples-A3", "c-perp"): (("b", 0), ("d", 0), ("G+", None)),
-        ("triples-A3", "d-perp"): (("a", -1), ("c", 0), ("F-", None)),
-        ("triples-Q1", "F+-perp"): (("d", 0), ("a", 0), ("d", 1)),
-        ("triples-Q1", "F--perp"): (("c", 0), ("a", 0), ("c", 1)),
-        ("triples-Q1", "G+-perp"): (("b", 0), ("d", 0), ("b", 1)),
-        ("triples-Q1", "G--perp"): (("b", 0), ("c", 0), ("b", 1)),
-    },
-}
-
-# perp-object representation, used to transport the group actions
-_FAMILY_PERP = {
-    "q1": {
-        ("genus0", "a-perp"): "a",
-        ("genus0", "b-perp"): "b",
-    },
-    "q2": {
-        ("triples-A3", "a-perp"): "a",
-        ("triples-A3", "b-perp"): "b",
-        ("triples-A3", "c-perp"): "c",
-        ("triples-A3", "d-perp"): "d",
-        ("triples-Q1", "F+-perp"): "F+",
-        ("triples-Q1", "F--perp"): "F-",
-        ("triples-Q1", "G+-perp"): "G+",
-        ("triples-Q1", "G--perp"): "G-",
-    },
-}
-
-# family -> True if the family is a genuine Z-series of distinct
-# subcategories (members of non-indexed families absorb any index shift)
-_KIND_FAMILIES = {
+# (quiver, kind) -> family -> (indexed, generators, perp).  indexed is True
+# if the family is a genuine Z-series of distinct subcategories (members of
+# non-indexed families absorb any index shift).  generators are (series
+# family | sporadic name, index shift | None), the shifts relative to the
+# subcategory index.  perp, where set, names the object whose orthogonal the
+# family is, which transports the group actions.
+_FAMILIES = {
     ("q1", "genus-1"): {},
-    ("q1", "genus0"): {"a-perp": True, "b-perp": True},
-    ("q1", "genus1"): {"M-perp": False, "M'-perp": False},
+    ("q1", "genus0"): {
+        "a-perp": (True, (("a", -1), ("b", 0)), "a"),
+        "b-perp": (True, (("b", -1), ("a", -1)), "b"),
+    },
+    ("q1", "genus1"): {
+        "M-perp": (False, (("a", 0), ("a", 1)), None),
+        "M'-perp": (False, (("b", 0), ("b", 1)), None),
+    },
     ("q2", "genus-1"): {
-        "AB": True, "CD": True,
-        "F+-": False, "G+-": False, "FG+": False, "FG-": False,
+        "AB": (True, (("a", 0), ("b", 1)), None),
+        "CD": (True, (("c", 0), ("d", 0)), None),
+        "F+-": (False, (("F+", None), ("F-", None)), None),
+        "G+-": (False, (("G+", None), ("G-", None)), None),
+        "FG+": (False, (("F+", None), ("G+", None)), None),
+        "FG-": (False, (("F-", None), ("G-", None)), None),
     },
     ("q2", "genus0"): {
-        f: True for f in ("aF+", "aF-", "bG+", "bG-", "cG-", "cF-", "dG+", "dF+")
+        "aF+": (True, (("a", 0), ("F+", None)), None),
+        "aF-": (True, (("a", 0), ("F-", None)), None),
+        "bG+": (True, (("b", 0), ("G+", None)), None),
+        "bG-": (True, (("b", 0), ("G-", None)), None),
+        "cG-": (True, (("c", 0), ("G-", None)), None),
+        "cF-": (True, (("c", 0), ("F-", None)), None),
+        "dG+": (True, (("d", 0), ("G+", None)), None),
+        "dF+": (True, (("d", 0), ("F+", None)), None),
     },
-    ("q2", "genus1"): {"A": False, "B": False, "C": False, "D": False},
-    ("q2", "triples-A3"): {f: True for f in ("a-perp", "b-perp", "c-perp", "d-perp")},
+    ("q2", "genus1"): {
+        "A": (False, (("a", 0), ("a", 1)), None),
+        "B": (False, (("b", 0), ("b", 1)), None),
+        "C": (False, (("c", 0), ("c", 1)), None),
+        "D": (False, (("d", 0), ("d", 1)), None),
+    },
+    ("q2", "triples-A3"): {
+        "a-perp": (True, (("c", 0), ("G-", None), ("d", 0)), "a"),
+        "b-perp": (True, (("c", -1), ("a", -1), ("F-", None)), "b"),
+        "c-perp": (True, (("b", 0), ("d", 0), ("G+", None)), "c"),
+        "d-perp": (True, (("a", -1), ("c", 0), ("F-", None)), "d"),
+    },
     ("q2", "triples-Q1"): {
-        f: False for f in ("F+-perp", "F--perp", "G+-perp", "G--perp")
+        "F+-perp": (False, (("d", 0), ("a", 0), ("d", 1)), "F+"),
+        "F--perp": (False, (("c", 0), ("a", 0), ("c", 1)), "F-"),
+        "G+-perp": (False, (("b", 0), ("d", 0), ("b", 1)), "G+"),
+        "G--perp": (False, (("b", 0), ("c", 0), ("b", 1)), "G-"),
     },
 }
 
@@ -310,21 +292,9 @@ _KIND_FAMILIES = {
 def _families(quiver: str, kind: str) -> dict:
     """family -> indexed? for the given kind."""
     key = (quiver, kind)
-    if key not in _KIND_FAMILIES:
+    if key not in _FAMILIES:
         raise ValueError(f"no kind {kind!r} for {quiver}")
-    return _KIND_FAMILIES[key]
-
-
-def _generators(sub: AffSubcat) -> tuple:
-    gens = _FAMILY_GENS[sub.quiver][(sub.kind, sub.family)]
-    out = []
-    for fam, shift in gens:
-        if shift is None:
-            out.append(obj(sub.quiver, fam))
-        else:
-            base = sub.index if sub.index is not None else 0
-            out.append(obj(sub.quiver, fam, base + shift))
-    return tuple(out)
+    return {fam: entry[0] for fam, entry in _FAMILIES[key].items()}
 
 
 def subcat(quiver: str, kind: str, family: str, index: int | None = None) -> AffSubcat:
@@ -336,6 +306,25 @@ def subcat(quiver: str, kind: str, family: str, index: int | None = None) -> Aff
     return AffSubcat(quiver, kind, family, index)
 
 
+def _match(quiver: str, kind: str, objs) -> AffSubcat | None:
+    """The member of the kind whose generator set is the set objs, up to
+    one index offset, or None."""
+    want = set(objs)
+    for fam, (indexed, gens, _) in _FAMILIES[(quiver, kind)].items():
+        # an indexed generator pins the offset; without one any offset fits
+        offsets = {
+            o.index - shift
+            for f, shift in gens
+            if shift is not None
+            for o in want
+            if o.family == f
+        } or {0}
+        for m in offsets:
+            if set(AffSubcat(quiver, kind, fam, m).generators()) == want:
+                return AffSubcat(quiver, kind, fam, m if indexed else None)
+    return None
+
+
 def classify_generator_pair(x: AffObject, y: AffObject) -> AffSubcat:
     """Recognize the subcategory spanned by a two-object generating set as a
     member of a classified pair family (genus 1, 0 or -1)."""
@@ -343,27 +332,9 @@ def classify_generator_pair(x: AffObject, y: AffObject) -> AffSubcat:
     if q != y.quiver:
         raise ValueError("mixed quivers")
     for kind in ("genus1", "genus0", "genus-1"):
-        for fam, indexed in _families(q, kind).items():
-            pat = _FAMILY_GENS[q][(kind, fam)]
-            if len(pat) != 2:
-                continue
-            for a, b in ((x, y), (y, x)):
-                (f1, s1), (f2, s2) = pat
-                if (a.family, b.family) != (f1, f2):
-                    continue
-                if s1 is None and a.index is not None:
-                    continue
-                if s2 is None and b.index is not None:
-                    continue
-                if s1 is not None and s2 is not None:
-                    if a.index - s1 != b.index - s2:
-                        continue
-                    return AffSubcat(q, kind, fam, a.index - s1 if indexed else None)
-                if s1 is not None:
-                    return AffSubcat(q, kind, fam, a.index - s1 if indexed else None)
-                if s2 is not None:
-                    return AffSubcat(q, kind, fam, b.index - s2 if indexed else None)
-                return AffSubcat(q, kind, fam, None)
+        found = _match(q, kind, (x, y))
+        if found is not None:
+            return found
     # q1 genus-0 curves are spanned by several pair shapes; reduce via the
     # subcategory equalities <M',a^m> = <a^m,b^{m+1}> = <b^{m+1},M'> and
     # <M,b^m> = <b^m,a^m> = <a^m,M>
@@ -381,24 +352,16 @@ def classify_generator_pair(x: AffObject, y: AffObject) -> AffSubcat:
 
 def act_on_subcat(g: str, sub: AffSubcat) -> AffSubcat:
     """Transport a group generator to the subcategory families."""
-    perp = _FAMILY_PERP[sub.quiver].get((sub.kind, sub.family))
+    table = _FAMILIES[(sub.quiver, sub.kind)]
+    perp = table[sub.family][2]
     if perp is not None:
-        indexed = sub.index is not None
-        pobj = obj(sub.quiver, perp, sub.index if indexed else None)
-        img = aff_act(g, pobj)
-        fam = next(
-            f
-            for (kind, f), p in _FAMILY_PERP[sub.quiver].items()
-            if kind == sub.kind and p == img.family
-        )
+        img = aff_act(g, obj(sub.quiver, perp, sub.index))
+        fam = next(f for f, entry in table.items() if entry[2] == img.family)
         return AffSubcat(sub.quiver, sub.kind, fam, img.index)
-    imgs = [aff_act(g, o) for o in _generators(sub)]
-    if len(imgs) == 2:
-        got = classify_generator_pair(*imgs)
-        if got.kind != sub.kind:
-            raise AssertionError(f"{g} moved {sub} across kinds to {got}")
-        return got
-    raise AssertionError(f"no action transport for {sub}")
+    got = _match(sub.quiver, sub.kind, [aff_act(g, o) for o in sub.generators()])
+    if got is None:
+        raise AssertionError(f"{g} moves {sub} out of the {sub.kind} families")
+    return got
 
 
 def _family_shift_maps(quiver: str, kind: str, g: str) -> dict:
@@ -510,7 +473,7 @@ def aff_enum_curves(quiver: str, genus: int, window: tuple) -> list:
     lo, hi = window
     if lo > hi:
         raise ValueError("empty window")
-    kind = {(-1): "genus-1", 0: "genus0", 1: "genus1"}[genus]
+    kind = f"genus{genus}"
     out = []
     for fam, indexed in _families(quiver, kind).items():
         if indexed:
@@ -528,5 +491,4 @@ def aff_vanishing(quiver: str, genus: int) -> bool:
         raise ValueError("genus must be >= -1")
     if genus >= 2:
         return True
-    kind = {(-1): "genus-1", 0: "genus0", 1: "genus1"}[genus]
-    return not _families(quiver, kind)
+    return not _families(quiver, f"genus{genus}")

@@ -23,9 +23,9 @@ class Category(NamedTuple):
     semi-orthogonal pair.  total_hom(x, y) is the total forward hom of such
     a pair, or None where edges carry no weight.  dims maps each object to
     its dimension vector where the homs are read off a quiver's Euler form.
-    boundary holds the labels whose edge sets the window truncates, genus
-    the genus of each curve of a curve category, and curves, where curve
-    graphs exist, returns the category whose objects are the curves.
+    genus holds the genus of each curve of a curve category, and curves,
+    where curve graphs exist, returns the category whose objects are the
+    curves.
     """
 
     name: str
@@ -33,7 +33,6 @@ class Category(NamedTuple):
     is_pair: Callable
     total_hom: Callable | None
     dims: dict | None = None
-    boundary: frozenset = frozenset()
     genus: dict | None = None
     curves: Callable | None = None
 
@@ -69,11 +68,17 @@ def _line(name, vertices):
         raise ValueError("need at least one vertex")
     n = vertices - 1
     points = typea.enum_points(n)
+    masks = {p: typea.interval_mask(p, n) for p in points}
+
+    def mask(iv):
+        # an interval outside 0..n is refused by interval_mask
+        return masks.get(iv) or typea.interval_mask(iv, n)
+
     return Category(
         name,
         {str(p): p for p in points},
-        lambda x, y: typea.interval_pair_is_exceptional(x, y, n),
-        lambda x, y: typea.interval_total_hom(x, y, n),
+        lambda x, y: typea.euler(mask(y), mask(x)) == 0,
+        lambda x, y: abs(typea.euler(mask(x), mask(y))),
         dims={p: typea.interval_dim(p, n) for p in points},
     )
 
@@ -83,7 +88,7 @@ def _d4(name):
 
     def curves():
         return _curve_category(points, [
-            (str(s), genus, s.generators, False)
+            (str(s), genus, s.generators)
             for genus, kind in ((0, "genus0"), (-1, "genusMinus1"))
             for s in d4.d4_enum(kind)
         ])
@@ -104,7 +109,7 @@ def _affine(name, lo, hi):
 
     def curves():
         return _curve_category(points, [
-            (str(s), genus, s.generators(), s.index in (lo, hi))
+            (str(s), genus, s.generators())
             for genus in (1, 0, -1)
             for s in affine.aff_enum_curves(name, genus, (lo, hi))
         ])
@@ -121,7 +126,6 @@ def _affine(name, lo, hi):
         lambda x, y: affine.aff_pair_class(x, y)
         is not affine.AffPairClass.NOT_EXCEPTIONAL,
         affine.pair_total_hom,
-        boundary=frozenset(str(o) for o in objs if o.index in (lo, hi)),
         curves=curves,
     )
     return points
@@ -140,20 +144,17 @@ def _strong_pair(name, l, window):
         {f"s{i}": i for i in range(lo, hi + 1)},
         lambda i, j: j == i + 1,
         lambda i, j: l + 1,
-        boundary=frozenset((f"s{lo}", f"s{hi}")),
     )
 
 
 def _curve_category(points, entries):
     """The curves of a point category as a category of their own, from
-    entries (label, genus, generators, at the window boundary).  (A, B) is
-    a pair iff every hom from a generator of B to one of A vanishes; the
-    edges carry no weight."""
+    entries (label, genus, generators).  (A, B) is a pair iff every hom
+    from a generator of B to one of A vanishes; the edges carry no weight."""
     return Category(
         f"{points.name}-curves",
-        {label: gens for label, _, gens, _ in entries},
+        {label: gens for label, _, gens in entries},
         lambda a, b: all(x != y and points.is_pair(y, x) for x in b for y in a),
         None,
-        boundary=frozenset(label for label, _, _, edge in entries if edge),
-        genus={label: genus for label, genus, _, _ in entries},
+        genus={label: genus for label, genus, _ in entries},
     )

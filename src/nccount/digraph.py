@@ -17,11 +17,10 @@ from . import category as registry
 class ValuedDigraph:
     """Finite directed graph with optional weights on one-sided edges."""
 
-    def __init__(self, category, vertices, genus=None, boundary=()):
+    def __init__(self, category, vertices, genus=None):
         self.category = category
-        self.vertices = list(vertices)
+        self.vertices = sorted(vertices)
         self.genus = dict(genus or {})
-        self.boundary = set(boundary)  # window-truncated vertices, in-memory only
         self._edges = {}
         # vertex -> successors / predecessors, as lists rather than sets:
         # on the a30 graph sets would raise peak memory by nearly half
@@ -35,14 +34,6 @@ class ValuedDigraph:
             self._out.setdefault(src, []).append(dst)
             self._in.setdefault(dst, []).append(src)
         self._edges[(src, dst)] = weight
-
-    def finalize(self):
-        """Drop weights from double-sided edges; sort vertices."""
-        for s, t in list(self._edges):
-            if (t, s) in self._edges:
-                self._edges[(s, t)] = None
-        self.vertices.sort()
-        return self
 
     def has_edge(self, src, dst):
         return (src, dst) in self._edges
@@ -107,16 +98,22 @@ class ValuedDigraph:
 
 
 def _pair_graph(cat) -> ValuedDigraph:
-    """The finalized graph on the objects of a category record, with an edge
-    (a, b) iff cat.is_pair holds for their objects, that is iff every hom
-    from b to a vanishes.  An edge carries the total forward hom, until
-    finalize drops it from double-sided edges."""
-    g = ValuedDigraph(cat.name, cat.objects, cat.genus, cat.boundary)
+    """The graph on the objects of a category record, with an edge (a, b)
+    iff cat.is_pair holds for their objects, that is iff every hom from b
+    to a vanishes.  Each unordered pair is tested once in each direction; a
+    one-sided edge carries the total forward hom, a double-sided one none."""
+    g = ValuedDigraph(cat.name, cat.objects, cat.genus)
     is_pair, weight = cat.is_pair, cat.total_hom
-    for (a, x), (b, y) in permutations(cat.objects.items(), 2):
-        if is_pair(x, y):
+    for (a, x), (b, y) in combinations(cat.objects.items(), 2):
+        ab, ba = is_pair(x, y), is_pair(y, x)
+        if ab and ba:
+            g.add_edge(a, b)
+            g.add_edge(b, a)
+        elif ab:
             g.add_edge(a, b, None if weight is None else weight(x, y))
-    return g.finalize()
+        elif ba:
+            g.add_edge(b, a, None if weight is None else weight(y, x))
+    return g
 
 
 def build_point_graph(category: str, window=None) -> ValuedDigraph:
@@ -239,7 +236,8 @@ def export(g: ValuedDigraph, format: str = "json") -> str:
 
 
 def from_json(text: str) -> ValuedDigraph:
-    """Rebuild a graph from its JSON export."""
+    """Rebuild a graph from its JSON export, whose double-sided edges
+    already carry no weight."""
     doc = json.loads(text)
     g = ValuedDigraph(
         doc["category"],
@@ -250,7 +248,7 @@ def from_json(text: str) -> ValuedDigraph:
         g.add_edge(e["src"], e["dst"], e["weight"])
         if e["both"]:
             g.add_edge(e["dst"], e["src"], e["weight"])
-    return g.finalize()
+    return g
 
 
 def isomorphic_as_labeled(g1: ValuedDigraph, g2: ValuedDigraph) -> bool:

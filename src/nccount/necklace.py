@@ -11,7 +11,7 @@ from math import comb, gcd
 from typing import NamedTuple
 
 from .arith import divisors, euler_phi
-from .typea import MonotoneSeq
+from .typea import MonotoneSeq, check_enumeration
 
 
 class Subgon(NamedTuple):
@@ -81,11 +81,14 @@ def gap_necklaces(m: int, s: int):
 
 
 def count_subgon_classes_brute(m: int, s: int) -> int:
-    """Rotation classes of s-subsets by streaming fixed-density enumeration."""
+    """Rotation classes of s-subsets by streaming fixed-density enumeration.
+
+    There are about C(m, s)/m classes; a larger set than the cap of
+    typea.check_enumeration is refused up front.
+    """
     if not 1 <= s <= m:
         raise ValueError(f"need 1 <= s <= m, got s={s}, m={m}")
-    if m > 24:
-        raise ValueError("brute-force enumeration is capped at m = 24")
+    check_enumeration(comb(m, s) // m, f"C({m}, {s})/{m} necklaces")
     return sum(1 for _ in gap_necklaces(m, s))
 
 

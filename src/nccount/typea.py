@@ -23,7 +23,7 @@ from .arith import divisors, mobius, orbits
 MAX_ENUMERATION = 1_000_000
 
 
-def _check_enumeration(size: int, what: str) -> None:
+def check_enumeration(size: int, what: str) -> None:
     """Refuse a brute-force enumeration of more than MAX_ENUMERATION items."""
     if size > MAX_ENUMERATION:
         raise ValueError(
@@ -80,9 +80,23 @@ def monotone_seq(n: int, k: int, values) -> MonotoneSeq:
 
 def interval_dim(iv: Interval, n: int) -> tuple:
     """Dimension vector of s_{i,j} over the vertices 0..n."""
+    mask = interval_mask(iv, n)
+    return tuple(mask >> v & 1 for v in range(n + 1))
+
+
+def interval_mask(iv: Interval, n: int) -> int:
+    """Dimension vector of s_{i,j} as a bitmask: bit v is set iff i <= v <= j."""
     if not 0 <= iv.i <= iv.j <= n:
         raise ValueError(f"interval {iv} outside 0..{n}")
-    return tuple(1 if iv.i <= v <= iv.j else 0 for v in range(n + 1))
+    return (2 << iv.j) - (1 << iv.i)
+
+
+def euler(x: int, y: int) -> int:
+    """Euler form <x, y> of the equioriented line on dimension bitmasks:
+    the vertex term |x & y| minus the arrows i -> i+1 with i in x and i+1
+    in y.  All homs from s_x to s_y sit in one degree, so the total hom
+    dimension is |<x, y>|."""
+    return (x & y).bit_count() - (x & (y >> 1)).bit_count()
 
 
 def enum_points(n: int) -> list:
@@ -98,7 +112,7 @@ def seq_values(n: int, k: int):
     These are the weakly increasing (k+1)-tuples over 0..n+1-k, C(n+2, k+1)
     of them; a larger set than MAX_ENUMERATION is refused up front.
     """
-    _check_enumeration(comb(n + 2, k + 1), f"C({n + 2}, {k + 1}) sequences")
+    check_enumeration(comb(n + 2, k + 1), f"C({n + 2}, {k + 1}) sequences")
     return combinations_with_replacement(range(n + 2 - k), k + 1)
 
 
@@ -326,16 +340,16 @@ def exceptional_pairs(n: int, hom: int) -> list:
     with total hom dimension hom from s_x to s_y, in increasing order.
 
     x and y index enum_points(n), P = len(enum_points(n)).  Each object is
-    its dimension vector as a bitmask, and the Euler form of the quiver is
-    <x, y> = |x & y| - |x & (y >> 1)|, the vertex term minus the arrows
-    i -> i+1; (s_x, s_y) is exceptional iff <y, x> = 0.  An orthogonal pair
-    (hom = 0) is unordered and listed once, with x < y.  A curve of genus
-    g is generated by such a pair with hom = g + 1; between interval objects
-    the total hom is at most 1, so the list is empty for hom >= 2.
+    its interval_mask, and (s_x, s_y) is exceptional iff euler(y, x) = 0;
+    the scan evaluates euler with the shifts of x hoisted out of the loop
+    over y.  An orthogonal pair (hom = 0) is unordered and listed once,
+    with x < y.  A curve of genus g is generated by such a pair with
+    hom = g + 1; between interval objects the total hom is at most 1, so
+    the list is empty for hom >= 2.
     """
     p = (n + 1) * (n + 2) // 2
-    _check_enumeration(p * p, f"{p}^2 point pairs")
-    masks = [(2 << j) - (1 << i) for i, j in enum_points(n)]
+    check_enumeration(p * p, f"{p}^2 point pairs")
+    masks = [interval_mask(iv, n) for iv in enum_points(n)]
     out = []
     for x, mx in enumerate(masks):
         # |y & (x >> 1)| and |x & (y >> 1)| = |(x << 1) & y|
@@ -375,30 +389,3 @@ def genus_minus1_orbits(n: int) -> list:
 def point_orbits(n: int) -> list:
     """Serre orbits on the interval objects themselves."""
     return orbits(enum_points(n), lambda iv: serre_on_point(iv.i, iv.j, n)[0])
-
-
-# exhaustive pair classification, used by the graph layer ------------------
-
-
-def _interval_euler(x: Interval, y: Interval, n: int) -> int:
-    """Euler form <dim x, dim y> on the equioriented line with vertices 0..n.
-
-    In closed form, <[a,b],[c,d]> = |[a,b] & [c,d]| - |[a,b] & [c-1,d-1]|:
-    the vertex term minus the arrows i -> i+1 with i in x and i+1 in y.
-    """
-    for iv in (x, y):
-        if not 0 <= iv.i <= iv.j <= n:
-            raise ValueError(f"interval {iv} outside 0..{n}")
-    lo, hi = max(x.i, y.i), min(x.j, y.j)
-    lo1, hi1 = max(x.i, y.i - 1), min(x.j, y.j - 1)
-    return max(hi - lo + 1, 0) - max(hi1 - lo1 + 1, 0)
-
-
-def interval_pair_is_exceptional(x: Interval, y: Interval, n: int) -> bool:
-    """(s_x, s_y) is an exceptional pair iff all homs from s_y to s_x vanish."""
-    return _interval_euler(y, x, n) == 0
-
-
-def interval_total_hom(x: Interval, y: Interval, n: int) -> int:
-    """Total hom dimension (all degrees) from s_x to s_y: |<dim x, dim y>|."""
-    return abs(_interval_euler(x, y, n))

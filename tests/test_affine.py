@@ -2,6 +2,7 @@ import pytest
 
 from nccount import INFINITE
 from nccount.affine import (
+    GROUP_GENERATORS,
     AffPairClass,
     AffSubcat,
     act_on_subcat,
@@ -281,6 +282,93 @@ def _members(quiver, kind):
         else:
             out.append(AffSubcat(quiver, kind, fam))
     return out
+
+
+# family -> (image family, index shift or None) of each group generator on
+# each kind, as derived from the object-level actions
+_SHIFT_MAPS = {
+    ("q1", "genus-1", "serre"): {},
+    ("q1", "genus-1", "zeta"): {},
+    ("q1", "genus0", "serre"): {"a-perp": ("b-perp", -1), "b-perp": ("a-perp", -2)},
+    ("q1", "genus0", "zeta"): {"a-perp": ("b-perp", 0), "b-perp": ("a-perp", -1)},
+    ("q1", "genus1", "serre"): {"M-perp": ("M'-perp", None), "M'-perp": ("M-perp", None)},
+    ("q1", "genus1", "zeta"): {"M-perp": ("M'-perp", None), "M'-perp": ("M-perp", None)},
+    ("q2", "genus-1", "serre"): {
+        "AB": ("AB", -1), "CD": ("CD", -1), "F+-": ("G+-", None),
+        "G+-": ("F+-", None), "FG+": ("FG-", None), "FG-": ("FG+", None),
+    },
+    ("q2", "genus-1", "theta"): {
+        "AB": ("AB", 0), "CD": ("CD", 0), "F+-": ("F+-", None),
+        "G+-": ("G+-", None), "FG+": ("FG-", None), "FG-": ("FG+", None),
+    },
+    ("q2", "genus-1", "zeta"): {
+        "AB": ("CD", 0), "CD": ("AB", -1), "F+-": ("FG+", None),
+        "G+-": ("FG-", None), "FG+": ("F+-", None), "FG-": ("G+-", None),
+    },
+    ("q2", "genus0", "serre"): {
+        "aF+": ("bG-", 0), "aF-": ("bG+", 0), "bG+": ("aF-", -2), "bG-": ("aF+", -2),
+        "cG-": ("dF+", -1), "cF-": ("dG+", -1), "dG+": ("cF-", -1), "dF+": ("cG-", -1),
+    },
+    ("q2", "genus0", "theta"): {
+        "aF+": ("aF-", 0), "aF-": ("aF+", 0), "bG+": ("bG-", 0), "bG-": ("bG+", 0),
+        "cG-": ("dG+", 0), "cF-": ("dF+", 0), "dG+": ("cG-", 0), "dF+": ("cF-", 0),
+    },
+    ("q2", "genus0", "zeta"): {
+        "aF+": ("dF+", 0), "aF-": ("dG+", 0), "bG+": ("cF-", -1), "bG-": ("cG-", -1),
+        "cG-": ("bG-", 0), "cF-": ("bG+", 0), "dG+": ("aF-", -1), "dF+": ("aF+", -1),
+    },
+    ("q2", "genus1", "serre"): {
+        "A": ("B", None), "B": ("A", None), "C": ("D", None), "D": ("C", None),
+    },
+    ("q2", "genus1", "theta"): {
+        "A": ("A", None), "B": ("B", None), "C": ("D", None), "D": ("C", None),
+    },
+    ("q2", "genus1", "zeta"): {
+        "A": ("D", None), "B": ("C", None), "C": ("B", None), "D": ("A", None),
+    },
+    ("q2", "triples-A3", "serre"): {
+        "a-perp": ("b-perp", 0), "b-perp": ("a-perp", -2),
+        "c-perp": ("d-perp", -1), "d-perp": ("c-perp", -1),
+    },
+    ("q2", "triples-A3", "theta"): {
+        "a-perp": ("a-perp", 0), "b-perp": ("b-perp", 0),
+        "c-perp": ("d-perp", 0), "d-perp": ("c-perp", 0),
+    },
+    ("q2", "triples-A3", "zeta"): {
+        "a-perp": ("d-perp", 0), "b-perp": ("c-perp", -1),
+        "c-perp": ("b-perp", 0), "d-perp": ("a-perp", -1),
+    },
+    ("q2", "triples-Q1", "serre"): {
+        "F+-perp": ("G--perp", None), "F--perp": ("G+-perp", None),
+        "G+-perp": ("F--perp", None), "G--perp": ("F+-perp", None),
+    },
+    ("q2", "triples-Q1", "theta"): {
+        "F+-perp": ("F--perp", None), "F--perp": ("F+-perp", None),
+        "G+-perp": ("G--perp", None), "G--perp": ("G+-perp", None),
+    },
+    ("q2", "triples-Q1", "zeta"): {
+        "F+-perp": ("F+-perp", None), "F--perp": ("G+-perp", None),
+        "G+-perp": ("F--perp", None), "G--perp": ("G--perp", None),
+    },
+}
+
+
+def test_family_shift_maps_table():
+    from nccount.affine import _family_shift_maps
+
+    kinds = {
+        "q1": ("genus-1", "genus0", "genus1"),
+        "q2": ("genus-1", "genus0", "genus1", "triples-A3", "triples-Q1"),
+    }
+    keys = {
+        (q, kind, g)
+        for (q, _), gens in GROUP_GENERATORS.items()
+        for g in gens
+        for kind in kinds[q]
+    }
+    assert keys == set(_SHIFT_MAPS)
+    for q, kind, g in sorted(keys):
+        assert _family_shift_maps(q, kind, g) == _SHIFT_MAPS[(q, kind, g)], (q, kind, g)
 
 
 def test_hom_values():

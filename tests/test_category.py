@@ -18,7 +18,6 @@ SMALL = (
 def test_registry_against_euler_form(name, window):
     cat = category(name, window)
     assert cat.name == name
-    assert cat.boundary <= set(cat.objects)
     for x, y in permutations(cat.objects.values(), 2):
         if cat.is_pair(x, y):
             # a pair is double-sided exactly when no hom joins it
@@ -76,9 +75,6 @@ def test_q1_curve_census(w):
     assert len(curves.objects) == 2 * w + 2
     genera = sorted(curves.genus.values())
     assert genera == [0] * (2 * w) + [1, 1]
-    assert curves.boundary == {
-        f"{f}^{m}" for f in ("a-perp", "b-perp") for m in {0, w - 1}
-    }
     for a, b in permutations(curves.objects.values(), 2):
         assert not curves.is_pair(a, b)
 

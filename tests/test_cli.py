@@ -131,7 +131,7 @@ def test_oversized_enumeration_exits_2(capsys, argv, size):
 def test_necklace_count(capsys):
     code, doc = run_json(capsys, ["necklace", "count", "--m", "6", "--s", "3"])
     assert code == 0 and doc == {"count": "4"}
-    # Burnside alone answers by default, past the streaming oracle's cap
+    # Burnside alone answers by default
     code, doc = run_json(capsys, ["necklace", "count", "--m", "25", "--s", "3"])
     assert code == 0 and doc == {"count": "92"}  # C(25, 3) / 25
 
@@ -142,9 +142,13 @@ def test_necklace_verify(capsys):
     )
     assert code == 0 and doc == {"count": "43"}
     with pytest.raises(SystemExit) as exc:
-        cli.run(["necklace", "count", "--m", "25", "--s", "3", "--verify"])
+        cli.run(["necklace", "count", "--m", "40", "--s", "20", "--verify"])
     assert exc.value.code == 2
-    assert "capped at m = 24" in capsys.readouterr().err
+    assert "C(40, 20)/40 necklaces = 3446163220;" in capsys.readouterr().err
+    code, doc = run_json(
+        capsys, ["necklace", "count", "--m", "25", "--s", "3", "--verify"]
+    )
+    assert code == 0 and doc == {"count": "92"}
 
 
 def test_necklace_verify_mismatch_exits_1(capsys, monkeypatch):

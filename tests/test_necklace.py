@@ -13,6 +13,7 @@ from nccount.necklace import (
     seq_to_subgon,
     subgon,
 )
+from nccount import typea
 from nccount.typea import enum_seqs, monotone_seq, serre_step
 
 
@@ -68,8 +69,15 @@ def test_gap_necklaces_one_per_rotation_class(ms):
                for g in emitted)
 
 
-def test_brute_cap():
-    with pytest.raises(ValueError, match="capped at m = 24"):
+def test_brute_cap(monkeypatch):
+    with pytest.raises(ValueError, match=r"C\(40, 20\)/40 necklaces = 3446163220;"):
+        count_subgon_classes(40, 20)
+    # the largest oracle at m <= 24 fits the cap, and m = 25 is no longer refused
+    assert count_subgon_classes(24, 12) == 112720
+    assert count_subgon_classes(25, 3) == 92
+    # the cap is read when the oracle runs
+    monkeypatch.setattr(typea, "MAX_ENUMERATION", 91)
+    with pytest.raises(ValueError, match=r"C\(25, 3\)/25 necklaces = 92;"):
         count_subgon_classes(25, 3)
 
 

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nccount import typea
+from nccount.category import category
 from nccount.quiver import euler_form, line_quiver
 from nccount.typea import (
     GenSetA,
@@ -20,11 +21,11 @@ from nccount.typea import (
     enum_genus_minus1,
     enum_points,
     enum_seqs,
+    euler,
     exceptional_pairs,
     genus_minus1_orbits,
     interval_dim,
-    interval_pair_is_exceptional,
-    interval_total_hom,
+    interval_mask,
     is_d_additive,
     monotone_seq,
     orbit_partition,
@@ -91,7 +92,7 @@ def test_staircase_generators_are_exceptional_pairs():
     for seq in enum_seqs(5, 3):
         gens = seq_to_subcategory(seq).generators
         for x, y in itertools.combinations(gens, 2):
-            assert typea.interval_pair_is_exceptional(x, y, 5)
+            assert euler(interval_mask(y, 5), interval_mask(x, 5)) == 0
 
 
 def test_count_id_values():
@@ -304,10 +305,9 @@ def test_enum_genus_minus1():
         pairs = enum_genus_minus1(n)
         assert len(pairs) == 2 * comb(n + 2, 4)
         for pair in pairs:
-            x, y = pair.generators
-            assert typea.interval_pair_is_exceptional(x, y, n)
-            assert typea.interval_pair_is_exceptional(y, x, n)
-            assert typea.interval_total_hom(x, y, n) == 0
+            mx, my = (interval_mask(iv, n) for iv in pair.generators)
+            assert euler(my, mx) == 0
+            assert euler(mx, my) == 0
 
 
 def _decode(codes, n):
@@ -417,14 +417,16 @@ def _interval_pair(draw):
 @settings(deadline=None, max_examples=300)
 @given(_interval_pair())
 def test_interval_hom_matches_euler_form(nxy):
-    # the closed-form hom against the Euler form of the line quiver
+    # the packed Euler form against the Euler form of the line quiver
     n, x, y = nxy
     q = line_quiver(n)
-    dx, dy = interval_dim(x, n), interval_dim(y, n)
-    assert interval_total_hom(x, y, n) == abs(euler_form(q, dx, dy))
-    assert interval_total_hom(y, x, n) == abs(euler_form(q, dy, dx))
-    assert interval_pair_is_exceptional(x, y, n) == (euler_form(q, dy, dx) == 0)
-    assert interval_pair_is_exceptional(y, x, n) == (euler_form(q, dx, dy) == 0)
+    dx, dy = (tuple(int(iv.i <= v <= iv.j) for v in range(n + 1)) for iv in (x, y))
+    assert (interval_dim(x, n), interval_dim(y, n)) == (dx, dy)
+    mx, my = interval_mask(x, n), interval_mask(y, n)
+    assert mx == sum(d << v for v, d in enumerate(dx))
+    assert my == sum(d << v for v, d in enumerate(dy))
+    assert euler(mx, my) == euler_form(q, dx, dy)
+    assert euler(my, mx) == euler_form(q, dy, dx)
 
 
 @settings(deadline=None, max_examples=100)
@@ -432,8 +434,12 @@ def test_interval_hom_matches_euler_form(nxy):
 def test_interval_hom_rejects_intervals_outside_range(n, i, j):
     assume(not 0 <= i <= j <= n)
     bad, good = Interval(i, j), Interval(0, n)
+    with pytest.raises(ValueError):
+        interval_mask(bad, n)
+    # the category record reaches the mask of an unknown interval
+    cat = category(f"a{n + 1}")
     for x, y in ((bad, good), (good, bad)):
         with pytest.raises(ValueError):
-            interval_pair_is_exceptional(x, y, n)
+            cat.is_pair(x, y)
         with pytest.raises(ValueError):
-            interval_total_hom(x, y, n)
+            cat.total_hom(x, y)
