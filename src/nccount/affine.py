@@ -327,7 +327,12 @@ def _match(quiver: str, kind: str, objs) -> AffSubcat | None:
 
 def classify_generator_pair(x: AffObject, y: AffObject) -> AffSubcat:
     """Recognize the subcategory spanned by a two-object generating set as a
-    member of a classified pair family (genus 1, 0 or -1)."""
+    member of a classified pair family (genus 1, 0 or -1).
+
+    Library API with no CLI caller: it names the family of a pair given in
+    any of the paper's presentations.  The q1 genus-0 curves have several,
+    which are reduced below to the one that _FAMILIES lists.
+    """
     q = x.quiver
     if q != y.quiver:
         raise ValueError("mixed quivers")

@@ -83,13 +83,18 @@ def gap_necklaces(m: int, s: int):
 def count_subgon_classes_brute(m: int, s: int) -> int:
     """Rotation classes of s-subsets by streaming fixed-density enumeration.
 
-    There are about C(m, s)/m classes; a larger set than the cap of
-    typea.check_enumeration is refused up front.
+    A subset and its complement rotate together, so the k = min(s, m - s)
+    subsets are enumerated: about C(m, k)/m classes of k gaps each.  More
+    classes than the cap of typea.check_enumeration are refused up front,
+    which keeps k <= 13 at the default cap.
     """
     if not 1 <= s <= m:
         raise ValueError(f"need 1 <= s <= m, got s={s}, m={m}")
-    check_enumeration(comb(m, s) // m, f"C({m}, {s})/{m} necklaces")
-    return sum(1 for _ in gap_necklaces(m, s))
+    k = min(s, m - s)
+    if k == 0:  # the whole vertex set is its own class
+        return 1
+    check_enumeration(comb(m, k) // m, f"C({m}, {s})/{m} necklaces")
+    return sum(1 for _ in gap_necklaces(m, k))
 
 
 def count_subgon_classes(m: int, s: int) -> int:

@@ -149,6 +149,12 @@ def test_necklace_verify(capsys):
         capsys, ["necklace", "count", "--m", "25", "--s", "3", "--verify"]
     )
     assert code == 0 and doc == {"count": "92"}
+    # s near m is enumerated as its complement, m - s parts deep, not s
+    for s, count in (("1000", "1"), ("999", "1"), ("998", "500")):
+        code, doc = run_json(
+            capsys, ["necklace", "count", "--m", "1000", "--s", s, "--verify"]
+        )
+        assert code == 0 and doc == {"count": count}
 
 
 def test_necklace_verify_mismatch_exits_1(capsys, monkeypatch):

@@ -79,6 +79,9 @@ def test_brute_cap(monkeypatch):
     monkeypatch.setattr(typea, "MAX_ENUMERATION", 91)
     with pytest.raises(ValueError, match=r"C\(25, 3\)/25 necklaces = 92;"):
         count_subgon_classes(25, 3)
+    # s and m - s are the same oracle, so s = m - 3 is refused alike
+    with pytest.raises(ValueError, match=r"C\(25, 22\)/25 necklaces = 92;"):
+        count_subgon_classes(25, 22)
 
 
 def test_seq_to_subgon_zero_seq():
