@@ -164,13 +164,11 @@ def _cmd_affine_count(args):
 
 def _cmd_markov_table(args):
     from . import markov
-    rows = []
-    for m in markov.markov_numbers(args.limit):
-        full = markov.count_c(m, "full")
-        rows.append(
-            {"m": _count_str(m), "count": _count_str(full),
-             "serre_count": _count_str(3 * full)}
-        )
+    rows = [
+        {"m": _count_str(m), "count": _count_str(full),
+         "serre_count": _count_str(3 * full)}
+        for m, full in markov.rank_counts(args.limit).items()
+    ]
     _emit({"rows": rows}, args.format)
     return 0
 
@@ -199,6 +197,15 @@ def _cmd_markov_tree(args):
 def _cmd_markov_tyurin(args):
     from . import markov
     rows = markov.tyurin_scan(args.max_rank)
+    if args.verify:
+        # the tree counts against the residues of one mutation closure
+        counts = {m: c for m, c, _ in rows}
+        oracle = markov.closure_counts(args.max_rank)
+        for m in sorted(counts.keys() | {r for r in oracle if r > 2}):
+            if counts.get(m, 0) != oracle.get(m, 0):
+                return _verify_failed(
+                    f"markov tyurin at m={m}", counts.get(m, 0), oracle.get(m, 0)
+                )
     doc = {
         "rows": [
             {"m": _count_str(m), "count": _count_str(c), "ok": ok}

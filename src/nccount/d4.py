@@ -38,6 +38,9 @@ DIMS = {
 
 LABELS = tuple(sorted(DIMS))
 
+# The Euler form of every ordered pair of labels, read by all hom data below.
+EULER = {(a, b): euler_form(QUIVER, DIMS[a], DIMS[b]) for a in LABELS for b in LABELS}
+
 KAPPA = {
     "s1": "s2", "s2": "s3", "s3": "s1",
     "s1o": "s2o", "s2o": "s3o", "s3o": "s1o",
@@ -82,9 +85,9 @@ def d4_pair_class(a, b) -> PairClass:
     la, lb = _as_label(a), _as_label(b)
     if la == lb:
         raise ValueError("pair classification needs two distinct objects")
-    if euler_form(QUIVER, DIMS[lb], DIMS[la]) != 0:
+    if EULER[lb, la] != 0:
         return PairClass.NOT_EXCEPTIONAL
-    forward = euler_form(QUIVER, DIMS[la], DIMS[lb])
+    forward = EULER[la, lb]
     if forward == 0:
         return PairClass.ORTHOGONAL
     assert abs(forward) == 1
@@ -96,7 +99,7 @@ def total_hom(a, b) -> int:
     la, lb = _as_label(a), _as_label(b)
     if la == lb:
         return 1
-    return abs(euler_form(QUIVER, DIMS[la], DIMS[lb]))
+    return abs(EULER[la, lb])
 
 
 def d4_act(g: str, x):

@@ -15,8 +15,32 @@ so slopes normalized into [0, 1/2] are the canonical bundle names.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, log
 from typing import NamedTuple
+
+# Zagier, "On the number of Markoff numbers below a given bound" (Math.
+# Comp. 1982): the sorted Markov triples with largest entry <= x number
+# ZAGIER_C * (log 3x)^2 + O(log x (log log x)^2).
+ZAGIER_C = 0.180717047
+# The mutation closure holds about this many triples per Markov triple
+# (58,012 against 9,670 up to 10^100).
+CLOSURE_PER_TRIPLE = 6
+# Both enumerations refuse up front to hold more triples than this.
+MAX_TRIPLES = 100_000
+
+
+def estimated_triples(limit: int) -> int:
+    """Zagier's estimate of the number of sorted Markov triples with largest
+    entry <= limit."""
+    return round(ZAGIER_C * log(3 * limit) ** 2)
+
+
+def _check_size(size: int, what: str, limit: int) -> None:
+    if size > MAX_TRIPLES:
+        raise ValueError(
+            f"refusing to enumerate an estimated {size} {what} up to a "
+            f"{len(str(limit))}-digit bound; the cap is {MAX_TRIPLES}"
+        )
 
 
 def markov_triples(limit: int) -> list:
@@ -24,6 +48,7 @@ def markov_triples(limit: int) -> list:
     generation from (1, 1, 1)."""
     if limit < 1:
         raise ValueError("need limit >= 1")
+    _check_size(estimated_triples(limit), "Markov triples", limit)
     seen = set()
     stack = [(1, 1, 1)]
     while stack:
@@ -43,6 +68,23 @@ def markov_triples(limit: int) -> list:
 def markov_numbers(limit: int) -> list:
     """All Markov numbers <= limit."""
     return sorted({x for t in markov_triples(limit) for x in t if x <= limit})
+
+
+def rank_counts(limit: int) -> dict:
+    """count_c(m, "full") for every Markov number m <= limit, from one pass
+    over the Markov tree, in increasing m.
+
+    Every Markov number is the largest entry of some sorted triple.  The
+    residues +-c mod m of the rank-m bundles come one pair per triple with
+    largest entry m (Frobenius' correspondence between Markov triples and
+    square roots of -1 mod m), and the two residues of a pair differ unless
+    m <= 2.  So the count is 1 for m <= 2 and otherwise twice the number of
+    those triples; closure_counts is the independent check.
+    """
+    counts = {}
+    for _, _, m in markov_triples(limit):
+        counts[m] = 1 if m <= 2 else counts.get(m, 0) + 2
+    return dict(sorted(counts.items()))
 
 
 class ChernPair(NamedTuple):
@@ -74,17 +116,20 @@ def chern_pair(r: int, c: int) -> ChernPair:
 
 
 def euler_chi(a: ChernPair, b: ChernPair) -> int:
-    """Euler pairing chi(a, b) on the plane, via Riemann-Roch."""
-    val = (
-        Fraction(a.r * b.r)
-        + Fraction(3, 2) * (a.r * b.c - a.c * b.r)
-        + a.r * b.ch2
-        + a.ch2 * b.r
-        - a.c * b.c
-    )
-    if val.denominator != 1:
+    """Euler pairing chi(a, b) on the plane, via Riemann-Roch,
+
+        chi = r_a r_b + 3/2 d + r_a ch2_b + ch2_a r_b - c_a c_b,
+        d = r_a c_b - c_a r_b.
+
+    Multiplied through by 2 r_a r_b, with ch2 = (1 + c^2 - r^2) / 2r, it
+    reads 2 r_a r_b chi = r_a^2 + r_b^2 + 3 r_a r_b d + d^2, which is
+    evaluated in integers.
+    """
+    d = a.r * b.c - a.c * b.r
+    chi, rem = divmod(a.r * a.r + b.r * b.r + 3 * a.r * b.r * d + d * d, 2 * a.r * b.r)
+    if rem:
         raise ValueError(f"non-integral pairing for {a}, {b}")
-    return int(val)
+    return chi
 
 
 class ExcTriple(NamedTuple):
@@ -138,6 +183,8 @@ def normalized_slope(e: ChernPair) -> Fraction:
 def _canonical_triple(t: ExcTriple) -> ExcTriple:
     """Twist the whole triple so the first slope lands in [0, 1)."""
     shift = -(t.entries[0].c // t.entries[0].r)
+    if shift == 0:
+        return t
     return ExcTriple(tuple(e.twist(shift) for e in t.entries))
 
 
@@ -146,6 +193,9 @@ def generate_triples(max_rank: int) -> list:
     <= max_rank, modulo simultaneous twist."""
     if max_rank < 1:
         raise ValueError("need max_rank >= 1")
+    _check_size(
+        CLOSURE_PER_TRIPLE * estimated_triples(max_rank), "closure triples", max_rank
+    )
     start = _canonical_triple(SEED)
     seen = {start}
     frontier = [start]
@@ -159,14 +209,24 @@ def generate_triples(max_rank: int) -> list:
     return sorted(seen)
 
 
+def _bundles(max_rank: int) -> set:
+    """The classes of all exceptional bundles of rank <= max_rank, from one
+    mutation closure."""
+    return {e for t in generate_triples(max_rank) for e in t.entries}
+
+
 def exceptional_slopes(max_rank: int) -> set:
     """Normalized slopes of all exceptional bundles of rank <= max_rank."""
-    slopes = set()
-    for t in generate_triples(max_rank):
-        for e in t.entries:
-            if e.r <= max_rank:
-                slopes.add(normalized_slope(e))
-    return slopes
+    return {normalized_slope(e) for e in _bundles(max_rank)}
+
+
+def closure_counts(max_rank: int) -> dict:
+    """count_c(r, "full") for every rank r <= max_rank, from one mutation
+    closure: the number of residues +-c mod r of the rank-r bundles."""
+    residues = {}
+    for r, c in _bundles(max_rank):
+        residues.setdefault(r, set()).update((c % r, -c % r))
+    return {r: len(res) for r, res in residues.items()}
 
 
 def count_c(m: int, group: str = "full") -> int:
@@ -175,15 +235,9 @@ def count_c(m: int, group: str = "full") -> int:
     is three times that."""
     if group not in ("serre", "full"):
         raise ValueError(f"unknown group {group!r}")
-    if m not in markov_numbers(max(m, 1)):
+    full = closure_counts(max(m, 1)).get(m)
+    if full is None:
         raise ValueError(f"{m} is not a Markov number")
-    residues = set()
-    for mu in exceptional_slopes(m):
-        # coprimality makes the reduced denominator equal to the rank
-        if mu.denominator == m:
-            residues.add(mu.numerator % m)
-            residues.add((-mu.numerator) % m)
-    full = len(residues)
     return full if group == "full" else 3 * full
 
 
@@ -191,14 +245,10 @@ def tyurin_scan(max_rank: int) -> list:
     """Check rank-uniqueness of representative bundles: for every Markov
     number 2 < m <= max_rank the full-group count should be 2.
 
-    Returns (m, count, ok) rows.
+    Returns (m, count, ok) rows, counted in one pass over the Markov tree.
     """
     if max_rank < 3:
         raise ValueError("need max_rank >= 3")
-    rows = []
-    for m in markov_numbers(max_rank):
-        if m <= 2:
-            continue
-        cnt = count_c(m, "full")
-        rows.append((m, cnt, cnt == 2))
-    return rows
+    return [
+        (m, cnt, cnt == 2) for m, cnt in rank_counts(max_rank).items() if m > 2
+    ]

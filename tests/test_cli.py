@@ -225,6 +225,62 @@ def test_markov_tyurin(capsys):
     assert doc["all_ok"] is True
 
 
+def test_markov_tyurin_verify_to_1e30(capsys):
+    code, doc = run_json(
+        capsys, ["markov", "tyurin", "--max-rank", str(10**30), "--verify"]
+    )
+    assert code == 0
+    assert doc["all_ok"] is True and len(doc["rows"]) == 891
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({13: 4}, "markov tyurin at m=13: formula=2, oracle=4"),
+        ({7: 2}, "markov tyurin at m=7: formula=0, oracle=2"),
+    ],
+    ids=["count", "extra-rank"],
+)
+def test_markov_tyurin_verify_mismatch_exits_1(capsys, monkeypatch, change, message):
+    from nccount import markov
+
+    closure_counts = markov.closure_counts
+    monkeypatch.setattr(
+        markov, "closure_counts", lambda r: {**closure_counts(r), **change}
+    )
+    assert cli.run(["markov", "tyurin", "--max-rank", "200"]) == 0
+    capsys.readouterr()
+    assert cli.run(["markov", "tyurin", "--max-rank", "200", "--verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"verification failed for {message}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        ("markov tree --limit 10^999", "an estimated 957142 Markov triples"),
+        ("markov table --limit 10^400", "an estimated 153669 Markov triples"),
+        ("markov tyurin --max-rank 10^400", "an estimated 153669 Markov triples"),
+        ("markov slopes --max-rank 10^140", "an estimated 113448 closure triples"),
+        ("markov tyurin --max-rank 10^140 --verify",
+         "an estimated 113448 closure triples"),
+        ("necklace count --m 20000 --s 10000", "C(20000, 10000)/20000 necklaces"),
+        ("necklace count --m 1000000 --s 500000",
+         "the count has more than 4300 digits"),
+    ],
+)
+def test_oversized_markov_and_necklace_exit_2(capsys, argv, size):
+    # refused up front, with the estimated size, and no exception escapes
+    argv = [str(10 ** int(a[3:])) if a.startswith("10^") else a for a in argv.split()]
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "refusing to" in captured.err and size in captured.err
+
+
 def test_markov_tree(capsys):
     code, doc = run_json(capsys, ["markov", "tree", "--limit", "30"])
     assert code == 0

@@ -4,6 +4,7 @@ import pytest
 
 from nccount.d4 import (
     DIMS,
+    EULER,
     KAPPA,
     LABELS,
     SERRE,
@@ -24,6 +25,7 @@ from nccount.d4 import (
     triple_generators,
     triple_kind,
 )
+from nccount.quiver import d4_quiver, euler_form
 
 
 def _unordered(pairs):
@@ -74,6 +76,13 @@ def test_twelve_objects():
     assert dims["delta"] == (1, 1, 1, 2)
     assert dims["so"] == (0, 0, 0, 1)
     assert dims["s123"] == (1, 1, 1, 1)
+
+
+def test_euler_table_is_the_quiver_euler_form():
+    assert len(EULER) == 144
+    for a in LABELS:
+        for b in LABELS:
+            assert EULER[a, b] == euler_form(d4_quiver(), DIMS[a], DIMS[b]), (a, b)
 
 
 def test_spec_pair_examples():

@@ -3,19 +3,26 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nccount.markov import (
     SEED,
     ChernPair,
     chern_pair,
+    closure_counts,
     count_c,
+    estimated_triples,
     euler_chi,
     exc_triple,
     exceptional_slopes,
     generate_triples,
     markov_numbers,
+    markov_triples,
     mutate,
     normalized_slope,
+    rank_counts,
     tyurin_scan,
 )
 
@@ -57,6 +64,49 @@ def test_euler_chi_line_bundles():
     # dim of the space of degree-2 monomials in 3 variables = C(4,2) = 6
     assert euler_chi(o, ChernPair(1, 2)) == 6
     assert euler_chi(o, o) == 1
+
+
+def _riemann_roch(a, b):
+    """chi(a, b) from Riemann-Roch over sympy rationals, ch2 as ChernPair."""
+    def ch2(e):
+        return sympy.Rational(1 + e.c * e.c - e.r * e.r, 2 * e.r)
+
+    return (
+        a.r * b.r + sympy.Rational(3, 2) * (a.r * b.c - a.c * b.r)
+        + a.r * ch2(b) + ch2(a) * b.r - a.c * b.c
+    )
+
+
+def test_euler_chi_matches_riemann_roch_on_the_closure():
+    triples = generate_triples(10**6)
+    assert len(triples) > 100
+    for t in triples:
+        for a in t.entries:
+            for b in t.entries:
+                assert euler_chi(a, b) == _riemann_roch(a, b), (a, b)
+
+
+coprime_pairs = st.tuples(
+    st.integers(1, 10**6), st.integers(-(10**6), 10**6)
+).filter(lambda rc: gcd(*rc) == 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coprime_pairs, coprime_pairs)
+def test_euler_chi_matches_riemann_roch(rc_a, rc_b):
+    a, b = chern_pair(*rc_a), chern_pair(*rc_b)
+    want = _riemann_roch(a, b)
+    if want.is_integer:
+        assert euler_chi(a, b) == want
+    else:
+        with pytest.raises(ValueError, match="non-integral"):
+            euler_chi(a, b)
+
+
+def test_euler_chi_non_integral_raises():
+    assert not _riemann_roch(ChernPair(2, 1), ChernPair(3, 1)).is_integer
+    with pytest.raises(ValueError, match="non-integral"):
+        euler_chi(ChernPair(2, 1), ChernPair(3, 1))
 
 
 def test_chi_self_is_one_everywhere():
@@ -169,3 +219,39 @@ def test_tyurin_scan():
     assert tyurin_scan(4) == []  # no Markov numbers beyond 2 in range
     with pytest.raises(ValueError):
         tyurin_scan(2)
+
+
+def test_tree_counts_equal_closure_counts():
+    # the one tree pass against one mutation closure, on every Markov
+    # number up to 10^12 and on no other rank
+    tree = rank_counts(10**12)
+    assert list(tree) == markov_numbers(10**12)
+    assert closure_counts(10**12) == tree
+    # and against count_c, whose closure stops at m itself
+    for m in (m for m in tree if m <= 10**4):
+        assert count_c(m) == tree[m], m
+
+
+def test_rank_counts_groups_triples_by_largest_entry(monkeypatch):
+    # a second triple with largest entry 5, as a counterexample to
+    # uniqueness would add, doubles the count of 5
+    import nccount.markov as mk
+
+    fake = [(1, 1, 1), (1, 1, 2), (1, 2, 5), (2, 2, 5), (1, 5, 13)]
+    monkeypatch.setattr(mk, "markov_triples", lambda limit: fake)
+    assert rank_counts(13) == {1: 1, 2: 1, 5: 4, 13: 2}
+    assert tyurin_scan(13) == [(5, 4, False), (13, 2, True)]
+
+
+def test_tyurin_scan_to_a_googol():
+    rows = tyurin_scan(10**100)
+    assert len(rows) == 9668
+    assert all(ok and cnt == 2 for _, cnt, ok in rows)
+    assert [m for m, _, _ in rows] == sorted(m for m, _, _ in rows)
+    assert rows[-1][0] < 10**100 < 3 * rows[-1][0] ** 2
+
+
+def test_zagier_estimate():
+    # the estimate the size caps use tracks the true number of triples
+    for bound in (10**6, 10**20, 10**40, 10**100):
+        assert abs(estimated_triples(bound) - len(markov_triples(bound))) <= 5

@@ -1,4 +1,6 @@
+import sys
 from itertools import accumulate, combinations
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from nccount.necklace import (
     Subgon,
+    check_printable,
     count_subgon_classes,
     count_subgon_classes_brute,
     count_subgon_classes_burnside,
@@ -14,6 +17,7 @@ from nccount.necklace import (
     subgon,
 )
 from nccount import typea
+from nccount.arith import divisors, euler_phi
 from nccount.typea import enum_seqs, monotone_seq, serre_step
 
 
@@ -82,6 +86,24 @@ def test_brute_cap(monkeypatch):
     # s and m - s are the same oracle, so s = m - 3 is refused alike
     with pytest.raises(ValueError, match=r"C\(25, 22\)/25 necklaces = 92;"):
         count_subgon_classes(25, 22)
+
+
+@pytest.mark.parametrize(
+    "m, s", [(14300, 7150), (14306, 7153), (14400, 7200), (10**13, 398), (10**13, 400),
+             (10**4000, 2), (10**4000, 3), (10**6, 1), (10**6, 10**6)],
+)
+def test_check_printable_at_the_digit_limit(m, s):
+    # refused exactly when the Burnside sum, taken here without the check,
+    # has more digits than Python prints
+    limit = sys.get_int_max_str_digits()
+    total = sum(euler_phi(d) * comb(m // d, s // d) for d in divisors(gcd(m, s)))
+    if total // m >= 10**limit:
+        with pytest.raises(ValueError, match=f"more than {limit} digits"):
+            count_subgon_classes_burnside(m, s)
+    else:
+        check_printable(m, s)
+        assert count_subgon_classes_burnside(m, s) == total // m
+        assert len(str(total // m)) <= limit
 
 
 def test_seq_to_subgon_zero_seq():
