@@ -7,9 +7,12 @@ asks which category it has.  The names are 'aN' (D^b(A_N), N >= 1), 'd4',
 the affine quivers 'q1' and 'q2', and 'npL', the category generated by a
 strong pair with L + 1 homs (L >= -1).  q1, q2 and npL with L >= 1 take a
 window (lo, hi) of series indices, inclusive, and no other category does.
-Records are built per call, so they use the backend functions as their
-modules bind them at that moment; each builder imports its own backend, so
-a record loads only the modules its category needs.
+Every record whose size depends on its name or window is refused up front,
+before its objects are built, when its graph would classify more than
+typea.MAX_ENUMERATION ordered pairs of objects.  Records are built per
+call, so they use the backend functions as their modules bind them at that
+moment; each builder imports its own backend, so a record loads only the
+modules its category needs.
 """
 
 import re
@@ -62,10 +65,18 @@ def category(name: str, window=None) -> Category:
     return _strong_pair(name, int(genus), window)
 
 
+def _check_size(objects: int) -> None:
+    """Refuse, before it is built, a category whose graph would classify
+    more than typea.MAX_ENUMERATION ordered pairs of its objects."""
+    from .typea import check_enumeration
+    check_enumeration(objects * objects, f"{objects}^2 vertex pairs")
+
+
 def _line(name, vertices):
     from . import typea
     if vertices < 1:
         raise ValueError("need at least one vertex")
+    _check_size(vertices * (vertices + 1) // 2)
     n = vertices - 1
     points = typea.enum_points(n)
     masks = {p: typea.interval_mask(p, n) for p in points}
@@ -114,12 +125,14 @@ def _affine(name, lo, hi):
             for s in affine.aff_enum_curves(name, genus, (lo, hi))
         ])
 
+    series, sporadic = affine.SERIES[name], affine.SPORADIC[name]
+    _check_size(len(series) * (hi - lo + 1) + len(sporadic))
     objs = [
         affine.obj(name, fam, m)
-        for fam in affine.SERIES[name]
+        for fam in series
         for m in range(lo, hi + 1)
     ]
-    objs += [affine.obj(name, fam) for fam in affine.SPORADIC[name]]
+    objs += [affine.obj(name, fam) for fam in sporadic]
     points = Category(
         name,
         {str(o): o for o in objs},
@@ -139,6 +152,7 @@ def _strong_pair(name, l, window):
     if l == 0:
         return _line(name, 2)
     lo, hi = window
+    _check_size(hi - lo + 1)
     return Category(
         name,
         {f"s{i}": i for i in range(lo, hi + 1)},
@@ -151,6 +165,7 @@ def _curve_category(points, entries):
     """The curves of a point category as a category of their own, from
     entries (label, genus, generators).  (A, B) is a pair iff every hom
     from a generator of B to one of A vanishes; the edges carry no weight."""
+    _check_size(len(entries))
     return Category(
         f"{points.name}-curves",
         {label: gens for label, _, gens in entries},

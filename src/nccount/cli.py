@@ -257,23 +257,15 @@ def _cmd_graph(args):
             "plain",
         )
     else:
-        sys.stdout.write(digraph.export(g, args.format))
+        sys.stdout.writelines(digraph.export_lines(g, args.format))
     return 0
 
 
 def _cmd_sc(args):
     from . import digraph
     g = digraph.build_point_graph(args.category, _window(args))
-    simps = digraph.sc_simplices(g, args.max_dim)
-    by_dim = {}
-    for s in simps:
-        by_dim[len(s) - 1] = by_dim.get(len(s) - 1, 0) + 1
-    doc = {
-        "category": args.category,
-        "simplices": [list(s) for s in simps],
-        "counts_by_dim": {str(d): c for d, c in sorted(by_dim.items())},
-    }
-    _emit(doc, args.format)
+    simplices = digraph.sc_simplices(g, args.max_dim)
+    sys.stdout.writelines(digraph.complex_lines(g, simplices, args.format))
     return 0
 
 

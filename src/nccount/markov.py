@@ -216,8 +216,14 @@ def _bundles(max_rank: int) -> set:
 
 
 def exceptional_slopes(max_rank: int) -> set:
-    """Normalized slopes of all exceptional bundles of rank <= max_rank."""
-    return {normalized_slope(e) for e in _bundles(max_rank)}
+    """Normalized slopes of all exceptional bundles of rank <= max_rank.
+
+    The normalized slope of (r, c) is min(c mod r, r - c mod r) / r, as
+    normalized_slope computes it on Fractions; the residues are taken on
+    ints and one Fraction is built per distinct slope.
+    """
+    residues = {(r, min(c % r, r - c % r)) for r, c in _bundles(max_rank)}
+    return {Fraction(c, r) for r, c in residues}
 
 
 def closure_counts(max_rank: int) -> dict:

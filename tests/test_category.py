@@ -84,3 +84,30 @@ def test_curves_only_where_curve_graphs_exist():
     assert category("q2", (0, 1)).curves is not None
     for name, window in (("a3", None), ("np-1", None), ("np2", (0, 3))):
         assert category(name, window).curves is None
+
+
+@pytest.mark.parametrize(
+    "name, window, objects", [("a3", None, 6), ("q1", (0, 2), 8), ("np2", (1, 7), 7)]
+)
+def test_size_cap_counts_pairs_before_building(monkeypatch, name, window, objects):
+    # exactly at the cap a category is built; with one ordered pair less
+    # it is refused with its size, before any of its objects is made
+    from nccount import affine, typea
+
+    monkeypatch.setattr(typea, "MAX_ENUMERATION", objects * objects)
+    assert len(category(name, window).objects) == objects
+    monkeypatch.setattr(typea, "MAX_ENUMERATION", objects * objects - 1)
+    monkeypatch.setattr(typea, "enum_points", None)
+    monkeypatch.setattr(affine, "obj", None)
+    with pytest.raises(ValueError, match=f"{objects}\\^2 vertex pairs = {objects**2};"):
+        category(name, window)
+
+
+def test_size_cap_on_curves(monkeypatch):
+    from nccount import typea
+
+    monkeypatch.setattr(typea, "MAX_ENUMERATION", 18 * 18)
+    assert len(category("q2", (0, 0)).curves().objects) == 18
+    monkeypatch.setattr(typea, "MAX_ENUMERATION", 18 * 18 - 1)
+    with pytest.raises(ValueError, match="18\\^2 vertex pairs = 324;"):
+        category("q2", (0, 0)).curves()

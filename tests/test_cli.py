@@ -113,6 +113,15 @@ def test_an_genus_verify_mismatch_exits_1(capsys, monkeypatch, group, name, fake
         ("an orbits --k 10 --vertices 30", 84672315),
         ("an genus --genus 0 --vertices 200 --verify", 1333300),
         ("an genus --genus 1 --vertices 60 --group full --verify", 3348900),
+        # graphs: the ordered vertex pairs, counted before the category is
+        # built (a1000 would take gigabytes); a44, 990^2 pairs, is admitted
+        ("an graph --vertices 45", 1071225),
+        ("an graph --vertices 1000 --format plain", 250500250000),
+        ("sc --category a45 --max-dim 1", 1071225),
+        ("graph --category q1 --window 1000000", 4000008000004),
+        ("graph --category np3 --window 1001 --format dot", 1002001),
+        ("affine graph --quiver q2 --window 250", 1008016),
+        ("affine graph --quiver q2 --kind curves --window 100", 1016064),
     ],
 )
 def test_oversized_enumeration_exits_2(capsys, argv, size):

@@ -1,7 +1,8 @@
+import json
 from collections import defaultdict
 from functools import lru_cache
 from graphlib import CycleError, TopologicalSorter
-from itertools import permutations
+from itertools import combinations, permutations
 
 import networkx as nx
 import pytest
@@ -13,7 +14,9 @@ from nccount.digraph import (
     ValuedDigraph,
     build_curve_graph,
     build_point_graph,
+    complex_lines,
     export,
+    export_lines,
     from_json,
     is_simplex,
     isomorphic_as_labeled,
@@ -259,28 +262,132 @@ def test_export_dot():
         export(g, "gml")
 
 
+def _reference_json(g):
+    """The graph document built as one dict per edge, sorted by (src, dst)
+    and serialized whole: the layout the streamed export must match."""
+    edges = [
+        {"src": s, "dst": t, "weight": g.weight(s, t), "both": False}
+        for s, t in g.one_sided_edges()
+    ]
+    edges += [
+        {"src": s, "dst": t, "weight": None, "both": True}
+        for s, t in g.double_sided_pairs()
+    ]
+    doc = {
+        "category": g.category,
+        "vertices": [{"id": v, "genus": g.genus.get(v)} for v in g.vertices],
+        "edges": sorted(edges, key=lambda e: (e["src"], e["dst"])),
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _reference_dot(g):
+    quote = lambda s: '"' + s.replace('"', '\\"') + '"'  # noqa: E731
+    lines = ["digraph G {"] + [f"  {quote(v)};" for v in g.vertices]
+    for s, t in g.one_sided_edges():
+        w = g.weight(s, t)
+        label = f" [label={w}]" if w is not None else ""
+        lines.append(f"  {quote(s)} -> {quote(t)}{label};")
+    for s, t in g.double_sided_pairs():
+        lines.append(f"  {quote(s)} -> {quote(t)} [dir=both];")
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def _quoted_labels():
+    # labels that JSON and DOT must escape, and a weight on a one-sided
+    # edge next to an unweighted one
+    g = ValuedDigraph('x"y', ['a"b', "\u00e9", "back\\slash", "plain"])
+    g.add_edge('a"b', "\u00e9", 7)
+    g.add_edge("\u00e9", 'a"b')
+    g.add_edge("plain", "back\\slash")
+    g.add_edge('a"b', "plain", 2)
+    return g
+
+
+# every category and curve graph: a1 has no edges, np-1 only a
+# double-sided one, np3 weight-4 edges, and the q2 curves have genus
+# -1, 0 and 1
+_EXPORTED = [
+    *((f"a{n}", None, False) for n in range(1, 6)),
+    ("d4", None, False), ("np-1", None, False), ("np0", None, False),
+    ("np1", (0, 4), False), ("np3", (-1, 3), False),
+    ("q1", (0, 3), False), ("q2", (0, 3), False),
+    ("d4", None, True), ("q1", (0, 2), True), ("q2", (0, 2), True),
+    ("q2", (-1, 1), True),
+]
+
+
 def test_export_json_roundtrip():
-    for g in (
-        build_point_graph("a3"),
-        build_point_graph("d4"),
-        build_point_graph("q1", window=(0, 3)),
-        build_point_graph("q2", window=(0, 3)),
-        build_point_graph("np-1"),
-        build_point_graph("np0"),
-        build_point_graph("np2", window=(0, 4)),
-        build_curve_graph("d4"),
-        build_curve_graph("q2", window=(0, 2)),
-    ):
+    for name, window, curves in _EXPORTED:
+        g = (build_curve_graph if curves else build_point_graph)(name, window)
         doc = export(g, "json")
+        assert doc == _reference_json(g), name
+        assert export(g, "dot") == _reference_dot(g), name
         back = from_json(doc)
         assert isomorphic_as_labeled(g, back)
         assert back.category == g.category
         # the export also carries the genus labels, which
         # isomorphic_as_labeled does not compare
         assert export(back, "json") == doc
-    empty = build_point_graph("a1")
-    doc = export(empty, "json")
-    assert from_json(doc).census() == (1, 0, 0)
+
+
+def test_export_edge_cases():
+    assert from_json(export(build_point_graph("a1"), "json")).census() == (1, 0, 0)
+    assert build_point_graph("np-1").census() == (2, 0, 1)
+    np3 = build_point_graph("np3", (0, 3))
+    assert {np3.weight(s, t) for s, t in np3.one_sided_edges()} == {4}
+    genera = set(build_curve_graph("q2", (-1, 1)).genus.values())
+    assert genera == {-1, 0, 1}
+    for g in (_quoted_labels(), ValuedDigraph("empty", [])):
+        assert export(g, "json") == _reference_json(g)
+        assert export(g, "dot") == _reference_dot(g)
+        assert "".join(export_lines(g, "json")) == export(g, "json")
+
+
+def _complete(n):
+    """n vertices, every pair joined: one-sided from the earlier vertex
+    where the index sum is divisible by 3, double-sided otherwise, so the
+    whole vertex set is a simplex of dimension n - 1."""
+    g = ValuedDigraph("k", [f"v{i:02d}" for i in range(n)])
+    for a, b in combinations(g.vertices, 2):
+        g.add_edge(a, b, 1)
+        if (int(a[1:]) + int(b[1:])) % 3:
+            g.add_edge(b, a)
+    return g
+
+
+_COMPLEXES = {
+    **{f"a{n}": (lambda n=n: build_point_graph(f"a{n}"), 7) for n in range(1, 6)},
+    "d4": (lambda: build_point_graph("d4"), 9),
+    "q1": (lambda: build_point_graph("q1", (0, 2)), 5),
+    "q2": (lambda: build_point_graph("q2", (0, 1)), 4),
+    "np2": (lambda: build_point_graph("np2", (0, 5)), 3),
+    "np-1": (lambda: build_point_graph("np-1"), 2),
+    # dimensions 10 and 11 sort before 2 as JSON keys
+    "k12": (lambda: _complete(12), 11),
+    "quoted": (_quoted_labels, 3),
+    "empty": (lambda: ValuedDigraph("empty", []), 2),
+}
+
+
+@pytest.mark.parametrize("graph, max_dim", _COMPLEXES.values(), ids=_COMPLEXES)
+@pytest.mark.parametrize("fmt", ["json", "plain"])
+def test_complex_writer_matches_emit(capsys, graph, max_dim, fmt):
+    # the sc document as the CLI built it whole and printed with _emit
+    from nccount import cli
+
+    g = graph()
+    simps = sc_simplices(g, max_dim)
+    by_dim = {}
+    for s in simps:
+        by_dim[len(s) - 1] = by_dim.get(len(s) - 1, 0) + 1
+    doc = {
+        "category": g.category,
+        "simplices": [list(s) for s in simps],
+        "counts_by_dim": {str(d): c for d, c in sorted(by_dim.items())},
+    }
+    cli._emit(doc, fmt)
+    assert "".join(complex_lines(g, simps, fmt)) == capsys.readouterr().out
 
 
 def test_export_deterministic():
@@ -367,3 +474,28 @@ def test_adjacency_accessors_match_edge_scan():
             assert g.neighbours(v) == (
                 {t for s, t in edges if s == v} | {s for s, t in edges if t == v}
             )
+
+
+@st.composite
+def random_digraphs(draw):
+    """Up to 9 vertices, each pair unjoined, joined one way or both ways,
+    so that one-sided cycles occur."""
+    g = ValuedDigraph("random", [f"v{i}" for i in range(draw(st.integers(0, 9)))])
+    for a, b in combinations(g.vertices, 2):
+        kind = draw(st.sampled_from(("none", "ab", "ba", "both")))
+        if kind in ("ab", "both"):
+            g.add_edge(a, b, draw(st.sampled_from((None, 1, 3))))
+        if kind in ("ba", "both"):
+            g.add_edge(b, a)
+    return g
+
+
+@settings(deadline=None, max_examples=300)
+@given(random_digraphs(), st.integers(0, 8), st.data())
+def test_simplices_of_random_digraphs(g, max_dim, data):
+    simps = sc_simplices(g, max_dim)
+    assert simps == _simplices_from_cliques(g, max_dim)
+    assert all(_is_simplex_by_orderings(g, s) and is_simplex(g, s) for s in simps)
+    subset = data.draw(st.lists(st.sampled_from(g.vertices), max_size=6, unique=True)
+                       if g.vertices else st.just([]))
+    assert is_simplex(g, subset) == _is_simplex_by_orderings(g, subset)

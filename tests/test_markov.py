@@ -160,6 +160,17 @@ def test_exceptional_slopes():
     assert ranks == set(FIRST_NINE)
 
 
+@settings(deadline=None, max_examples=40)
+@given(st.one_of(st.integers(1, 10**4), st.sampled_from(FIRST_NINE + [10**4])))
+def test_exceptional_slopes_match_fraction_normalization(max_rank):
+    # the integer residues give exactly the slopes that normalized_slope
+    # computes on Fractions, bundle by bundle
+    import nccount.markov as mk
+
+    want = {normalized_slope(e) for e in mk._bundles(max_rank)}
+    assert exceptional_slopes(max_rank) == want
+
+
 def test_generation_is_confluent():
     # a breadth-first closure written out here reaches the same triples, and
     # so the same slopes, as the depth-first one of generate_triples
