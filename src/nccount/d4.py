@@ -3,11 +3,14 @@ from them: pair classification, the diagram-rotation and Serre actions, the
 noncommutative curves of genus 0 and -1, the rank-3 subcategories, and all
 orbit counts.
 
-Labels name the exceptional representations: s1, s2, s3 are the outer
+The objects are the indecomposable representations of the D_4 quiver, one
+per positive root, and all hom data, the Serre action included, is read off
+its Euler form.  A root is named delta if its centre entry is 2, and
+otherwise s followed by the legs in its support, with o appended when the
+centre is in the support and at most one leg is: s1, s2, s3 are the outer
 simples, so the central simple, s1o/s2o/s3o the two-dimensional ones
 supported on one leg, s12/s13/s23 the three-dimensional ones, s123 the thin
-sincere one and delta the sincere one with a 2 at the centre.  All hom data
-is read off the Euler form of the D_4 quiver.
+sincere one and delta the sincere one with a 2 at the centre.
 """
 
 from enum import Enum
@@ -17,50 +20,33 @@ from typing import NamedTuple
 
 from . import quiver
 from .arith import orbits
-from .quiver import d4_quiver, euler_form
+from .quiver import d4_quiver, euler_form, positive_roots, serre_permutation
 
 QUIVER = d4_quiver()  # vertices (1, 2, 3, 'o')
 
-DIMS = {
-    "s1": (1, 0, 0, 0),
-    "s2": (0, 1, 0, 0),
-    "s3": (0, 0, 1, 0),
-    "s1o": (1, 0, 0, 1),
-    "s2o": (0, 1, 0, 1),
-    "s3o": (0, 0, 1, 1),
-    "s12": (1, 1, 0, 1),
-    "s13": (1, 0, 1, 1),
-    "s23": (0, 1, 1, 1),
-    "s123": (1, 1, 1, 1),
-    "so": (0, 0, 0, 1),
-    "delta": (1, 1, 1, 2),
-}
+
+def _name(dim: tuple) -> str:
+    """Label of the root dim, by the rule of the module docstring."""
+    *legs, centre = dim
+    if centre == 2:
+        return "delta"
+    support = "".join(str(v) for v, x in zip(QUIVER.vertices, legs) if x)
+    return "s" + support + ("o" if centre and len(support) <= 1 else "")
+
+
+DIMS = {_name(d): d for d in positive_roots(QUIVER)}
 
 LABELS = tuple(sorted(DIMS))
 
 # The Euler form of every ordered pair of labels, read by all hom data below.
 EULER = {(a, b): euler_form(QUIVER, DIMS[a], DIMS[b]) for a in LABELS for b in LABELS}
 
-KAPPA = {
-    "s1": "s2", "s2": "s3", "s3": "s1",
-    "s1o": "s2o", "s2o": "s3o", "s3o": "s1o",
-    "s12": "s23", "s23": "s13", "s13": "s12",
-    "s123": "s123", "so": "so", "delta": "delta",
-}
+# kappa turns the legs 1 -> 2 -> 3 -> 1
+KAPPA = {x: _name((d[2], d[0], d[1], d[3])) for x, d in DIMS.items()}
 
-SERRE = {
-    "delta": "so", "so": "s123", "s123": "delta",
-    "s1": "s23", "s23": "s1o", "s1o": "s1",
-    "s2": "s13", "s13": "s2o", "s2o": "s2",
-    "s3": "s12", "s12": "s3o", "s3o": "s3",
-}
+SERRE = serre_permutation(EULER, LABELS)
 
 _GROUPS = {"id": (), "kappa": (KAPPA,), "serre": (SERRE,), "full": (KAPPA, SERRE)}
-
-
-class D4Object(NamedTuple):
-    label: str
-    dim: tuple
 
 
 class PairClass(Enum):
@@ -69,15 +55,10 @@ class PairClass(Enum):
     HOM_ONE = "hom-one"
 
 
-def d4_objects() -> list:
-    return [D4Object(lbl, DIMS[lbl]) for lbl in LABELS]
-
-
 def _as_label(x) -> str:
-    lbl = x.label if isinstance(x, D4Object) else x
-    if lbl not in DIMS:
+    if x not in DIMS:
         raise ValueError(f"unknown object {x!r}")
-    return lbl
+    return x
 
 
 def d4_pair_class(a, b) -> PairClass:
@@ -102,25 +83,7 @@ def total_hom(a, b) -> int:
     return abs(EULER[la, lb])
 
 
-def d4_act(g: str, x):
-    """Apply kappa (diagram rotation) or serre to an object label."""
-    lbl = _as_label(x)
-    if g == "kappa":
-        out = KAPPA[lbl]
-    elif g == "serre":
-        out = SERRE[lbl]
-    else:
-        raise ValueError(f"unknown action {g!r}")
-    return D4Object(out, DIMS[out]) if isinstance(x, D4Object) else out
-
-
 # --- curves and triples ----------------------------------------------------
-
-
-def third_point(a: str, b: str) -> str:
-    """Third derived point of the genus-0 curve spanned by the hom-one pair
-    {a, b}."""
-    return quiver.third_point(DIMS, a, b)
 
 
 def genus0_curves() -> list:
@@ -128,7 +91,7 @@ def genus0_curves() -> list:
     curves = set()
     for a, b in permutations(LABELS, 2):
         if d4_pair_class(a, b) is PairClass.HOM_ONE:
-            curves.add(frozenset((a, b, third_point(a, b))))
+            curves.add(frozenset((a, b, quiver.third_point(DIMS, a, b))))
     assert len(curves) == 15
     return sorted(curves, key=sorted)
 
@@ -242,7 +205,7 @@ def normalize_genus0_pair(a, b) -> GenSet:
     la, lb = _as_label(a), _as_label(b)
     if d4_pair_class(la, lb) is not PairClass.HOM_ONE:
         raise ValueError(f"({a}, {b}) does not span a genus-0 curve")
-    curve = frozenset((la, lb, third_point(la, lb)))
+    curve = frozenset((la, lb, quiver.third_point(DIMS, la, lb)))
     return GenSet(curve_presentations(curve)[0])
 
 

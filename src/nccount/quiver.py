@@ -3,12 +3,14 @@
 For Dynkin quivers the Euler form of two exceptional dimension vectors
 determines the full hom data: hom = max(<a,b>, 0) and hom^1 = max(-<a,b>, 0),
 with all higher homs zero.  That dichotomy is the basis of the pair
-classifiers used by the A_n and D_4 modules; it fails for affine quivers,
-which is why such requests are rejected here.
+classifiers used by the A_n and D_4 modules, and the Euler form also gives
+the exceptional objects themselves (positive_roots) and the Serre functor
+on them (serre_permutation).  It fails for affine quivers, which is why
+positive_roots refuses them.
 """
 
 from collections.abc import Mapping, Sequence
-from typing import NamedTuple
+from operator import add
 
 
 class Quiver:
@@ -137,22 +139,43 @@ def euler_form(q: Quiver, a, b) -> int:
     return total
 
 
-class HomProfile(NamedTuple):
-    hom0: int
-    hom1: int
+def positive_roots(q: Quiver) -> list:
+    """Sorted dimension vectors of the indecomposables of a Dynkin quiver:
+    by Gabriel's theorem its positive roots, the x >= 0 with <x, x> = 1.
 
-
-def dynkin_hom_profile(q: Quiver, a, b) -> HomProfile:
-    """(hom, hom^1) between exceptional representations of a Dynkin quiver.
-
-    Only one of the two entries can be nonzero; both are read off the Euler
-    form.  Non-Dynkin quivers are rejected, since there the Euler form does
-    not determine the hom spaces.
+    A non-simple positive root minus some simple root is again one, so the
+    roots grow from the simple ones, one simple root at a time, while the
+    form stays 1.  On an affine quiver that growth stops at the imaginary
+    root (form 0) and misses the real roots above it, hence the refusal.
     """
     if not q.is_dynkin:
-        raise ValueError("hom profile from the Euler form needs a Dynkin quiver")
-    e = euler_form(q, a, b)
-    return HomProfile(max(e, 0), max(-e, 0))
+        raise ValueError("positive roots from the Tits form need a Dynkin quiver")
+    n = len(q.vertices)
+    simple = [tuple(int(v == w) for w in range(n)) for v in range(n)]
+    roots, frontier = set(simple), simple
+    while frontier:
+        grown = {tuple(map(add, x, e)) for x in frontier for e in simple}
+        frontier = [y for y in grown - roots if euler_form(q, y, y) == 1]
+        roots.update(frontier)
+    return sorted(roots)
+
+
+def serre_permutation(euler: Mapping, labels) -> dict:
+    """The Serre functor on the exceptional objects of a Dynkin quiver,
+    label to label, from the Euler form tabled as euler[x, z] over labels
+    that name each positive root once.  By Serre duality <x, z> = <z, Sx>,
+    and Sx is an exceptional object up to shift, so x goes to the label y
+    with <z, y> = <x, z> for every z, or = -<x, z> for every z."""
+    labels = tuple(labels)
+    columns = {tuple(euler[z, y] for z in labels): y for y in labels}
+    perm = {}
+    for x in labels:
+        row = tuple(euler[x, z] for z in labels)
+        y = columns.get(row, columns.get(tuple(-e for e in row)))
+        if y is None:
+            raise ValueError(f"no Serre image of {x!r} among the labels")
+        perm[x] = y
+    return perm
 
 
 def third_point(dims: Mapping, a, b):
@@ -168,11 +191,3 @@ def third_point(dims: Mapping, a, b):
     if len(hits) != 1:
         raise ValueError(f"({a}, {b}) does not span a genus-0 curve")
     return hits[0]
-
-
-def is_exceptional_pair(q: Quiver, a, b) -> bool:
-    """True iff (A, B) with dim A = a, dim B = b is an exceptional pair,
-    i.e. all homs from B to A vanish: <b, a> = 0."""
-    if not q.is_dynkin:
-        raise ValueError("exceptional-pair test needs a Dynkin quiver")
-    return euler_form(q, b, a) == 0

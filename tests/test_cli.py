@@ -485,6 +485,18 @@ GOLDEN_STDOUT = [
      "09697954e094a16accc744cdca2819cf02302f0f613a147cf91d691631932d28"),
     ("sc --category q2 --window 3 --max-dim 3",
      "c0eb13ad3ba52f2113049cf6204ca09b8e62c105ae5c72cb7bb0602d01074252"),
+    ("d4 enum --kind points",
+     "c6225814d4b0c6abcc03fb63f4ed66785b699cf31938b9cf2700f03ca761e438"),
+    ("d4 enum --kind genus0",
+     "3ff0938efab87a83278b1f135473a88fb6ac8342ad8fe7e8b7676d8567a59ea8"),
+    ("d4 enum --kind genus-1",
+     "c9e0db3d658ce1191f396378a9bc73d4a6523edc09c4f454bf846d3c8c318dd6"),
+    ("d4 enum --kind triples-a3",
+     "af4b090acdc0d03989b8086622e581efc78e37d7efc3ee3932d381e48cd0744e"),
+    ("d4 enum --kind triples-a1cubed",
+     "c86e84559497dd98386cfe941c42a9a662f1a6ef35fc52a8c930c1c95674d7ad"),
+    ("d4 graph --format dot",
+     "b4b6ea36fc019a56ddd60290bb00eeda794a62324bf5f04abeafe43772693e5f"),
 ]
 
 

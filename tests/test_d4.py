@@ -10,26 +10,56 @@ from nccount.d4 import (
     SERRE,
     GenSet,
     PairClass,
-    d4_act,
     d4_count,
     d4_enum,
-    d4_objects,
     d4_pair_class,
     d4_tables,
     genus0_curves,
     genus_minus1_curves,
     normalize_genus0_pair,
     right_orthogonal_points,
-    third_point,
     total_hom,
     triple_generators,
     triple_kind,
 )
-from nccount.quiver import d4_quiver, euler_form
+from nccount.quiver import d4_quiver, euler_form, third_point
 
 
 def _unordered(pairs):
     return {frozenset(p) for p in pairs}
+
+
+# the objects and actions typed by hand, which the derivation from the
+# quiver must reproduce ---------------------------------------------------
+
+TYPED_DIMS = {
+    "s1": (1, 0, 0, 0),
+    "s2": (0, 1, 0, 0),
+    "s3": (0, 0, 1, 0),
+    "s1o": (1, 0, 0, 1),
+    "s2o": (0, 1, 0, 1),
+    "s3o": (0, 0, 1, 1),
+    "s12": (1, 1, 0, 1),
+    "s13": (1, 0, 1, 1),
+    "s23": (0, 1, 1, 1),
+    "s123": (1, 1, 1, 1),
+    "so": (0, 0, 0, 1),
+    "delta": (1, 1, 1, 2),
+}
+
+TYPED_KAPPA = {
+    "s1": "s2", "s2": "s3", "s3": "s1",
+    "s1o": "s2o", "s2o": "s3o", "s3o": "s1o",
+    "s12": "s23", "s23": "s13", "s13": "s12",
+    "s123": "s123", "so": "so", "delta": "delta",
+}
+
+TYPED_SERRE = {
+    "delta": "so", "so": "s123", "s123": "delta",
+    "s1": "s23", "s23": "s1o", "s1o": "s1",
+    "s2": "s13", "s13": "s2o", "s2o": "s2",
+    "s3": "s12", "s12": "s3o", "s3o": "s3",
+}
 
 
 # the reference pair classification, transcribed as data -------------------
@@ -70,12 +100,9 @@ for i, j in permutations("123", 2):
 
 
 def test_twelve_objects():
-    objs = d4_objects()
-    assert len(objs) == 12
-    dims = {o.label: o.dim for o in objs}
-    assert dims["delta"] == (1, 1, 1, 2)
-    assert dims["so"] == (0, 0, 0, 1)
-    assert dims["s123"] == (1, 1, 1, 1)
+    # a consistent swap of two legs would pass the pair transcription below
+    assert DIMS == TYPED_DIMS
+    assert LABELS == tuple(sorted(TYPED_DIMS))
 
 
 def test_euler_table_is_the_quiver_euler_form():
@@ -121,11 +148,11 @@ def test_pair_class_rejects_equal():
 
 
 def test_actions():
-    assert d4_act("serre", "delta") == "so"
-    assert d4_act("kappa", "delta") == "delta"
-    assert d4_act("kappa", "s1") == "s2"
-    with pytest.raises(ValueError):
-        d4_act("theta", "s1")
+    assert SERRE == TYPED_SERRE
+    assert KAPPA == TYPED_KAPPA
+    assert SERRE["delta"] == "so"
+    assert KAPPA["delta"] == "delta"
+    assert KAPPA["s1"] == "s2"
 
 
 def test_action_orders_and_commutation():
@@ -154,10 +181,10 @@ def test_genus0_curve_set():
 
 
 def test_third_point_examples():
-    assert third_point("s3o", "delta") == "s12"
-    assert third_point("s1", "so") == "s1o"
+    assert third_point(DIMS, "s3o", "delta") == "s12"
+    assert third_point(DIMS, "s1", "so") == "s1o"
     with pytest.raises(ValueError):
-        third_point("s1", "s2")  # orthogonal, no third point
+        third_point(DIMS, "s1", "s2")  # orthogonal, no third point
 
 
 def test_normalization_identifies_presentations():

@@ -6,12 +6,19 @@ import pytest
 from nccount.quiver import (
     Quiver,
     d4_quiver,
-    dynkin_hom_profile,
     euler_form,
-    is_exceptional_pair,
     line_quiver,
+    positive_roots,
+    serre_permutation,
 )
-from nccount.typea import Interval, enum_points, interval_dim
+from nccount.typea import Interval, enum_points, interval_dim, serre_on_point
+
+
+def _homs(q, a, b):
+    """(hom, hom^1) from a to b for exceptional representations of a Dynkin
+    quiver: the positive and negative parts of the Euler form."""
+    e = euler_form(q, a, b)
+    return max(e, 0), max(-e, 0)
 
 
 def test_euler_form_a2_simples():
@@ -34,7 +41,7 @@ def test_euler_form_d4_delta_vs_simple():
     s1 = {1: 1, 2: 0, 3: 0, "o": 0}
     delta = {1: 1, 2: 1, 3: 1, "o": 2}
     assert euler_form(q, s1, delta) == -1
-    assert not is_exceptional_pair(q, delta, s1)
+    assert _homs(q, s1, delta) != (0, 0)  # (delta, s_1) is not exceptional
 
 
 def test_euler_form_bilinear():
@@ -78,16 +85,65 @@ def test_dynkin_detection():
     assert not bad.is_dynkin
 
 
-def test_hom_profile_rejects_affine():
+def test_positive_roots_rejects_affine():
+    # on the triangle the growth would stop at (1, 1, 1), where <x, x> = 0,
+    # and miss the real root (2, 1, 1)
     tri = Quiver([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
-    with pytest.raises(ValueError):
-        dynkin_hom_profile(tri, (1, 0, 0), (0, 1, 0))
+    square = Quiver([1, 2, 3, 4], [(1, 2), (2, 3), (1, 4), (4, 3)])
+    for q in (tri, square):
+        with pytest.raises(ValueError):
+            positive_roots(q)
+
+
+def _dynkin(kind, n):
+    """A quiver of type A_n, D_n or E_n: for D and E the path
+    0 -> 1 -> ... -> n - 2 with vertex n - 1 joined to vertex n - 3 (D) or
+    2 (E)."""
+    if kind == "A":
+        return line_quiver(n - 1)
+    branch = n - 3 if kind == "D" else 2
+    return Quiver(range(n), [(i, i + 1) for i in range(n - 2)] + [(branch, n - 1)])
+
+
+_COXETER = (
+    [("A", n, n + 1) for n in range(1, 13)]
+    + [("D", n, 2 * n - 2) for n in (4, 5, 6)]
+    + [("E", 6, 12), ("E", 7, 18), ("E", 8, 30)]
+)
+
+
+@pytest.mark.parametrize("kind, n, h", _COXETER)
+def test_positive_roots_count(kind, n, h):
+    # a Dynkin root system of rank n and Coxeter number h has n h / 2
+    # positive roots
+    q = _dynkin(kind, n)
+    assert q.is_dynkin
+    roots = positive_roots(q)
+    assert len(roots) == n * h // 2
+    assert all(euler_form(q, x, x) == 1 and min(x) >= 0 for x in roots)
+
+
+def test_positive_roots_a_are_intervals():
+    for n in range(12):
+        assert positive_roots(line_quiver(n)) == sorted(
+            interval_dim(p, n) for p in enum_points(n)
+        )
+
+
+def test_serre_permutation_matches_intervals():
+    for n in range(10):
+        q, points = line_quiver(n), enum_points(n)
+        dims = {p: interval_dim(p, n) for p in points}
+        euler = {
+            (x, z): euler_form(q, dims[x], dims[z]) for x in points for z in points
+        }
+        serre = serre_permutation(euler, points)
+        assert serre == {p: serre_on_point(p.i, p.j, n)[0] for p in points}, n
 
 
 def test_hom_profile_a3_simples():
     q = line_quiver(2)
-    prof = dynkin_hom_profile(q, (1, 0, 0), (0, 1, 0))
-    assert (prof.hom0, prof.hom1) == (0, 1)
+    assert _homs(q, (1, 0, 0), (0, 1, 0)) == (0, 1)
 
 
 def test_hom_profile_self():
@@ -95,7 +151,7 @@ def test_hom_profile_self():
         (line_quiver(3), (1, 1, 0, 0)),
         (d4_quiver(), {1: 1, 2: 0, 3: 0, "o": 1}),
     ]:
-        assert dynkin_hom_profile(q, vec, vec) == (1, 0)
+        assert _homs(q, vec, vec) == (1, 0)
 
 
 def test_hom_dichotomy_exhaustive_a():
@@ -103,8 +159,8 @@ def test_hom_dichotomy_exhaustive_a():
         q = line_quiver(n)
         pts = enum_points(n)
         for x, y in itertools.product(pts, repeat=2):
-            prof = dynkin_hom_profile(q, interval_dim(x, n), interval_dim(y, n))
-            assert prof.hom0 == 0 or prof.hom1 == 0
+            hom0, hom1 = _homs(q, interval_dim(x, n), interval_dim(y, n))
+            assert hom0 == 0 or hom1 == 0
 
 
 def _a_pair_class_oracle(x, y):
@@ -140,9 +196,9 @@ def test_interval_pair_classification_matches_case_analysis():
                 assert x == y
                 continue
             is_exc, kind = expected
-            assert is_exceptional_pair(q, dx, dy) == is_exc, (n, x, y)
+            assert (_homs(q, dy, dx) == (0, 0)) == is_exc, (n, x, y)
             if is_exc:
-                prof = dynkin_hom_profile(q, dx, dy)
+                prof = _homs(q, dx, dy)
                 if kind == "orthogonal":
                     assert prof == (0, 0)
                 elif kind == "hom":
@@ -171,9 +227,9 @@ def test_hom_profile_matches_representation_theory():
         q = line_quiver(n)
         pts = enum_points(n)
         for x, y in itertools.product(pts, repeat=2):
-            prof = dynkin_hom_profile(q, interval_dim(x, n), interval_dim(y, n))
-            assert prof.hom0 == _interval_hom0(x.i, x.j, y.i, y.j), (n, x, y)
-            assert prof.hom1 == _interval_hom1(x.i, x.j, y.i, y.j, n), (n, x, y)
+            hom0, hom1 = _homs(q, interval_dim(x, n), interval_dim(y, n))
+            assert hom0 == _interval_hom0(x.i, x.j, y.i, y.j), (n, x, y)
+            assert hom1 == _interval_hom1(x.i, x.j, y.i, y.j, n), (n, x, y)
 
 
 def test_no_exceptional_pair_for_crossing_intervals():
@@ -184,8 +240,8 @@ def test_no_exceptional_pair_for_crossing_intervals():
     for x, y in crossing:
         dx = interval_dim(Interval(*x), n)
         dy = interval_dim(Interval(*y), n)
-        assert not is_exceptional_pair(q, dx, dy)
-        assert not is_exceptional_pair(q, dy, dx)
+        assert _homs(q, dy, dx) != (0, 0)
+        assert _homs(q, dx, dy) != (0, 0)
 
 
 def test_d4_examples():
@@ -196,7 +252,6 @@ def test_d4_examples():
         "s1o": {1: 1, 2: 0, 3: 0, "o": 1},
         "delta": {1: 1, 2: 1, 3: 1, "o": 2},
     }
-    assert is_exceptional_pair(q, dims["s1"], dims["s2"])
-    assert not is_exceptional_pair(q, dims["delta"], dims["s1"])
-    prof = dynkin_hom_profile(q, dims["s1o"], dims["delta"])
-    assert sorted(prof) == [0, 1]
+    assert _homs(q, dims["s2"], dims["s1"]) == (0, 0)
+    assert _homs(q, dims["s1"], dims["delta"]) != (0, 0)
+    assert sorted(_homs(q, dims["s1o"], dims["delta"])) == [0, 1]
