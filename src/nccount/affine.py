@@ -138,14 +138,6 @@ def aff_pair_class(x: AffObject, y: AffObject) -> AffPairClass:
     )
 
 
-def hom_vanishes(x: AffObject, y: AffObject) -> bool:
-    """True iff all homs from x to y vanish, i.e. (y, x) is an exceptional
-    pair."""
-    if x == y:
-        return False
-    return aff_pair_class(y, x) is not AffPairClass.NOT_EXCEPTIONAL
-
-
 def pair_total_hom(x: AffObject, y: AffObject) -> int:
     """Total hom dimension from x to y for an exceptional pair (x, y):
     2, 1 or 0 straight from the classification."""

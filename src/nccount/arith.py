@@ -1,7 +1,22 @@
-"""Small exact number-theory helpers and the orbit partition shared by the
-counting modules."""
+"""Small exact number-theory helpers, the orbit partition and the
+brute-force cap shared by the counting modules."""
 
 from functools import lru_cache
+
+# The largest set a brute-force oracle may enumerate: sequences for the
+# subcategory counts, ordered point pairs for the curve scan, necklace
+# classes, and the ordered vertex pairs of a graph.  Beyond it an oracle
+# refuses up front instead of exhausting time and memory.
+MAX_ENUMERATION = 1_000_000
+
+
+def check_enumeration(size: int, what: str) -> None:
+    """Refuse a brute-force enumeration of more than MAX_ENUMERATION items."""
+    if size > MAX_ENUMERATION:
+        raise ValueError(
+            f"refusing to enumerate {what} = {size}; "
+            f"the brute-force cap is {MAX_ENUMERATION}"
+        )
 
 
 def divisors(x: int) -> list[int]:

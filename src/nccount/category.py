@@ -9,7 +9,7 @@ strong pair with L + 1 homs (L >= -1).  q1, q2 and npL with L >= 1 take a
 window (lo, hi) of series indices, inclusive, and no other category does.
 Every record whose size depends on its name or window is refused up front,
 before its objects are built, when its graph would classify more than
-typea.MAX_ENUMERATION ordered pairs of objects.  Records are built per
+arith.MAX_ENUMERATION ordered pairs of objects.  Records are built per
 call, so they use the backend functions as their modules bind them at that
 moment; each builder imports its own backend, so a record loads only the
 modules its category needs.
@@ -17,6 +17,8 @@ modules its category needs.
 
 import re
 from typing import Callable, NamedTuple
+
+from .arith import check_enumeration
 
 
 class Category(NamedTuple):
@@ -67,8 +69,7 @@ def category(name: str, window=None) -> Category:
 
 def _check_size(objects: int) -> None:
     """Refuse, before it is built, a category whose graph would classify
-    more than typea.MAX_ENUMERATION ordered pairs of its objects."""
-    from .typea import check_enumeration
+    more than arith.MAX_ENUMERATION ordered pairs of its objects."""
     check_enumeration(objects * objects, f"{objects}^2 vertex pairs")
 
 

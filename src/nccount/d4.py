@@ -86,14 +86,22 @@ def total_hom(a, b) -> int:
 # --- curves and triples ----------------------------------------------------
 
 
-def genus0_curves() -> list:
-    """The 15 genus-0 curves, each as the frozenset of its 3 derived points."""
-    curves = set()
+def _genus0() -> dict:
+    """The 15 genus-0 curves, each as the frozenset of its 3 derived points
+    and in the order of their sorted points, mapped to the least hom-one
+    pair that spans it: permutations lists the pairs in lexicographic
+    order, and setdefault keeps the first."""
+    curves = {}
     for a, b in permutations(LABELS, 2):
         if d4_pair_class(a, b) is PairClass.HOM_ONE:
-            curves.add(frozenset((a, b, quiver.third_point(DIMS, a, b))))
+            curves.setdefault(frozenset((a, b, quiver.third_point(DIMS, a, b))), (a, b))
     assert len(curves) == 15
-    return sorted(curves, key=sorted)
+    return {c: curves[c] for c in sorted(curves, key=sorted)}
+
+
+def genus0_curves() -> list:
+    """The 15 genus-0 curves, each as the frozenset of its 3 derived points."""
+    return list(_genus0())
 
 
 def genus_minus1_curves() -> list:
@@ -189,32 +197,12 @@ class GenSet(NamedTuple):
         return "<" + ",".join(self.generators) + ">"
 
 
-def curve_presentations(curve: frozenset) -> list:
-    """The ordered hom-one pairs among the derived points of a genus-0
-    curve; each spans the curve."""
-    return sorted(
-        (a, b)
-        for a, b in permutations(sorted(curve), 2)
-        if d4_pair_class(a, b) is PairClass.HOM_ONE
-    )
-
-
-def normalize_genus0_pair(a, b) -> GenSet:
-    """Canonical GenSet of the genus-0 curve spanned by the pair (a, b):
-    the lexicographically least of its two-generator presentations."""
-    la, lb = _as_label(a), _as_label(b)
-    if d4_pair_class(la, lb) is not PairClass.HOM_ONE:
-        raise ValueError(f"({a}, {b}) does not span a genus-0 curve")
-    curve = frozenset((la, lb, quiver.third_point(DIMS, la, lb)))
-    return GenSet(curve_presentations(curve)[0])
-
-
 def d4_enum(kind: str) -> list:
     """Canonical generator lists for each enumerated kind."""
     if kind == "points":
         return [GenSet((lbl,)) for lbl in LABELS]
     if kind == "genus0":
-        return [GenSet(curve_presentations(c)[0]) for c in genus0_curves()]
+        return [GenSet(pair) for pair in _genus0().values()]
     if kind == "genusMinus1":
         return [GenSet(tuple(sorted(c))) for c in genus_minus1_curves()]
     if kind in ("triples-A3", "triples-A1cubed"):

@@ -91,11 +91,6 @@ class ValuedDigraph:
     def successors(self, v):
         return [self.vertices[j] for j in _bits(self.out[self.index[v]])]
 
-    def neighbours(self, v):
-        """The vertices joined to v by an edge in either direction."""
-        i = self.index[v]
-        return {self.vertices[j] for j in _bits(self.out[i] | self.into[i])}
-
     def undirected_components(self):
         rest, comps = (1 << len(self.vertices)) - 1, []
         while rest:
@@ -165,27 +160,6 @@ def build_curve_graph(category: str, window=None) -> ValuedDigraph:
 
 
 # --- simplicial complex -------------------------------------------------------
-
-
-def is_simplex(g: ValuedDigraph, subset) -> bool:
-    """True iff some ordering of the subset is a semi-orthogonal chain.
-
-    Such an ordering exists iff every pair is joined and the one-sided
-    edges among the subset are acyclic (a topological order of them is the
-    chain).  The subset is grown one vertex at a time, as in sc_simplices.
-    """
-    members = [g.index[v] for v in subset]
-    if len(set(members)) != len(members):
-        raise ValueError("repeated vertices")
-    one = {x: g._one_sided(x) for x in members}
-    held = 0
-    for w in members:
-        if held & ~(g.out[w] | g.into[w]) or _closes_cycle(
-            one, held, one[w], g.into[w] & ~g.out[w]
-        ):
-            return False
-        held |= 1 << w
-    return True
 
 
 def _closes_cycle(one, members: int, succ: int, pred: int) -> bool:
@@ -344,30 +318,6 @@ def _complex_plain(category, counts, simplices):
         yield f"counts_by_dim.{d}\t{counts[d]}\n"
     for i, s in enumerate(simplices):
         yield "".join(f"simplices.{i}.{j}\t{v}\n" for j, v in enumerate(s))
-
-
-def from_json(text: str) -> ValuedDigraph:
-    """Rebuild a graph from its JSON export, whose double-sided edges
-    already carry no weight."""
-    doc = json.loads(text)
-    g = ValuedDigraph(
-        doc["category"],
-        [v["id"] for v in doc["vertices"]],
-        {v["id"]: v["genus"] for v in doc["vertices"]},
-    )
-    for e in doc["edges"]:
-        g.add_edge(e["src"], e["dst"], e["weight"])
-        if e["both"]:
-            g.add_edge(e["dst"], e["src"], e["weight"])
-    return g
-
-
-def isomorphic_as_labeled(g1: ValuedDigraph, g2: ValuedDigraph) -> bool:
-    """Equality of vertex sets, edges and weights (identity relabeling)."""
-    return (
-        sorted(g1.vertices) == sorted(g2.vertices)
-        and g1.induced(g1.vertices) == g2.induced(g2.vertices)
-    )
 
 
 # --- pattern census on the square quiver ---------------------------------------

@@ -3,16 +3,15 @@
 This is the independent geometric oracle for the Serre-orbit counts: the
 s-subsets of Z/m up to rotation are counted both by a Burnside divisor sum
 and by a streaming enumeration that emits one necklace per class, and the
-two must agree.
-Reflections are never quotiented out.
+two must agree; the enumeration is refused up front past the brute-force
+cap, arith.MAX_ENUMERATION.  Reflections are never quotiented out.
 """
 
 import sys
 from math import comb, gcd, log
 from typing import NamedTuple
 
-from .arith import divisors, euler_phi
-from .typea import MonotoneSeq, check_enumeration
+from .arith import check_enumeration, divisors, euler_phi
 
 
 class Subgon(NamedTuple):
@@ -31,9 +30,11 @@ class Subgon(NamedTuple):
 
 
 def subgon(m: int, vertices) -> Subgon:
+    if m < 1:
+        raise ValueError(f"need m >= 1, got m={m}")
     verts = tuple(sorted(int(v) % m for v in vertices))
-    if m < 1 or not verts:
-        raise ValueError("need m >= 1 and a non-empty vertex set")
+    if not verts:
+        raise ValueError("need a non-empty vertex set")
     if len(set(verts)) != len(verts):
         raise ValueError(f"repeated residues in {vertices}")
     return Subgon(m, verts)
@@ -115,7 +116,7 @@ def count_subgon_classes_brute(m: int, s: int) -> int:
 
     A subset and its complement rotate together, so the k = min(s, m - s)
     subsets are enumerated: about C(m, k)/m classes of k gaps each.  More
-    classes than the cap of typea.check_enumeration are refused up front,
+    classes than the cap of arith.check_enumeration are refused up front,
     which keeps k <= 13 at the default cap.
     """
     if not 1 <= s <= m:
@@ -142,8 +143,9 @@ def count_subgon_classes(m: int, s: int) -> int:
     return burnside
 
 
-def seq_to_subgon(seq: MonotoneSeq) -> Subgon:
-    """Bijection X_n^k -> (k+1)-subgons of the (n+2)-gon: a_t -> a_t + t.
+def seq_to_subgon(seq) -> Subgon:
+    """Bijection X_n^k -> (k+1)-subgons of the (n+2)-gon: a_t -> a_t + t,
+    on a typea.MonotoneSeq.
 
     Conjugates the Serre step on sequences to rotation by one.
     """

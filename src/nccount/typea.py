@@ -15,21 +15,7 @@ from itertools import combinations_with_replacement, count
 from math import comb, gcd
 from typing import NamedTuple
 
-from .arith import divisors, mobius, orbits
-
-# The largest set a brute-force oracle may enumerate: sequences for the
-# subcategory counts, ordered point pairs for the curve scan.  Beyond it an
-# oracle refuses up front instead of exhausting time and memory.
-MAX_ENUMERATION = 1_000_000
-
-
-def check_enumeration(size: int, what: str) -> None:
-    """Refuse a brute-force enumeration of more than MAX_ENUMERATION items."""
-    if size > MAX_ENUMERATION:
-        raise ValueError(
-            f"refusing to enumerate {what} = {size}; "
-            f"the brute-force cap is {MAX_ENUMERATION}"
-        )
+from .arith import check_enumeration, divisors, mobius, orbits
 
 
 class Interval(NamedTuple):
@@ -110,7 +96,7 @@ def seq_values(n: int, k: int):
     """Stream the value tuples of X_n^k in lexicographic order.
 
     These are the weakly increasing (k+1)-tuples over 0..n+1-k, C(n+2, k+1)
-    of them; a larger set than MAX_ENUMERATION is refused up front.
+    of them; a larger set than arith.MAX_ENUMERATION is refused up front.
     """
     check_enumeration(comb(n + 2, k + 1), f"C({n + 2}, {k + 1}) sequences")
     return combinations_with_replacement(range(n + 2 - k), k + 1)

@@ -12,7 +12,6 @@ from nccount.affine import (
     aff_pair_class,
     aff_vanishing,
     classify_generator_pair,
-    hom_vanishes,
     obj,
     pair_total_hom,
     subcat,
@@ -378,9 +377,8 @@ def test_hom_values():
     with pytest.raises(ValueError):
         pair_total_hom(q1("a", 1), q1("a", 0))
     # backward homs of an exceptional pair vanish
-    assert hom_vanishes(q1("a", 1), q1("a", 0))
-    assert not hom_vanishes(q1("a", 0), q1("a", 1))
+    assert aff_pair_class(q1("a", 0), q1("a", 1)) is not AffPairClass.NOT_EXCEPTIONAL
+    assert aff_pair_class(q1("a", 1), q1("a", 0)) is AffPairClass.NOT_EXCEPTIONAL
     # both directions nonzero when neither order is exceptional
-    assert not hom_vanishes(q1("a", 0), q1("a", 2))
-    assert not hom_vanishes(q1("a", 2), q1("a", 0))
-    assert not hom_vanishes(q2("a", 0), q2("a", 0))
+    assert aff_pair_class(q1("a", 2), q1("a", 0)) is AffPairClass.NOT_EXCEPTIONAL
+    assert aff_pair_class(q1("a", 0), q1("a", 2)) is AffPairClass.NOT_EXCEPTIONAL

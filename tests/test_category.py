@@ -92,11 +92,11 @@ def test_curves_only_where_curve_graphs_exist():
 def test_size_cap_counts_pairs_before_building(monkeypatch, name, window, objects):
     # exactly at the cap a category is built; with one ordered pair less
     # it is refused with its size, before any of its objects is made
-    from nccount import affine, typea
+    from nccount import affine, arith, typea
 
-    monkeypatch.setattr(typea, "MAX_ENUMERATION", objects * objects)
+    monkeypatch.setattr(arith, "MAX_ENUMERATION", objects * objects)
     assert len(category(name, window).objects) == objects
-    monkeypatch.setattr(typea, "MAX_ENUMERATION", objects * objects - 1)
+    monkeypatch.setattr(arith, "MAX_ENUMERATION", objects * objects - 1)
     monkeypatch.setattr(typea, "enum_points", None)
     monkeypatch.setattr(affine, "obj", None)
     with pytest.raises(ValueError, match=f"{objects}\\^2 vertex pairs = {objects**2};"):
@@ -104,10 +104,10 @@ def test_size_cap_counts_pairs_before_building(monkeypatch, name, window, object
 
 
 def test_size_cap_on_curves(monkeypatch):
-    from nccount import typea
+    from nccount import arith
 
-    monkeypatch.setattr(typea, "MAX_ENUMERATION", 18 * 18)
+    monkeypatch.setattr(arith, "MAX_ENUMERATION", 18 * 18)
     assert len(category("q2", (0, 0)).curves().objects) == 18
-    monkeypatch.setattr(typea, "MAX_ENUMERATION", 18 * 18 - 1)
+    monkeypatch.setattr(arith, "MAX_ENUMERATION", 18 * 18 - 1)
     with pytest.raises(ValueError, match="18\\^2 vertex pairs = 324;"):
         category("q2", (0, 0)).curves()

@@ -442,6 +442,23 @@ def test_startup_imports(argv, loaded):
     assert out == f"{sorted(['nccount', 'nccount.cli', *loaded])}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["graph", "--category", "q2", "--window", "3"],
+     ["necklace", "count", "--m", "12", "--s", "4"]],
+    ids=["graph-q2", "necklace-count"],
+)
+def test_brute_force_cap_leaves_typea_out(argv):
+    # the cap lives in arith, so calls off the A_N backend never load typea
+    src = Path(cli.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert "nccount.arith" in out and "nccount.typea" not in out
+
+
 def test_deterministic_output(capsys):
     cli.run(["d4", "graph", "--format", "json"])
     first = capsys.readouterr().out

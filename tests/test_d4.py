@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -16,7 +16,6 @@ from nccount.d4 import (
     d4_tables,
     genus0_curves,
     genus_minus1_curves,
-    normalize_genus0_pair,
     right_orthogonal_points,
     total_hom,
     triple_generators,
@@ -187,38 +186,6 @@ def test_third_point_examples():
         third_point(DIMS, "s1", "s2")  # orthogonal, no third point
 
 
-def test_normalization_identifies_presentations():
-    # <delta,s_ij> = <s_ko,delta> = <s_ij,s_ko>, and the analogous rows
-    for k, i, j in [("1", "2", "3"), ("2", "1", "3"), ("3", "1", "2")]:
-        sij = f"s{i}{j}"
-        forms = [
-            normalize_genus0_pair("delta", sij),
-            normalize_genus0_pair(f"s{k}o", "delta"),
-            normalize_genus0_pair(sij, f"s{k}o"),
-        ]
-        assert len(set(forms)) == 1
-        forms = [
-            normalize_genus0_pair(f"s{k}", "so"),
-            normalize_genus0_pair(f"s{k}o", f"s{k}"),
-            normalize_genus0_pair("so", f"s{k}o"),
-        ]
-        assert len(set(forms)) == 1
-        forms = [
-            normalize_genus0_pair("s123", f"s{k}"),
-            normalize_genus0_pair(sij, "s123"),
-            normalize_genus0_pair(f"s{k}", sij),
-        ]
-        assert len(set(forms)) == 1
-    for i, j in permutations("123", 2):
-        sij = f"s{min(i, j)}{max(i, j)}"
-        forms = [
-            normalize_genus0_pair(f"s{i}", f"s{j}o"),
-            normalize_genus0_pair(sij, f"s{i}"),
-            normalize_genus0_pair(f"s{j}o", sij),
-        ]
-        assert len(set(forms)) == 1
-
-
 def test_genus_minus1_curve_set():
     curves = genus_minus1_curves()
     assert len(curves) == 9
@@ -341,8 +308,8 @@ def test_enum_shapes():
         frozenset(("s12", "s13", "s23")),
     }
     genus0 = set(d4_enum("genus0"))
-    for k in "123":
-        assert normalize_genus0_pair(f"s{k}o", "delta") in genus0
+    for i, j in combinations("123", 2):
+        assert GenSet(("delta", f"s{i}{j}")) in genus0
 
 
 def test_counts_invalid_args():

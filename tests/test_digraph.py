@@ -18,9 +18,6 @@ from nccount.digraph import (
     complex_lines,
     export,
     export_lines,
-    from_json,
-    is_simplex,
-    isomorphic_as_labeled,
     q1_pattern_subgraphs,
     sc_simplices,
 )
@@ -238,8 +235,7 @@ def test_simplices_d4_full_collections():
         if all(g.has_edge(p[i], p[j]) for i in range(4) for j in range(i + 1, 4)):
             by_set[tuple(sorted(p))] += 1
     assert set(three) == set(by_set)
-    for s in three:
-        assert is_simplex(g, s)
+    assert all(_is_simplex_by_orderings(g, s) for s in three)
 
 
 @pytest.mark.parametrize(
@@ -265,8 +261,6 @@ def test_complete_exceptional_sequences(name, rank, h, weyl):
 
 def test_simplex_validation():
     g = build_point_graph("a2")
-    with pytest.raises(ValueError):
-        is_simplex(g, ["s0,0", "s0,0"])
     with pytest.raises(ValueError):
         sc_simplices(g, -1)
 
@@ -344,16 +338,10 @@ def test_export_json_roundtrip():
         doc = export(g, "json")
         assert doc == _reference_json(g), name
         assert export(g, "dot") == _reference_dot(g), name
-        back = from_json(doc)
-        assert isomorphic_as_labeled(g, back)
-        assert back.category == g.category
-        # the export also carries the genus labels, which
-        # isomorphic_as_labeled does not compare
-        assert export(back, "json") == doc
 
 
 def test_export_edge_cases():
-    assert from_json(export(build_point_graph("a1"), "json")).census() == (1, 0, 0)
+    assert build_point_graph("a1").census() == (1, 0, 0)
     assert build_point_graph("np-1").census() == (2, 0, 1)
     np3 = build_point_graph("np3", (0, 3))
     assert {np3.weight(s, t) for s, t in np3.one_sided_edges()} == {4}
@@ -431,6 +419,12 @@ def _is_simplex_by_orderings(g, subset):
     )
 
 
+def _in_complex(g, subset):
+    """True iff sc_simplices lists the subset among its simplices."""
+    key = tuple(sorted(subset, key=g.index.get))
+    return key in set(sc_simplices(g, len(subset) - 1))
+
+
 @settings(deadline=None, max_examples=150)
 @given(st.sampled_from([("a5", None), ("d4", None), ("q1", (0, 3))]), st.data())
 def test_is_simplex_matches_ordering_search(graph, data):
@@ -438,7 +432,7 @@ def test_is_simplex_matches_ordering_search(graph, data):
     subset = data.draw(
         st.lists(st.sampled_from(g.vertices), min_size=1, max_size=6, unique=True)
     )
-    assert is_simplex(g, subset) == _is_simplex_by_orderings(g, subset)
+    assert _in_complex(g, subset) == _is_simplex_by_orderings(g, subset)
 
 
 def _simplices_from_cliques(g, max_dim):
@@ -484,7 +478,6 @@ def test_adjacency_accessors_match_edge_scan():
         _graph("q2", (0, 3)),
         build_curve_graph("d4"),
         build_curve_graph("q2", window=(-1, 1)),
-        from_json(export(_graph("a4"), "json")),
     ]
     for g in graphs:
         edges = g.induced(g.vertices)
@@ -492,9 +485,6 @@ def test_adjacency_accessors_match_edge_scan():
             assert g.out_degree(v) == sum(1 for s, _ in edges if s == v)
             assert g.in_degree(v) == sum(1 for _, t in edges if t == v)
             assert g.successors(v) == sorted(t for s, t in edges if s == v)
-            assert g.neighbours(v) == (
-                {t for s, t in edges if s == v} | {s for s, t in edges if t == v}
-            )
 
 
 @st.composite
@@ -516,7 +506,9 @@ def random_digraphs(draw):
 def test_simplices_of_random_digraphs(g, max_dim, data):
     simps = sc_simplices(g, max_dim)
     assert simps == _simplices_from_cliques(g, max_dim)
-    assert all(_is_simplex_by_orderings(g, s) and is_simplex(g, s) for s in simps)
-    subset = data.draw(st.lists(st.sampled_from(g.vertices), max_size=6, unique=True)
-                       if g.vertices else st.just([]))
-    assert is_simplex(g, subset) == _is_simplex_by_orderings(g, subset)
+    assert all(_is_simplex_by_orderings(g, s) for s in simps)
+    if g.vertices:  # sc_simplices lists no empty simplex
+        subset = data.draw(
+            st.lists(st.sampled_from(g.vertices), min_size=1, max_size=6, unique=True)
+        )
+        assert _in_complex(g, subset) == _is_simplex_by_orderings(g, subset)

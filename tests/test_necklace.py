@@ -16,7 +16,7 @@ from nccount.necklace import (
     seq_to_subgon,
     subgon,
 )
-from nccount import typea
+from nccount import arith
 from nccount.arith import divisors, euler_phi
 from nccount.typea import enum_seqs, monotone_seq, serre_step
 
@@ -36,6 +36,8 @@ def test_bad_arguments():
         count_subgon_classes(5, 6)
     with pytest.raises(ValueError):
         subgon(6, [1, 7])  # 7 == 1 mod 6
+    with pytest.raises(ValueError):
+        subgon(0, [1])
 
 
 def test_canonical_form():
@@ -80,7 +82,7 @@ def test_brute_cap(monkeypatch):
     assert count_subgon_classes(24, 12) == 112720
     assert count_subgon_classes(25, 3) == 92
     # the cap is read when the oracle runs
-    monkeypatch.setattr(typea, "MAX_ENUMERATION", 91)
+    monkeypatch.setattr(arith, "MAX_ENUMERATION", 91)
     with pytest.raises(ValueError, match=r"C\(25, 3\)/25 necklaces = 92;"):
         count_subgon_classes(25, 3)
     # s and m - s are the same oracle, so s = m - 3 is refused alike

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nccount import typea
+from nccount import arith, typea
 from nccount.category import category
 from nccount.quiver import euler_form, line_quiver
 from nccount.typea import (
@@ -364,9 +364,9 @@ def test_enumeration_cap(monkeypatch):
     with pytest.raises(ValueError, match="1830\\^2 point pairs = 3348900;"):
         exceptional_pairs(59, 2)
     # the largest sizes the tests and the benchmark ask for stay below it
-    assert max(comb(21, 6), comb(41, 3), (30 * 31 // 2) ** 2) <= typea.MAX_ENUMERATION
+    assert max(comb(21, 6), comb(41, 3), (30 * 31 // 2) ** 2) <= arith.MAX_ENUMERATION
     # the cap itself is allowed, one more is refused
-    monkeypatch.setattr(typea, "MAX_ENUMERATION", 15)
+    monkeypatch.setattr(arith, "MAX_ENUMERATION", 15)
     assert count_orbits_brute(1, 5) == 3  # C(6, 2) = 15 sequences
     with pytest.raises(ValueError, match="C\\(7, 2\\) sequences = 21;"):
         count_orbits_brute(1, 6)
