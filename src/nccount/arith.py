@@ -1,5 +1,5 @@
-"""Small exact number-theory helpers, the orbit partition and the
-brute-force cap shared by the counting modules."""
+"""Small exact number-theory helpers, the orbit partition, the streamed
+cycle walk and the brute-force cap shared by the counting modules."""
 
 from functools import lru_cache
 
@@ -95,3 +95,26 @@ def orbits(items, *steps) -> list:
                     orb.append(img)
         parts.append(orb)
     return parts
+
+
+def cycles(ranked, step, rank, size: int):
+    """Stream the cycles of the permutation step, one list at a time.
+
+    ranked yields (r, item) for every item of the permuted set, where
+    r = rank(item) is a dense rank in range(size); the enumeration is never
+    ranked, and each image of step is ranked at most once.  The cycles come
+    as orbits(items, step) lists them.  Visited items are marked in a
+    bytearray of size bytes, so besides the enumeration only the current
+    cycle is held.
+    """
+    seen = bytearray(size)
+    for r, item in ranked:
+        if seen[r]:
+            continue
+        cyc = [item]
+        img = step(item)
+        while img != item:
+            seen[rank(img)] = 1
+            cyc.append(img)
+            img = step(img)
+        yield cyc

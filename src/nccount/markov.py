@@ -14,9 +14,13 @@ the seed under these moves: the slope of an exceptional bundle determines it,
 so slopes normalized into [0, 1/2] are the canonical bundle names.
 """
 
-from fractions import Fraction
 from math import gcd, log
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+# Only the slope functions build a Fraction, and each imports the module
+# itself: fractions loads decimal, which the integer counts never need.
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Zagier, "On the number of Markoff numbers below a given bound" (Math.
 # Comp. 1982): the sorted Markov triples with largest entry <= x number
@@ -94,12 +98,14 @@ class ChernPair(NamedTuple):
     c: int
 
     @property
-    def ch2(self) -> Fraction:
+    def ch2(self) -> "Fraction":
         """Second Chern character, pinned by chi(E, E) = 1."""
+        from fractions import Fraction
         return Fraction(1 + self.c * self.c - self.r * self.r, 2 * self.r)
 
     @property
-    def slope(self) -> Fraction:
+    def slope(self) -> "Fraction":
+        from fractions import Fraction
         return Fraction(self.c, self.r)
 
     def twist(self, t: int) -> "ChernPair":
@@ -174,7 +180,7 @@ def mutate(t: ExcTriple, move: str) -> ExcTriple:
     raise ValueError(f"unknown move {move!r}")
 
 
-def normalized_slope(e: ChernPair) -> Fraction:
+def normalized_slope(e: ChernPair) -> "Fraction":
     """Representative slope in [0, 1/2], reached by twisting and dualizing."""
     mu = e.slope % 1
     return min(mu, 1 - mu)
@@ -222,6 +228,7 @@ def exceptional_slopes(max_rank: int) -> set:
     normalized_slope computes it on Fractions; the residues are taken on
     ints and one Fraction is built per distinct slope.
     """
+    from fractions import Fraction
     residues = {(r, min(c % r, r - c % r)) for r, c in _bundles(max_rank)}
     return {Fraction(c, r) for r, c in residues}
 

@@ -11,11 +11,12 @@ The generator of all group actions here is the Serre functor; its orbit
 counts coincide with counts modulo the entire autoequivalence group.
 """
 
-from itertools import combinations_with_replacement, count
+from itertools import chain, combinations_with_replacement, count
 from math import comb, gcd
+from operator import getitem
 from typing import NamedTuple
 
-from .arith import check_enumeration, divisors, mobius, orbits
+from .arith import check_enumeration, cycles, divisors, mobius, orbits
 
 
 class Interval(NamedTuple):
@@ -145,16 +146,42 @@ def serre_step(seq: MonotoneSeq) -> MonotoneSeq:
     return MonotoneSeq(seq.n, seq.k, _serre_values(seq.values, seq.bound))
 
 
-def _seq_orbits(n: int, k: int) -> list:
-    """Serre orbits on the value tuples of X_n^k."""
+def _seq_rank(k: int, bound: int):
+    """The lexicographic rank of a value tuple of X_n^k, bound = n+1-k: its
+    index in seq_values(n, k).
+
+    A sequence b after a first exceeds it at some position t.  For each t,
+    those b share a_0..a_{t-1} and have a_t < b_t <= bound, and they number
+    C(bound - a_t + k - t, k + 1 - t).  The rank is the size
+    C(bound + k + 1, k + 1) less one and less the sum of these counts.
+    """
+    after = [
+        [comb(bound - v + k - t, k + 1 - t) for v in range(bound + 1)]
+        for t in range(k + 1)
+    ]
+    last = comb(bound + k + 1, k + 1) - 1
+    return lambda a: last - sum(map(getitem, after, a))
+
+
+def seq_orbits(n: int, k: int):
+    """Stream the Serre orbits on the value tuples of X_n^k, in the order of
+    their lexicographically least members, each a list starting there.
+
+    Visited sequences are marked by their rank in C(n+2, k+1) bytes.
+    """
     bound = n + 1 - k
-    return orbits(seq_values(n, k), lambda a: _serre_values(a, bound))
+    return cycles(
+        enumerate(seq_values(n, k)),
+        lambda a: _serre_values(a, bound),
+        _seq_rank(k, bound),
+        comb(n + 2, k + 1),
+    )
 
 
-def orbit_partition(n: int, k: int) -> list:
-    """All Serre orbits on X_n^k (each orbit a list of sequences, starting at
-    its lexicographically least member)."""
-    return [[MonotoneSeq(n, k, a) for a in orb] for orb in _seq_orbits(n, k)]
+def orbit_partition(n: int, k: int):
+    """Stream the Serre orbits on X_n^k, each a list of sequences starting at
+    its lexicographically least member."""
+    return ([MonotoneSeq(n, k, a) for a in orb] for orb in seq_orbits(n, k))
 
 
 def count_id_brute(k: int, vertices: int) -> int:
@@ -164,9 +191,10 @@ def count_id_brute(k: int, vertices: int) -> int:
 
 
 def count_orbits_brute(k: int, vertices: int) -> int:
-    """Serre-orbit count on X_{N-1}^k by explicit orbit partition."""
+    """Serre-orbit count on X_{N-1}^k, counted off the streamed orbits with
+    at most C(N+1, k+1) bytes of marks."""
     check_k_vertices(k, vertices)
-    return len(_seq_orbits(vertices - 1, k))
+    return sum(1 for _ in seq_orbits(vertices - 1, k))
 
 
 def divisors_of_kn(k: int, n: int) -> list:
@@ -321,9 +349,10 @@ def serre_on_point(i: int, j: int, n: int):
     return Interval(0, i), False
 
 
-def exceptional_pairs(n: int, hom: int) -> list:
-    """Codes x*P + y of the exceptional pairs (s_x, s_y) of interval objects
-    with total hom dimension hom from s_x to s_y, in increasing order.
+def exceptional_pairs(n: int, hom: int):
+    """Stream the codes x*P + y of the exceptional pairs (s_x, s_y) of
+    interval objects with total hom dimension hom from s_x to s_y, in
+    increasing order, one row x at a time.
 
     x and y index enum_points(n), P = len(enum_points(n)).  Each object is
     its interval_mask, and (s_x, s_y) is exceptional iff euler(y, x) = 0;
@@ -331,27 +360,32 @@ def exceptional_pairs(n: int, hom: int) -> list:
     over y.  An orthogonal pair (hom = 0) is unordered and listed once,
     with x < y.  A curve of genus g is generated by such a pair with
     hom = g + 1; between interval objects the total hom is at most 1, so
-    the list is empty for hom >= 2.
+    the stream is empty for hom >= 2.  The size check runs on the call, the
+    scan as the codes are read.
     """
     p = (n + 1) * (n + 2) // 2
     check_enumeration(p * p, f"{p}^2 point pairs")
     masks = [interval_mask(iv, n) for iv in enum_points(n)]
-    out = []
-    for x, mx in enumerate(masks):
+
+    def row(x, mx):
         # |y & (x >> 1)| and |x & (y >> 1)| = |(x << 1) & y|
         sx, lx = mx >> 1, mx << 1
         start = x + 1 if hom == 0 else 0
-        out += [
+        return [
             code
             for code, my in zip(count(x * p + start), masks[start:])
             if (c := (mx & my).bit_count()) == (sx & my).bit_count()
             and abs(c - (lx & my).bit_count()) == hom
         ]
-    return out
+
+    return chain.from_iterable(map(row, count(), masks))
 
 
-def pair_orbits(n: int, hom: int) -> list:
-    """Serre orbits on the codes of exceptional_pairs(n, hom)."""
+def pair_orbits(n: int, hom: int):
+    """Stream the Serre orbits on the codes of exceptional_pairs(n, hom).
+
+    A code is its own rank, so visited pairs are marked in P^2 bytes.
+    """
     codes = exceptional_pairs(n, hom)
     points = enum_points(n)
     p = len(points)
@@ -363,13 +397,13 @@ def pair_orbits(n: int, hom: int) -> list:
         x, y = perm[x], perm[y]
         return y * p + x if hom == 0 and y < x else x * p + y
 
-    return orbits(codes, step)
+    return cycles(((c, c) for c in codes), step, int, p * p)
 
 
 def genus_minus1_orbits(n: int) -> list:
     """Serre orbits on the genus -1 subcategories, as orbits of the codes of
     their orthogonal generator pairs."""
-    return pair_orbits(n, 0)
+    return list(pair_orbits(n, 0))
 
 
 def point_orbits(n: int) -> list:

@@ -60,6 +60,18 @@ def test_an_orbits(capsys):
     assert total == 20  # C(6,3)
 
 
+def test_an_oracles_on_an_empty_sequence_set(capsys):
+    # k > N: no sequence, so no orbit, and the oracle agrees with the formula
+    code, doc = run_json(capsys, ["an", "orbits", "--k", "5", "--vertices", "3"])
+    assert code == 0
+    assert doc == {"k": 5, "vertices": 3, "orbit_count": "0", "orbits_by_size": []}
+    code, doc = run_json(
+        capsys,
+        ["an", "count", "--k", "5", "--vertices", "3", "--group", "full", "--verify"],
+    )
+    assert code == 0 and doc == {"count": "0"}
+
+
 def test_an_genus(capsys):
     code, doc = run_json(
         capsys, ["an", "genus", "--genus", "-1", "--vertices", "3", "--verify"]
@@ -408,8 +420,9 @@ def test_cli_import_leaves_numpy_out():
     assert out == "False\n"
 
 
-# the nccount modules a call has loaded, and fractions: the A_N counts
-# need neither it nor the decimal module it imports
+# the nccount modules a call has loaded, with fractions (and the decimal
+# module it imports), which only the slopes need, and json, which only JSON
+# output needs
 STARTUP_PROBE = """
 import contextlib, io, sys
 import nccount.cli as cli
@@ -417,7 +430,8 @@ cli.build_parser()
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.run(sys.argv[1:]) == 0
-print(sorted(m for m in sys.modules if m.startswith("nccount") or m == "fractions"))
+print(sorted(m for m in sys.modules
+             if m.startswith("nccount") or m in ("fractions", "json")))
 """
 
 
@@ -425,11 +439,14 @@ print(sorted(m for m in sys.modules if m.startswith("nccount") or m == "fraction
     "argv, loaded",
     [
         ([], []),
-        (["markov", "table"], ["fractions", "nccount.markov"]),
+        (["markov", "table", "--format", "plain"], ["nccount.markov"]),
+        (["markov", "slopes", "--format", "plain"], ["fractions", "nccount.markov"]),
         (["an", "count", "--k", "2", "--vertices", "5"],
+         ["json", "nccount.arith", "nccount.typea"]),
+        (["an", "count", "--k", "2", "--vertices", "5", "--format", "plain"],
          ["nccount.arith", "nccount.typea"]),
     ],
-    ids=["parser", "markov-table", "an-count"],
+    ids=["parser", "markov-table", "markov-slopes", "an-count", "an-count-plain"],
 )
 def test_startup_imports(argv, loaded):
     # each call loads only the backend its subcommand needs, the parser none

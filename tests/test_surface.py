@@ -28,11 +28,14 @@ NAMED = {
     "typea.serre_step",
 }
 # results of the paper: the bijection to subgons, d-additive sequences and
-# their periods, the affine vanishing classes and the A_N point orbits
+# their periods, the affine vanishing classes, the A_N point orbits, and the
+# Serre orbits on X_n^k as sequences, whose sizes and periods the tests read
+# (the CLI counts the orbits of the value tuples, typea.seq_orbits)
 RESULTS = {
     "affine.aff_vanishing",
     "necklace.seq_to_subgon",
     "typea.count_d_additive",
+    "typea.orbit_partition",
     "typea.period",
     "typea.point_orbits",
 }

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from math import comb
 
 import pytest
@@ -32,7 +33,9 @@ from nccount.typea import (
     pair_orbits,
     period,
     point_orbits,
+    seq_orbits,
     seq_to_subcategory,
+    seq_values,
     serre_on_point,
     serre_step,
 )
@@ -206,7 +209,7 @@ def test_period_census_vs_orbit_census():
     # d * (number of orbits of size d(n+2)/(k+1)) sequences of period d
     for n in range(1, 11):
         for k in range(1, n + 1):
-            parts = orbit_partition(n, k)
+            parts = list(orbit_partition(n, k))
             for d in divisors_of_kn(k, n):
                 size = d * (n + 2) // (k + 1)
                 n_orbits = sum(1 for orb in parts if len(orb) == size)
@@ -223,6 +226,52 @@ def test_orbit_sum_is_total():
         for k in range(1, n + 1):
             parts = orbit_partition(n, k)
             assert sum(len(p) for p in parts) == comb(n + 2, k + 1)
+
+
+def test_seq_rank_is_the_enumeration_index():
+    for n in range(0, 11):
+        for k in range(1, n + 1):
+            bound = n + 1 - k
+            rank = typea._seq_rank(k, bound)
+            seqs = list(seq_values(n, k))
+            assert [rank(a) for a in seqs] == list(range(len(seqs))), (n, k)
+            # Serre permutes X_n^k, so the ranks of the images do too
+            images = sorted(rank(typea._serre_values(a, bound)) for a in seqs)
+            assert images == list(range(comb(n + 2, k + 1))), (n, k)
+
+
+def test_seq_orbits_match_the_orbit_helper():
+    # k > N, where X_n^k is empty, included
+    for n in range(0, 11):
+        for k in range(1, n + 4):
+            want = arith.orbits(enum_seqs(n, k), serre_step)
+            got = list(orbit_partition(n, k))
+            assert got == want, (n, k)
+            assert list(seq_orbits(n, k)) == [[s.values for s in o] for o in want]
+
+
+def test_empty_sequence_set_has_no_orbits():
+    # a negative bound builds an empty rank table, which is never read
+    for k in range(2, 8):
+        typea._seq_rank(k, 1 - k)
+        assert list(seq_orbits(0, k)) == []
+        assert count_orbits_brute(k, 1) == count_orbits_formula(k, 1) == 0
+
+
+def _traced_peak(f, *args):
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_orbit_oracles_hold_no_enumeration():
+    # marks, one orbit and one row of codes: C(19, 5) = 11,628 sequences and
+    # 231^2 point pairs stay far under 256 KB
+    assert _traced_peak(count_orbits_brute, 4, 18) < 256 * 1024
+    assert _traced_peak(lambda: sum(1 for _ in pair_orbits(20, 0))) < 256 * 1024
 
 
 def test_count_orbits_anchors():
@@ -255,7 +304,7 @@ def _k_vertices(draw, limit=20_000):
 def test_count_orbits_formula_vs_brute_random(kv):
     k, vertices = kv
     assert count_orbits_formula(k, vertices) == count_orbits_brute(k, vertices)
-    parts = orbit_partition(vertices - 1, k)
+    parts = list(orbit_partition(vertices - 1, k))
     assert len(parts) == count_orbits_brute(k, vertices)
     assert all((vertices + 1) % len(orb) == 0 for orb in parts)
 
@@ -325,9 +374,9 @@ def test_exceptional_pairs_hom_census():
     # each A_2-type subcategory has three exceptional pairs, all with total
     # hom 1, and no two interval objects have a larger total hom
     for n in range(0, 13):
-        assert len(exceptional_pairs(n, 1)) == 3 * comb(n + 2, 3), n
+        assert len(list(exceptional_pairs(n, 1))) == 3 * comb(n + 2, 3), n
         for hom in (2, 3):
-            assert exceptional_pairs(n, hom) == [], (n, hom)
+            assert list(exceptional_pairs(n, hom)) == [], (n, hom)
 
 
 def test_exceptional_pairs_match_quiver_euler_form():
@@ -344,7 +393,7 @@ def test_exceptional_pairs_match_quiver_euler_form():
                 and abs(euler_form(q, dims[x], dims[y])) == hom
                 and (hom > 0 or x < y)
             ]
-            codes = exceptional_pairs(n, hom)
+            codes = list(exceptional_pairs(n, hom))
             assert codes == sorted(codes)
             assert _decode(codes, n) == want, (n, hom)
 
@@ -352,10 +401,25 @@ def test_exceptional_pairs_match_quiver_euler_form():
 def test_pair_orbits_partition_the_scan():
     for n in range(0, 9):
         for hom in (0, 1):
-            parts = pair_orbits(n, hom)
+            parts = list(pair_orbits(n, hom))
             flat = sorted(c for orb in parts for c in orb)
-            assert flat == exceptional_pairs(n, hom)
+            assert flat == list(exceptional_pairs(n, hom))
             assert all((n + 2) % len(orb) == 0 for orb in parts)
+
+
+def test_pair_orbits_match_the_orbit_helper():
+    # the Serre step on decoded interval pairs, independent of the walk's
+    for n in range(0, 9):
+        points = enum_points(n)
+        code = {pair: t for t, pair in enumerate(itertools.product(points, repeat=2))}
+
+        def step(c, hom):
+            x, y = (serre_on_point(*iv, n)[0] for iv in _decode([c], n)[0])
+            return code[(y, x) if hom == 0 and y < x else (x, y)]
+
+        for hom in range(3):
+            want = arith.orbits(list(exceptional_pairs(n, hom)), lambda c: step(c, hom))
+            assert list(pair_orbits(n, hom)) == want, (n, hom)
 
 
 def test_enumeration_cap(monkeypatch):
@@ -370,7 +434,7 @@ def test_enumeration_cap(monkeypatch):
     assert count_orbits_brute(1, 5) == 3  # C(6, 2) = 15 sequences
     with pytest.raises(ValueError, match="C\\(7, 2\\) sequences = 21;"):
         count_orbits_brute(1, 6)
-    assert exceptional_pairs(1, 2) == []  # 3^2 pairs
+    assert list(exceptional_pairs(1, 2)) == []  # 3^2 pairs
     with pytest.raises(ValueError, match="6\\^2 point pairs = 36;"):
         exceptional_pairs(2, 2)
 
