@@ -74,24 +74,24 @@ def _check_size(objects: int) -> None:
 
 
 def _line(name, vertices):
-    from . import typea
+    from . import interval
     if vertices < 1:
         raise ValueError("need at least one vertex")
     _check_size(vertices * (vertices + 1) // 2)
     n = vertices - 1
-    points = typea.enum_points(n)
-    masks = {p: typea.interval_mask(p, n) for p in points}
+    points = interval.enum_points(n)
+    masks = {p: interval.interval_mask(p, n) for p in points}
 
     def mask(iv):
         # an interval outside 0..n is refused by interval_mask
-        return masks.get(iv) or typea.interval_mask(iv, n)
+        return masks.get(iv) or interval.interval_mask(iv, n)
 
     return Category(
         name,
         {str(p): p for p in points},
-        lambda x, y: typea.euler(mask(y), mask(x)) == 0,
-        lambda x, y: abs(typea.euler(mask(x), mask(y))),
-        dims={p: typea.interval_dim(p, n) for p in points},
+        lambda x, y: interval.euler(mask(y), mask(x)) == 0,
+        lambda x, y: abs(interval.euler(mask(x), mask(y))),
+        dims={p: interval.interval_dim(p, n) for p in points},
     )
 
 

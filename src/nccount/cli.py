@@ -11,6 +11,7 @@ closed-form count and its brute-force oracle, 2 on usage errors.
 """
 
 import argparse
+import os
 import sys
 
 # Each handler imports its own backend, so a call loads and compiles only
@@ -269,6 +270,9 @@ def _cmd_sc(args):
 
 
 # --- parser -------------------------------------------------------------------
+# Each leaf's arguments are added by one function, and _COMMANDS names the
+# tree: a group maps to its leaves, a leaf to its function.  A name without
+# help is listed only in its group's usage.
 
 
 def _a_category(vertices: str) -> str:
@@ -283,17 +287,7 @@ def _add_format(p, choices=("json", "plain")):
     p.add_argument("--format", choices=choices, default="json")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="nccount",
-        description="exact counting of exceptional-collection subcategories",
-    )
-    sub = top.add_subparsers(dest="command", required=True)
-
-    an = sub.add_parser("an", help="A-type categories").add_subparsers(
-        dest="sub", required=True
-    )
-    p = an.add_parser("count", help="subcategory counts")
+def _an_count(p):
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--vertices", type=int, required=True)
     p.add_argument("--group", choices=("id", "full"), default="id")
@@ -301,13 +295,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(func=_cmd_an_count)
 
-    p = an.add_parser("orbits", help="Serre orbit census")
+
+def _an_orbits(p):
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--vertices", type=int, required=True)
     _add_format(p)
     p.set_defaults(func=_cmd_an_orbits)
 
-    p = an.add_parser("genus", help="noncommutative curve counts")
+
+def _an_genus(p):
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--vertices", type=int, required=True)
     p.add_argument("--group", choices=("id", "full"), default="id")
@@ -315,98 +311,174 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(func=_cmd_an_genus)
 
-    p = an.add_parser("graph", help="derived-point graph")
+
+def _an_graph(p):
     p.add_argument("--vertices", dest="category", metavar="VERTICES",
                    type=_a_category, required=True)
     _add_format(p, ("json", "plain", "dot"))
     p.set_defaults(func=_cmd_graph, kind="points", window=None)
 
-    nk = sub.add_parser("necklace", help="polygon rotation classes").add_subparsers(
-        dest="sub", required=True
-    )
-    p = nk.add_parser("count")
+
+def _necklace_count(p):
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--verify", action="store_true")
     _add_format(p)
     p.set_defaults(func=_cmd_necklace_count)
 
-    d4p = sub.add_parser("d4", help="the D4 category").add_subparsers(
-        dest="sub", required=True
-    )
-    p = d4p.add_parser("table")
+
+def _d4_table(p):
     _add_format(p)
     p.set_defaults(func=_cmd_d4_table)
-    p = d4p.add_parser("graph")
+
+
+def _d4_graph(p):
     p.add_argument("--kind", choices=("points", "curves"), default="points")
     _add_format(p, ("json", "plain", "dot"))
     p.set_defaults(func=_cmd_graph, category="d4", window=None)
-    p = d4p.add_parser("enum")
+
+
+def _d4_enum(p):
     p.add_argument("--kind", choices=tuple(_D4_KINDS), required=True)
     _add_format(p)
     p.set_defaults(func=_cmd_d4_enum)
 
-    aff = sub.add_parser("affine", help="the two affine quivers").add_subparsers(
-        dest="sub", required=True
-    )
-    p = aff.add_parser("count")
+
+def _affine_count(p):
     p.add_argument("--quiver", choices=("q1", "q2"), required=True)
     p.add_argument("--kind", choices=tuple(_AFF_KINDS), required=True)
     p.add_argument("--group", choices=("id", "serre", "full"), default="id")
     _add_format(p)
     p.set_defaults(func=_cmd_affine_count)
-    p = aff.add_parser("graph")
+
+
+def _affine_graph(p):
     p.add_argument("--quiver", dest="category", choices=("q1", "q2"), required=True)
     p.add_argument("--kind", choices=("points", "curves"), default="points")
     p.add_argument("--window", type=int, default=5)
     _add_format(p, ("json", "plain", "dot"))
     p.set_defaults(func=_cmd_graph)
 
-    mk = sub.add_parser("markov", help="the projective plane").add_subparsers(
-        dest="sub", required=True
-    )
-    p = mk.add_parser("table")
+
+def _markov_table(p):
     p.add_argument("--limit", type=int, default=200)
     _add_format(p)
     p.set_defaults(func=_cmd_markov_table)
-    p = mk.add_parser("slopes")
+
+
+def _markov_slopes(p):
     p.add_argument("--max-rank", type=int, default=200)
     _add_format(p)
     p.set_defaults(func=_cmd_markov_slopes)
-    p = mk.add_parser("tree")
+
+
+def _markov_tree(p):
     p.add_argument("--limit", type=int, default=200)
     _add_format(p)
     p.set_defaults(func=_cmd_markov_tree)
-    p = mk.add_parser("tyurin")
+
+
+def _markov_tyurin(p):
     p.add_argument("--max-rank", type=int, default=200)
     p.add_argument("--verify", action="store_true")
     _add_format(p)
     p.set_defaults(func=_cmd_markov_tyurin)
 
-    p = sub.add_parser("incidence", help="point/line incidence structures")
+
+def _incidence(p):
     p.add_argument("--category", choices=DRAWN, required=True)
     _add_format(p)
     p.set_defaults(func=_cmd_incidence)
 
-    p = sub.add_parser("graph", help="point graph of any category")
+
+def _graph(p):
     p.add_argument("--category", required=True,
                    help="aN, d4, q1, q2 or npL (L >= -1)")
     p.add_argument("--window", type=int)
     _add_format(p, ("json", "plain", "dot"))
     p.set_defaults(func=_cmd_graph, kind="points")
 
-    p = sub.add_parser("sc", help="simplicial complex of a point graph")
+
+def _sc(p):
     p.add_argument("--category", required=True)
     p.add_argument("--window", type=int)
     p.add_argument("--max-dim", type=int, default=2)
     _add_format(p)
     p.set_defaults(func=_cmd_sc)
 
+
+_COMMANDS = {
+    "an": ("A-type categories", {
+        "count": ("subcategory counts", _an_count),
+        "orbits": ("Serre orbit census", _an_orbits),
+        "genus": ("noncommutative curve counts", _an_genus),
+        "graph": ("derived-point graph", _an_graph),
+    }),
+    "necklace": ("polygon rotation classes", {"count": (None, _necklace_count)}),
+    "d4": ("the D4 category", {
+        "table": (None, _d4_table),
+        "graph": (None, _d4_graph),
+        "enum": (None, _d4_enum),
+    }),
+    "affine": ("the two affine quivers", {
+        "count": (None, _affine_count),
+        "graph": (None, _affine_graph),
+    }),
+    "markov": ("the projective plane", {
+        "table": (None, _markov_table),
+        "slopes": (None, _markov_slopes),
+        "tree": (None, _markov_tree),
+        "tyurin": (None, _markov_tyurin),
+    }),
+    "incidence": ("point/line incidence structures", _incidence),
+    "graph": ("point graph of any category", _graph),
+    "sc": ("simplicial complex of a point graph", _sc),
+}
+
+
+def _subcommand(argv):
+    """The subcommand that argv names at one level, and the words after it.
+
+    No option at any level takes a value, so argparse reads the first word
+    that does not start with '-' as the subcommand and hands the words
+    after it to that subcommand's parser.
+    """
+    for i, word in enumerate(argv):
+        if not word.startswith("-"):
+            return word, argv[i + 1:]
+    return None, []
+
+
+def _add_commands(parser, commands, dest, argv):
+    """Add one level of subcommands to parser, and fill in the group or
+    leaf that argv names, or every one when argv is None.  The others keep
+    only their names and help, which is all that the usage, the help and a
+    bad-choice error of this level show."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    named, rest = (None, None) if argv is None else _subcommand(argv)
+    for name, (summary, body) in commands.items():
+        p = sub.add_parser(name, **({} if summary is None else {"help": summary}))
+        if argv is not None and name != named:
+            continue
+        if isinstance(body, dict):
+            _add_commands(p, body, "sub", rest)
+        else:
+            body(p)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The argument parser of the CLI.  Given argv, only the subcommands on
+    its path are filled in, and it parses argv as the whole tree would."""
+    top = argparse.ArgumentParser(
+        prog="nccount",
+        description="exact counting of exceptional-collection subcategories",
+    )
+    _add_commands(top, _COMMANDS, "command", argv)
     return top
 
 
 def run(argv) -> int:
-    parser = build_parser()
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     try:
         return args.func(args)
@@ -415,7 +487,20 @@ def run(argv) -> int:
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    """The console entry point: run, flush, and end the process without
+    interpreter teardown (module teardown, garbage collection, freeing
+    every object), which costs every call about 10 ms and has nothing left
+    to write.  A flush that fails (EPIPE, ENOSPC) takes the normal exit,
+    which reports it as the interpreter always has; so do usage errors and
+    uncaught exceptions, which leave run as exceptions."""
+    code = run(sys.argv[1:])
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

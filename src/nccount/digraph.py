@@ -8,7 +8,6 @@ category of `nccount.category` has a point graph, and each one with curves
 a curve graph; the builders read objects and homs from its record alone.
 """
 
-import json
 from collections import Counter
 from functools import cache
 from itertools import chain, combinations, permutations
@@ -216,7 +215,8 @@ def sc_simplices(g: ValuedDigraph, max_dim: int) -> list:
 # --- writers -------------------------------------------------------------------
 # Each writer yields its document piece by piece, in the layout of
 # json.dumps(doc, indent=2, sort_keys=True) for JSON, so the CLI streams it
-# to stdout and never holds a large document.
+# to stdout and never holds a large document.  Only the JSON writers import
+# json, so plain and DOT calls never load it.
 
 
 def _dot_quote(s):
@@ -234,6 +234,7 @@ def _json_array(items, indent):
 
 def _head(doc, key):
     """doc as JSON, left open for one more key, which sorts after doc's."""
+    import json
     return json.dumps(doc, indent=2, sort_keys=True)[:-2] + f',\n  "{key}": '
 
 
@@ -254,6 +255,7 @@ def _dot_lines(g):
 
 
 def _json_lines(g):
+    import json
     quoted = [json.dumps(v) for v in g.vertices]
     weight = cache(json.dumps)  # a graph has few distinct weights
 
@@ -303,6 +305,7 @@ def complex_lines(g: ValuedDigraph, simplices, format: str = "json"):
         return _complex_plain(g.category, counts, simplices)
     if format != "json":
         raise ValueError(f"unknown format {format!r}")
+    import json
     quoted = {v: json.dumps(v) for v in g.vertices}
     items = (
         "    [\n" + ",\n".join(f"      {quoted[v]}" for v in s) + "\n    ]"

@@ -7,7 +7,6 @@ incidence data is modelled; the planar drawings that realize these
 structures are not.
 """
 
-import json
 from itertools import permutations
 from typing import NamedTuple
 
@@ -140,6 +139,7 @@ def incidence_structure(category: str) -> IncidenceStructure:
 
 
 def export_incidence(struct: IncidenceStructure) -> str:
+    import json  # only here, so plain calls never load it
     doc = {
         "points": list(struct.points),
         "lines": [{"id": lid, "points": list(pts)} for lid, pts in struct.lines],

@@ -17,16 +17,9 @@ from operator import getitem
 from typing import NamedTuple
 
 from .arith import check_enumeration, cycles, divisors, mobius, orbits
-
-
-class Interval(NamedTuple):
-    """The indecomposable representation s_{i,j} supported on [i, j]."""
-
-    i: int
-    j: int
-
-    def __str__(self):
-        return f"s{self.i},{self.j}"
+# the interval objects and their Euler form live in a leaf module, which
+# graph calls load without the counting below; they stay importable here
+from .interval import Interval, enum_points, euler, interval_dim, interval_mask
 
 
 class MonotoneSeq(NamedTuple):
@@ -63,34 +56,6 @@ def monotone_seq(n: int, k: int, values) -> MonotoneSeq:
     if vals[0] < 0 or vals[-1] > bound:
         raise ValueError(f"values outside [0, {bound}]: {vals}")
     return MonotoneSeq(n, k, vals)
-
-
-def interval_dim(iv: Interval, n: int) -> tuple:
-    """Dimension vector of s_{i,j} over the vertices 0..n."""
-    mask = interval_mask(iv, n)
-    return tuple(mask >> v & 1 for v in range(n + 1))
-
-
-def interval_mask(iv: Interval, n: int) -> int:
-    """Dimension vector of s_{i,j} as a bitmask: bit v is set iff i <= v <= j."""
-    if not 0 <= iv.i <= iv.j <= n:
-        raise ValueError(f"interval {iv} outside 0..{n}")
-    return (2 << iv.j) - (1 << iv.i)
-
-
-def euler(x: int, y: int) -> int:
-    """Euler form <x, y> of the equioriented line on dimension bitmasks:
-    the vertex term |x & y| minus the arrows i -> i+1 with i in x and i+1
-    in y.  All homs from s_x to s_y sit in one degree, so the total hom
-    dimension is |<x, y>|."""
-    return (x & y).bit_count() - (x & (y >> 1)).bit_count()
-
-
-def enum_points(n: int) -> list:
-    """All interval objects of the ambient category, (n+1)(n+2)/2 of them."""
-    if n < 0:
-        raise ValueError("need n >= 0")
-    return [Interval(i, j) for i in range(n + 1) for j in range(i, n + 1)]
 
 
 def seq_values(n: int, k: int):

@@ -92,12 +92,12 @@ def test_curves_only_where_curve_graphs_exist():
 def test_size_cap_counts_pairs_before_building(monkeypatch, name, window, objects):
     # exactly at the cap a category is built; with one ordered pair less
     # it is refused with its size, before any of its objects is made
-    from nccount import affine, arith, typea
+    from nccount import affine, arith, interval
 
     monkeypatch.setattr(arith, "MAX_ENUMERATION", objects * objects)
     assert len(category(name, window).objects) == objects
     monkeypatch.setattr(arith, "MAX_ENUMERATION", objects * objects - 1)
-    monkeypatch.setattr(typea, "enum_points", None)
+    monkeypatch.setattr(interval, "enum_points", None)
     monkeypatch.setattr(affine, "obj", None)
     with pytest.raises(ValueError, match=f"{objects}\\^2 vertex pairs = {objects**2};"):
         category(name, window)

@@ -442,11 +442,24 @@ print(sorted(m for m in sys.modules
         (["markov", "table", "--format", "plain"], ["nccount.markov"]),
         (["markov", "slopes", "--format", "plain"], ["fractions", "nccount.markov"]),
         (["an", "count", "--k", "2", "--vertices", "5"],
-         ["json", "nccount.arith", "nccount.typea"]),
+         ["json", "nccount.arith", "nccount.interval", "nccount.typea"]),
         (["an", "count", "--k", "2", "--vertices", "5", "--format", "plain"],
-         ["nccount.arith", "nccount.typea"]),
+         ["nccount.arith", "nccount.interval", "nccount.typea"]),
+        # A_N graphs and complexes need the interval objects, not the
+        # counting in typea, and plain output needs no json
+        (["graph", "--category", "a7", "--format", "plain"],
+         ["nccount.arith", "nccount.category", "nccount.digraph", "nccount.interval"]),
+        (["sc", "--category", "a5", "--format", "plain"],
+         ["nccount.arith", "nccount.category", "nccount.digraph", "nccount.interval"]),
+        (["an", "graph", "--vertices", "5"],
+         ["json", "nccount.arith", "nccount.category", "nccount.digraph",
+          "nccount.interval"]),
+        (["incidence", "--category", "a3", "--format", "plain"],
+         ["nccount.arith", "nccount.category", "nccount.incidence", "nccount.interval",
+          "nccount.quiver"]),
     ],
-    ids=["parser", "markov-table", "markov-slopes", "an-count", "an-count-plain"],
+    ids=["parser", "markov-table", "markov-slopes", "an-count", "an-count-plain",
+         "graph-a7-plain", "sc-a5-plain", "an-graph-json", "incidence-a3-plain"],
 )
 def test_startup_imports(argv, loaded):
     # each call loads only the backend its subcommand needs, the parser none
@@ -610,3 +623,138 @@ def test_commands_answer_or_refuse(argv):
     assert "Traceback" not in err.getvalue(), argv
     if code != 1:
         assert (code == 0) == (out.getvalue() != ""), argv
+
+
+# --- the parser of one call against the whole tree ---------------------------
+
+# the top level, every group and every leaf
+LEVELS = sorted({path[:i] for path in COMMANDS for i in range(len(path) + 1)})
+
+
+def _parse(parser, argv):
+    """What parsing argv gives: the namespace or the exit code, with the
+    text written to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _same_parse(argv):
+    assert _parse(cli.build_parser(argv), argv) == _parse(cli.build_parser(), argv), argv
+
+
+def test_levels_cover_the_tree():
+    assert len(LEVELS) == 1 + 5 + len(COMMANDS)  # top, five groups, the leaves
+    assert ("an", "count") in LEVELS and ("sc",) in LEVELS
+
+
+@settings(deadline=None, max_examples=150)
+@given(command_argv())
+def test_call_parser_parses_as_the_whole_tree(argv):
+    _same_parse(argv)
+
+
+@pytest.mark.parametrize("path", LEVELS, ids=lambda p: " ".join(p) or "top")
+def test_call_parser_help_and_errors(path):
+    # help, a bad subcommand or option value, a missing or stray argument
+    for tail in (["--help"], ["-h", "x"], [], ["bogus"], ["--bogus"],
+                 ["--format", "xml"], ["--", "bogus"]):
+        _same_parse([*path, *tail])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-1", "an"], ["", "an"], ["-", "an"], ["--", "an", "count"],
+     ["--bogus", "an", "count", "--k", "2", "--vertices", "4"],
+     ["an", "-h", "count"], ["an", "count", "--k", "2", "--ver", "4"]],
+)
+def test_call_parser_on_odd_words(argv):
+    # words before the subcommand that argparse reads as options or as a
+    # bad subcommand
+    _same_parse(argv)
+
+
+# --- main: the process exit --------------------------------------------------
+
+NORMAL_EXIT = "import sys; from nccount import cli; sys.exit(cli.run(sys.argv[1:]))"
+
+
+def _python(args, **kwargs):
+    """Run the interpreter on args with this checkout's nccount and block-
+    buffered stdout, the default outside a terminal."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    return subprocess.run([sys.executable, *args], env=env, stderr=subprocess.PIPE,
+                          **kwargs)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    # a 23 MB document, and outputs that end in the stdout buffer
+    ["an graph --vertices 40 --format json", "an count --k 2 --vertices 5",
+     "graph --category a7 --format dot"],
+)
+def test_main_writes_what_run_writes(capsys, argv):
+    argv = argv.split()
+    assert cli.run(argv) == 0
+    expected = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    r = _python(["-m", "nccount.cli", *argv], stdout=subprocess.PIPE)
+    assert (r.returncode, r.stderr) == (0, b"")
+    assert hashlib.sha256(r.stdout).hexdigest() == expected
+
+
+def test_main_exits_1_on_a_verify_mismatch():
+    probe = ("from nccount import cli, typea; "
+             "typea.count_id_brute = lambda k, vertices: -1; cli.main()")
+    r = _python(["-c", probe, "an", "count", "--k", "2", "--vertices", "5", "--verify"],
+                stdout=subprocess.PIPE)
+    assert (r.returncode, r.stdout) == (1, b"")
+    assert r.stderr == b"verification failed for an count: formula=20, oracle=-1\n"
+
+
+def test_main_exits_2_on_a_usage_error():
+    r = _python(["-m", "nccount.cli", "an", "count", "--k", "2"], stdout=subprocess.PIPE)
+    assert (r.returncode, r.stdout) == (2, b"")
+    assert r.stderr.endswith(b"error: the following arguments are required: --vertices\n")
+
+
+def _closed_pipe():
+    """The write end of a pipe whose reader has gone, as after `| true`."""
+    read, write = os.pipe()
+    os.close(read)
+    return write
+
+
+@pytest.mark.parametrize("sink", ["full", "closed-pipe", "no-stdout"])
+def test_main_ends_a_failed_or_missing_stdout_as_the_normal_exit(sink):
+    # output that fails only when flushed at the end takes the normal exit,
+    # and so ends as it always has: 120 and one "Exception ignored" block;
+    # with stdout closed there is no stream to flush, and the call succeeds
+    if sink == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    argv = ["an", "count", "--k", "2", "--vertices", "5"]
+    results = []
+    for args in (["-m", "nccount.cli", *argv], ["-c", NORMAL_EXIT, *argv]):
+        if sink == "full":
+            with open("/dev/full", "wb") as out:
+                r = _python(args, stdout=out)
+        elif sink == "closed-pipe":
+            out = _closed_pipe()
+            try:
+                r = _python(args, stdout=out)
+            finally:
+                os.close(out)
+        else:
+            r = _python(args, preexec_fn=lambda: os.close(1))
+        results.append((r.returncode, r.stderr))
+    assert results[0] == results[1]
+    if sink == "no-stdout":
+        assert results[0] == (0, b"")
+    else:
+        code, err = results[0]
+        assert code == 120 and err.startswith(b"Exception ignored in: <_io.TextIOWrapper")
