@@ -1,23 +1,28 @@
 """Exceptional-object calculus for two affine quivers.
 
-q1 is the three-vertex quiver with two paths from source to sink, q2 the
-commuting square.  Their exceptional objects (up to shift) fall into
-integer-indexed series plus finitely many sporadic objects:
+q1 is the quiver of type Ã₂ with arrows 0 -> 1, 1 -> 2 and 0 -> 2, q2 the
+square of type Ã₃, 0 -> 1 -> 3 and 0 -> 2 -> 3, without relations.  Their
+exceptional objects (up to shift) fall into integer-indexed series plus
+finitely many sporadic objects:
 
     q1:  a^m, b^m (m in Z) and M, M'
     q2:  a^m, b^m, c^m, d^m (m in Z) and F+, F-, G+, G-
 
-Hom data between exceptional objects is not Euler-form computable here, so
-the complete classification of exceptional pairs is transcribed as rule
-tables with symbolic index arithmetic.  Group actions (Serre, the square
-symmetry theta
-of q2, and the extra shift-like generator zeta) are stored as label-level
-maps, and all orbit counts of the infinite curve families are computed
-symbolically from index-shift data.
+Each object is a real root of its quiver up to sign: the series member x^m
+is the base root of its family plus m times the imaginary root
+delta = (1, ..., 1), and the sporadic objects are the regular simples of the
+rank-2 tubes.  Hom and ext never both live on an exceptional pair of a
+hereditary algebra (Happel-Ringel), so the Euler form classifies the pairs:
+(x, y) is an exceptional pair iff <y, x> = 0, with |<x, y>| homs from x to
+y.  Group actions (Serre, the square symmetry theta of q2, and the extra
+shift-like generator zeta) are stored as label-level maps, and all orbit
+counts of the infinite curve families are computed symbolically from
+index-shift data.
 """
 
 from enum import Enum
 from math import gcd
+from operator import mul
 from typing import NamedTuple
 
 from . import INFINITE
@@ -25,6 +30,18 @@ from .arith import orbits
 
 SERIES = {"q1": ("a", "b"), "q2": ("a", "b", "c", "d")}
 SPORADIC = {"q1": ("M", "M'"), "q2": ("F+", "F-", "G+", "G-")}
+
+# the arrows (source, target) of each quiver on its vertices 0, 1, ...
+ARROWS = {"q1": ((0, 1), (1, 2), (0, 2)), "q2": ((0, 1), (0, 2), (1, 3), (2, 3))}
+
+# family -> the root of its member of index 0, or of the sporadic object
+ROOTS = {
+    "q1": {"a": (0, 1, 1), "b": (0, 0, 1), "M": (0, 1, 0), "M'": (1, 0, 1)},
+    "q2": {
+        "a": (0, 1, 1, 1), "b": (0, 0, 0, 1), "c": (0, 1, 0, 1), "d": (0, 0, 1, 1),
+        "F+": (0, 0, 1, 0), "F-": (0, 1, 0, 0), "G+": (1, 0, 1, 1), "G-": (1, 1, 0, 1),
+    },
+}
 
 
 class AffObject(NamedTuple):
@@ -59,96 +76,38 @@ class AffPairClass(Enum):
     HOM_TWO = "hom-two"
 
 
-# Rule tables for the ordered pair (x, y).  Series-series rules are keyed by
-# (family_x, family_y, index_y - index_x); rules involving a sporadic member
-# hold for every index of the series member.
-_SS = {
-    "q1": {
-        ("a", "a", 1): AffPairClass.HOM_TWO,
-        ("b", "b", 1): AffPairClass.HOM_TWO,
-        ("a", "b", 1): AffPairClass.HOM_ONE,
-        ("b", "a", 0): AffPairClass.HOM_ONE,
-    },
-    "q2": {
-        ("a", "a", 1): AffPairClass.HOM_TWO,
-        ("b", "b", 1): AffPairClass.HOM_TWO,
-        ("c", "c", 1): AffPairClass.HOM_TWO,
-        ("d", "d", 1): AffPairClass.HOM_TWO,
-        ("a", "b", 1): AffPairClass.ORTHOGONAL,
-        ("b", "a", -1): AffPairClass.ORTHOGONAL,
-        ("c", "d", 0): AffPairClass.ORTHOGONAL,
-        ("d", "c", 0): AffPairClass.ORTHOGONAL,
-        ("a", "c", 1): AffPairClass.HOM_ONE,
-        ("c", "a", 0): AffPairClass.HOM_ONE,
-        ("a", "d", 1): AffPairClass.HOM_ONE,
-        ("d", "a", 0): AffPairClass.HOM_ONE,
-        ("b", "c", 0): AffPairClass.HOM_ONE,
-        ("c", "b", 1): AffPairClass.HOM_ONE,
-        ("b", "d", 0): AffPairClass.HOM_ONE,
-        ("d", "b", 1): AffPairClass.HOM_ONE,
-    },
-}
+def root(x: AffObject) -> tuple:
+    """The real root of x, up to sign."""
+    base = ROOTS[x.quiver][x.family]
+    return base if x.index is None else tuple(v + x.index for v in base)
 
-_MIXED = {
-    "q1": {
-        ("M'", "a"): AffPairClass.HOM_ONE,
-        ("a", "M"): AffPairClass.HOM_ONE,
-        ("M", "b"): AffPairClass.HOM_ONE,
-        ("b", "M'"): AffPairClass.HOM_ONE,
-    },
-    "q2": {
-        ("c", "G-"): AffPairClass.HOM_ONE, ("G-", "a"): AffPairClass.HOM_ONE,
-        ("a", "F+"): AffPairClass.HOM_ONE, ("F+", "c"): AffPairClass.HOM_ONE,
-        ("d", "G+"): AffPairClass.HOM_ONE, ("G+", "a"): AffPairClass.HOM_ONE,
-        ("a", "F-"): AffPairClass.HOM_ONE, ("F-", "d"): AffPairClass.HOM_ONE,
-        ("c", "F-"): AffPairClass.HOM_ONE, ("F-", "b"): AffPairClass.HOM_ONE,
-        ("b", "G+"): AffPairClass.HOM_ONE, ("G+", "c"): AffPairClass.HOM_ONE,
-        ("d", "F+"): AffPairClass.HOM_ONE, ("F+", "b"): AffPairClass.HOM_ONE,
-        ("b", "G-"): AffPairClass.HOM_ONE, ("G-", "d"): AffPairClass.HOM_ONE,
-    },
-}
 
-_SPOR = {
-    "q1": {},
-    "q2": {
-        frozenset(("F+", "F-")): AffPairClass.ORTHOGONAL,
-        frozenset(("G+", "G-")): AffPairClass.ORTHOGONAL,
-        frozenset(("F+", "G+")): AffPairClass.ORTHOGONAL,
-        frozenset(("F-", "G-")): AffPairClass.ORTHOGONAL,
-    },
-}
+def euler_row(x: AffObject) -> tuple:
+    """The row r of x with <x, v> = sum(r[i] * v[i]) for every vector v,
+    from <x, v> = sum_i x_i v_i - sum over arrows s -> t of x_s v_t."""
+    vec = root(x)
+    row = list(vec)
+    for s, t in ARROWS[x.quiver]:
+        row[t] -= vec[s]
+    return tuple(row)
+
+
+def euler(x: AffObject, y: AffObject) -> int:
+    """The Euler form <x, y> on the roots of two objects of one quiver."""
+    if x.quiver != y.quiver:
+        raise ValueError("the Euler form needs objects of one quiver")
+    return sum(map(mul, euler_row(x), root(y)))
 
 
 def aff_pair_class(x: AffObject, y: AffObject) -> AffPairClass:
-    """Classification of the ordered pair (x, y) by rule-table lookup."""
-    if x.quiver != y.quiver:
-        raise ValueError("pair classification needs objects of one quiver")
-    q = x.quiver
+    """Classification of the ordered pair (x, y) by the Euler form."""
     if x == y:
         raise ValueError("pair classification needs two distinct objects")
-    xs, ys = x.index is not None, y.index is not None
-    if xs and ys:
-        return _SS[q].get(
-            (x.family, y.family, y.index - x.index), AffPairClass.NOT_EXCEPTIONAL
-        )
-    if xs != ys:
-        return _MIXED[q].get((x.family, y.family), AffPairClass.NOT_EXCEPTIONAL)
-    return _SPOR[q].get(
-        frozenset((x.family, y.family)), AffPairClass.NOT_EXCEPTIONAL
-    )
-
-
-def pair_total_hom(x: AffObject, y: AffObject) -> int:
-    """Total hom dimension from x to y for an exceptional pair (x, y):
-    2, 1 or 0 straight from the classification."""
-    cls = aff_pair_class(x, y)
-    if cls is AffPairClass.NOT_EXCEPTIONAL:
-        raise ValueError(f"({x}, {y}) is not an exceptional pair")
-    return {
-        AffPairClass.HOM_TWO: 2,
-        AffPairClass.HOM_ONE: 1,
-        AffPairClass.ORTHOGONAL: 0,
-    }[cls]
+    if euler(y, x):
+        return AffPairClass.NOT_EXCEPTIONAL
+    return (AffPairClass.ORTHOGONAL, AffPairClass.HOM_ONE, AffPairClass.HOM_TWO)[
+        abs(euler(x, y))
+    ]
 
 
 # --- label-level group actions ---------------------------------------------
@@ -421,45 +380,22 @@ def _count_shift_system(families: dict, maps: list):
     return sum(totals) + spor_orbits
 
 
-# transcribed count tables, used as an always-on cross-check of the
-# symbolic orbit computation
-_EXPECTED_COUNTS = {
-    ("q1", "genus-1"): (0, 0, 0),
-    ("q1", "genus0"): (INFINITE, 3, 1),
-    ("q1", "genus1"): (2, 1, 1),
-    ("q2", "genus-1"): (INFINITE, 4, 2),
-    ("q2", "genus0"): (INFINITE, 8, 1),
-    ("q2", "genus1"): (4, 2, 1),
-    ("q2", "triples-A3"): (INFINITE, 4, 1),
-    ("q2", "triples-Q1"): (4, 2, 1),
-}
-
-
 def aff_count(quiver: str, kind: str, group: str):
     """|C_kind| modulo the chosen group; INFINITE for the infinite sets.
 
     Quotient counts are orbit counts of the canonical family
-    representatives under the transcribed actions, cross-checked against
-    the known table values.
+    representatives under the transcribed actions.
     """
     if (quiver, group) not in GROUP_GENERATORS:
         raise ValueError(f"unknown group {group!r} for {quiver}")
     families = _families(quiver, kind)
     gens = GROUP_GENERATORS[(quiver, group)]
     if not families:
-        count = 0
-    elif not gens:
-        count = INFINITE if any(families.values()) else len(families)
-    else:
-        maps = [_family_shift_maps(quiver, kind, g) for g in gens]
-        count = _count_shift_system(families, maps)
-    expected = _EXPECTED_COUNTS[(quiver, kind)][("id", "serre", "full").index(group)]
-    if count != expected:
-        raise AssertionError(
-            f"orbit computation for ({quiver}, {kind}, {group}) gave "
-            f"{count}, table says {expected}"
-        )
-    return count
+        return 0
+    if not gens:
+        return INFINITE if any(families.values()) else len(families)
+    maps = [_family_shift_maps(quiver, kind, g) for g in gens]
+    return _count_shift_system(families, maps)
 
 
 def aff_enum_curves(quiver: str, genus: int, window: tuple) -> list:

@@ -24,11 +24,22 @@ def _count_str(x) -> str:
 
 
 def _write(pieces):
-    """Write the pieces of a document to stdout in order, never joined; the
-    one writer of every command.  With stdout closed (None) it writes
-    nothing and the call succeeds, as print does."""
-    if sys.stdout is not None:
-        sys.stdout.writelines(pieces)
+    """Write the pieces of a document to stdout in order, the one writer of
+    every command.  The pieces are joined into chunks of about 64 KB, each
+    written as it fills: unbuffered stdout (PYTHONUNBUFFERED) makes one
+    write call per chunk rather than per piece, and no more than one chunk
+    is held.  With stdout closed (None) it writes nothing and the call
+    succeeds, as print does."""
+    if sys.stdout is None:
+        return
+    chunk, size = [], 0
+    for piece in pieces:
+        chunk.append(piece)
+        size += len(piece)
+        if size >= 65536:
+            sys.stdout.write("".join(chunk))
+            chunk, size = [], 0
+    sys.stdout.write("".join(chunk))
 
 
 def _stderr(text):

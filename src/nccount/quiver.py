@@ -5,8 +5,9 @@ determines the full hom data: hom = max(<a,b>, 0) and hom^1 = max(-<a,b>, 0),
 with all higher homs zero.  That dichotomy is the basis of the pair
 classifiers used by the A_n and D_4 modules, and the Euler form also gives
 the exceptional objects themselves (positive_roots) and the Serre functor
-on them (serre_permutation).  It fails for affine quivers, which is why
-positive_roots refuses them.
+on them (serre_permutation).  An affine quiver has infinitely many real
+roots, so positive_roots refuses it; the affine module reads the same Euler
+form on a typed table of the roots of its exceptional objects.
 """
 
 from collections.abc import Mapping, Sequence

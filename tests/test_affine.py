@@ -1,8 +1,14 @@
+from itertools import product
+
 import pytest
 
 from nccount import INFINITE
 from nccount.affine import (
+    ARROWS,
     GROUP_GENERATORS,
+    ROOTS,
+    SERIES,
+    SPORADIC,
     AffPairClass,
     AffSubcat,
     act_on_subcat,
@@ -12,10 +18,13 @@ from nccount.affine import (
     aff_pair_class,
     aff_vanishing,
     classify_generator_pair,
+    euler,
     obj,
-    pair_total_hom,
+    root,
     subcat,
 )
+from nccount.category import category
+from nccount.quiver import Quiver, euler_form
 
 
 def q1(f, i=None):
@@ -371,14 +380,209 @@ def test_family_shift_maps_table():
 
 
 def test_hom_values():
-    assert pair_total_hom(q1("a", 0), q1("a", 1)) == 2
-    assert pair_total_hom(q2("F+"), q2("F-")) == 0
-    assert pair_total_hom(q2("a", 0), q2("F+")) == 1
+    assert euler(q1("a", 0), q1("a", 1)) == 2
+    assert euler(q2("F+"), q2("F-")) == 0
+    assert euler(q2("a", 0), q2("F+")) == 1
+    # the record's hom of a pair is |<x, y>|
+    cat = category("q2", (0, 1))
+    assert cat.total_hom(q2("a", 0), q2("a", 1)) == 2
+    assert cat.total_hom(q2("F+"), q2("F-")) == 0
+    assert cat.total_hom(q2("a", 0), q2("F+")) == 1
     with pytest.raises(ValueError):
-        pair_total_hom(q1("a", 1), q1("a", 0))
+        euler(q1("a", 0), q2("a", 0))
     # backward homs of an exceptional pair vanish
+    assert euler(q1("a", 1), q1("a", 0)) == 0
     assert aff_pair_class(q1("a", 0), q1("a", 1)) is not AffPairClass.NOT_EXCEPTIONAL
     assert aff_pair_class(q1("a", 1), q1("a", 0)) is AffPairClass.NOT_EXCEPTIONAL
     # both directions nonzero when neither order is exceptional
+    assert euler(q1("a", 2), q1("a", 0)) and euler(q1("a", 0), q1("a", 2))
     assert aff_pair_class(q1("a", 2), q1("a", 0)) is AffPairClass.NOT_EXCEPTIONAL
     assert aff_pair_class(q1("a", 0), q1("a", 2)) is AffPairClass.NOT_EXCEPTIONAL
+
+
+# The complete classification of exceptional pairs as it was transcribed by
+# hand, the reference for the Euler-form rule.  Series-series rules are keyed
+# by (family_x, family_y, index_y - index_x); rules involving a sporadic
+# member hold for every index of the series member.
+_SS = {
+    "q1": {
+        ("a", "a", 1): AffPairClass.HOM_TWO,
+        ("b", "b", 1): AffPairClass.HOM_TWO,
+        ("a", "b", 1): AffPairClass.HOM_ONE,
+        ("b", "a", 0): AffPairClass.HOM_ONE,
+    },
+    "q2": {
+        ("a", "a", 1): AffPairClass.HOM_TWO,
+        ("b", "b", 1): AffPairClass.HOM_TWO,
+        ("c", "c", 1): AffPairClass.HOM_TWO,
+        ("d", "d", 1): AffPairClass.HOM_TWO,
+        ("a", "b", 1): AffPairClass.ORTHOGONAL,
+        ("b", "a", -1): AffPairClass.ORTHOGONAL,
+        ("c", "d", 0): AffPairClass.ORTHOGONAL,
+        ("d", "c", 0): AffPairClass.ORTHOGONAL,
+        ("a", "c", 1): AffPairClass.HOM_ONE,
+        ("c", "a", 0): AffPairClass.HOM_ONE,
+        ("a", "d", 1): AffPairClass.HOM_ONE,
+        ("d", "a", 0): AffPairClass.HOM_ONE,
+        ("b", "c", 0): AffPairClass.HOM_ONE,
+        ("c", "b", 1): AffPairClass.HOM_ONE,
+        ("b", "d", 0): AffPairClass.HOM_ONE,
+        ("d", "b", 1): AffPairClass.HOM_ONE,
+    },
+}
+
+_MIXED = {
+    "q1": {
+        ("M'", "a"): AffPairClass.HOM_ONE,
+        ("a", "M"): AffPairClass.HOM_ONE,
+        ("M", "b"): AffPairClass.HOM_ONE,
+        ("b", "M'"): AffPairClass.HOM_ONE,
+    },
+    "q2": {
+        ("c", "G-"): AffPairClass.HOM_ONE, ("G-", "a"): AffPairClass.HOM_ONE,
+        ("a", "F+"): AffPairClass.HOM_ONE, ("F+", "c"): AffPairClass.HOM_ONE,
+        ("d", "G+"): AffPairClass.HOM_ONE, ("G+", "a"): AffPairClass.HOM_ONE,
+        ("a", "F-"): AffPairClass.HOM_ONE, ("F-", "d"): AffPairClass.HOM_ONE,
+        ("c", "F-"): AffPairClass.HOM_ONE, ("F-", "b"): AffPairClass.HOM_ONE,
+        ("b", "G+"): AffPairClass.HOM_ONE, ("G+", "c"): AffPairClass.HOM_ONE,
+        ("d", "F+"): AffPairClass.HOM_ONE, ("F+", "b"): AffPairClass.HOM_ONE,
+        ("b", "G-"): AffPairClass.HOM_ONE, ("G-", "d"): AffPairClass.HOM_ONE,
+    },
+}
+
+_SPOR = {
+    "q1": {},
+    "q2": {
+        frozenset(("F+", "F-")): AffPairClass.ORTHOGONAL,
+        frozenset(("G+", "G-")): AffPairClass.ORTHOGONAL,
+        frozenset(("F+", "G+")): AffPairClass.ORTHOGONAL,
+        frozenset(("F-", "G-")): AffPairClass.ORTHOGONAL,
+    },
+}
+
+_TOTAL_HOM = {
+    AffPairClass.HOM_TWO: 2, AffPairClass.HOM_ONE: 1, AffPairClass.ORTHOGONAL: 0,
+}
+
+
+def _table_class(x, y):
+    """The class of the ordered pair (x, y) by rule-table lookup."""
+    q = x.quiver
+    if x.index is not None and y.index is not None:
+        return _SS[q].get(
+            (x.family, y.family, y.index - x.index), AffPairClass.NOT_EXCEPTIONAL
+        )
+    if (x.index is None) != (y.index is None):
+        return _MIXED[q].get((x.family, y.family), AffPairClass.NOT_EXCEPTIONAL)
+    return _SPOR[q].get(frozenset((x.family, y.family)), AffPairClass.NOT_EXCEPTIONAL)
+
+
+_REACH = 40
+
+
+def _window_objects(q, lo, hi):
+    return [obj(q, f, m) for f in SERIES[q] for m in range(lo, hi + 1)] + [
+        obj(q, f) for f in SPORADIC[q]
+    ]
+
+
+def _delta(q):
+    return (1,) * len(ROOTS[q]["a"])
+
+
+def _quiver(q):
+    return Quiver(range(len(_delta(q))), ARROWS[q])
+
+
+@pytest.mark.parametrize("q", ["q1", "q2"])
+def test_rule_tables_agree_with_the_euler_form(q):
+    # Why a finite window decides all of Z: <delta, delta> = 0, and every
+    # series base b has <b, delta> = 1 = -<delta, b> while every sporadic
+    # base s has <s, delta> = 0 = <delta, s> (checked below).  So
+    # <x^m, y^k> = <b_x, b_y> + (k - m) for two series members, and the
+    # index drops out wherever a sporadic object takes part.  The Euler rule
+    # admits (x^m, y^k) only when <y^k, x^m> = <b_y, b_x> + (m - k) = 0, and
+    # the tables only for |k - m| <= 1; so index differences up to the
+    # largest |<b_y, b_x>| and 1 decide every pair, and the window's
+    # differences reach 2 * _REACH, far beyond that.
+    quiver, delta = _quiver(q), _delta(q)
+    assert euler_form(quiver, delta, delta) == 0
+    for f in SERIES[q]:
+        b = ROOTS[q][f]
+        assert (euler_form(quiver, b, delta), euler_form(quiver, delta, b)) == (1, -1)
+    for f in SPORADIC[q]:
+        s = ROOTS[q][f]
+        assert (euler_form(quiver, s, delta), euler_form(quiver, delta, s)) == (0, 0)
+    bases = [obj(q, f, 0) for f in SERIES[q]]
+    assert max(max(abs(euler(x, y)) for x in bases for y in bases), 1) < 2 * _REACH
+
+    objs = _window_objects(q, -_REACH, _REACH)
+    cat = category(q, (-_REACH, _REACH))
+    assert sorted(cat.objects.values()) == sorted(objs)
+    for x, y in product(objs, repeat=2):
+        if x == y:
+            continue
+        want = _table_class(x, y)
+        assert aff_pair_class(x, y) is want, (x, y)
+        assert cat.is_pair(x, y) is (want is not AffPairClass.NOT_EXCEPTIONAL), (x, y)
+        if want is not AffPairClass.NOT_EXCEPTIONAL:
+            assert cat.total_hom(x, y) == _TOTAL_HOM[want], (x, y)
+
+
+def _sign(v):
+    """The sign of the first nonzero entry of v."""
+    return 1 if next(e for e in v if e) > 0 else -1
+
+
+def _signed(v):
+    """v or -v, whichever has a positive first nonzero entry."""
+    return tuple(_sign(v) * e for e in v)
+
+
+def _serre(q, v):
+    """E^-1 E^T v, where E[i][j] = <e_i, e_j> = [i = j] - A[i][j] for the
+    arrow counts A.  Every arrow runs from a lower vertex to a higher one, so
+    E is upper unitriangular and E s = E^T v solves from the last vertex up."""
+    n = len(v)
+    arrows = [[0] * n for _ in range(n)]
+    for i, j in ARROWS[q]:
+        arrows[i][j] += 1
+    target = [v[i] - sum(arrows[j][i] * v[j] for j in range(n)) for i in range(n)]
+    s = [0] * n
+    for i in reversed(range(n)):
+        s[i] = target[i] + sum(arrows[i][j] * s[j] for j in range(i + 1, n))
+    return tuple(s)
+
+
+@pytest.mark.parametrize("q", ["q1", "q2"])
+def test_root_table(q):
+    quiver, delta = _quiver(q), _delta(q)
+    objs = _window_objects(q, -6, 6)
+    # real roots, pairwise distinct up to sign, with the quiver's Euler form
+    assert len({_signed(root(x)) for x in objs}) == len(objs)
+    for x in objs:
+        assert euler(x, x) == 1
+        for y in objs:
+            rx, ry = root(x), root(y)
+            assert euler(x, y) == _sign(rx) * _sign(ry) * euler_form(
+                quiver, _signed(rx), _signed(ry))
+    # series bases have nonzero defect; the sporadic bases are the regular
+    # simples of the rank-2 tubes: all the real roots strictly below delta
+    # with defect 0
+    for f in SERIES[q]:
+        assert euler_form(quiver, delta, ROOTS[q][f]) != 0
+    below = [
+        v for v in product((0, 1), repeat=len(delta))
+        if any(v) and not all(v) and euler_form(quiver, v, v) == 1
+        and euler_form(quiver, delta, v) == 0
+    ]
+    assert sorted(below) == sorted(ROOTS[q][f] for f in SPORADIC[q])
+
+
+@pytest.mark.parametrize("q, g", [("q1", "serre"), ("q2", "serre"), ("q2", "theta")])
+def test_actions_are_the_quiver_maps(q, g):
+    # Serre acts on roots as E^-1 E^T, theta as the swap of vertices 1 and 2
+    for x in _window_objects(q, -6, 6):
+        v = root(x)
+        image = _serre(q, v) if g == "serre" else (v[0], v[2], v[1], v[3])
+        assert _signed(root(aff_act(g, x))) == _signed(image), (g, x)

@@ -28,10 +28,13 @@ NAMED = {
     "typea.serre_step",
 }
 # results of the paper: the bijection to subgons, d-additive sequences and
-# their periods, the affine vanishing classes, the A_N point orbits, and the
-# Serre orbits on X_n^k as sequences, whose sizes and periods the tests read
-# (the CLI counts the orbits of the value tuples, typea.seq_orbits)
+# their periods, the affine pair classes and vanishing classes, the A_N point
+# orbits, and the Serre orbits on X_n^k as sequences, whose sizes and periods
+# the tests read (the CLI counts the orbits of the value tuples,
+# typea.seq_orbits; the affine graphs read the same Euler form as
+# aff_pair_class from the roots and rows that their record holds)
 RESULTS = {
+    "affine.aff_pair_class",
     "affine.aff_vanishing",
     "necklace.seq_to_subgon",
     "typea.count_d_additive",
