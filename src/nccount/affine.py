@@ -83,8 +83,10 @@ def root(x: AffObject) -> tuple:
 
 
 def euler_row(x: AffObject) -> tuple:
-    """The row r of x with <x, v> = sum(r[i] * v[i]) for every vector v,
-    from <x, v> = sum_i x_i v_i - sum over arrows s -> t of x_s v_t."""
+    """The row r of x with <x, v> = sum(r[i] * v[i]) for every vector v: the
+    form of quiver.euler_form, <x, v> = sum_i x_i v_i - sum over arrows
+    s -> t of x_s v_t, on signed roots.  It is written out here so that the
+    affine commands need not load the quiver module."""
     vec = root(x)
     row = list(vec)
     for s, t in ARROWS[x.quiver]:
@@ -92,21 +94,40 @@ def euler_row(x: AffObject) -> tuple:
     return tuple(row)
 
 
-def euler(x: AffObject, y: AffObject) -> int:
-    """The Euler form <x, y> on the roots of two objects of one quiver."""
-    if x.quiver != y.quiver:
-        raise ValueError("the Euler form needs objects of one quiver")
-    return sum(map(mul, euler_row(x), root(y)))
+class _Table(dict):
+    """f(x) for each key x, computed on the first lookup of x."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __missing__(self, x):
+        self[x] = value = self.f(x)
+        return value
+
+
+def pair_tests() -> tuple:
+    """The pair test and the total hom of ordered pairs of objects of one
+    quiver: (x, y) is an exceptional pair iff <y, x> = 0, with |<x, y>|
+    homs from x to y.  Each object's root and Euler row are computed on its
+    first use and kept, so every later test is one dot product."""
+    roots, rows = _Table(root), _Table(euler_row)
+    return (
+        lambda x, y: not sum(map(mul, rows[y], roots[x])),
+        lambda x, y: abs(sum(map(mul, rows[x], roots[y]))),
+    )
 
 
 def aff_pair_class(x: AffObject, y: AffObject) -> AffPairClass:
     """Classification of the ordered pair (x, y) by the Euler form."""
     if x == y:
         raise ValueError("pair classification needs two distinct objects")
-    if euler(y, x):
+    if x.quiver != y.quiver:
+        raise ValueError("the Euler form needs objects of one quiver")
+    is_pair, total_hom = pair_tests()
+    if not is_pair(x, y):
         return AffPairClass.NOT_EXCEPTIONAL
     return (AffPairClass.ORTHOGONAL, AffPairClass.HOM_ONE, AffPairClass.HOM_TWO)[
-        abs(euler(x, y))
+        total_hom(x, y)
     ]
 
 

@@ -16,7 +16,6 @@ modules its category needs.
 """
 
 import re
-from operator import mul
 from typing import Callable, NamedTuple
 
 from .arith import check_enumeration
@@ -129,20 +128,10 @@ def _affine(name, lo, hi):
 
     series, sporadic = affine.SERIES[name], affine.SPORADIC[name]
     _check_size(len(series) * (hi - lo + 1) + len(sporadic))
-    # the window widened by one index, which curve generators reach
-    held = [affine.obj(name, fam, m) for fam in series for m in range(lo - 1, hi + 2)]
-    held += [affine.obj(name, fam) for fam in sporadic]
-    roots = {o: affine.root(o) for o in held}
-    rows = {o: affine.euler_row(o) for o in held}
-    objs = [o for o in held if o.index is None or lo <= o.index <= hi]
-    points = Category(
-        name,
-        {str(o): o for o in objs},
-        # (x, y) is a pair iff <y, x> = 0, with |<x, y>| homs
-        lambda x, y: not sum(map(mul, rows[y], roots[x])),
-        lambda x, y: abs(sum(map(mul, rows[x], roots[y]))),
-        curves=curves,
-    )
+    objs = [affine.obj(name, fam, m) for fam in series for m in range(lo, hi + 1)]
+    objs += [affine.obj(name, fam) for fam in sporadic]
+    is_pair, total_hom = affine.pair_tests()
+    points = Category(name, {str(o): o for o in objs}, is_pair, total_hom, curves=curves)
     return points
 
 

@@ -1,4 +1,5 @@
 from itertools import product
+from operator import mul
 
 import pytest
 
@@ -18,12 +19,13 @@ from nccount.affine import (
     aff_pair_class,
     aff_vanishing,
     classify_generator_pair,
-    euler,
+    euler_row,
     obj,
     root,
     subcat,
 )
 from nccount.category import category
+from nccount.digraph import build_curve_graph
 from nccount.quiver import Quiver, euler_form
 
 
@@ -33,6 +35,11 @@ def q1(f, i=None):
 
 def q2(f, i=None):
     return obj("q2", f, i)
+
+
+def euler(x, y):
+    """The Euler form <x, y> on the roots of two objects."""
+    return sum(map(mul, euler_row(x), root(y)))
 
 
 def test_object_validation():
@@ -388,8 +395,6 @@ def test_hom_values():
     assert cat.total_hom(q2("a", 0), q2("a", 1)) == 2
     assert cat.total_hom(q2("F+"), q2("F-")) == 0
     assert cat.total_hom(q2("a", 0), q2("F+")) == 1
-    with pytest.raises(ValueError):
-        euler(q1("a", 0), q2("a", 0))
     # backward homs of an exceptional pair vanish
     assert euler(q1("a", 1), q1("a", 0)) == 0
     assert aff_pair_class(q1("a", 0), q1("a", 1)) is not AffPairClass.NOT_EXCEPTIONAL
@@ -586,3 +591,25 @@ def test_actions_are_the_quiver_maps(q, g):
         v = root(x)
         image = _serre(q, v) if g == "serre" else (v[0], v[2], v[1], v[3])
         assert _signed(root(aff_act(g, x))) == _signed(image), (g, x)
+
+
+@pytest.mark.parametrize("q", ["q1", "q2"])
+@pytest.mark.parametrize("window", [(3, 5), (-5, -3), (-2, 2)])
+def test_curve_graph_on_any_window(q, window):
+    # generators of the non-indexed curve families sit at indices 0 and 1
+    # whatever the window, so the record's pair test must take objects from
+    # outside it; the edges agree with aff_pair_class on every ordered pair
+    cat = category(q, window)
+    curves = cat.curves()
+    g = build_curve_graph(q, window)
+    assert g.vertices == sorted(curves.objects)
+    for a, b in product(g.vertices, repeat=2):
+        if a == b:
+            continue
+        gens_a, gens_b = curves.objects[a], curves.objects[b]
+        want = all(
+            x != y and aff_pair_class(y, x) is not AffPairClass.NOT_EXCEPTIONAL
+            for x in gens_b
+            for y in gens_a
+        )
+        assert g.has_edge(a, b) is want, (a, b)

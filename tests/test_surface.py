@@ -31,8 +31,8 @@ NAMED = {
 # their periods, the affine pair classes and vanishing classes, the A_N point
 # orbits, and the Serre orbits on X_n^k as sequences, whose sizes and periods
 # the tests read (the CLI counts the orbits of the value tuples,
-# typea.seq_orbits; the affine graphs read the same Euler form as
-# aff_pair_class from the roots and rows that their record holds)
+# typea.seq_orbits; the affine graphs take the same rule as aff_pair_class
+# from affine.pair_tests)
 RESULTS = {
     "affine.aff_pair_class",
     "affine.aff_vanishing",
