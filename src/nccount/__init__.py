@@ -30,4 +30,24 @@ INFINITE = _Infinite()
 # here so that the CLI parser offers them without importing a backend
 DRAWN = ("a3", "d4")
 
-__all__ = ["DRAWN", "INFINITE"]
+
+class VerifyFailed(Exception):
+    """A --verify check that failed, raised by a CLI handler; the call exits
+    1.  A closed form that disagrees with its oracle carries the line for
+    stderr; a scan that reports its checks in its document carries the
+    document, which is written as on success."""
+
+    def __init__(self, message="", doc=None):
+        super().__init__(message)
+        self.doc = doc
+
+
+def check_oracle(name, formula, oracle):
+    """Raise VerifyFailed unless a closed form and its oracle agree."""
+    if formula != oracle:
+        raise VerifyFailed(
+            f"verification failed for {name}: formula={formula}, oracle={oracle}"
+        )
+
+
+__all__ = ["DRAWN", "INFINITE", "VerifyFailed", "check_oracle"]

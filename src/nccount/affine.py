@@ -446,3 +446,19 @@ def aff_vanishing(quiver: str, genus: int) -> bool:
     if genus >= 2:
         return True
     return not _families(quiver, f"genus{genus}")
+
+
+# the --kind choices of `affine count`, by the kind names of aff_count
+_COUNT_KINDS = {
+    "genus-1": "genus-1",
+    "genus0": "genus0",
+    "genus1": "genus1",
+    "triples-a3": "triples-A3",
+    "triples-q1": "triples-Q1",
+}
+
+
+def _cmd_affine_count(args):
+    """The CLI handler of `affine count`."""
+    count = aff_count(args.quiver, _COUNT_KINDS[args.kind], args.group)
+    return {"count": str(count)}

@@ -13,14 +13,11 @@ closed-form count and its brute-force oracle, 2 on usage errors.
 import os
 import sys
 
-# Each handler imports its own backend, so a call loads and compiles only
-# the modules its subcommand needs; the command table imports none, and a
-# well-formed call does not import argparse either.
-from . import DRAWN, INFINITE
-
-
-def _count_str(x) -> str:
-    return "infinite" if x is INFINITE else str(x)
+# Each handler lives in the backend it calls, and the command table names it
+# by module and function, so a call loads and compiles only the modules its
+# subcommand needs; the command table imports none, and a well-formed call
+# does not import argparse either.
+from . import DRAWN, VerifyFailed
 
 
 def _write(pieces):
@@ -70,243 +67,13 @@ def _emit(doc, fmt):
     _write(lines(doc))
 
 
-def _verify_failed(name, lhs, rhs):
-    _stderr(
-        f"verification failed for {name}: formula={_count_str(lhs)}, "
-        f"oracle={_count_str(rhs)}\n"
-    )
-    return 1
-
-
-# --- subcommand handlers ------------------------------------------------------
-
-
-def _cmd_an_count(args):
-    from . import typea
-    if args.group == "id":
-        count = typea.count_id(args.k, args.vertices)
-        brute_count = typea.count_id_brute
-    else:
-        count = typea.count_orbits_formula(args.k, args.vertices)
-        brute_count = typea.count_orbits_brute
-    if args.verify:
-        brute = brute_count(args.k, args.vertices)
-        if brute != count:
-            return _verify_failed("an count", count, brute)
-    _emit({"count": _count_str(count)}, args.format)
-    return 0
-
-
-def _cmd_an_orbits(args):
-    from . import typea
-    typea.check_k_vertices(args.k, args.vertices)
-    census = {}
-    for orb in typea.seq_orbits(args.vertices - 1, args.k):
-        census[len(orb)] = census.get(len(orb), 0) + 1
-    doc = {
-        "k": args.k,
-        "vertices": args.vertices,
-        "orbit_count": _count_str(sum(census.values())),
-        "orbits_by_size": [
-            {"size": s, "count": _count_str(c)} for s, c in sorted(census.items())
-        ],
-    }
-    _emit(doc, args.format)
-    return 0
-
-
-def _cmd_an_genus(args):
-    from . import typea
-    count = typea.count_genus(args.genus, args.vertices, args.group)
-    if args.verify:
-        n, full = args.vertices - 1, args.group == "full"
-        if args.genus == 0:
-            # genus 0 curves are the A_2-type subcategories
-            brute_count = typea.count_orbits_brute if full else typea.count_id_brute
-            brute = brute_count(2, args.vertices)
-        elif full:
-            brute = sum(1 for _ in typea.pair_orbits(n, args.genus + 1))
-        else:
-            brute = sum(1 for _ in typea.exceptional_pairs(n, args.genus + 1))
-        if brute != count:
-            return _verify_failed("an genus", count, brute)
-    _emit({"count": _count_str(count)}, args.format)
-    return 0
-
-
-def _cmd_necklace_count(args):
-    from . import necklace
-    count = necklace.count_subgon_classes_burnside(args.m, args.s)
-    if args.verify:
-        brute = necklace.count_subgon_classes_brute(args.m, args.s)
-        if brute != count:
-            return _verify_failed("necklace count", count, brute)
-    _emit({"count": _count_str(count)}, args.format)
-    return 0
-
-
-def _cmd_d4_table(args):
-    from . import d4
-    tables = d4.d4_tables()
-    doc = {
-        kind: {g: _count_str(v) for g, v in row.items()}
-        for kind, row in tables.items()
-    }
-    _emit(doc, args.format)
-    return 0
-
-
-_D4_KINDS = {
-    "points": "points",
-    "genus0": "genus0",
-    "genus-1": "genusMinus1",
-    "triples-a3": "triples-A3",
-    "triples-a1cubed": "triples-A1cubed",
-}
-
-
-def _cmd_d4_enum(args):
-    from . import d4
-    gens = d4.d4_enum(_D4_KINDS[args.kind])
-    _emit({"kind": args.kind, "subcategories": [str(g) for g in gens]}, args.format)
-    return 0
-
-
-_AFF_KINDS = {
-    "genus-1": "genus-1",
-    "genus0": "genus0",
-    "genus1": "genus1",
-    "triples-a3": "triples-A3",
-    "triples-q1": "triples-Q1",
-}
-
-
-def _cmd_affine_count(args):
-    from . import affine
-    count = affine.aff_count(args.quiver, _AFF_KINDS[args.kind], args.group)
-    _emit({"count": _count_str(count)}, args.format)
-    return 0
-
-
-def _cmd_markov_table(args):
-    from . import markov
-    rows = [
-        {"m": _count_str(m), "count": _count_str(full),
-         "serre_count": _count_str(3 * full)}
-        for m, full in markov.rank_counts(args.limit).items()
-    ]
-    _emit({"rows": rows}, args.format)
-    return 0
-
-
-def _cmd_markov_slopes(args):
-    from . import markov
-    slopes = sorted(
-        markov.exceptional_slopes(args.max_rank),
-        key=lambda mu: (mu.denominator, mu.numerator),
-    )
-    doc = {
-        "slopes": [f"{mu.numerator}/{mu.denominator}" for mu in slopes],
-        "ranks": [_count_str(mu.denominator) for mu in slopes],
-    }
-    _emit(doc, args.format)
-    return 0
-
-
-def _cmd_markov_tree(args):
-    from . import markov
-    triples = markov.markov_triples(args.limit)
-    _emit({"triples": [list(map(_count_str, t)) for t in triples]}, args.format)
-    return 0
-
-
-def _cmd_markov_tyurin(args):
-    from . import markov
-    rows = markov.tyurin_scan(args.max_rank)
-    if args.verify:
-        # the tree counts against the residues of one mutation closure
-        counts = {m: c for m, c, _ in rows}
-        oracle = markov.closure_counts(args.max_rank)
-        for m in sorted(counts.keys() | {r for r in oracle if r > 2}):
-            if counts.get(m, 0) != oracle.get(m, 0):
-                return _verify_failed(
-                    f"markov tyurin at m={m}", counts.get(m, 0), oracle.get(m, 0)
-                )
-    doc = {
-        "rows": [
-            {"m": _count_str(m), "count": _count_str(c), "ok": ok}
-            for m, c, ok in rows
-        ],
-        "all_ok": all(ok for _, _, ok in rows),
-    }
-    _emit(doc, args.format)
-    if args.verify and not doc["all_ok"]:
-        return 1
-    return 0
-
-
-def _cmd_incidence(args):
-    from . import incidence
-    struct = incidence.incidence_structure(args.category)
-    if args.format == "json":
-        _write((incidence.export_incidence(struct),))
-        return 0
-    _emit(
-        {
-            "points": len(struct.points),
-            "lines": len(struct.lines),
-            "incidences": len(struct.incidences()),
-        },
-        "plain",
-    )
-    return 0
-
-
-def _window(args):
-    """--window W as the series indices 0..W-1."""
-    return None if args.window is None else (0, args.window - 1)
-
-
-def _cmd_graph(args):
-    """Point or curve graph of args.category; every graph subcommand sets
-    the arguments it does not take through its fixed defaults."""
-    from . import digraph
-    if args.kind == "curves":
-        g = digraph.build_curve_graph(args.category, _window(args))
-    else:
-        g = digraph.build_point_graph(args.category, _window(args))
-    if args.format == "plain":
-        v, one, two = g.census()
-        _emit(
-            {"category": g.category, "vertices": v,
-             "one_sided_edges": one, "double_sided_edges": two},
-            "plain",
-        )
-    else:
-        _write(digraph.export_lines(g, args.format))
-    return 0
-
-
-def _cmd_an_graph(args):
-    """`an graph --vertices N` draws the point graph of aN."""
-    args.category = f"a{args.vertices}"
-    return _cmd_graph(args)
-
-
-def _cmd_sc(args):
-    from . import digraph
-    g = digraph.build_point_graph(args.category, _window(args))
-    simplices = digraph.sc_simplices(g, args.max_dim)
-    _write(digraph.complex_lines(g, simplices, args.format))
-    return 0
-
-
 # --- the command table -------------------------------------------------------
 # Each leaf, keyed by the words that name it, has its help (None: listed only
 # in its group's usage), its options as add_argument keywords by flag, and its
-# fixed defaults, its handler among them.  build_parser builds the argparse
-# tree from the table, for help and errors; _parse_call reads a well-formed
-# call straight from it, so a successful call never imports argparse.
+# fixed defaults, among them its handler as (backend module, function name).
+# build_parser builds the argparse tree from the table, for help and errors;
+# _parse_call reads a well-formed call straight from it, so a successful call
+# never imports argparse.
 
 
 _GROUPS = {
@@ -329,58 +96,62 @@ _COMMANDS = {
     ("an", "count"): ("subcategory counts", {
         "--k": _INT, "--vertices": _INT, "--group": _GROUP, "--verify": _VERIFY,
         "--format": _FORMAT,
-    }, {"func": _cmd_an_count}),
+    }, {"func": ("typea", "_cmd_an_count")}),
     ("an", "orbits"): ("Serre orbit census", {
         "--k": _INT, "--vertices": _INT, "--format": _FORMAT,
-    }, {"func": _cmd_an_orbits}),
+    }, {"func": ("typea", "_cmd_an_orbits")}),
     ("an", "genus"): ("noncommutative curve counts", {
         "--genus": _INT, "--vertices": _INT, "--group": _GROUP, "--verify": _VERIFY,
         "--format": _FORMAT,
-    }, {"func": _cmd_an_genus}),
+    }, {"func": ("typea", "_cmd_an_genus")}),
     ("an", "graph"): ("derived-point graph", {
         "--vertices": _INT, "--format": _GRAPH_FORMAT,
-    }, {"func": _cmd_an_graph, "kind": "points", "window": None}),
+    }, {"func": ("digraph", "_cmd_an_graph"), "kind": "points", "window": None}),
     ("necklace", "count"): (None, {
         "--m": _INT, "--s": _INT, "--verify": _VERIFY, "--format": _FORMAT,
-    }, {"func": _cmd_necklace_count}),
-    ("d4", "table"): (None, {"--format": _FORMAT}, {"func": _cmd_d4_table}),
-    ("d4", "graph"): (None, {"--kind": _KIND, "--format": _GRAPH_FORMAT},
-                      {"func": _cmd_graph, "category": "d4", "window": None}),
+    }, {"func": ("necklace", "_cmd_necklace_count")}),
+    ("d4", "table"): (None, {"--format": _FORMAT},
+                      {"func": ("d4", "_cmd_d4_table")}),
+    ("d4", "graph"): (None, {"--kind": _KIND, "--format": _GRAPH_FORMAT}, {
+        "func": ("digraph", "_cmd_graph"), "category": "d4", "window": None,
+    }),
     ("d4", "enum"): (None, {
-        "--kind": {"choices": tuple(_D4_KINDS), "required": True},
+        "--kind": {"choices": ("points", "genus0", "genus-1", "triples-a3",
+                              "triples-a1cubed"), "required": True},
         "--format": _FORMAT,
-    }, {"func": _cmd_d4_enum}),
+    }, {"func": ("d4", "_cmd_d4_enum")}),
     ("affine", "count"): (None, {
         "--quiver": {"choices": ("q1", "q2"), "required": True},
-        "--kind": {"choices": tuple(_AFF_KINDS), "required": True},
+        "--kind": {"choices": ("genus-1", "genus0", "genus1", "triples-a3",
+                              "triples-q1"), "required": True},
         "--group": {"choices": ("id", "serre", "full"), "default": "id"},
         "--format": _FORMAT,
-    }, {"func": _cmd_affine_count}),
+    }, {"func": ("affine", "_cmd_affine_count")}),
     ("affine", "graph"): (None, {
         "--quiver": {"dest": "category", "choices": ("q1", "q2"), "required": True},
         "--kind": _KIND, "--window": {"type": int, "default": 5},
         "--format": _GRAPH_FORMAT,
-    }, {"func": _cmd_graph}),
+    }, {"func": ("digraph", "_cmd_graph")}),
     ("markov", "table"): (None, {"--limit": _LIMIT, "--format": _FORMAT},
-                          {"func": _cmd_markov_table}),
+                          {"func": ("markov", "_cmd_markov_table")}),
     ("markov", "slopes"): (None, {"--max-rank": _LIMIT, "--format": _FORMAT},
-                           {"func": _cmd_markov_slopes}),
+                           {"func": ("markov", "_cmd_markov_slopes")}),
     ("markov", "tree"): (None, {"--limit": _LIMIT, "--format": _FORMAT},
-                         {"func": _cmd_markov_tree}),
+                         {"func": ("markov", "_cmd_markov_tree")}),
     ("markov", "tyurin"): (None, {
         "--max-rank": _LIMIT, "--verify": _VERIFY, "--format": _FORMAT,
-    }, {"func": _cmd_markov_tyurin}),
+    }, {"func": ("markov", "_cmd_markov_tyurin")}),
     ("incidence",): ("point/line incidence structures", {
         "--category": {"choices": DRAWN, "required": True}, "--format": _FORMAT,
-    }, {"func": _cmd_incidence}),
+    }, {"func": ("incidence", "_cmd_incidence")}),
     ("graph",): ("point graph of any category", {
         "--category": {"required": True, "help": "aN, d4, q1, q2 or npL (L >= -1)"},
         "--window": {"type": int}, "--format": _GRAPH_FORMAT,
-    }, {"func": _cmd_graph, "kind": "points"}),
+    }, {"func": ("digraph", "_cmd_graph"), "kind": "points"}),
     ("sc",): ("simplicial complex of a point graph", {
         "--category": {"required": True}, "--window": {"type": int},
         "--max-dim": {"type": int, "default": 2}, "--format": _FORMAT,
-    }, {"func": _cmd_sc}),
+    }, {"func": ("digraph", "_cmd_sc")}),
 }
 
 
@@ -457,14 +228,32 @@ def _parse_call(argv):
 
 def run(argv) -> int:
     """Parse argv, from the table when it is well-formed and by the argparse
-    tree otherwise, and run its handler.  A handler's ValueError is a usage
-    error: its message on stderr and exit 2, whichever parser ran."""
+    tree otherwise, and run its handler.  The handler returns its document,
+    which _emit writes in the chosen format, or the pieces of its output,
+    which _write writes as they come.  A handler's ValueError is a usage
+    error: its message on stderr and exit 2, whichever parser ran.  A failed
+    --verify check exits 1, with its document on stdout or else its message
+    on stderr."""
     args = _parse_call(argv) or build_parser().parse_args(argv)
+    module, name = args.func
+    # __import__, unlike importlib.import_module, shows in -X importtime
+    handler = getattr(__import__(f"nccount.{module}", fromlist=[name]), name)
     try:
-        return args.func(args)
+        out = handler(args)
+        if isinstance(out, dict):
+            _emit(out, args.format)
+        else:
+            _write(out)
+    except VerifyFailed as exc:
+        if exc.doc is None:
+            _stderr(f"{exc}\n")
+        else:
+            _emit(exc.doc, args.format)
+        return 1
     except ValueError as exc:
         _stderr(f"error: {exc}\n")
         sys.exit(2)
+    return 0
 
 
 def main():

@@ -216,3 +216,27 @@ def d4_tables() -> dict:
     for kind in KINDS:
         out[kind] = {g: d4_count(kind, g) for g in ("id", "kappa", "serre", "full")}
     return out
+
+
+# --- the CLI handlers of `d4 table` and `d4 enum` ------------------------------
+
+# the --kind choices of `d4 enum`, by the kind names of d4_enum
+_ENUM_KINDS = {
+    "points": "points",
+    "genus0": "genus0",
+    "genus-1": "genusMinus1",
+    "triples-a3": "triples-A3",
+    "triples-a1cubed": "triples-A1cubed",
+}
+
+
+def _cmd_d4_table(args):
+    return {
+        kind: {g: str(v) for g, v in row.items()}
+        for kind, row in d4_tables().items()
+    }
+
+
+def _cmd_d4_enum(args):
+    gens = d4_enum(_ENUM_KINDS[args.kind])
+    return {"kind": args.kind, "subcategories": [str(g) for g in gens]}

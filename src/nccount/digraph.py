@@ -348,3 +348,36 @@ def q1_pattern_subgraphs(window) -> list:
             if candidate == image_edges:
                 found.add(frozenset((x, y, p, q)))
     return sorted(sorted(v) for v in found)
+
+
+# --- the CLI handlers of the graph commands and `sc` ----------------------------
+
+
+def _window(args):
+    """--window W as the series indices 0..W-1."""
+    return None if args.window is None else (0, args.window - 1)
+
+
+def _cmd_graph(args):
+    """Point or curve graph of args.category; every graph subcommand sets
+    the arguments it does not take through its fixed defaults."""
+    if args.kind == "curves":
+        g = build_curve_graph(args.category, _window(args))
+    else:
+        g = build_point_graph(args.category, _window(args))
+    if args.format == "plain":
+        v, one, two = g.census()
+        return {"category": g.category, "vertices": v,
+                "one_sided_edges": one, "double_sided_edges": two}
+    return export_lines(g, args.format)
+
+
+def _cmd_an_graph(args):
+    """`an graph --vertices N` draws the point graph of aN."""
+    args.category = f"a{args.vertices}"
+    return _cmd_graph(args)
+
+
+def _cmd_sc(args):
+    g = build_point_graph(args.category, _window(args))
+    return complex_lines(g, sc_simplices(g, args.max_dim), args.format)

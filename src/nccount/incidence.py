@@ -145,3 +145,15 @@ def export_incidence(struct: IncidenceStructure) -> str:
         "lines": [{"id": lid, "points": list(pts)} for lid, pts in struct.lines],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _cmd_incidence(args):
+    """The CLI handler of `incidence`: the structure as JSON, or its sizes."""
+    struct = incidence_structure(args.category)
+    if args.format == "json":
+        return [export_incidence(struct)]
+    return {
+        "points": len(struct.points),
+        "lines": len(struct.lines),
+        "incidences": len(struct.incidences()),
+    }

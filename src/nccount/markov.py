@@ -17,6 +17,8 @@ so slopes normalized into [0, 1/2] are the canonical bundle names.
 from math import gcd, log
 from typing import TYPE_CHECKING, NamedTuple
 
+from . import VerifyFailed, check_oracle
+
 # Only the slope functions build a Fraction, and each imports the module
 # itself: fractions loads decimal, which the integer counts never need.
 if TYPE_CHECKING:
@@ -265,3 +267,47 @@ def tyurin_scan(max_rank: int) -> list:
     return [
         (m, cnt, cnt == 2) for m, cnt in rank_counts(max_rank).items() if m > 2
     ]
+
+
+# --- the CLI handlers of the `markov` commands ----------------------------------
+
+
+def _cmd_markov_table(args):
+    return {"rows": [
+        {"m": str(m), "count": str(full), "serre_count": str(3 * full)}
+        for m, full in rank_counts(args.limit).items()
+    ]}
+
+
+def _cmd_markov_slopes(args):
+    slopes = sorted(
+        exceptional_slopes(args.max_rank),
+        key=lambda mu: (mu.denominator, mu.numerator),
+    )
+    return {
+        "slopes": [f"{mu.numerator}/{mu.denominator}" for mu in slopes],
+        "ranks": [str(mu.denominator) for mu in slopes],
+    }
+
+
+def _cmd_markov_tree(args):
+    return {"triples": [list(map(str, t)) for t in markov_triples(args.limit)]}
+
+
+def _cmd_markov_tyurin(args):
+    rows = tyurin_scan(args.max_rank)
+    if args.verify:
+        # the tree counts against the residues of one mutation closure
+        counts = {m: c for m, c, _ in rows}
+        oracle = closure_counts(args.max_rank)
+        for m in sorted(counts.keys() | {r for r in oracle if r > 2}):
+            check_oracle(
+                f"markov tyurin at m={m}", counts.get(m, 0), oracle.get(m, 0)
+            )
+    doc = {
+        "rows": [{"m": str(m), "count": str(c), "ok": ok} for m, c, ok in rows],
+        "all_ok": all(ok for _, _, ok in rows),
+    }
+    if args.verify and not doc["all_ok"]:
+        raise VerifyFailed(doc=doc)
+    return doc

@@ -11,6 +11,7 @@ import sys
 from math import comb, gcd, log
 from typing import NamedTuple
 
+from . import check_oracle
 from .arith import check_enumeration, divisors, euler_phi
 
 
@@ -151,3 +152,12 @@ def seq_to_subgon(seq) -> Subgon:
     """
     m = seq.n + 2
     return subgon(m, ((v + t) % m for t, v in enumerate(seq.values)))
+
+
+def _cmd_necklace_count(args):
+    """The CLI handler of `necklace count`."""
+    count = count_subgon_classes_burnside(args.m, args.s)
+    if args.verify:
+        brute = count_subgon_classes_brute(args.m, args.s)
+        check_oracle("necklace count", count, brute)
+    return {"count": str(count)}

@@ -9,6 +9,15 @@ sequences of length k+1 bounded by delta = n+1-k.
 
 The generator of all group actions here is the Serre functor; its orbit
 counts coincide with counts modulo the entire autoequivalence group.
+
+The brute-force oracles stream and keep one orbit at a time.  The Serre
+orbits on X_n^k are walked on the sequences with a_0 = 0, which every orbit
+crosses, by the first-return map of the Serre step (orbit_sizes); the
+curve oracles scan each unordered pair of interval objects once and walk
+the Serre permutation of the points on the pairs found (exceptional_pairs,
+pair_orbits).  Both refuse up front what would pass arith.MAX_ENUMERATION:
+the C(n+2, k+1) sequences, or the P^2 ordered pairs of the P points.  The
+CLI handlers of the `an` counting commands live at the end of the module.
 """
 
 from itertools import chain, combinations_with_replacement, count
@@ -16,6 +25,7 @@ from math import comb, gcd
 from operator import getitem
 from typing import NamedTuple
 
+from . import check_oracle
 from .arith import check_enumeration, cycles, divisors, mobius, orbits
 # the interval objects and their Euler form live in a leaf module, which
 # graph calls load without the counting below; they stay importable here
@@ -149,6 +159,40 @@ def orbit_partition(n: int, k: int):
     return ([MonotoneSeq(n, k, a) for a in orb] for orb in seq_orbits(n, k))
 
 
+def _first_return(t: tuple, bound: int):
+    """The first return of the Serre step to the sequences with a_0 = 0, on
+    their tails t = (a_1, ..., a_k): the image tail and the number of Serre
+    steps taken.  With d = bound - a_k, the sequence (0, t) rises d times to
+    (d, a_1 + d, ..., bound) and then rotates to (0, d, a_1 + d, ...,
+    a_{k-1} + d): d + 1 steps, with a_0 > 0 in between."""
+    d = bound - t[-1]
+    return (d, *[v + d for v in t[:-1]]), d + 1
+
+
+def orbit_sizes(n: int, k: int):
+    """Stream the sizes of the Serre orbits on X_n^k.
+
+    Every orbit crosses the C(n+1, k) sequences with a_0 = 0, and meets them
+    in one cycle of _first_return; the orbit's size is the number of Serre
+    steps around that cycle.  The walk marks the tails by their rank in
+    C(n+1, k) bytes; the cap still counts the C(n+2, k+1) sequences.
+    """
+    check_enumeration(comb(n + 2, k + 1), f"C({n + 2}, {k + 1}) sequences")
+    bound = n + 1 - k
+    rank = _seq_rank(k - 1, bound)
+    seen = bytearray(comb(n + 1, k))
+    tails = combinations_with_replacement(range(bound + 1), k)
+    for r, tail in enumerate(tails):
+        if seen[r]:
+            continue
+        img, size = _first_return(tail, bound)
+        while img != tail:
+            seen[rank(img)] = 1
+            img, steps = _first_return(img, bound)
+            size += steps
+        yield size
+
+
 def count_id_brute(k: int, vertices: int) -> int:
     """Size of X_{N-1}^k, counted off the stream without storing it."""
     check_k_vertices(k, vertices)
@@ -156,10 +200,10 @@ def count_id_brute(k: int, vertices: int) -> int:
 
 
 def count_orbits_brute(k: int, vertices: int) -> int:
-    """Serre-orbit count on X_{N-1}^k, counted off the streamed orbits with
-    at most C(N+1, k+1) bytes of marks."""
+    """Serre-orbit count on X_{N-1}^k, counted off the cross-section walk of
+    orbit_sizes with at most C(N, k) bytes of marks."""
     check_k_vertices(k, vertices)
-    return sum(1 for _ in seq_orbits(vertices - 1, k))
+    return sum(1 for _ in orbit_sizes(vertices - 1, k))
 
 
 def divisors_of_kn(k: int, n: int) -> list:
@@ -320,28 +364,52 @@ def exceptional_pairs(n: int, hom: int):
     increasing order, one row x at a time.
 
     x and y index enum_points(n), P = len(enum_points(n)).  Each object is
-    its interval_mask, and (s_x, s_y) is exceptional iff euler(y, x) = 0;
-    the scan evaluates euler with the shifts of x hoisted out of the loop
-    over y.  An orthogonal pair (hom = 0) is unordered and listed once,
-    with x < y.  A curve of genus g is generated by such a pair with
-    hom = g + 1; between interval objects the total hom is at most 1, so
-    the stream is empty for hom >= 2.  The size check runs on the call, the
-    scan as the codes are read.
+    its interval_mask, and (s_x, s_y) is exceptional iff euler(y, x) = 0.
+    An orthogonal pair (hom = 0) is unordered and listed once, with x < y.
+    A curve of genus g is generated by such a pair with hom = g + 1;
+    between interval objects the total hom is at most 1, so the stream is
+    empty for hom >= 2.  The size check, on all P^2 ordered pairs, runs on
+    the call, the scan as the codes are read.
+
+    The scan visits each unordered pair x < y once, with the shifts of x
+    hoisted out of the loop over y.  Three popcounts decide both orders:
+    a = |x & y|, b = |(x >> 1) & y| = |x & (y << 1)| and
+    c = |(x << 1) & y| = |x & (y >> 1)|, so that euler(y, x) = a - b and
+    euler(x, y) = a - c; c is counted only when a hit still needs it.  For
+    hom >= 1 a pair is a hit in at most one order: (x, y) if b = a and
+    |a - c| = hom, (y, x) if |a - b| = hom and c = a.  A hit (y, x) is held
+    until row y comes, ahead of that row's own hits.
     """
     p = (n + 1) * (n + 2) // 2
     check_enumeration(p * p, f"{p}^2 point pairs")
     masks = [interval_mask(iv, n) for iv in enum_points(n)]
+    held = {}
 
     def row(x, mx):
-        # |y & (x >> 1)| and |x & (y >> 1)| = |(x << 1) & y|
         sx, lx = mx >> 1, mx << 1
-        start = x + 1 if hom == 0 else 0
-        return [
-            code
-            for code, my in zip(count(x * p + start), masks[start:])
-            if (c := (mx & my).bit_count()) == (sx & my).bit_count()
-            and abs(c - (lx & my).bit_count()) == hom
-        ]
+        later = zip(count(x + 1), masks[x + 1:])
+        if hom == 0:
+            return [
+                x * p + y
+                for y, my in later
+                if (a := (mx & my).bit_count()) == (sx & my).bit_count()
+                and a == (lx & my).bit_count()
+            ]
+        out = held.pop(x, [])
+        for y, e in [
+            (y, e)
+            for y, my in later
+            if (
+                abs(a - (lx & my).bit_count()) == hom
+                if not (e := (a := (mx & my).bit_count()) - (sx & my).bit_count())
+                else abs(e) == hom and a == (lx & my).bit_count()
+            )
+        ]:
+            if e:
+                held.setdefault(y, []).append(y * p + x)
+            else:
+                out.append(x * p + y)
+        return out
 
     return chain.from_iterable(map(row, count(), masks))
 
@@ -349,7 +417,9 @@ def exceptional_pairs(n: int, hom: int):
 def pair_orbits(n: int, hom: int):
     """Stream the Serre orbits on the codes of exceptional_pairs(n, hom).
 
-    A code is its own rank, so visited pairs are marked in P^2 bytes.
+    The Serre functor permutes the interval objects, and a pair by its two
+    points, re-sorted when it is unordered (hom = 0).  A code is its own
+    rank, so visited pairs are marked in P^2 bytes.
     """
     codes = exceptional_pairs(n, hom)
     points = enum_points(n)
@@ -357,12 +427,25 @@ def pair_orbits(n: int, hom: int):
     index = {iv: t for t, iv in enumerate(points)}
     perm = [index[serre_on_point(i, j, n)[0]] for i, j in points]
 
-    def step(code):
-        x, y = divmod(code, p)
-        x, y = perm[x], perm[y]
-        return y * p + x if hom == 0 and y < x else x * p + y
+    def walk():
+        seen = bytearray(p * p)
+        for code in codes:
+            if seen[code]:
+                continue
+            orb = [code]
+            x, y = divmod(code, p)
+            while True:
+                x, y = perm[x], perm[y]
+                if hom == 0 and y < x:
+                    x, y = y, x
+                img = x * p + y
+                if img == code:
+                    break
+                seen[img] = 1
+                orb.append(img)
+            yield orb
 
-    return cycles(((c, c) for c in codes), step, int, p * p)
+    return walk()
 
 
 def genus_minus1_orbits(n: int) -> list:
@@ -374,3 +457,51 @@ def genus_minus1_orbits(n: int) -> list:
 def point_orbits(n: int) -> list:
     """Serre orbits on the interval objects themselves."""
     return orbits(enum_points(n), lambda iv: serre_on_point(iv.i, iv.j, n)[0])
+
+
+# ---------------------------------------------------------------------------
+# the CLI handlers of `an count`, `an orbits` and `an genus`
+# ---------------------------------------------------------------------------
+
+
+def _cmd_an_count(args):
+    if args.group == "id":
+        count = count_id(args.k, args.vertices)
+        brute_count = count_id_brute
+    else:
+        count = count_orbits_formula(args.k, args.vertices)
+        brute_count = count_orbits_brute
+    if args.verify:
+        check_oracle("an count", count, brute_count(args.k, args.vertices))
+    return {"count": str(count)}
+
+
+def _cmd_an_orbits(args):
+    check_k_vertices(args.k, args.vertices)
+    census = {}
+    for size in orbit_sizes(args.vertices - 1, args.k):
+        census[size] = census.get(size, 0) + 1
+    return {
+        "k": args.k,
+        "vertices": args.vertices,
+        "orbit_count": str(sum(census.values())),
+        "orbits_by_size": [
+            {"size": s, "count": str(c)} for s, c in sorted(census.items())
+        ],
+    }
+
+
+def _cmd_an_genus(args):
+    count = count_genus(args.genus, args.vertices, args.group)
+    if args.verify:
+        n, full = args.vertices - 1, args.group == "full"
+        if args.genus == 0:
+            # genus 0 curves are the A_2-type subcategories
+            brute_count = count_orbits_brute if full else count_id_brute
+            brute = brute_count(2, args.vertices)
+        elif full:
+            brute = sum(1 for _ in pair_orbits(n, args.genus + 1))
+        else:
+            brute = sum(1 for _ in exceptional_pairs(n, args.genus + 1))
+        check_oracle("an genus", count, brute)
+    return {"count": str(count)}

@@ -1,5 +1,7 @@
 import argparse
+import ast
 import contextlib
+import importlib
 import hashlib
 import io
 import json
@@ -277,6 +279,25 @@ def test_markov_tyurin_verify_mismatch_exits_1(capsys, monkeypatch, change, mess
     assert f"verification failed for {message}" in captured.err
 
 
+def test_markov_tyurin_verify_fails_with_its_document(capsys, monkeypatch):
+    # a Markov number of count 3 that the closure confirms: the scan reports
+    # it in its document, which is written, and --verify exits 1
+    from nccount import markov
+
+    for name in ("rank_counts", "closure_counts"):
+        counts = getattr(markov, name)
+        monkeypatch.setattr(markov, name, lambda r, f=counts: {**f(r), 13: 3})
+    argv = ["markov", "tyurin", "--max-rank", "200"]
+    assert cli.run(argv) == 0
+    plain = capsys.readouterr()
+    assert cli.run([*argv, "--verify"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (plain.out, "")
+    doc = json.loads(captured.out)
+    assert doc["all_ok"] is False
+    assert {"m": "13", "count": "3", "ok": False} in doc["rows"]
+
+
 @pytest.mark.parametrize(
     "argv, size",
     [
@@ -482,6 +503,28 @@ def test_startup_imports(argv, code, loaded):
         capture_output=True, text=True, check=True,
     ).stdout
     assert out == f"{code} {sorted(['nccount', 'nccount.cli', *loaded])}\n"
+
+
+def test_handlers_live_in_the_backends():
+    # the table names each leaf's handler by backend module and function,
+    # and no module of the package imports the CLI back
+    for path, (_, _, fixed) in cli._COMMANDS.items():
+        module, name = fixed["func"]
+        assert module != "cli", path
+        assert callable(getattr(importlib.import_module(f"nccount.{module}"), name))
+    src = Path(cli.__file__).parent
+    for py in src.glob("*.py"):
+        for node in ast.walk(ast.parse(py.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = "nccount" if node.level else node.module
+                if node.module and node.level:
+                    base += f".{node.module}"
+                names = [base, *(f"{base}.{a.name}" for a in node.names)]
+            else:
+                continue
+            assert "nccount.cli" not in names, py.name
 
 
 @pytest.mark.parametrize(

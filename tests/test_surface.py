@@ -30,9 +30,10 @@ NAMED = {
 # results of the paper: the bijection to subgons, d-additive sequences and
 # their periods, the affine pair classes and vanishing classes, the A_N point
 # orbits, and the Serre orbits on X_n^k as sequences, whose sizes and periods
-# the tests read (the CLI counts the orbits of the value tuples,
-# typea.seq_orbits; the affine graphs take the same rule as aff_pair_class
-# from affine.pair_tests)
+# the tests read (the CLI counts the orbits by their sizes, typea.orbit_sizes,
+# on the sequences with a_0 = 0; orbit_partition is the only caller of
+# typea.seq_orbits, and seq_orbits the only caller of arith.cycles; the
+# affine graphs take the same rule as aff_pair_class from affine.pair_tests)
 RESULTS = {
     "affine.aff_pair_class",
     "affine.aff_vanishing",

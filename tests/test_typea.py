@@ -1,5 +1,7 @@
 import itertools
 import tracemalloc
+from collections import Counter
+from itertools import chain, count
 from math import comb
 
 import pytest
@@ -30,6 +32,7 @@ from nccount.typea import (
     is_d_additive,
     monotone_seq,
     orbit_partition,
+    orbit_sizes,
     pair_orbits,
     period,
     point_orbits,
@@ -258,6 +261,32 @@ def test_empty_sequence_set_has_no_orbits():
         assert count_orbits_brute(k, 1) == count_orbits_formula(k, 1) == 0
 
 
+def test_first_return_is_the_serre_walk_back_to_a0_zero():
+    # one return step against the Serre step iterated until a_0 = 0 again
+    for n in range(0, 11):
+        for k in range(1, n + 2):
+            bound = n + 1 - k
+            for a in seq_values(n, k):
+                if a[0]:
+                    continue
+                b, steps = typea._serre_values(a, bound), 1
+                while b[0]:
+                    b, steps = typea._serre_values(b, bound), steps + 1
+                assert typea._first_return(a[1:], bound) == (b[1:], steps), (n, k, a)
+
+
+def _orbit_census(n, k):
+    return Counter(len(o) for o in seq_orbits(n, k))
+
+
+def test_orbit_sizes_match_the_orbits():
+    # the cross-section walk against the walk over all of X_n^k, with k > N,
+    # where X_n^k is empty, included
+    for n in range(0, 12):
+        for k in range(1, n + 4):
+            assert Counter(orbit_sizes(n, k)) == _orbit_census(n, k), (n, k)
+
+
 def _traced_peak(f, *args):
     tracemalloc.start()
     try:
@@ -307,6 +336,7 @@ def test_count_orbits_formula_vs_brute_random(kv):
     parts = list(orbit_partition(vertices - 1, k))
     assert len(parts) == count_orbits_brute(k, vertices)
     assert all((vertices + 1) % len(orb) == 0 for orb in parts)
+    assert Counter(orbit_sizes(vertices - 1, k)) == _orbit_census(vertices - 1, k)
 
 
 def test_count_orbits_special_cases():
@@ -377,6 +407,32 @@ def test_exceptional_pairs_hom_census():
         assert len(list(exceptional_pairs(n, 1))) == 3 * comb(n + 2, 3), n
         for hom in (2, 3):
             assert list(exceptional_pairs(n, hom)) == [], (n, hom)
+
+
+def _row_scan(n, hom):
+    """The scan of exceptional_pairs that visits every ordered pair, one row
+    x at a time: the reference for the one-visit scan."""
+    p = (n + 1) * (n + 2) // 2
+    masks = [interval_mask(iv, n) for iv in enum_points(n)]
+
+    def row(x, mx):
+        # |y & (x >> 1)| and |x & (y >> 1)| = |(x << 1) & y|
+        sx, lx = mx >> 1, mx << 1
+        start = x + 1 if hom == 0 else 0
+        return [
+            code
+            for code, my in zip(count(x * p + start), masks[start:])
+            if (c := (mx & my).bit_count()) == (sx & my).bit_count()
+            and abs(c - (lx & my).bit_count()) == hom
+        ]
+
+    return chain.from_iterable(map(row, count(), masks))
+
+
+def test_exceptional_pairs_match_the_row_scan():
+    for n in range(0, 15):
+        for hom in range(4):
+            assert list(exceptional_pairs(n, hom)) == list(_row_scan(n, hom)), (n, hom)
 
 
 def test_exceptional_pairs_match_quiver_euler_form():
