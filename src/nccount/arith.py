@@ -1,7 +1,9 @@
-"""Small exact number-theory helpers, the orbit partition, the streamed
-cycle walk and the brute-force cap shared by the counting modules."""
+"""Small exact number-theory helpers, the orbit partition, the brute-force
+cap and the printable-count check shared by the counting modules."""
 
+import sys
 from functools import lru_cache
+from math import log
 
 # The largest set a brute-force oracle may enumerate: sequences for the
 # subcategory counts, ordered point pairs for the curve scan, necklace
@@ -17,6 +19,34 @@ def check_enumeration(size: int, what: str) -> None:
             f"refusing to enumerate {what} = {size}; "
             f"the brute-force cap is {MAX_ENUMERATION}"
         )
+
+
+def check_printable(m: int, s: int, count, what: str) -> int:
+    """Return count(), a count between C(m, s)/m and C(m, s), unless it has
+    more digits than Python converts to a string (sys.get_int_max_str_digits()).
+
+    ln C(m, s) is summed as ln((m - k + i)/i), k = min(s, m - s), only until
+    C(m, s)/m passes the limit by a margin, and is then refused up front.
+    Each term is at least ln 2, so that takes at most 3.33 terms per digit
+    plus log2(m) + 2; logs of the ints stay accurate where lgamma loses its
+    units (m past about 10^14) or overflows.  A count short of that is below
+    e*m*10^limit, cheap to compute, and compared with the limit exactly.
+    """
+    # Python before 3.10.7 prints ints of any length
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return count()
+    k, ln, top = min(s, m - s), -log(m), limit * log(10) + 1
+    for i in range(1, k + 1):
+        ln += log(m - k + i) - log(i)
+        if ln >= top:
+            break
+    else:
+        value = count()
+        if value < 10**limit:
+            return value
+    raise ValueError(f"refusing to count {what}: the count has more than {limit} "
+                     "digits, past the limit for printing an int")
 
 
 def divisors(x: int) -> list[int]:
@@ -95,26 +125,3 @@ def orbits(items, *steps) -> list:
                     orb.append(img)
         parts.append(orb)
     return parts
-
-
-def cycles(ranked, step, rank, size: int):
-    """Stream the cycles of the permutation step, one list at a time.
-
-    ranked yields (r, item) for every item of the permuted set, where
-    r = rank(item) is a dense rank in range(size); the enumeration is never
-    ranked, and each image of step is ranked at most once.  The cycles come
-    as orbits(items, step) lists them.  Visited items are marked in a
-    bytearray of size bytes, so besides the enumeration only the current
-    cycle is held.
-    """
-    seen = bytearray(size)
-    for r, item in ranked:
-        if seen[r]:
-            continue
-        cyc = [item]
-        img = step(item)
-        while img != item:
-            seen[rank(img)] = 1
-            cyc.append(img)
-            img = step(img)
-        yield cyc

@@ -45,8 +45,8 @@ class Category(NamedTuple):
 def category(name: str, window=None) -> Category:
     """The record of the named category, with window = (lo, hi) for the
     windowed ones."""
-    # integers without leading zeros, so that each category has one name
-    m = re.fullmatch(r"a(0|[1-9]\d*)|np(0|-?[1-9]\d*)|(d4|q1|q2)", name)
+    # ASCII integers without leading zeros, so that each category has one name
+    m = re.fullmatch(r"a(0|[1-9][0-9]*)|np(0|-?[1-9][0-9]*)|(d4|q1|q2)", name)
     if m is None:
         raise ValueError(f"unknown category {name!r}")
     vertices, genus, fixed = m.groups()

@@ -7,12 +7,11 @@ two must agree; the enumeration is refused up front past the brute-force
 cap, arith.MAX_ENUMERATION.  Reflections are never quotiented out.
 """
 
-import sys
-from math import comb, gcd, log
+from math import comb, gcd
 from typing import NamedTuple
 
 from . import check_oracle
-from .arith import check_enumeration, divisors, euler_phi
+from .arith import check_enumeration, check_printable, divisors, euler_phi
 
 
 class Subgon(NamedTuple):
@@ -41,42 +40,23 @@ def subgon(m: int, vertices) -> Subgon:
     return Subgon(m, verts)
 
 
-def check_printable(m: int, s: int) -> None:
-    """Refuse up front a count with more digits than Python converts to a
-    string (sys.get_int_max_str_digits(), 4300 by default).
-
-    The count is at least C(m, s)/m, the d = 1 term of the Burnside sum.
-    With k = min(s, m - s), ln C(m, k) is summed as ln((m - k + i)/i) over
-    i = 1..k.  Each term is at least ln 2, so the sum passes the limit
-    within 3.33 terms per digit plus log2(m).  Logs of the ints themselves
-    stay accurate where a difference of lgamma values loses its units (m
-    past about 10^14) or overflows (m past 10^308).
-    """
-    # Python before 3.10.7 prints ints of any length
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit:
-        return
-    k, ln = min(s, m - s), -log(m)
-    for i in range(1, k + 1):
-        ln += log(m - k + i) - log(i)
-        if ln >= limit * log(10):
-            raise ValueError(
-                f"refusing to count C({m}, {s})/{m} necklaces: the count has "
-                f"more than {limit} digits, past the limit for printing an int"
-            )
-
-
 def count_subgon_classes_burnside(m: int, s: int) -> int:
     """(1/m) * sum over d | gcd(m,s) of phi(d) * C(m/d, s/d).
 
-    A count too long to print is refused before the sum (check_printable).
+    s = m is one class, answered before the sum would factor m; otherwise
+    gcd(m, s) <= min(s, m - s), bounded by arith.check_printable first.
     """
     if not 1 <= s <= m:
         raise ValueError(f"need 1 <= s <= m, got s={s}, m={m}")
-    check_printable(m, s)
-    total = sum(euler_phi(d) * comb(m // d, s // d) for d in divisors(gcd(m, s)))
-    assert total % m == 0
-    return total // m
+    if s == m:
+        return 1
+
+    def count():
+        total = sum(euler_phi(d) * comb(m // d, s // d) for d in divisors(gcd(m, s)))
+        assert total % m == 0
+        return total // m
+
+    return check_printable(m, s, count, f"C({m}, {s})/{m} necklaces")
 
 
 def gap_necklaces(m: int, s: int):

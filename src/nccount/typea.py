@@ -11,22 +11,23 @@ The generator of all group actions here is the Serre functor; its orbit
 counts coincide with counts modulo the entire autoequivalence group.
 
 The brute-force oracles stream and keep one orbit at a time.  The Serre
-orbits on X_n^k are walked on the sequences with a_0 = 0, which every orbit
-crosses, by the first-return map of the Serre step (orbit_sizes); the
-curve oracles scan each unordered pair of interval objects once and walk
-the Serre permutation of the points on the pairs found (exceptional_pairs,
-pair_orbits).  Both refuse up front what would pass arith.MAX_ENUMERATION:
-the C(n+2, k+1) sequences, or the P^2 ordered pairs of the P points.  The
-CLI handlers of the `an` counting commands live at the end of the module.
+orbits on X_n^k are walked once, as the cycles of the first-return map of
+the Serre step on the sequences with a_0 = 0 (_return_cycles), and both the
+orbits and their sizes are read off those cycles; the curve oracles scan
+each unordered pair of interval objects once and walk the Serre permutation
+of the points on the pairs found (exceptional_pairs, pair_orbits).  Both
+refuse up front what would pass arith.MAX_ENUMERATION: the C(n+2, k+1)
+sequences, or the P^2 ordered pairs of the P points.  The CLI handlers of
+the `an` counting commands live at the end of the module.
 """
 
-from itertools import chain, combinations_with_replacement, count
+from itertools import chain, combinations_with_replacement, compress, count
 from math import comb, gcd
-from operator import getitem
+from operator import getitem, itemgetter, not_
 from typing import NamedTuple
 
 from . import check_oracle
-from .arith import check_enumeration, cycles, divisors, mobius, orbits
+from .arith import check_enumeration, check_printable, divisors, mobius, orbits
 # the interval objects and their Euler form live in a leaf module, which
 # graph calls load without the counting below; they stay importable here
 from .interval import Interval, enum_points, euler, interval_dim, interval_mask
@@ -103,10 +104,12 @@ def check_k_vertices(k: int, vertices: int) -> None:
 def count_id(k: int, vertices: int) -> int:
     """Number of A_k-type subcategories of D^b(A_N), N = vertices.
 
-    Equals C(N+1, k+1); zero when k > N, one when k = N.
+    Equals C(N+1, k+1); zero when k > N, one when k = N; refused when too
+    long to print (arith.check_printable).
     """
     check_k_vertices(k, vertices)
-    return comb(vertices + 1, k + 1)
+    m, s = vertices + 1, k + 1
+    return check_printable(m, s, lambda: comb(m, s), f"C({m}, {s}) subcategories")
 
 
 def _serre_values(a: tuple, bound: int) -> tuple:
@@ -138,19 +141,48 @@ def _seq_rank(k: int, bound: int):
     return lambda a: last - sum(map(getitem, after, a))
 
 
-def seq_orbits(n: int, k: int):
-    """Stream the Serre orbits on the value tuples of X_n^k, in the order of
-    their lexicographically least members, each a list starting there.
+def _first_return(t: tuple, bound: int) -> tuple:
+    """The first return of the Serre step to the sequences with a_0 = 0, on
+    their tails t = (a_1, ..., a_k).  With d = bound - a_k, the sequence
+    (0, t) rises d times to (d, a_1 + d, ..., bound) and then rotates to
+    (0, d, a_1 + d, ..., a_{k-1} + d): d + 1 Serre steps, with a_0 > 0 in
+    between."""
+    d = bound - t[-1]
+    return (d, *[v + d for v in t[:-1]])
 
-    Visited sequences are marked by their rank in C(n+2, k+1) bytes.
+
+def _return_cycles(n: int, k: int):
+    """Stream the cycles of _first_return on the tails of X_n^k, each a list
+    starting at its least tail, in the order of their least tails.
+
+    Every Serre orbit crosses the C(n+1, k) sequences with a_0 = 0 and meets
+    them in one such cycle.  The walk marks a cycle's later tails by their
+    rank in C(n+1, k) bytes; they rank above its least, so the enumeration
+    of the tails skips them.  The cap still counts the C(n+2, k+1) sequences.
     """
+    check_enumeration(comb(n + 2, k + 1), f"C({n + 2}, {k + 1}) sequences")
     bound = n + 1 - k
-    return cycles(
-        enumerate(seq_values(n, k)),
-        lambda a: _serre_values(a, bound),
-        _seq_rank(k, bound),
-        comb(n + 2, k + 1),
-    )
+    rank = _seq_rank(k - 1, bound)
+    seen = bytearray(comb(n + 1, k))
+    tails = combinations_with_replacement(range(bound + 1), k)
+    for tail in compress(tails, map(not_, seen)):
+        cyc = [tail]
+        img = _first_return(tail, bound)
+        while img != tail:
+            seen[rank(img)] = 1
+            cyc.append(img)
+            img = _first_return(img, bound)
+        yield cyc
+
+
+def seq_orbits(n: int, k: int):
+    """Stream the Serre orbits on the value tuples of X_n^k, each a list
+    starting at its lexicographically least member (0, t), t the least tail
+    of its cycle of _return_cycles, in the order of those members.  From
+    each tail t of the cycle in turn, (0, t) rises bound - t_k times."""
+    bound = n + 1 - k
+    for cyc in _return_cycles(n, k):
+        yield [(j, *[v + j for v in t]) for t in cyc for j in range(bound + 1 - t[-1])]
 
 
 def orbit_partition(n: int, k: int):
@@ -159,38 +191,12 @@ def orbit_partition(n: int, k: int):
     return ([MonotoneSeq(n, k, a) for a in orb] for orb in seq_orbits(n, k))
 
 
-def _first_return(t: tuple, bound: int):
-    """The first return of the Serre step to the sequences with a_0 = 0, on
-    their tails t = (a_1, ..., a_k): the image tail and the number of Serre
-    steps taken.  With d = bound - a_k, the sequence (0, t) rises d times to
-    (d, a_1 + d, ..., bound) and then rotates to (0, d, a_1 + d, ...,
-    a_{k-1} + d): d + 1 steps, with a_0 > 0 in between."""
-    d = bound - t[-1]
-    return (d, *[v + d for v in t[:-1]]), d + 1
-
-
 def orbit_sizes(n: int, k: int):
-    """Stream the sizes of the Serre orbits on X_n^k.
-
-    Every orbit crosses the C(n+1, k) sequences with a_0 = 0, and meets them
-    in one cycle of _first_return; the orbit's size is the number of Serre
-    steps around that cycle.  The walk marks the tails by their rank in
-    C(n+1, k) bytes; the cap still counts the C(n+2, k+1) sequences.
-    """
-    check_enumeration(comb(n + 2, k + 1), f"C({n + 2}, {k + 1}) sequences")
-    bound = n + 1 - k
-    rank = _seq_rank(k - 1, bound)
-    seen = bytearray(comb(n + 1, k))
-    tails = combinations_with_replacement(range(bound + 1), k)
-    for r, tail in enumerate(tails):
-        if seen[r]:
-            continue
-        img, size = _first_return(tail, bound)
-        while img != tail:
-            seen[rank(img)] = 1
-            img, steps = _first_return(img, bound)
-            size += steps
-        yield size
+    """Stream the sizes of the Serre orbits on X_n^k: the Serre steps around
+    each cycle of _return_cycles, bound + 1 - t_k from the tail t."""
+    steps, last = n + 2 - k, itemgetter(-1)
+    for cyc in _return_cycles(n, k):
+        yield steps * len(cyc) - sum(map(last, cyc))
 
 
 def count_id_brute(k: int, vertices: int) -> int:
@@ -200,10 +206,10 @@ def count_id_brute(k: int, vertices: int) -> int:
 
 
 def count_orbits_brute(k: int, vertices: int) -> int:
-    """Serre-orbit count on X_{N-1}^k, counted off the cross-section walk of
-    orbit_sizes with at most C(N, k) bytes of marks."""
+    """Serre-orbit count on X_{N-1}^k, counted off the cycles of
+    _return_cycles with at most C(N, k) bytes of marks."""
     check_k_vertices(k, vertices)
-    return sum(1 for _ in orbit_sizes(vertices - 1, k))
+    return sum(1 for _ in _return_cycles(vertices - 1, k))
 
 
 def divisors_of_kn(k: int, n: int) -> list:
@@ -269,29 +275,34 @@ def count_orbits_formula(k: int, vertices: int) -> int:
         sum over divisor pairs y | x | D with mu(x/y) != 0 of
         D*mu(x/y) / ((k+1)*x) * C(y(N+1)/D - 1, y(k+1)/D - 1).
     Agrees with count_orbits_brute everywhere; equals 1 at k = N and 0 for
-    k > N.
+    k > N, both answered before the sum, which would factor N+1.  Otherwise
+    D <= min(k+1, N-k), bounded by arith.check_printable before the sum.
     """
     check_k_vertices(k, vertices)
-    if k > vertices:
-        return 0
+    if k >= vertices:
+        return int(k == vertices)
     m = vertices + 1  # = n+2 in internal indexing
     d_big = gcd(k + 1, m)
-    # the sum times (k+1)*D, in integers: x divides D, so every term's
-    # denominator (k+1)*x divides the scale
-    scale = (k + 1) * d_big
-    total = 0
-    for x in divisors(d_big):
-        for y in divisors(x):
-            mu = mobius(x // y)
-            if mu == 0:
-                continue
-            total += d_big * mu * (d_big // x) * comb(
-                y * m // d_big - 1, y * (k + 1) // d_big - 1
-            )
-    orbit_count, rest = divmod(total, scale)
-    if rest:
-        raise AssertionError(f"non-integral orbit count {total}/{scale}")
-    return orbit_count
+
+    def count():
+        # the sum times (k+1)*D, in integers: x divides D, so every term's
+        # denominator (k+1)*x divides the scale
+        scale = (k + 1) * d_big
+        total = 0
+        for x in divisors(d_big):
+            for y in divisors(x):
+                mu = mobius(x // y)
+                if mu == 0:
+                    continue
+                total += d_big * mu * (d_big // x) * comb(
+                    y * m // d_big - 1, y * (k + 1) // d_big - 1
+                )
+        orbit_count, rest = divmod(total, scale)
+        if rest:
+            raise AssertionError(f"non-integral orbit count {total}/{scale}")
+        return orbit_count
+
+    return check_printable(m, k + 1, count, f"C({m}, {k + 1})/{m} Serre orbits")
 
 
 # ---------------------------------------------------------------------------

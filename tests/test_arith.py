@@ -1,9 +1,12 @@
+import sys
+
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
-from nccount.arith import cycles, divisors, euler_phi, mobius, orbits
+from nccount.arith import check_printable, divisors, euler_phi, mobius, orbits
 
 
 def test_number_theory_matches_sympy():
@@ -41,23 +44,21 @@ def test_orbits_match_sympy(drawn, rnd):
     assert firsts == sorted(firsts, key=items.index)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 12).map(range).flatmap(st.permutations),
-       st.randoms(use_true_random=False))
-def test_cycles_match_orbits(perm, rnd):
-    # the streamed cycle walk against the orbit helper for one generator,
-    # with a dense rank that is not the item itself
-    items = list(range(len(perm)))
-    rnd.shuffle(items)
-    code = {x: f"x{x}" for x in items}
-    rank = {c: x for x, c in code.items()}.__getitem__
-    walked = cycles(((x, code[x]) for x in items), lambda c: code[perm[rank(c)]],
-                    rank, len(items))
-    assert [[rank(c) for c in cyc] for cyc in walked] == orbits(
-        items, perm.__getitem__
-    )
-
-
 def test_orbits_without_steps_are_singletons():
     assert orbits("cab") == [["c"], ["a"], ["b"]]
     assert orbits([]) == []
+
+
+def test_check_printable_is_exact_and_refuses_up_front():
+    limit = sys.get_int_max_str_digits()
+    # C(4, 2)/4 is far from the limit, so the count itself decides
+    assert check_printable(4, 2, lambda: 10**limit - 1, "x") == 10**limit - 1
+    with pytest.raises(ValueError, match=f"count x: the count has more than {limit} "):
+        check_printable(4, 2, lambda: 10**limit, "x")
+
+    # C(10^6, 5 * 10^5)/10^6 is far past it, so the count is never computed
+    def never():
+        raise AssertionError("computed")
+
+    with pytest.raises(ValueError, match=f"more than {limit} digits"):
+        check_printable(10**6, 5 * 10**5, never, "x")

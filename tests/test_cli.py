@@ -374,9 +374,10 @@ def test_window_rejected_where_unused(capsys, argv):
     assert f"{argv[2]} takes no window" in captured.err
 
 
-@pytest.mark.parametrize("name", ["a03", "np01", "np-01"])
+@pytest.mark.parametrize("name", ["a03", "np01", "np-01", "a1١", "np1١"])
 def test_leading_zero_category_exits_2(capsys, name):
-    # a3 and np1 have one name each
+    # a3, np1, a11 and np11 have one name each: no leading zeros, and ASCII
+    # digits only, though int() also reads the Arabic-Indic one
     for argv in (["graph", "--category", name], ["sc", "--category", name]):
         with pytest.raises(SystemExit) as exc:
             cli.run(argv)
@@ -821,6 +822,28 @@ def test_main_exits_2_on_a_usage_error():
     r = _python(["-m", "nccount.cli", "an", "count", "--k", "2"], stdout=subprocess.PIPE)
     assert (r.returncode, r.stdout) == (2, b"")
     assert r.stderr.endswith(b"error: the following arguments are required: --vertices\n")
+
+
+@pytest.mark.parametrize(
+    "argv, code, text",
+    [
+        # one class, or one orbit, answered before a divisor sum factors m
+        (f"necklace count --m {10**16} --s {10**16}", 0, '"count": "1"'),
+        (f"necklace count --m {10**30} --s {10**30}", 0, '"count": "1"'),
+        (f"an count --k {10**30} --vertices {10**30} --group full", 0, '"count": "1"'),
+        # counts too long to print, refused before they are computed
+        ("an count --k 5000000 --vertices 10000000", 2,
+         "refusing to count C(10000001, 5000001) subcategories: the count has more"),
+        ("an count --k 500000 --vertices 1000000 --group full", 2,
+         "refusing to count C(1000001, 500001)/1000001 Serre orbits: the count has"),
+    ],
+)
+def test_huge_arguments_answer_or_refuse_at_once(argv, code, text):
+    r = _python(["-m", "nccount.cli", *argv.split()], stdout=subprocess.PIPE,
+                timeout=5)
+    assert r.returncode == code
+    assert text.encode() in (r.stdout if code == 0 else r.stderr)
+    assert (r.stderr if code == 0 else r.stdout) == b""
 
 
 def _closed_pipe():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from nccount.necklace import (
     Subgon,
-    check_printable,
     count_subgon_classes,
     count_subgon_classes_brute,
     count_subgon_classes_burnside,
@@ -17,7 +16,7 @@ from nccount.necklace import (
     subgon,
 )
 from nccount import arith
-from nccount.arith import divisors, euler_phi
+from nccount.arith import check_printable, divisors, euler_phi
 from nccount.typea import enum_seqs, monotone_seq, serre_step
 
 
@@ -27,6 +26,8 @@ def test_anchor_values():
     assert count_subgon_classes(6, 2) == 3
     for m in range(1, 10):
         assert count_subgon_classes(m, m) == 1
+    # one class, answered before the divisor sum, which would factor m
+    assert count_subgon_classes(10**30, 10**30) == 1
 
 
 def test_bad_arguments():
@@ -103,7 +104,7 @@ def test_check_printable_at_the_digit_limit(m, s):
         with pytest.raises(ValueError, match=f"more than {limit} digits"):
             count_subgon_classes_burnside(m, s)
     else:
-        check_printable(m, s)
+        assert check_printable(m, s, lambda: total // m, "") == total // m
         assert count_subgon_classes_burnside(m, s) == total // m
         assert len(str(total // m)) <= limit
 

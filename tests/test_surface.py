@@ -30,9 +30,9 @@ NAMED = {
 # results of the paper: the bijection to subgons, d-additive sequences and
 # their periods, the affine pair classes and vanishing classes, the A_N point
 # orbits, and the Serre orbits on X_n^k as sequences, whose sizes and periods
-# the tests read (the CLI counts the orbits by their sizes, typea.orbit_sizes,
-# on the sequences with a_0 = 0; orbit_partition is the only caller of
-# typea.seq_orbits, and seq_orbits the only caller of arith.cycles; the
+# the tests read (the CLI counts the orbits by their sizes, typea.orbit_sizes;
+# orbit_partition is the only caller of typea.seq_orbits, and both read the
+# one walk of the Serre return map on the sequences with a_0 = 0; the
 # affine graphs take the same rule as aff_pair_class from affine.pair_tests)
 RESULTS = {
     "affine.aff_pair_class",

@@ -1,8 +1,9 @@
 import itertools
+import sys
 import tracemalloc
 from collections import Counter
 from itertools import chain, count
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -262,7 +263,8 @@ def test_empty_sequence_set_has_no_orbits():
 
 
 def test_first_return_is_the_serre_walk_back_to_a0_zero():
-    # one return step against the Serre step iterated until a_0 = 0 again
+    # one return step, and its bound + 1 - a_k Serre steps, against the
+    # Serre step iterated until a_0 = 0 again
     for n in range(0, 11):
         for k in range(1, n + 2):
             bound = n + 1 - k
@@ -272,16 +274,21 @@ def test_first_return_is_the_serre_walk_back_to_a0_zero():
                 b, steps = typea._serre_values(a, bound), 1
                 while b[0]:
                     b, steps = typea._serre_values(b, bound), steps + 1
-                assert typea._first_return(a[1:], bound) == (b[1:], steps), (n, k, a)
+                assert typea._first_return(a[1:], bound) == b[1:], (n, k, a)
+                assert bound + 1 - a[-1] == steps, (n, k, a)
 
 
 def _orbit_census(n, k):
-    return Counter(len(o) for o in seq_orbits(n, k))
+    # the orbit helper under the Serre step on all of X_n^k, independent of
+    # the return-map walk behind both seq_orbits and orbit_sizes
+    bound = n + 1 - k
+    parts = arith.orbits(seq_values(n, k), lambda a: typea._serre_values(a, bound))
+    return Counter(map(len, parts))
 
 
 def test_orbit_sizes_match_the_orbits():
-    # the cross-section walk against the walk over all of X_n^k, with k > N,
-    # where X_n^k is empty, included
+    # the cross-section walk against the orbit helper on all of X_n^k, with
+    # k > N, where X_n^k is empty, included
     for n in range(0, 12):
         for k in range(1, n + 4):
             assert Counter(orbit_sizes(n, k)) == _orbit_census(n, k), (n, k)
@@ -331,21 +338,50 @@ def _k_vertices(draw, limit=20_000):
 @settings(deadline=None, max_examples=60)
 @given(_k_vertices())
 def test_count_orbits_formula_vs_brute_random(kv):
+    # the return-map walk against the orbit helper under the Serre step
     k, vertices = kv
+    n = vertices - 1
+    want = arith.orbits(enum_seqs(n, k), serre_step)
+    assert list(orbit_partition(n, k)) == want
     assert count_orbits_formula(k, vertices) == count_orbits_brute(k, vertices)
-    parts = list(orbit_partition(vertices - 1, k))
-    assert len(parts) == count_orbits_brute(k, vertices)
-    assert all((vertices + 1) % len(orb) == 0 for orb in parts)
-    assert Counter(orbit_sizes(vertices - 1, k)) == _orbit_census(vertices - 1, k)
+    assert count_orbits_brute(k, vertices) == len(want)
+    assert all((vertices + 1) % len(orb) == 0 for orb in want)
+    assert Counter(orbit_sizes(n, k)) == Counter(map(len, want))
 
 
 def test_count_orbits_special_cases():
     for k in range(1, 12):
         assert count_orbits_formula(k, k) == 1
+    # answered before the divisor sum, which would factor N+1
+    assert count_orbits_formula(10**30, 10**30) == count_id(10**30, 10**30) == 1
     # k+1 prime and (N+1) not divisible by k+1: count = C(N,k)/(k+1)
     for k, vertices in [(1, 3), (2, 7), (4, 9), (6, 11)]:
         if (vertices + 1) % (k + 1) != 0:
             assert count_orbits_formula(k, vertices) == comb(vertices, k) // (k + 1)
+
+
+def _necklace_count(m, s):
+    # the Burnside sum, taken without the digit check
+    total = sum(arith.euler_phi(d) * comb(m // d, s // d)
+                for d in arith.divisors(gcd(m, s)))
+    return total // m
+
+
+@pytest.mark.parametrize(
+    # C(N+1, k+1) crosses the limit between N = 14290 and 14291, and the
+    # orbit count, about C(N+1, k+1)/(N+1), between N = 14304 and 14305
+    "k, vertices", [(7144, 14290), (7145, 14291), (7151, 14304), (7152, 14305)],
+)
+def test_counts_refused_exactly_at_the_digit_limit(k, vertices):
+    limit = sys.get_int_max_str_digits()
+    m, s = vertices + 1, k + 1
+    for formula, want in ((count_id, comb(m, s)),
+                          (count_orbits_formula, _necklace_count(m, s))):
+        if want >= 10**limit:
+            with pytest.raises(ValueError, match=f"more than {limit} digits"):
+                formula(k, vertices)
+        else:
+            assert formula(k, vertices) == want
 
 
 def test_count_genus_values():
