@@ -11,22 +11,21 @@ finitely many sporadic objects:
 Each object is a real root of its quiver up to sign: the series member x^m
 is the base root of its family plus m times the imaginary root
 delta = (1, ..., 1), and the sporadic objects are the regular simples of the
-rank-2 tubes.  Hom and ext never both live on an exceptional pair of a
-hereditary algebra (Happel-Ringel), so the Euler form classifies the pairs:
-(x, y) is an exceptional pair iff <y, x> = 0, with |<x, y>| homs from x to
-y.  Group actions (Serre, the square symmetry theta of q2, and the extra
-shift-like generator zeta) are stored as label-level maps, and all orbit
+rank-2 tubes.  The pairs and their homs are the rule quiver.pair_rule reads
+off the Euler form of the roots.  Serre is quiver.coxeter on the roots and
+the square symmetry theta of q2 the swap of its vertices 1 and 2, both read
+back as base + m * delta up to sign; only the extra shift-like generator
+zeta, which no map of the quiver gives, is typed label by label.  All orbit
 counts of the infinite curve families are computed symbolically from
 index-shift data.
 """
 
-from enum import Enum
 from math import gcd
-from operator import mul
 from typing import NamedTuple
 
 from . import INFINITE
 from .arith import orbits
+from .quiver import PairClass, coxeter, pair_class, pair_rule
 
 SERIES = {"q1": ("a", "b"), "q2": ("a", "b", "c", "d")}
 SPORADIC = {"q1": ("M", "M'"), "q2": ("F+", "F-", "G+", "G-")}
@@ -69,83 +68,41 @@ def obj(quiver: str, family: str, index: int | None = None) -> AffObject:
     raise ValueError(f"unknown family {family!r} for {quiver}")
 
 
-class AffPairClass(Enum):
-    NOT_EXCEPTIONAL = "not-exceptional"
-    ORTHOGONAL = "orthogonal"
-    HOM_ONE = "hom-one"
-    HOM_TWO = "hom-two"
-
-
 def root(x: AffObject) -> tuple:
     """The real root of x, up to sign."""
     base = ROOTS[x.quiver][x.family]
     return base if x.index is None else tuple(v + x.index for v in base)
 
 
-def euler_row(x: AffObject) -> tuple:
-    """The row r of x with <x, v> = sum(r[i] * v[i]) for every vector v: the
-    form of quiver.euler_form, <x, v> = sum_i x_i v_i - sum over arrows
-    s -> t of x_s v_t, on signed roots.  It is written out here so that the
-    affine commands need not load the quiver module."""
-    vec = root(x)
-    row = list(vec)
-    for s, t in ARROWS[x.quiver]:
-        row[t] -= vec[s]
-    return tuple(row)
-
-
-class _Table(dict):
-    """f(x) for each key x, computed on the first lookup of x."""
-
-    def __init__(self, f):
-        self.f = f
-
-    def __missing__(self, x):
-        self[x] = value = self.f(x)
-        return value
-
-
-def pair_tests() -> tuple:
-    """The pair test and the total hom of ordered pairs of objects of one
-    quiver: (x, y) is an exceptional pair iff <y, x> = 0, with |<x, y>|
-    homs from x to y.  Each object's root and Euler row are computed on its
-    first use and kept, so every later test is one dot product."""
-    roots, rows = _Table(root), _Table(euler_row)
-    return (
-        lambda x, y: not sum(map(mul, rows[y], roots[x])),
-        lambda x, y: abs(sum(map(mul, rows[x], roots[y]))),
-    )
-
-
-def aff_pair_class(x: AffObject, y: AffObject) -> AffPairClass:
+def aff_pair_class(x: AffObject, y: AffObject) -> PairClass:
     """Classification of the ordered pair (x, y) by the Euler form."""
-    if x == y:
-        raise ValueError("pair classification needs two distinct objects")
     if x.quiver != y.quiver:
         raise ValueError("the Euler form needs objects of one quiver")
-    is_pair, total_hom = pair_tests()
-    if not is_pair(x, y):
-        return AffPairClass.NOT_EXCEPTIONAL
-    return (AffPairClass.ORTHOGONAL, AffPairClass.HOM_ONE, AffPairClass.HOM_TWO)[
-        total_hom(x, y)
-    ]
+    return pair_class(*pair_rule(ARROWS[x.quiver], root), x, y)
 
 
 # --- label-level group actions ---------------------------------------------
 
-# each entry: series family -> (image family, index shift); sporadic -> name
-_ACTIONS = {
-    ("q1", "serre"): ({"a": ("b", -1), "b": ("a", -2)}, {"M": "M'", "M'": "M"}),
-    ("q1", "zeta"): ({"a": ("b", 0), "b": ("a", -1)}, None),
-    ("q2", "serre"): (
-        {"a": ("b", 0), "b": ("a", -2), "c": ("d", -1), "d": ("c", -1)},
-        {"F+": "G-", "F-": "G+", "G+": "F-", "G-": "F+"},
-    ),
-    ("q2", "theta"): (
-        {"a": ("a", 0), "b": ("b", 0), "c": ("d", 0), "d": ("c", 0)},
-        {"F+": "F-", "F-": "F+", "G+": "G-", "G-": "G+"},
-    ),
-    ("q2", "zeta"): (
+# root -> family, for the sporadic roots and the series bases
+_FAMILY = {q: {r: f for f, r in roots.items()} for q, roots in ROOTS.items()}
+
+
+def _object(quiver: str, v: tuple) -> AffObject:
+    """The object whose root is v up to sign: a series base plus m * delta,
+    m the entry at vertex 0, where every base is 0, or a sporadic root."""
+    for w in (v, tuple(-e for e in v)):
+        family = _FAMILY[quiver].get(tuple(e - w[0] for e in w))
+        if family in SERIES[quiver]:
+            return AffObject(quiver, family, w[0])
+        if w in _FAMILY[quiver]:
+            return AffObject(quiver, _FAMILY[quiver][w])
+    raise ValueError(f"{v} is the root of no exceptional object of {quiver}")
+
+
+# zeta: series family -> (image family, index shift); sporadic -> name
+_ZETA = {
+    "q1": ({"a": ("b", 0), "b": ("a", -1)}, None),
+    "q2": (
         {"a": ("d", 0), "b": ("c", -1), "c": ("b", 0), "d": ("a", -1)},
         {"F+": "F+", "F-": "G+", "G+": "F-", "G-": "G-"},
     ),
@@ -165,10 +122,14 @@ def aff_act(g: str, x: AffObject) -> AffObject:
     """Image of an exceptional object under serre, theta or zeta (up to
     shift).  theta exists only on q2; zeta on q1 is known on the series
     objects only."""
-    key = (x.quiver, g)
-    if key not in _ACTIONS:
+    if g == "serre":
+        return _object(x.quiver, coxeter(ARROWS[x.quiver], root(x)))
+    if (x.quiver, g) == ("q2", "theta"):
+        v = root(x)
+        return _object(x.quiver, (v[0], v[2], v[1], v[3]))
+    if g != "zeta":
         raise ValueError(f"action {g!r} is not defined on {x.quiver}")
-    series_map, spor_map = _ACTIONS[key]
+    series_map, spor_map = _ZETA[x.quiver]
     if x.index is not None:
         fam, shift = series_map[x.family]
         return AffObject(x.quiver, fam, x.index + shift)

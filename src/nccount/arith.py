@@ -3,7 +3,7 @@ cap and the printable-count check shared by the counting modules."""
 
 import sys
 from functools import lru_cache
-from math import log
+from math import comb, log
 
 # The largest set a brute-force oracle may enumerate: sequences for the
 # subcategory counts, ordered point pairs for the curve scan, necklace
@@ -47,6 +47,12 @@ def check_printable(m: int, s: int, count, what: str) -> int:
             return value
     raise ValueError(f"refusing to count {what}: the count has more than {limit} "
                      "digits, past the limit for printing an int")
+
+
+def check_binomial(m: int, s: int, what: str, per: int = 1) -> None:
+    """check_enumeration of C(m, s) // per items, per 1 or m; check_printable
+    refuses a binomial too long to print before it is built."""
+    check_enumeration(check_printable(m, s, lambda: comb(m, s) // per, what), what)
 
 
 def divisors(x: int) -> list[int]:

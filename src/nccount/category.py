@@ -16,6 +16,7 @@ modules its category needs.
 """
 
 import re
+from itertools import permutations
 from typing import Callable, NamedTuple
 
 from .arith import check_enumeration
@@ -105,19 +106,14 @@ def _d4(name):
             for s in d4.d4_enum(kind)
         ])
 
-    points = Category(
-        name,
-        {x: x for x in d4.LABELS},
-        lambda x, y: d4.d4_pair_class(x, y) is not d4.PairClass.NOT_EXCEPTIONAL,
-        d4.total_hom,
-        dims=d4.DIMS,
-        curves=curves,
-    )
+    points = Category(name, {x: x for x in d4.LABELS}, *d4.RULE, dims=d4.DIMS,
+                      curves=curves)
     return points
 
 
 def _affine(name, lo, hi):
     from . import affine
+    from .quiver import pair_rule
 
     def curves():
         return _curve_category(points, [
@@ -130,8 +126,8 @@ def _affine(name, lo, hi):
     _check_size(len(series) * (hi - lo + 1) + len(sporadic))
     objs = [affine.obj(name, fam, m) for fam in series for m in range(lo, hi + 1)]
     objs += [affine.obj(name, fam) for fam in sporadic]
-    is_pair, total_hom = affine.pair_tests()
-    points = Category(name, {str(o): o for o in objs}, is_pair, total_hom, curves=curves)
+    rule = pair_rule(affine.ARROWS[name], affine.root)
+    points = Category(name, {str(o): o for o in objs}, *rule, curves=curves)
     return points
 
 
@@ -164,3 +160,17 @@ def _curve_category(points, entries):
         None,
         genus={label: genus for label, genus, _ in entries},
     )
+
+
+def genus0(cat) -> dict:
+    """The genus-0 curves of a record with dims, each as the frozenset of the
+    labels of its 3 derived points, in the order of their sorted labels, and
+    mapped to the labels of its first hom-one pair in the record's order."""
+    from .quiver import third_point
+    label = {x: a for a, x in cat.objects.items()}
+    curves = {}
+    for x, y in permutations(cat.objects.values(), 2):
+        if cat.is_pair(x, y) and cat.total_hom(x, y) == 1:
+            points = (x, y, third_point(cat.dims, x, y))
+            curves.setdefault(frozenset(label[p] for p in points), (label[x], label[y]))
+    return {c: curves[c] for c in sorted(curves, key=sorted)}

@@ -4,8 +4,9 @@ noncommutative curves of genus 0 and -1, the rank-3 subcategories, and all
 orbit counts.
 
 The objects are the indecomposable representations of the D_4 quiver, one
-per positive root, and all hom data, the Serre action included, is read off
-its Euler form.  A root is named delta if its centre entry is 2, and
+per positive root.  Their pairs and homs are the rule quiver.pair_rule
+reads off the Euler form, and Serre is quiver.coxeter on the roots, read
+back through the names.  A root is named delta if its centre entry is 2, and
 otherwise s followed by the legs in its support, with o appended when the
 centre is in the support and at most one leg is: s1, s2, s3 are the outer
 simples, so the central simple, s1o/s2o/s3o the two-dimensional ones
@@ -13,16 +14,18 @@ supported on one leg, s12/s13/s23 the three-dimensional ones, s123 the thin
 sincere one and delta the sincere one with a 2 at the centre.
 """
 
-from enum import Enum
 from functools import partial
 from itertools import combinations, permutations
 from typing import NamedTuple
 
-from . import quiver
+from . import category as registry
 from .arith import orbits
-from .quiver import d4_quiver, euler_form, positive_roots, serre_permutation
+from .quiver import PairClass, coxeter, d4_quiver, pair_class, pair_rule, positive_roots
 
 QUIVER = d4_quiver()  # vertices (1, 2, 3, 'o')
+
+# the arrows on the vertex positions 0..3, into the centre, which comes last
+ARROWS = tuple((QUIVER.index(s), QUIVER.index(t)) for s, t in QUIVER.arrows)
 
 
 def _name(dim: tuple) -> str:
@@ -38,49 +41,26 @@ DIMS = {_name(d): d for d in positive_roots(QUIVER)}
 
 LABELS = tuple(sorted(DIMS))
 
-# The Euler form of every ordered pair of labels, read by all hom data below.
-EULER = {(a, b): euler_form(QUIVER, DIMS[a], DIMS[b]) for a in LABELS for b in LABELS}
-
 # kappa turns the legs 1 -> 2 -> 3 -> 1
 KAPPA = {x: _name((d[2], d[0], d[1], d[3])) for x, d in DIMS.items()}
 
-SERRE = serre_permutation(EULER, LABELS)
+# Serre maps each root to a root up to sign, and every root has one sign
+SERRE = {x: _name(tuple(map(abs, coxeter(ARROWS, d)))) for x, d in DIMS.items()}
 
 _GROUPS = {"id": (), "kappa": (KAPPA,), "serre": (SERRE,), "full": (KAPPA, SERRE)}
 
 
-class PairClass(Enum):
-    NOT_EXCEPTIONAL = "not-exceptional"
-    ORTHOGONAL = "orthogonal"
-    HOM_ONE = "hom-one"
-
-
-def _as_label(x) -> str:
+def _root(x) -> tuple:
+    """The root of the object labelled x."""
     if x not in DIMS:
         raise ValueError(f"unknown object {x!r}")
-    return x
+    return DIMS[x]
 
 
-def d4_pair_class(a, b) -> PairClass:
-    """Classify the ordered pair (a, b) via the Euler form."""
-    la, lb = _as_label(a), _as_label(b)
-    if la == lb:
-        raise ValueError("pair classification needs two distinct objects")
-    if EULER[lb, la] != 0:
-        return PairClass.NOT_EXCEPTIONAL
-    forward = EULER[la, lb]
-    if forward == 0:
-        return PairClass.ORTHOGONAL
-    assert abs(forward) == 1
-    return PairClass.HOM_ONE
-
-
-def total_hom(a, b) -> int:
-    """Total hom dimension over all degrees from a to b."""
-    la, lb = _as_label(a), _as_label(b)
-    if la == lb:
-        return 1
-    return abs(EULER[la, lb])
+# the pair test and the total hom of ordered pairs of labels
+RULE = pair_rule(ARROWS, _root)
+total_hom = RULE[1]
+d4_pair_class = partial(pair_class, *RULE)
 
 
 # --- curves and triples ----------------------------------------------------
@@ -89,14 +69,10 @@ def total_hom(a, b) -> int:
 def _genus0() -> dict:
     """The 15 genus-0 curves, each as the frozenset of its 3 derived points
     and in the order of their sorted points, mapped to the least hom-one
-    pair that spans it: permutations lists the pairs in lexicographic
-    order, and setdefault keeps the first."""
-    curves = {}
-    for a, b in permutations(LABELS, 2):
-        if d4_pair_class(a, b) is PairClass.HOM_ONE:
-            curves.setdefault(frozenset((a, b, quiver.third_point(DIMS, a, b))), (a, b))
+    pair that spans it."""
+    curves = registry.genus0(registry.category("d4"))
     assert len(curves) == 15
-    return {c: curves[c] for c in sorted(curves, key=sorted)}
+    return curves
 
 
 def genus0_curves() -> list:
@@ -117,8 +93,7 @@ def genus_minus1_curves() -> list:
 
 def right_orthogonal_points(x) -> frozenset:
     """Derived points of <x>^perp: labels p with all homs from x to p zero."""
-    lx = _as_label(x)
-    return frozenset(p for p in LABELS if p != lx and total_hom(lx, p) == 0)
+    return frozenset(p for p in LABELS if p != x and total_hom(x, p) == 0)
 
 
 def triple_kind(x) -> str:

@@ -7,7 +7,6 @@ incidence data is modelled; the planar drawings that realize these
 structures are not.
 """
 
-from itertools import permutations
 from typing import NamedTuple
 
 from . import DRAWN
@@ -128,13 +127,8 @@ def incidence_structure(category: str) -> IncidenceStructure:
     if category not in DRAWN:
         raise ValueError(f"unknown category {category!r}")
     cat = registry.category(category)
-    label = {x: a for a, x in cat.objects.items()}
-    triples = {
-        tuple(sorted(label[p] for p in (x, y, third_point(cat.dims, x, y))))
-        for x, y in permutations(cat.objects.values(), 2)
-        if cat.is_pair(x, y) and cat.total_hom(x, y) == 1
-    }
-    lines = tuple((";".join(t), t) for t in sorted(triples))
+    triples = [tuple(sorted(c)) for c in registry.genus0(cat)]
+    lines = tuple((";".join(t), t) for t in triples)
     return IncidenceStructure(tuple(sorted(cat.objects)), lines)
 
 

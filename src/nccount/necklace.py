@@ -11,7 +11,7 @@ from math import comb, gcd
 from typing import NamedTuple
 
 from . import check_oracle
-from .arith import check_enumeration, check_printable, divisors, euler_phi
+from .arith import check_binomial, check_printable, divisors, euler_phi
 
 
 class Subgon(NamedTuple):
@@ -105,7 +105,7 @@ def count_subgon_classes_brute(m: int, s: int) -> int:
     k = min(s, m - s)
     if k == 0:  # the whole vertex set is its own class
         return 1
-    check_enumeration(comb(m, k) // m, f"C({m}, {s})/{m} necklaces")
+    check_binomial(m, k, f"C({m}, {s})/{m} necklaces", m)
     return sum(1 for _ in gap_necklaces(m, k))
 
 

@@ -1,17 +1,18 @@
-"""Acyclic quivers, dimension vectors and the Euler form.
+"""Acyclic quivers, dimension vectors and the hereditary rule of their
+path algebras, read off the Euler form.
 
-For Dynkin quivers the Euler form of two exceptional dimension vectors
-determines the full hom data: hom = max(<a,b>, 0) and hom^1 = max(-<a,b>, 0),
-with all higher homs zero.  That dichotomy is the basis of the pair
-classifiers used by the A_n and D_4 modules, and the Euler form also gives
-the exceptional objects themselves (positive_roots) and the Serre functor
-on them (serre_permutation).  An affine quiver has infinitely many real
-roots, so positive_roots refuses it; the affine module reads the same Euler
-form on a typed table of the roots of its exceptional objects.
+Hom and ext never both live on an exceptional pair (Happel-Ringel), so the
+Euler form of two roots decides the pair and its homs (pair_rule), and the
+Serre functor acts on K_0 as the Coxeter transformation up to sign
+(coxeter).  The D_4 and affine modules read both off their roots; the aN
+categories keep a bitmask form of the pair rule in `interval`.
+positive_roots grows the roots of a Dynkin quiver; an affine quiver has
+infinitely many, so the affine module tables those of its objects.
 """
 
 from collections.abc import Mapping, Sequence
-from operator import add
+from enum import Enum
+from operator import add, mul
 
 
 class Quiver:
@@ -161,22 +162,72 @@ def positive_roots(q: Quiver) -> list:
     return sorted(roots)
 
 
-def serre_permutation(euler: Mapping, labels) -> dict:
-    """The Serre functor on the exceptional objects of a Dynkin quiver,
-    label to label, from the Euler form tabled as euler[x, z] over labels
-    that name each positive root once.  By Serre duality <x, z> = <z, Sx>,
-    and Sx is an exceptional object up to shift, so x goes to the label y
-    with <z, y> = <x, z> for every z, or = -<x, z> for every z."""
-    labels = tuple(labels)
-    columns = {tuple(euler[z, y] for z in labels): y for y in labels}
-    perm = {}
-    for x in labels:
-        row = tuple(euler[x, z] for z in labels)
-        y = columns.get(row, columns.get(tuple(-e for e in row)))
-        if y is None:
-            raise ValueError(f"no Serre image of {x!r} among the labels")
-        perm[x] = y
-    return perm
+class PairClass(Enum):
+    """The class of an ordered pair of distinct exceptional objects."""
+
+    NOT_EXCEPTIONAL = "not-exceptional"
+    ORTHOGONAL = "orthogonal"
+    HOM_ONE = "hom-one"
+    HOM_TWO = "hom-two"
+
+
+class _Table(dict):
+    """f(x) for each key x, computed on the first lookup of x."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __missing__(self, x):
+        self[x] = value = self.f(x)
+        return value
+
+
+def pair_rule(arrows, root) -> tuple:
+    """The pair test and the total hom of ordered pairs of exceptional
+    objects of the quiver with the given arrows (source, target) on its
+    vertices 0, 1, ..., where root(x) is the root of x up to sign: (x, y) is
+    a pair iff <y, x> = 0, with |<x, y>| homs from x to y.  Each object's
+    root and Euler row r, with <x, v> = sum(r[i] * v[i]), are kept from its
+    first use, so every later test is one dot product."""
+
+    def row(x):
+        vec = roots[x]
+        out = list(vec)
+        for s, t in arrows:
+            out[t] -= vec[s]
+        return out
+
+    roots, rows = _Table(root), _Table(row)
+    return (
+        lambda x, y: not sum(map(mul, rows[y], roots[x])),
+        lambda x, y: abs(sum(map(mul, rows[x], roots[y]))),
+    )
+
+
+def pair_class(is_pair, total_hom, x, y) -> PairClass:
+    """The class of the ordered pair (x, y) of distinct objects under the
+    pair test and total hom of pair_rule."""
+    if x == y:
+        raise ValueError("pair classification needs two distinct objects")
+    if not is_pair(x, y):
+        return PairClass.NOT_EXCEPTIONAL
+    return (PairClass.ORTHOGONAL, PairClass.HOM_ONE, PairClass.HOM_TWO)[total_hom(x, y)]
+
+
+def coxeter(arrows, v) -> tuple:
+    """Serre on K_0 at v: the s with E s = E^T v, E the Euler matrix of the
+    quiver with the given arrows on its vertices 0, 1, ...  Serre duality
+    <x, z> = <z, Sx> is E^T x = E Sx, so this is minus the Coxeter
+    transformation -E^-1 E^T (Ringel, LNM 1099), and it sends the root of an
+    exceptional object to that of its Serre image up to sign.  Each arrow
+    s -> t must have s < t; then E is unitriangular, solved from the end."""
+    if any(s >= t for s, t in arrows):
+        raise ValueError("an arrow runs against the vertex order")
+    out = [0] * len(v)
+    for i in reversed(range(len(v))):
+        out[i] = v[i] + sum(out[t] for s, t in arrows if s == i) - sum(
+            v[s] for s, t in arrows if t == i)
+    return tuple(out)
 
 
 def third_point(dims: Mapping, a, b):

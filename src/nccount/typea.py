@@ -27,7 +27,8 @@ from operator import getitem, itemgetter, not_
 from typing import NamedTuple
 
 from . import check_oracle
-from .arith import check_enumeration, check_printable, divisors, mobius, orbits
+from .arith import check_binomial, check_enumeration, check_printable
+from .arith import divisors, mobius, orbits
 # the interval objects and their Euler form live in a leaf module, which
 # graph calls load without the counting below; they stay importable here
 from .interval import Interval, enum_points, euler, interval_dim, interval_mask
@@ -75,7 +76,7 @@ def seq_values(n: int, k: int):
     These are the weakly increasing (k+1)-tuples over 0..n+1-k, C(n+2, k+1)
     of them; a larger set than arith.MAX_ENUMERATION is refused up front.
     """
-    check_enumeration(comb(n + 2, k + 1), f"C({n + 2}, {k + 1}) sequences")
+    check_binomial(n + 2, k + 1, f"C({n + 2}, {k + 1}) sequences")
     return combinations_with_replacement(range(n + 2 - k), k + 1)
 
 
@@ -160,7 +161,7 @@ def _return_cycles(n: int, k: int):
     rank in C(n+1, k) bytes; they rank above its least, so the enumeration
     of the tails skips them.  The cap still counts the C(n+2, k+1) sequences.
     """
-    check_enumeration(comb(n + 2, k + 1), f"C({n + 2}, {k + 1}) sequences")
+    check_binomial(n + 2, k + 1, f"C({n + 2}, {k + 1}) sequences")
     bound = n + 1 - k
     rank = _seq_rank(k - 1, bound)
     seen = bytearray(comb(n + 1, k))

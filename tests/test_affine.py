@@ -10,7 +10,6 @@ from nccount.affine import (
     ROOTS,
     SERIES,
     SPORADIC,
-    AffPairClass,
     AffSubcat,
     act_on_subcat,
     aff_act,
@@ -19,14 +18,13 @@ from nccount.affine import (
     aff_pair_class,
     aff_vanishing,
     classify_generator_pair,
-    euler_row,
     obj,
     root,
     subcat,
 )
 from nccount.category import category
 from nccount.digraph import build_curve_graph
-from nccount.quiver import Quiver, euler_form
+from nccount.quiver import PairClass, Quiver, euler_form
 
 
 def q1(f, i=None):
@@ -38,8 +36,10 @@ def q2(f, i=None):
 
 
 def euler(x, y):
-    """The Euler form <x, y> on the roots of two objects."""
-    return sum(map(mul, euler_row(x), root(y)))
+    """The Euler form <x, y> on the roots of two objects: sum_i x_i y_i minus
+    x_s y_t summed over the arrows s -> t."""
+    rx, ry = root(x), root(y)
+    return sum(map(mul, rx, ry)) - sum(rx[s] * ry[t] for s, t in ARROWS[x.quiver])
 
 
 def test_object_validation():
@@ -55,29 +55,29 @@ def test_object_validation():
 
 def test_pair_class_q1():
     for m in range(-3, 4):
-        assert aff_pair_class(q1("a", m), q1("a", m + 1)) is AffPairClass.HOM_TWO
-        assert aff_pair_class(q1("b", m), q1("b", m + 1)) is AffPairClass.HOM_TWO
-        assert aff_pair_class(q1("M'"), q1("a", m)) is AffPairClass.HOM_ONE
-        assert aff_pair_class(q1("a", m), q1("b", m + 1)) is AffPairClass.HOM_ONE
-        assert aff_pair_class(q1("b", m), q1("a", m)) is AffPairClass.HOM_ONE
-        assert aff_pair_class(q1("a", m), q1("M")) is AffPairClass.HOM_ONE
-        assert aff_pair_class(q1("M"), q1("b", m)) is AffPairClass.HOM_ONE
-        assert aff_pair_class(q1("b", m), q1("M'")) is AffPairClass.HOM_ONE
+        assert aff_pair_class(q1("a", m), q1("a", m + 1)) is PairClass.HOM_TWO
+        assert aff_pair_class(q1("b", m), q1("b", m + 1)) is PairClass.HOM_TWO
+        assert aff_pair_class(q1("M'"), q1("a", m)) is PairClass.HOM_ONE
+        assert aff_pair_class(q1("a", m), q1("b", m + 1)) is PairClass.HOM_ONE
+        assert aff_pair_class(q1("b", m), q1("a", m)) is PairClass.HOM_ONE
+        assert aff_pair_class(q1("a", m), q1("M")) is PairClass.HOM_ONE
+        assert aff_pair_class(q1("M"), q1("b", m)) is PairClass.HOM_ONE
+        assert aff_pair_class(q1("b", m), q1("M'")) is PairClass.HOM_ONE
         # no orthogonal pairs at all on q1
-        assert aff_pair_class(q1("a", m), q1("a", m + 2)) is AffPairClass.NOT_EXCEPTIONAL
-    assert aff_pair_class(q1("M"), q1("M'")) is AffPairClass.NOT_EXCEPTIONAL
-    assert aff_pair_class(q1("M'"), q1("M")) is AffPairClass.NOT_EXCEPTIONAL
+        assert aff_pair_class(q1("a", m), q1("a", m + 2)) is PairClass.NOT_EXCEPTIONAL
+    assert aff_pair_class(q1("M"), q1("M'")) is PairClass.NOT_EXCEPTIONAL
+    assert aff_pair_class(q1("M'"), q1("M")) is PairClass.NOT_EXCEPTIONAL
 
 
 def test_pair_class_q2():
     m = 5
-    assert aff_pair_class(q2("F+"), q2("F-")) is AffPairClass.ORTHOGONAL
-    assert aff_pair_class(q2("F-"), q2("F+")) is AffPairClass.ORTHOGONAL
-    assert aff_pair_class(q2("a", m - 1), q2("c", m)) is AffPairClass.HOM_ONE
-    assert aff_pair_class(q2("c", m), q2("d", m)) is AffPairClass.ORTHOGONAL
-    assert aff_pair_class(q2("a", m), q2("b", m + 1)) is AffPairClass.ORTHOGONAL
-    assert aff_pair_class(q2("c", m), q2("c", m + 1)) is AffPairClass.HOM_TWO
-    assert aff_pair_class(q2("F+"), q2("G-")) is AffPairClass.NOT_EXCEPTIONAL
+    assert aff_pair_class(q2("F+"), q2("F-")) is PairClass.ORTHOGONAL
+    assert aff_pair_class(q2("F-"), q2("F+")) is PairClass.ORTHOGONAL
+    assert aff_pair_class(q2("a", m - 1), q2("c", m)) is PairClass.HOM_ONE
+    assert aff_pair_class(q2("c", m), q2("d", m)) is PairClass.ORTHOGONAL
+    assert aff_pair_class(q2("a", m), q2("b", m + 1)) is PairClass.ORTHOGONAL
+    assert aff_pair_class(q2("c", m), q2("c", m + 1)) is PairClass.HOM_TWO
+    assert aff_pair_class(q2("F+"), q2("G-")) is PairClass.NOT_EXCEPTIONAL
     with pytest.raises(ValueError):
         aff_pair_class(q2("a", m), q2("a", m))
     with pytest.raises(ValueError):
@@ -94,8 +94,8 @@ def test_orthogonality_is_symmetric():
         for y in objs:
             if x == y:
                 continue
-            if aff_pair_class(x, y) is AffPairClass.ORTHOGONAL:
-                assert aff_pair_class(y, x) is AffPairClass.ORTHOGONAL
+            if aff_pair_class(x, y) is PairClass.ORTHOGONAL:
+                assert aff_pair_class(y, x) is PairClass.ORTHOGONAL
 
 
 def test_at_most_one_direction_exceptional_unless_orthogonal():
@@ -106,8 +106,8 @@ def test_at_most_one_direction_exceptional_unless_orthogonal():
                 continue
             cx = aff_pair_class(x, y)
             cy = aff_pair_class(y, x)
-            if cx is not AffPairClass.NOT_EXCEPTIONAL:
-                assert cy is AffPairClass.NOT_EXCEPTIONAL  # q1 has no orthogonals
+            if cx is not PairClass.NOT_EXCEPTIONAL:
+                assert cy is PairClass.NOT_EXCEPTIONAL  # q1 has no orthogonals
 
 
 def test_actions_q1():
@@ -280,7 +280,7 @@ def test_generators_are_valid():
                 for i in range(len(gens)):
                     for j in range(i + 1, len(gens)):
                         assert aff_pair_class(gens[i], gens[j]) is not (
-                            AffPairClass.NOT_EXCEPTIONAL
+                            PairClass.NOT_EXCEPTIONAL
                         ), (sub, gens)
 
 
@@ -397,12 +397,12 @@ def test_hom_values():
     assert cat.total_hom(q2("a", 0), q2("F+")) == 1
     # backward homs of an exceptional pair vanish
     assert euler(q1("a", 1), q1("a", 0)) == 0
-    assert aff_pair_class(q1("a", 0), q1("a", 1)) is not AffPairClass.NOT_EXCEPTIONAL
-    assert aff_pair_class(q1("a", 1), q1("a", 0)) is AffPairClass.NOT_EXCEPTIONAL
+    assert aff_pair_class(q1("a", 0), q1("a", 1)) is not PairClass.NOT_EXCEPTIONAL
+    assert aff_pair_class(q1("a", 1), q1("a", 0)) is PairClass.NOT_EXCEPTIONAL
     # both directions nonzero when neither order is exceptional
     assert euler(q1("a", 2), q1("a", 0)) and euler(q1("a", 0), q1("a", 2))
-    assert aff_pair_class(q1("a", 2), q1("a", 0)) is AffPairClass.NOT_EXCEPTIONAL
-    assert aff_pair_class(q1("a", 0), q1("a", 2)) is AffPairClass.NOT_EXCEPTIONAL
+    assert aff_pair_class(q1("a", 2), q1("a", 0)) is PairClass.NOT_EXCEPTIONAL
+    assert aff_pair_class(q1("a", 0), q1("a", 2)) is PairClass.NOT_EXCEPTIONAL
 
 
 # The complete classification of exceptional pairs as it was transcribed by
@@ -411,62 +411,62 @@ def test_hom_values():
 # member hold for every index of the series member.
 _SS = {
     "q1": {
-        ("a", "a", 1): AffPairClass.HOM_TWO,
-        ("b", "b", 1): AffPairClass.HOM_TWO,
-        ("a", "b", 1): AffPairClass.HOM_ONE,
-        ("b", "a", 0): AffPairClass.HOM_ONE,
+        ("a", "a", 1): PairClass.HOM_TWO,
+        ("b", "b", 1): PairClass.HOM_TWO,
+        ("a", "b", 1): PairClass.HOM_ONE,
+        ("b", "a", 0): PairClass.HOM_ONE,
     },
     "q2": {
-        ("a", "a", 1): AffPairClass.HOM_TWO,
-        ("b", "b", 1): AffPairClass.HOM_TWO,
-        ("c", "c", 1): AffPairClass.HOM_TWO,
-        ("d", "d", 1): AffPairClass.HOM_TWO,
-        ("a", "b", 1): AffPairClass.ORTHOGONAL,
-        ("b", "a", -1): AffPairClass.ORTHOGONAL,
-        ("c", "d", 0): AffPairClass.ORTHOGONAL,
-        ("d", "c", 0): AffPairClass.ORTHOGONAL,
-        ("a", "c", 1): AffPairClass.HOM_ONE,
-        ("c", "a", 0): AffPairClass.HOM_ONE,
-        ("a", "d", 1): AffPairClass.HOM_ONE,
-        ("d", "a", 0): AffPairClass.HOM_ONE,
-        ("b", "c", 0): AffPairClass.HOM_ONE,
-        ("c", "b", 1): AffPairClass.HOM_ONE,
-        ("b", "d", 0): AffPairClass.HOM_ONE,
-        ("d", "b", 1): AffPairClass.HOM_ONE,
+        ("a", "a", 1): PairClass.HOM_TWO,
+        ("b", "b", 1): PairClass.HOM_TWO,
+        ("c", "c", 1): PairClass.HOM_TWO,
+        ("d", "d", 1): PairClass.HOM_TWO,
+        ("a", "b", 1): PairClass.ORTHOGONAL,
+        ("b", "a", -1): PairClass.ORTHOGONAL,
+        ("c", "d", 0): PairClass.ORTHOGONAL,
+        ("d", "c", 0): PairClass.ORTHOGONAL,
+        ("a", "c", 1): PairClass.HOM_ONE,
+        ("c", "a", 0): PairClass.HOM_ONE,
+        ("a", "d", 1): PairClass.HOM_ONE,
+        ("d", "a", 0): PairClass.HOM_ONE,
+        ("b", "c", 0): PairClass.HOM_ONE,
+        ("c", "b", 1): PairClass.HOM_ONE,
+        ("b", "d", 0): PairClass.HOM_ONE,
+        ("d", "b", 1): PairClass.HOM_ONE,
     },
 }
 
 _MIXED = {
     "q1": {
-        ("M'", "a"): AffPairClass.HOM_ONE,
-        ("a", "M"): AffPairClass.HOM_ONE,
-        ("M", "b"): AffPairClass.HOM_ONE,
-        ("b", "M'"): AffPairClass.HOM_ONE,
+        ("M'", "a"): PairClass.HOM_ONE,
+        ("a", "M"): PairClass.HOM_ONE,
+        ("M", "b"): PairClass.HOM_ONE,
+        ("b", "M'"): PairClass.HOM_ONE,
     },
     "q2": {
-        ("c", "G-"): AffPairClass.HOM_ONE, ("G-", "a"): AffPairClass.HOM_ONE,
-        ("a", "F+"): AffPairClass.HOM_ONE, ("F+", "c"): AffPairClass.HOM_ONE,
-        ("d", "G+"): AffPairClass.HOM_ONE, ("G+", "a"): AffPairClass.HOM_ONE,
-        ("a", "F-"): AffPairClass.HOM_ONE, ("F-", "d"): AffPairClass.HOM_ONE,
-        ("c", "F-"): AffPairClass.HOM_ONE, ("F-", "b"): AffPairClass.HOM_ONE,
-        ("b", "G+"): AffPairClass.HOM_ONE, ("G+", "c"): AffPairClass.HOM_ONE,
-        ("d", "F+"): AffPairClass.HOM_ONE, ("F+", "b"): AffPairClass.HOM_ONE,
-        ("b", "G-"): AffPairClass.HOM_ONE, ("G-", "d"): AffPairClass.HOM_ONE,
+        ("c", "G-"): PairClass.HOM_ONE, ("G-", "a"): PairClass.HOM_ONE,
+        ("a", "F+"): PairClass.HOM_ONE, ("F+", "c"): PairClass.HOM_ONE,
+        ("d", "G+"): PairClass.HOM_ONE, ("G+", "a"): PairClass.HOM_ONE,
+        ("a", "F-"): PairClass.HOM_ONE, ("F-", "d"): PairClass.HOM_ONE,
+        ("c", "F-"): PairClass.HOM_ONE, ("F-", "b"): PairClass.HOM_ONE,
+        ("b", "G+"): PairClass.HOM_ONE, ("G+", "c"): PairClass.HOM_ONE,
+        ("d", "F+"): PairClass.HOM_ONE, ("F+", "b"): PairClass.HOM_ONE,
+        ("b", "G-"): PairClass.HOM_ONE, ("G-", "d"): PairClass.HOM_ONE,
     },
 }
 
 _SPOR = {
     "q1": {},
     "q2": {
-        frozenset(("F+", "F-")): AffPairClass.ORTHOGONAL,
-        frozenset(("G+", "G-")): AffPairClass.ORTHOGONAL,
-        frozenset(("F+", "G+")): AffPairClass.ORTHOGONAL,
-        frozenset(("F-", "G-")): AffPairClass.ORTHOGONAL,
+        frozenset(("F+", "F-")): PairClass.ORTHOGONAL,
+        frozenset(("G+", "G-")): PairClass.ORTHOGONAL,
+        frozenset(("F+", "G+")): PairClass.ORTHOGONAL,
+        frozenset(("F-", "G-")): PairClass.ORTHOGONAL,
     },
 }
 
 _TOTAL_HOM = {
-    AffPairClass.HOM_TWO: 2, AffPairClass.HOM_ONE: 1, AffPairClass.ORTHOGONAL: 0,
+    PairClass.HOM_TWO: 2, PairClass.HOM_ONE: 1, PairClass.ORTHOGONAL: 0,
 }
 
 
@@ -475,11 +475,11 @@ def _table_class(x, y):
     q = x.quiver
     if x.index is not None and y.index is not None:
         return _SS[q].get(
-            (x.family, y.family, y.index - x.index), AffPairClass.NOT_EXCEPTIONAL
+            (x.family, y.family, y.index - x.index), PairClass.NOT_EXCEPTIONAL
         )
     if (x.index is None) != (y.index is None):
-        return _MIXED[q].get((x.family, y.family), AffPairClass.NOT_EXCEPTIONAL)
-    return _SPOR[q].get(frozenset((x.family, y.family)), AffPairClass.NOT_EXCEPTIONAL)
+        return _MIXED[q].get((x.family, y.family), PairClass.NOT_EXCEPTIONAL)
+    return _SPOR[q].get(frozenset((x.family, y.family)), PairClass.NOT_EXCEPTIONAL)
 
 
 _REACH = 40
@@ -529,8 +529,8 @@ def test_rule_tables_agree_with_the_euler_form(q):
             continue
         want = _table_class(x, y)
         assert aff_pair_class(x, y) is want, (x, y)
-        assert cat.is_pair(x, y) is (want is not AffPairClass.NOT_EXCEPTIONAL), (x, y)
-        if want is not AffPairClass.NOT_EXCEPTIONAL:
+        assert cat.is_pair(x, y) is (want is not PairClass.NOT_EXCEPTIONAL), (x, y)
+        if want is not PairClass.NOT_EXCEPTIONAL:
             assert cat.total_hom(x, y) == _TOTAL_HOM[want], (x, y)
 
 
@@ -584,13 +584,36 @@ def test_root_table(q):
     assert sorted(below) == sorted(ROOTS[q][f] for f in SPORADIC[q])
 
 
-@pytest.mark.parametrize("q, g", [("q1", "serre"), ("q2", "serre"), ("q2", "theta")])
+# The Serre and theta actions as they were typed by hand, label by label:
+# series family -> (image family, index shift); sporadic -> name
+TYPED_ACTIONS = {
+    ("q1", "serre"): ({"a": ("b", -1), "b": ("a", -2)}, {"M": "M'", "M'": "M"}),
+    ("q2", "serre"): (
+        {"a": ("b", 0), "b": ("a", -2), "c": ("d", -1), "d": ("c", -1)},
+        {"F+": "G-", "F-": "G+", "G+": "F-", "G-": "F+"},
+    ),
+    ("q2", "theta"): (
+        {"a": ("a", 0), "b": ("b", 0), "c": ("d", 0), "d": ("c", 0)},
+        {"F+": "F-", "F-": "F+", "G+": "G-", "G-": "G+"},
+    ),
+}
+
+
+@pytest.mark.parametrize("q, g", sorted(TYPED_ACTIONS))
 def test_actions_are_the_quiver_maps(q, g):
-    # Serre acts on roots as E^-1 E^T, theta as the swap of vertices 1 and 2
+    # Serre acts on roots as E^-1 E^T, theta as the swap of vertices 1 and 2,
+    # and both agree with the typed label maps
+    series, sporadic = TYPED_ACTIONS[q, g]
     for x in _window_objects(q, -6, 6):
         v = root(x)
         image = _serre(q, v) if g == "serre" else (v[0], v[2], v[1], v[3])
-        assert _signed(root(aff_act(g, x))) == _signed(image), (g, x)
+        got = aff_act(g, x)
+        assert _signed(root(got)) == _signed(image), (g, x)
+        if x.index is None:
+            assert got == obj(q, sporadic[x.family]), (g, x)
+        else:
+            family, shift = series[x.family]
+            assert got == obj(q, family, x.index + shift), (g, x)
 
 
 @pytest.mark.parametrize("q", ["q1", "q2"])
@@ -608,7 +631,7 @@ def test_curve_graph_on_any_window(q, window):
             continue
         gens_a, gens_b = curves.objects[a], curves.objects[b]
         want = all(
-            x != y and aff_pair_class(y, x) is not AffPairClass.NOT_EXCEPTIONAL
+            x != y and aff_pair_class(y, x) is not PairClass.NOT_EXCEPTIONAL
             for x in gens_b
             for y in gens_a
         )

@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
-from nccount.arith import check_printable, divisors, euler_phi, mobius, orbits
+from nccount import arith
+from nccount.arith import (
+    check_binomial, check_printable, divisors, euler_phi, mobius, orbits,
+)
 
 
 def test_number_theory_matches_sympy():
@@ -62,3 +65,16 @@ def test_check_printable_is_exact_and_refuses_up_front():
 
     with pytest.raises(ValueError, match=f"more than {limit} digits"):
         check_printable(10**6, 5 * 10**5, never, "x")
+
+
+def test_check_binomial_at_the_cap_and_past_the_digit_limit(monkeypatch):
+    # exact on both sides of the cap: C(10, 5) = 252 sets, 252 // 10 = 25 classes
+    for cap, per, size in ((252, 1, 252), (25, 10, 25)):
+        monkeypatch.setattr(arith, "MAX_ENUMERATION", cap)
+        check_binomial(10, 5, "x", per)
+        monkeypatch.setattr(arith, "MAX_ENUMERATION", cap - 1)
+        with pytest.raises(ValueError, match=f"enumerate x = {size}; the brute-force"):
+            check_binomial(10, 5, "x", per)
+    # a binomial of millions of digits is refused without being multiplied out
+    with pytest.raises(ValueError, match="count C\\(10000001, 5000001\\) sequences: the"):
+        check_binomial(10_000_001, 5_000_001, "C(10000001, 5000001) sequences")

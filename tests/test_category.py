@@ -1,9 +1,10 @@
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
 from nccount.category import category
-from nccount.quiver import d4_quiver, euler_form, line_quiver, third_point
+from nccount.interval import interval_dim
+from nccount.quiver import d4_quiver, euler_form, line_quiver, pair_rule, third_point
 
 SMALL = (
     [(f"a{n}", None) for n in range(1, 9)]
@@ -35,6 +36,18 @@ def test_registry_against_euler_form(name, window):
             assert len(curve) == 3
             for u, v in combinations(curve, 2):
                 assert curve - {u, v} == {third_point(dims, u, v)}
+
+
+@pytest.mark.parametrize("vertices", range(1, 13))
+def test_line_bitmasks_follow_the_generic_rule(vertices):
+    # the aN record's bitmask form against quiver.pair_rule on the line
+    # quiver, for every ordered pair, the diagonal included
+    n = vertices - 1
+    cat = category(f"a{vertices}")
+    is_pair, total_hom = pair_rule(line_quiver(n).arrows, lambda p: interval_dim(p, n))
+    for x, y in product(cat.objects.values(), repeat=2):
+        got = cat.is_pair(x, y), cat.total_hom(x, y)
+        assert got == (is_pair(x, y), total_hom(x, y)), (x, y)
 
 
 def test_np0_is_a2():

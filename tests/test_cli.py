@@ -836,6 +836,12 @@ def test_main_exits_2_on_a_usage_error():
          "refusing to count C(10000001, 5000001) subcategories: the count has more"),
         ("an count --k 500000 --vertices 1000000 --group full", 2,
          "refusing to count C(1000001, 500001)/1000001 Serre orbits: the count has"),
+        # brute-force walks too large to print their size, refused before
+        # the binomial is built, and one whose printable size is refused
+        ("an orbits --k 5000000 --vertices 10000000", 2,
+         "refusing to count C(10000001, 5000001) sequences: the count has more"),
+        (f"necklace count --m {10**30} --s 7 --verify", 2,
+         f"refusing to enumerate C({10**30}, 7)/{10**30} necklaces = 19841269841"),
     ],
 )
 def test_huge_arguments_answer_or_refuse_at_once(argv, code, text):

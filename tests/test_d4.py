@@ -4,12 +4,11 @@ import pytest
 
 from nccount.d4 import (
     DIMS,
-    EULER,
     KAPPA,
     LABELS,
+    RULE,
     SERRE,
     GenSet,
-    PairClass,
     d4_count,
     d4_enum,
     d4_pair_class,
@@ -21,7 +20,7 @@ from nccount.d4 import (
     triple_generators,
     triple_kind,
 )
-from nccount.quiver import d4_quiver, euler_form, third_point
+from nccount.quiver import PairClass, d4_quiver, euler_form, third_point
 
 
 def _unordered(pairs):
@@ -104,11 +103,15 @@ def test_twelve_objects():
     assert LABELS == tuple(sorted(TYPED_DIMS))
 
 
-def test_euler_table_is_the_quiver_euler_form():
-    assert len(EULER) == 144
+def test_rule_is_the_quiver_euler_form():
+    is_pair, hom = RULE
     for a in LABELS:
         for b in LABELS:
-            assert EULER[a, b] == euler_form(d4_quiver(), DIMS[a], DIMS[b]), (a, b)
+            forward = euler_form(d4_quiver(), DIMS[a], DIMS[b])
+            backward = euler_form(d4_quiver(), DIMS[b], DIMS[a])
+            assert (is_pair(a, b), hom(a, b)) == (backward == 0, abs(forward)), (a, b)
+    with pytest.raises(ValueError, match="unknown object"):
+        total_hom("s1", "s4")
 
 
 def test_spec_pair_examples():

@@ -1,9 +1,9 @@
 import json
-from collections import defaultdict
+from collections import Counter, defaultdict
 from functools import lru_cache
 from graphlib import CycleError, TopologicalSorter
 from itertools import combinations, permutations
-from math import factorial
+from math import comb, factorial
 
 import networkx as nx
 import pytest
@@ -257,6 +257,22 @@ def test_complete_exceptional_sequences(name, rank, h, weyl):
     assert sequences == factorial(rank) * h**rank // weyl
     if name == "d4":
         assert (len(top), sequences) == (87, 162)
+
+
+@pytest.mark.parametrize("vertices", range(1, 8))
+def test_simplices_of_an_count_noncrossing_forests(vertices):
+    # independent oracle: s_{i,j} goes to the arc {i, j + 1} among n = N + 1
+    # points on a circle, and the d-simplices of sc(a_N) are the noncrossing
+    # forests of d + 1 arcs, k = n - d - 1 trees, which number
+    # C(n, k - 1) C(3n - 2k - 1, n - k) / (2n - k) (Flajolet and Noy, 1999);
+    # none has more than N arcs
+    n = vertices + 1
+    simps = sc_simplices(build_point_graph(f"a{vertices}"), vertices)
+    want = {}
+    for d in range(vertices):
+        k = n - d - 1
+        want[d + 1] = comb(n, k - 1) * comb(3 * n - 2 * k - 1, n - k) // (2 * n - k)
+    assert Counter(map(len, simps)) == want
 
 
 def test_simplex_validation():

@@ -1,15 +1,16 @@
 import itertools
 import random
+from operator import mul
 
 import pytest
 
 from nccount.quiver import (
     Quiver,
+    coxeter,
     d4_quiver,
     euler_form,
     line_quiver,
     positive_roots,
-    serre_permutation,
 )
 from nccount.typea import Interval, enum_points, interval_dim, serre_on_point
 
@@ -130,15 +131,32 @@ def test_positive_roots_a_are_intervals():
         )
 
 
-def test_serre_permutation_matches_intervals():
+def test_coxeter_matches_intervals():
+    # Serre on K_0 sends the root of s_{i,j} to that of its image, up to sign
     for n in range(10):
-        q, points = line_quiver(n), enum_points(n)
-        dims = {p: interval_dim(p, n) for p in points}
-        euler = {
-            (x, z): euler_form(q, dims[x], dims[z]) for x in points for z in points
-        }
-        serre = serre_permutation(euler, points)
-        assert serre == {p: serre_on_point(p.i, p.j, n)[0] for p in points}, n
+        arrows = line_quiver(n).arrows
+        for p in enum_points(n):
+            image = coxeter(arrows, interval_dim(p, n))
+            if min(image) < 0:
+                image = tuple(-v for v in image)
+            assert image == interval_dim(serre_on_point(p.i, p.j, n)[0], n), (n, p)
+
+
+def test_coxeter_is_serre_duality():
+    # <x, z> = <z, Sx> for all integer vectors, on a quiver with three
+    # paths from its source to its sink; arrows against the vertex order
+    # are refused
+    arrows = [(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)]
+
+    def form(a, b):
+        return sum(map(mul, a, b)) - sum(a[s] * b[t] for s, t in arrows)
+
+    vectors = list(itertools.product(range(-1, 2), repeat=4))
+    for x in vectors:
+        sx = coxeter(arrows, x)
+        assert all(form(x, z) == form(z, sx) for z in vectors), x
+    with pytest.raises(ValueError, match="vertex order"):
+        coxeter([(1, 0)], (1, 0))
 
 
 def test_hom_profile_a3_simples():

@@ -33,7 +33,8 @@ NAMED = {
 # the tests read (the CLI counts the orbits by their sizes, typea.orbit_sizes;
 # orbit_partition is the only caller of typea.seq_orbits, and both read the
 # one walk of the Serre return map on the sequences with a_0 = 0; the
-# affine graphs take the same rule as aff_pair_class from affine.pair_tests)
+# affine graphs take the rule of aff_pair_class from quiver.pair_rule, as
+# the d4 record does)
 RESULTS = {
     "affine.aff_pair_class",
     "affine.aff_vanishing",
