@@ -11,17 +11,17 @@ The generator of all group actions here is the Serre functor; its orbit
 counts coincide with counts modulo the entire autoequivalence group.
 
 The brute-force oracles stream and keep one orbit at a time.  The Serre
-orbits on X_n^k are walked once, as the cycles of the first-return map of
-the Serre step on the sequences with a_0 = 0 (_return_cycles), and both the
-orbits and their sizes are read off those cycles; the curve oracles scan
-each unordered pair of interval objects once and walk the Serre permutation
-of the points on the pairs found (exceptional_pairs, pair_orbits).  Both
-refuse up front what would pass arith.MAX_ENUMERATION: the C(n+2, k+1)
-sequences, or the P^2 ordered pairs of the P points.  The CLI handlers of
-the `an` counting commands live at the end of the module.
+orbits on X_n^k, and those on the pairs of interval objects, are each
+walked once, as the cycles of the first return of the Serre step to a
+cross-section: the sequences with a_0 = 0 (_return_cycles), or the pairs
+whose first point is the least of its orbit (_pair_cycles).  Counts and
+orbits are read off those cycles.  Both refuse up front what would pass
+arith.MAX_ENUMERATION: the C(n+2, k+1) sequences, or the P^2 ordered pairs
+of the P points.  The CLI handlers of the `an` counting commands live at
+the end of the module.
 """
 
-from itertools import chain, combinations_with_replacement, compress, count
+from itertools import combinations_with_replacement, compress, cycle, islice
 from math import comb, gcd
 from operator import getitem, itemgetter, not_
 from typing import NamedTuple
@@ -339,7 +339,7 @@ def count_genus(genus: int, vertices: int, group: str = "id") -> int:
 def enum_genus_minus1(n: int) -> list:
     """All genus -1 subcategories of the ambient category with n+1 vertices,
     as sorted orthogonal interval pairs; 2*C(n+2, 4) of them.  The tests
-    check exceptional_pairs(n, 0) against this enumeration.
+    check the pair scan at hom 0 against this enumeration.
 
     The two shapes are separated intervals with a gap of at least two
     (b < i-1) and strictly nested intervals (a < i <= j < b).
@@ -370,94 +370,95 @@ def serre_on_point(i: int, j: int, n: int):
     return Interval(0, i), False
 
 
-def exceptional_pairs(n: int, hom: int):
-    """Stream the codes x*P + y of the exceptional pairs (s_x, s_y) of
-    interval objects with total hom dimension hom from s_x to s_y, in
-    increasing order, one row x at a time.
+def _pair_cycles(n: int, hom: int):
+    """Stream the Serre orbits on the exceptional pairs (s_x, s_y) of
+    interval objects with total hom dimension hom from s_x to s_y, each as
+    the cycle (orb, o, ts) of its first return to the pairs (r, y) whose
+    first point r is the least of its point orbit orb = [r, ..., S^(L-1) r].
 
-    x and y index enum_points(n), P = len(enum_points(n)).  Each object is
-    its interval_mask, and (s_x, s_y) is exceptional iff euler(y, x) = 0.
-    An orthogonal pair (hom = 0) is unordered and listed once, with x < y.
-    A curve of genus g is generated by such a pair with hom = g + 1;
-    between interval objects the total hom is at most 1, so the stream is
-    empty for hom >= 2.  The size check, on all P^2 ordered pairs, runs on
-    the call, the scan as the codes are read.
+    Points index enum_points(n), P of them, in ceil((n+1)/2) Serre orbits.
+    The return map is (r, y) -> (r, S^L y).  The second points of a cycle
+    lie in one point orbit o, y = o[t] for t in ts from the least y, and
+    S^L y = o[(t + L) % |o|]; cycles come in the order of their least
+    codes r*P + y.  Both orders of an orthogonal (hom = 0) pair are walked.
 
-    The scan visits each unordered pair x < y once, with the shifts of x
-    hoisted out of the loop over y.  Three popcounts decide both orders:
-    a = |x & y|, b = |(x >> 1) & y| = |x & (y << 1)| and
-    c = |(x << 1) & y| = |x & (y >> 1)|, so that euler(y, x) = a - b and
-    euler(x, y) = a - c; c is counted only when a hit still needs it.  For
-    hom >= 1 a pair is a hit in at most one order: (x, y) if b = a and
-    |a - c| = hom, (y, x) if |a - b| = hom and c = a.  A hit (y, x) is held
-    until row y comes, ahead of that row's own hits.
+    With a = |r & y|, b = |(r >> 1) & y| and c = |(r << 1) & y| on the
+    interval_masks, euler(y, r) = a - b and euler(r, y) = a - c: P tests
+    of three popcounts for each point orbit, and P bytes of marks.  The
+    stream is empty for hom >= 2, since between interval objects the total
+    hom is at most 1.  The size check, on all P^2 ordered pairs, runs on
+    the call.
     """
     p = (n + 1) * (n + 2) // 2
     check_enumeration(p * p, f"{p}^2 point pairs")
-    masks = [interval_mask(iv, n) for iv in enum_points(n)]
-    held = {}
+    points = enum_points(n)
+    masks = [interval_mask(iv, n) for iv in points]
+    index = {iv: t for t, iv in enumerate(points)}
+    orbs = orbits(range(p), lambda x: index[serre_on_point(*points[x], n)[0]])
+    home, pos = [None] * p, [0] * p
+    for orb in orbs:
+        for t, y in enumerate(orb):
+            home[y], pos[y] = orb, t
 
-    def row(x, mx):
-        sx, lx = mx >> 1, mx << 1
-        later = zip(count(x + 1), masks[x + 1:])
-        if hom == 0:
-            return [
-                x * p + y
-                for y, my in later
-                if (a := (mx & my).bit_count()) == (sx & my).bit_count()
-                and a == (lx & my).bit_count()
-            ]
-        out = held.pop(x, [])
-        for y, e in [
-            (y, e)
-            for y, my in later
-            if (
-                abs(a - (lx & my).bit_count()) == hom
-                if not (e := (a := (mx & my).bit_count()) - (sx & my).bit_count())
-                else abs(e) == hom and a == (lx & my).bit_count()
-            )
-        ]:
-            if e:
-                held.setdefault(y, []).append(y * p + x)
-            else:
-                out.append(x * p + y)
-        return out
+    def walk():
+        for orb in orbs:
+            mr, size, seen = masks[orb[0]], len(orb), bytearray(p)
+            sr, lr = mr >> 1, mr << 1
+            for y in [
+                y
+                for y, my in enumerate(masks)
+                if (a := (mr & my).bit_count()) == (sr & my).bit_count()
+                and abs(a - (lr & my).bit_count()) == hom
+            ]:
+                if not seen[y]:
+                    o, ts = home[y], [pos[y]]
+                    while (t := (ts[-1] + size) % len(o)) != ts[0]:
+                        seen[o[t]] = 1
+                        ts.append(t)
+                    yield orb, o, ts
 
-    return chain.from_iterable(map(row, count(), masks))
+    return walk()
+
+
+def _pair_census(n: int, hom: int) -> tuple:
+    """(pairs, Serre orbits) of _pair_cycles(n, hom); an orbit holds
+    L * len(ts) pairs.  For hom = 0 each unordered pair was walked in both
+    orders: its orbit is two ordered ones, or one holding both (r, y) and
+    (y, r), when y = S^t r with S^(L-t) r = y, that is 2t = L."""
+    pairs = cycles = swapped = 0
+    for orb, o, ts in _pair_cycles(n, hom):
+        pairs += len(orb) * len(ts)
+        cycles += 1
+        swapped += o is orb and 2 * ts[0] == len(orb)
+    if hom:
+        return pairs, cycles
+    return pairs // 2, (cycles + swapped) // 2
 
 
 def pair_orbits(n: int, hom: int):
-    """Stream the Serre orbits on the codes of exceptional_pairs(n, hom).
+    """Stream the Serre orbits on the exceptional pairs of interval objects
+    with total hom dimension hom, each a list of the codes x*P + y of its
+    pairs (s_x, s_y) from its least code, in the order of those codes.  An
+    orthogonal pair (hom = 0) is unordered and coded with x < y.
 
-    The Serre functor permutes the interval objects, and a pair by its two
-    points, re-sorted when it is unordered (hom = 0).  A code is its own
-    rank, so visited pairs are marked in P^2 bytes.
+    Each orbit expands a cycle of _pair_cycles: from each (r, o[t]) in turn,
+    L Serre steps.  For hom = 0 the orbit of (y, r), y = o[t], meets the
+    cross-section at (o[0], S^-t r); the lesser of the two cycles is
+    expanded, and when they are one, L/2 steps from (r, y) reach (y, r).
     """
-    codes = exceptional_pairs(n, hom)
-    points = enum_points(n)
-    p = len(points)
-    index = {iv: t for t, iv in enumerate(points)}
-    perm = [index[serre_on_point(i, j, n)[0]] for i, j in points]
-
-    def walk():
-        seen = bytearray(p * p)
-        for code in codes:
-            if seen[code]:
+    p = (n + 1) * (n + 2) // 2
+    for orb, o, ts in _pair_cycles(n, hom):
+        steps, t = len(orb), ts[0]
+        if hom == 0:
+            if o[0] < orb[0] or o is orb and o[-t] < o[t]:
                 continue
-            orb = [code]
-            x, y = divmod(code, p)
-            while True:
-                x, y = perm[x], perm[y]
-                if hom == 0 and y < x:
-                    x, y = y, x
-                img = x * p + y
-                if img == code:
-                    break
-                seen[img] = 1
-                orb.append(img)
-            yield orb
-
-    return walk()
+            if o is orb and 2 * t == steps:
+                steps //= 2
+        yield [
+            x * p + y if hom or x < y else y * p + x
+            for s in ts
+            for x, y in zip(orb[:steps], islice(cycle(o), s, None))
+        ]
 
 
 def genus_minus1_orbits(n: int) -> list:
@@ -511,9 +512,8 @@ def _cmd_an_genus(args):
             # genus 0 curves are the A_2-type subcategories
             brute_count = count_orbits_brute if full else count_id_brute
             brute = brute_count(2, args.vertices)
-        elif full:
-            brute = sum(1 for _ in pair_orbits(n, args.genus + 1))
         else:
-            brute = sum(1 for _ in exceptional_pairs(n, args.genus + 1))
+            pairs, classes = _pair_census(n, args.genus + 1)
+            brute = classes if full else pairs
         check_oracle("an genus", count, brute)
     return {"count": str(count)}

@@ -275,6 +275,49 @@ def test_simplices_of_an_count_noncrossing_forests(vertices):
     assert Counter(map(len, simps)) == want
 
 
+def _arc(label):
+    # the vertex s_{i,j} of sc(a_N) goes to the arc {i, j + 1} among the N + 1
+    # points 0..N on a circle
+    i, j = map(int, label[1:].split(","))
+    return i, j + 1
+
+
+def _is_noncrossing_forest(arcs):
+    # no two arcs cross (sharing an end is not crossing), and no cycle closes
+    for (i, j), (k, m) in combinations(sorted(arcs), 2):
+        if i < k < j < m:
+            return False
+    root = {}
+
+    def find(v):
+        while root.get(v, v) != v:
+            v = root[v]
+        return v
+
+    for i, j in arcs:
+        a, b = find(i), find(j)
+        if a == b:
+            return False
+        root[a] = b
+    return True
+
+
+@pytest.mark.parametrize("vertices", range(1, 8))
+def test_simplices_of_an_map_to_noncrossing_forests(vertices):
+    # the arc map is injective on the N(N+1)/2 vertices, so onto all arcs,
+    # and sends every simplex to a noncrossing forest; with the count of
+    # noncrossing forests above, it is a bijection between the simplices and
+    # the noncrossing forests
+    g = build_point_graph(f"a{vertices}")
+    assert len(set(map(_arc, g.vertices))) == len(g.vertices) == comb(vertices + 1, 2)
+    for simplex in sc_simplices(g, vertices):
+        assert _is_noncrossing_forest([_arc(v) for v in simplex]), simplex
+    # the check itself: a crossing pair and a triangle are refused
+    assert not _is_noncrossing_forest([(0, 2), (1, 3)])
+    assert not _is_noncrossing_forest([(0, 1), (1, 2), (0, 2)])
+    assert _is_noncrossing_forest([(0, 1), (1, 2), (0, 3)])
+
+
 def test_simplex_validation():
     g = build_point_graph("a2")
     with pytest.raises(ValueError):

@@ -26,7 +26,6 @@ from nccount.typea import (
     enum_points,
     enum_seqs,
     euler,
-    exceptional_pairs,
     genus_minus1_orbits,
     interval_dim,
     interval_mask,
@@ -304,10 +303,14 @@ def _traced_peak(f, *args):
 
 
 def test_orbit_oracles_hold_no_enumeration():
-    # marks, one orbit and one row of codes: C(19, 5) = 11,628 sequences and
-    # 231^2 point pairs stay far under 256 KB
+    # marks and one orbit: C(19, 5) = 11,628 sequences and 231^2 point pairs
+    # stay far under 256 KB
     assert _traced_peak(count_orbits_brute, 4, 18) < 256 * 1024
     assert _traced_peak(lambda: sum(1 for _ in pair_orbits(20, 0))) < 256 * 1024
+    # the walk at the cap, 990^2 point pairs: the points, their masks, orbits
+    # and index, P bytes of marks and one cycle; the pairs would take MBs
+    for hom in (0, 1):
+        assert _traced_peak(typea._pair_census, 43, hom) < 384 * 1024
 
 
 def test_count_orbits_anchors():
@@ -432,7 +435,7 @@ def _decode(codes, n):
 
 def test_exceptional_pairs_genus_minus1_scan_matches_two_shapes():
     for n in range(0, 11):
-        got = {GenSetA(pair) for pair in _decode(exceptional_pairs(n, 0), n)}
+        got = {GenSetA(pair) for pair in _decode(_row_scan(n, 0), n)}
         assert got == set(enum_genus_minus1(n)), n
 
 
@@ -440,14 +443,17 @@ def test_exceptional_pairs_hom_census():
     # each A_2-type subcategory has three exceptional pairs, all with total
     # hom 1, and no two interval objects have a larger total hom
     for n in range(0, 13):
-        assert len(list(exceptional_pairs(n, 1))) == 3 * comb(n + 2, 3), n
+        assert len(list(_row_scan(n, 1))) == 3 * comb(n + 2, 3), n
         for hom in (2, 3):
-            assert list(exceptional_pairs(n, hom)) == [], (n, hom)
+            assert list(_row_scan(n, hom)) == [], (n, hom)
+            assert list(typea._pair_cycles(n, hom)) == [], (n, hom)
 
 
 def _row_scan(n, hom):
-    """The scan of exceptional_pairs that visits every ordered pair, one row
-    x at a time: the reference for the one-visit scan."""
+    """The codes x*P + y of the exceptional pairs (s_x, s_y) of interval
+    objects with total hom dimension hom, x < y for hom = 0, in increasing
+    order, from a scan of every ordered pair, one row x at a time: the
+    reference for the cross-section walk of typea._pair_cycles."""
     p = (n + 1) * (n + 2) // 2
     masks = [interval_mask(iv, n) for iv in enum_points(n)]
 
@@ -466,9 +472,11 @@ def _row_scan(n, hom):
 
 
 def test_exceptional_pairs_match_the_row_scan():
+    # the pairs of the walk's orbits, each once, are the row scan's
     for n in range(0, 15):
         for hom in range(4):
-            assert list(exceptional_pairs(n, hom)) == list(_row_scan(n, hom)), (n, hom)
+            codes = sorted(c for orb in pair_orbits(n, hom) for c in orb)
+            assert codes == list(_row_scan(n, hom)), (n, hom)
 
 
 def test_exceptional_pairs_match_quiver_euler_form():
@@ -485,7 +493,7 @@ def test_exceptional_pairs_match_quiver_euler_form():
                 and abs(euler_form(q, dims[x], dims[y])) == hom
                 and (hom > 0 or x < y)
             ]
-            codes = list(exceptional_pairs(n, hom))
+            codes = list(_row_scan(n, hom))
             assert codes == sorted(codes)
             assert _decode(codes, n) == want, (n, hom)
 
@@ -495,7 +503,7 @@ def test_pair_orbits_partition_the_scan():
         for hom in (0, 1):
             parts = list(pair_orbits(n, hom))
             flat = sorted(c for orb in parts for c in orb)
-            assert flat == list(exceptional_pairs(n, hom))
+            assert flat == list(_row_scan(n, hom))
             assert all((n + 2) % len(orb) == 0 for orb in parts)
 
 
@@ -510,15 +518,43 @@ def test_pair_orbits_match_the_orbit_helper():
             return code[(y, x) if hom == 0 and y < x else (x, y)]
 
         for hom in range(3):
-            want = arith.orbits(list(exceptional_pairs(n, hom)), lambda c: step(c, hom))
+            want = arith.orbits(list(_row_scan(n, hom)), lambda c: step(c, hom))
             assert list(pair_orbits(n, hom)) == want, (n, hom)
+
+
+def _orbit_helper_census(n, hom):
+    # (pairs, Serre orbits) of the row scan, by the orbit helper under the
+    # Serre step on decoded point pairs, re-sorted when unordered
+    points = enum_points(n)
+    index = {iv: t for t, iv in enumerate(points)}
+
+    def step(pair):
+        x, y = (index[serre_on_point(*points[t], n)[0]] for t in pair)
+        return (y, x) if hom == 0 and y < x else (x, y)
+
+    pairs = [divmod(c, len(points)) for c in _row_scan(n, hom)]
+    return len(pairs), len(arith.orbits(pairs, step))
+
+
+def test_pair_census_matches_the_row_scan_and_the_orbit_helper():
+    for n in range(0, 15):
+        for hom in range(4):
+            assert typea._pair_census(n, hom) == _orbit_helper_census(n, hom), (n, hom)
+
+
+@pytest.mark.parametrize("genus", [-1, 1])
+def test_pair_census_matches_the_closed_forms_at_the_cap(genus):
+    # 990^2 point pairs at N = 44, the largest the cap admits
+    pairs, orbit_count = typea._pair_census(43, genus + 1)
+    assert pairs == count_genus(genus, 44, "id")
+    assert orbit_count == count_genus(genus, 44, "full")
 
 
 def test_enumeration_cap(monkeypatch):
     with pytest.raises(ValueError, match="C\\(31, 11\\) sequences = 84672315;"):
         typea.seq_values(29, 10)
     with pytest.raises(ValueError, match="1830\\^2 point pairs = 3348900;"):
-        exceptional_pairs(59, 2)
+        typea._pair_cycles(59, 2)
     # the largest sizes the tests and the benchmark ask for stay below it
     assert max(comb(21, 6), comb(41, 3), (30 * 31 // 2) ** 2) <= arith.MAX_ENUMERATION
     # the cap itself is allowed, one more is refused
@@ -526,9 +562,9 @@ def test_enumeration_cap(monkeypatch):
     assert count_orbits_brute(1, 5) == 3  # C(6, 2) = 15 sequences
     with pytest.raises(ValueError, match="C\\(7, 2\\) sequences = 21;"):
         count_orbits_brute(1, 6)
-    assert list(exceptional_pairs(1, 2)) == []  # 3^2 pairs
+    assert list(typea._pair_cycles(1, 2)) == []  # 3^2 pairs
     with pytest.raises(ValueError, match="6\\^2 point pairs = 36;"):
-        exceptional_pairs(2, 2)
+        typea._pair_cycles(2, 2)
 
 
 def test_genus_minus1_orbit_census():
