@@ -4,14 +4,17 @@ noncommutative curves of genus 0 and -1, the rank-3 subcategories, and all
 orbit counts.
 
 The objects are the indecomposable representations of the D_4 quiver, one
-per positive root.  Their pairs and homs are the rule quiver.pair_rule
-reads off the Euler form, and Serre is quiver.coxeter on the roots, read
-back through the names.  A root is named delta if its centre entry is 2, and
-otherwise s followed by the legs in its support, with o appended when the
-centre is in the support and at most one leg is: s1, s2, s3 are the outer
-simples, so the central simple, s1o/s2o/s3o the two-dimensional ones
-supported on one leg, s12/s13/s23 the three-dimensional ones, s123 the thin
-sincere one and delta the sincere one with a 2 at the centre.
+per positive root as quiver.positive_roots grows them.  The quiver is its
+arrows on the vertices 0..3: the legs 1, 2, 3 are the vertices 0, 1, 2 and
+point into the centre o, vertex 3.  Their pairs and homs are the rule
+quiver.pair_rule reads off the Euler form, and Serre is quiver.coxeter on
+the roots, read back through the names.  A root is named delta if its centre
+entry is 2, and otherwise s followed by the legs in its support, with o
+appended when the centre is in the support and at most one leg is: s1, s2,
+s3 are the outer simples, so the central simple, s1o/s2o/s3o the
+two-dimensional ones supported on one leg, s12/s13/s23 the three-dimensional
+ones, s123 the thin sincere one and delta the sincere one with a 2 at the
+centre.
 """
 
 from functools import partial
@@ -20,12 +23,10 @@ from typing import NamedTuple
 
 from . import category as registry
 from .arith import orbits
-from .quiver import PairClass, coxeter, d4_quiver, pair_class, pair_rule, positive_roots
+from .quiver import PairClass, coxeter, pair_class, pair_rule, positive_roots
 
-QUIVER = d4_quiver()  # vertices (1, 2, 3, 'o')
-
-# the arrows on the vertex positions 0..3, into the centre, which comes last
-ARROWS = tuple((QUIVER.index(s), QUIVER.index(t)) for s, t in QUIVER.arrows)
+# each leg 1, 2, 3 (vertex 0, 1, 2) points into the centre o (vertex 3)
+ARROWS = ((0, 3), (1, 3), (2, 3))
 
 
 def _name(dim: tuple) -> str:
@@ -33,11 +34,11 @@ def _name(dim: tuple) -> str:
     *legs, centre = dim
     if centre == 2:
         return "delta"
-    support = "".join(str(v) for v, x in zip(QUIVER.vertices, legs) if x)
+    support = "".join(str(leg) for leg, x in enumerate(legs, 1) if x)
     return "s" + support + ("o" if centre and len(support) <= 1 else "")
 
 
-DIMS = {_name(d): d for d in positive_roots(QUIVER)}
+DIMS = {_name(d): d for d in positive_roots(4, ARROWS)}
 
 LABELS = tuple(sorted(DIMS))
 

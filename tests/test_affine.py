@@ -24,7 +24,7 @@ from nccount.affine import (
 )
 from nccount.category import category
 from nccount.digraph import build_curve_graph
-from nccount.quiver import PairClass, Quiver, euler_form
+from nccount.quiver import PairClass, euler_form
 
 
 def q1(f, i=None):
@@ -495,10 +495,6 @@ def _delta(q):
     return (1,) * len(ROOTS[q]["a"])
 
 
-def _quiver(q):
-    return Quiver(range(len(_delta(q))), ARROWS[q])
-
-
 @pytest.mark.parametrize("q", ["q1", "q2"])
 def test_rule_tables_agree_with_the_euler_form(q):
     # Why a finite window decides all of Z: <delta, delta> = 0, and every
@@ -510,7 +506,7 @@ def test_rule_tables_agree_with_the_euler_form(q):
     # the tables only for |k - m| <= 1; so index differences up to the
     # largest |<b_y, b_x>| and 1 decide every pair, and the window's
     # differences reach 2 * _REACH, far beyond that.
-    quiver, delta = _quiver(q), _delta(q)
+    quiver, delta = ARROWS[q], _delta(q)
     assert euler_form(quiver, delta, delta) == 0
     for f in SERIES[q]:
         b = ROOTS[q][f]
@@ -561,7 +557,7 @@ def _serre(q, v):
 
 @pytest.mark.parametrize("q", ["q1", "q2"])
 def test_root_table(q):
-    quiver, delta = _quiver(q), _delta(q)
+    quiver, delta = ARROWS[q], _delta(q)
     objs = _window_objects(q, -6, 6)
     # real roots, pairwise distinct up to sign, with the quiver's Euler form
     assert len({_signed(root(x)) for x in objs}) == len(objs)

@@ -4,7 +4,8 @@ import pytest
 
 from nccount.category import category
 from nccount.interval import interval_dim
-from nccount.quiver import d4_quiver, euler_form, line_quiver, pair_rule, third_point
+from nccount.d4 import ARROWS as D4
+from nccount.quiver import euler_form, line_quiver, pair_rule, third_point
 
 SMALL = (
     [(f"a{n}", None) for n in range(1, 9)]
@@ -27,7 +28,7 @@ def test_registry_against_euler_form(name, window):
         return
     dims = cat.dims
     rank = len(next(iter(dims.values())))
-    q = d4_quiver() if name == "d4" else line_quiver(rank - 1)
+    q = D4 if name == "d4" else line_quiver(rank - 1)
     for x, y in permutations(cat.objects.values(), 2):
         assert cat.is_pair(x, y) == (euler_form(q, dims[y], dims[x]) == 0)
         assert cat.total_hom(x, y) == abs(euler_form(q, dims[x], dims[y]))
@@ -44,7 +45,7 @@ def test_line_bitmasks_follow_the_generic_rule(vertices):
     # quiver, for every ordered pair, the diagonal included
     n = vertices - 1
     cat = category(f"a{vertices}")
-    is_pair, total_hom = pair_rule(line_quiver(n).arrows, lambda p: interval_dim(p, n))
+    is_pair, total_hom = pair_rule(line_quiver(n), lambda p: interval_dim(p, n))
     for x, y in product(cat.objects.values(), repeat=2):
         got = cat.is_pair(x, y), cat.total_hom(x, y)
         assert got == (is_pair(x, y), total_hom(x, y)), (x, y)

@@ -3,6 +3,7 @@ from itertools import combinations, permutations
 import pytest
 
 from nccount.d4 import (
+    ARROWS,
     DIMS,
     KAPPA,
     LABELS,
@@ -20,7 +21,7 @@ from nccount.d4 import (
     triple_generators,
     triple_kind,
 )
-from nccount.quiver import PairClass, d4_quiver, euler_form, third_point
+from nccount.quiver import PairClass, euler_form, third_point
 
 
 def _unordered(pairs):
@@ -107,8 +108,8 @@ def test_rule_is_the_quiver_euler_form():
     is_pair, hom = RULE
     for a in LABELS:
         for b in LABELS:
-            forward = euler_form(d4_quiver(), DIMS[a], DIMS[b])
-            backward = euler_form(d4_quiver(), DIMS[b], DIMS[a])
+            forward = euler_form(ARROWS, DIMS[a], DIMS[b])
+            backward = euler_form(ARROWS, DIMS[b], DIMS[a])
             assert (is_pair(a, b), hom(a, b)) == (backward == 0, abs(forward)), (a, b)
     with pytest.raises(ValueError, match="unknown object"):
         total_hom("s1", "s4")
@@ -282,11 +283,8 @@ def test_hom_dims_match_linear_algebra():
     for x in LABELS:
         assert _hom_dim(x, x) == 1, x
     # degree-zero homs equal the positive part of the Euler pairing
-    from nccount.quiver import euler_form
-    from nccount.d4 import QUIVER
-
     for x, y in permutations(LABELS, 2):
-        assert _hom_dim(x, y) == max(euler_form(QUIVER, DIMS[x], DIMS[y]), 0), (x, y)
+        assert _hom_dim(x, y) == max(euler_form(ARROWS, DIMS[x], DIMS[y]), 0), (x, y)
 
 
 def test_tables():

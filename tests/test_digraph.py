@@ -92,7 +92,7 @@ def test_edge_criterion_matches_pair_classifier():
     # an exceptional pair under the Euler-form classifier
     from itertools import combinations
 
-    from nccount.quiver import d4_quiver, euler_form, line_quiver
+    from nccount.quiver import euler_form, line_quiver
     from nccount import d4 as d4mod
     from nccount.typea import enum_points, interval_dim
 
@@ -105,7 +105,7 @@ def test_edge_criterion_matches_pair_classifier():
                 # all homs from b to a vanish
                 expected = euler_form(q, interval_dim(b, n), interval_dim(a, n)) == 0
                 assert g.has_edge(str(a), str(b)) == expected
-    q = d4_quiver()
+    q = d4mod.ARROWS
     g = build_point_graph("d4")
     for a, b in permutations(d4mod.LABELS, 2):
         expected = euler_form(q, d4mod.DIMS[b], d4mod.DIMS[a]) == 0

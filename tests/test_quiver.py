@@ -1,15 +1,17 @@
 import itertools
 import random
+import re
 from operator import mul
 
 import pytest
 
+from nccount.affine import ARROWS as AFFINE
+from nccount.d4 import ARROWS as D4
 from nccount.quiver import (
-    Quiver,
     coxeter,
-    d4_quiver,
     euler_form,
     line_quiver,
+    pair_rule,
     positive_roots,
 )
 from nccount.typea import Interval, enum_points, interval_dim, serre_on_point
@@ -38,9 +40,9 @@ def test_euler_form_zero_vector():
 
 def test_euler_form_d4_delta_vs_simple():
     # <s_1, delta> = -1, so (delta, s_1) is not an exceptional pair
-    q = d4_quiver()
-    s1 = {1: 1, 2: 0, 3: 0, "o": 0}
-    delta = {1: 1, 2: 1, 3: 1, "o": 2}
+    q = D4
+    s1 = (1, 0, 0, 0)
+    delta = (1, 1, 1, 2)
     assert euler_form(q, s1, delta) == -1
     assert _homs(q, s1, delta) != (0, 0)  # (delta, s_1) is not exceptional
 
@@ -61,49 +63,77 @@ def test_dimension_vector_mismatch():
     q = line_quiver(2)
     with pytest.raises(ValueError):
         euler_form(q, (1, 0), (0, 1, 0))
-    with pytest.raises(ValueError):
-        euler_form(q, {0: 1, 1: 0}, (0, 1, 0))
+    # vectors too short for the arrows
+    with pytest.raises(ValueError, match="vertex order"):
+        euler_form(q, (1, 0), (0, 1))
 
 
 def test_acyclicity_enforced():
-    with pytest.raises(ValueError):
-        Quiver([0, 1], [(0, 1), (1, 0)])
+    # an oriented cycle has an arrow against the vertex order
+    cycle = ((0, 1), (1, 0))
+    with pytest.raises(ValueError, match="vertex order"):
+        euler_form(cycle, (1, 0), (0, 1))
+    with pytest.raises(ValueError, match="vertex order"):
+        positive_roots(2, cycle)
 
 
-def test_dynkin_detection():
-    assert line_quiver(5).is_dynkin
-    assert d4_quiver().is_dynkin
-    # affine three-vertex quiver: 1->2, 2->3, 1->3 has a cycle-free
-    # orientation but its diagram is a triangle
-    tri = Quiver([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
-    assert not tri.is_dynkin
-    square = Quiver([1, 2, 3, 4], [(1, 2), (2, 3), (1, 4), (4, 3)])
-    assert not square.is_dynkin
-    e6 = Quiver(range(6), [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
-    assert e6.is_dynkin
-    # degree-3 vertex with branch lengths (1,2,5) is not A/D/E
-    bad = Quiver(range(9), [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 8)])
-    assert not bad.is_dynkin
+def test_pair_rule_refuses_arrows_off_the_vertices():
+    # a negative index would read the last entry of a root, and an index past
+    # the end would fail with an IndexError
+    for arrows in (((0, -1),), ((0, 3),)):
+        is_pair, total_hom = pair_rule(arrows, lambda x: x)
+        with pytest.raises(ValueError, match="vertex order"):
+            total_hom((1, 0, 0), (0, 0, 1))
+        with pytest.raises(ValueError, match="vertex order"):
+            is_pair((1, 0, 0), (0, 0, 1))
 
 
-def test_positive_roots_rejects_affine():
-    # on the triangle the growth would stop at (1, 1, 1), where <x, x> = 0,
-    # and miss the real root (2, 1, 1)
-    tri = Quiver([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
-    square = Quiver([1, 2, 3, 4], [(1, 2), (2, 3), (1, 4), (4, 3)])
-    for q in (tri, square):
-        with pytest.raises(ValueError):
-            positive_roots(q)
+def test_coxeter_refuses_arrows_off_the_vertices():
+    for arrows in (((-1, 0),), ((1, 3),)):
+        with pytest.raises(ValueError, match="vertex order"):
+            coxeter(arrows, (0, 1, 0))
 
 
 def _dynkin(kind, n):
-    """A quiver of type A_n, D_n or E_n: for D and E the path
+    """The arrows of a quiver of type A_n, D_n or E_n: for D and E the path
     0 -> 1 -> ... -> n - 2 with vertex n - 1 joined to vertex n - 3 (D) or
     2 (E)."""
     if kind == "A":
         return line_quiver(n - 1)
     branch = n - 3 if kind == "D" else 2
-    return Quiver(range(n), [(i, i + 1) for i in range(n - 2)] + [(branch, n - 1)])
+    return tuple((i, i + 1) for i in range(n - 2)) + ((branch, n - 1),)
+
+
+def test_dynkin_detection():
+    # the Tits form is positive definite on every Dynkin quiver, a disjoint
+    # union included: A_2 and A_1 side by side have 3 + 1 roots
+    assert len(positive_roots(6, line_quiver(5))) == 21
+    assert len(positive_roots(4, D4)) == 12
+    assert len(positive_roots(6, _dynkin("E", 6))) == 36
+    assert positive_roots(3, ((0, 1),)) == [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 0)]
+
+
+# quivers that are not Dynkin, with the vector where the growth of the
+# positive roots stops and the Tits form <x, x> there: the Kronecker quivers
+# of the paper at their first sum of simples, and the affine ones at their
+# imaginary root delta
+_NOT_DYNKIN = {
+    "K(2)": (((0, 1),) * 2, (1, 1), 0),
+    "K(3)": (((0, 1),) * 3, (1, 1), -1),
+    "q1": (AFFINE["q1"], (1, 1, 1), 0),
+    "q2": (AFFINE["q2"], (1, 1, 1, 1), 0),
+    "D~4": (((0, 4), (1, 4), (2, 4), (3, 4)), (1, 1, 1, 1, 2), 0),
+    # the tree with arms of lengths 1, 2 and 5 at vertex 2
+    "E~8": (_dynkin("A", 8) + ((2, 8),), (2, 4, 6, 5, 4, 3, 2, 1, 3), 0),
+}
+
+
+def test_positive_roots_rejects_affine():
+    for name, (arrows, stop, form) in _NOT_DYNKIN.items():
+        assert euler_form(arrows, stop, stop) == form, name
+        message = re.escape(f"<x, x> = {form} at x = {stop}")
+        with pytest.raises(ValueError, match=message):
+            positive_roots(len(stop), arrows)
 
 
 _COXETER = (
@@ -118,15 +148,14 @@ def test_positive_roots_count(kind, n, h):
     # a Dynkin root system of rank n and Coxeter number h has n h / 2
     # positive roots
     q = _dynkin(kind, n)
-    assert q.is_dynkin
-    roots = positive_roots(q)
+    roots = positive_roots(n, q)
     assert len(roots) == n * h // 2
     assert all(euler_form(q, x, x) == 1 and min(x) >= 0 for x in roots)
 
 
 def test_positive_roots_a_are_intervals():
     for n in range(12):
-        assert positive_roots(line_quiver(n)) == sorted(
+        assert positive_roots(n + 1, line_quiver(n)) == sorted(
             interval_dim(p, n) for p in enum_points(n)
         )
 
@@ -134,7 +163,7 @@ def test_positive_roots_a_are_intervals():
 def test_coxeter_matches_intervals():
     # Serre on K_0 sends the root of s_{i,j} to that of its image, up to sign
     for n in range(10):
-        arrows = line_quiver(n).arrows
+        arrows = line_quiver(n)
         for p in enum_points(n):
             image = coxeter(arrows, interval_dim(p, n))
             if min(image) < 0:
@@ -167,7 +196,7 @@ def test_hom_profile_a3_simples():
 def test_hom_profile_self():
     for q, vec in [
         (line_quiver(3), (1, 1, 0, 0)),
-        (d4_quiver(), {1: 1, 2: 0, 3: 0, "o": 1}),
+        (D4, (1, 0, 0, 1)),
     ]:
         assert _homs(q, vec, vec) == (1, 0)
 
@@ -263,12 +292,12 @@ def test_no_exceptional_pair_for_crossing_intervals():
 
 
 def test_d4_examples():
-    q = d4_quiver()
+    q = D4
     dims = {
-        "s1": {1: 1, 2: 0, 3: 0, "o": 0},
-        "s2": {1: 0, 2: 1, 3: 0, "o": 0},
-        "s1o": {1: 1, 2: 0, 3: 0, "o": 1},
-        "delta": {1: 1, 2: 1, 3: 1, "o": 2},
+        "s1": (1, 0, 0, 0),
+        "s2": (0, 1, 0, 0),
+        "s1o": (1, 0, 0, 1),
+        "delta": (1, 1, 1, 2),
     }
     assert _homs(q, dims["s2"], dims["s1"]) == (0, 0)
     assert _homs(q, dims["s1"], dims["delta"]) != (0, 0)

@@ -44,7 +44,8 @@ RESULTS = {
     "typea.period",
     "typea.point_orbits",
 }
-# oracles and the inputs the tests build them from
+# oracles and the inputs the tests build them from (quiver.line_quiver gives
+# the arrows of the A_N quiver to tests/ and to bench/tests)
 ORACLES = {
     "markov.normalized_slope",
     "quiver.line_quiver",
