@@ -5,6 +5,10 @@ s-subsets of Z/m up to rotation are counted both by a Burnside divisor sum
 and by a streaming enumeration that emits one necklace per class, and the
 two must agree; the enumeration is refused up front past the brute-force
 cap, arith.MAX_ENUMERATION.  Reflections are never quotiented out.
+
+seq_to_subgon conjugates the Serre step on the sequences of X_n^k to a
+rotation, so the same stream, gap_necklaces, is the one enumeration of the
+Serre orbits on X_n^k: typea reads their sizes and members off it.
 """
 
 from math import comb, gcd

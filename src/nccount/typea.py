@@ -11,19 +11,19 @@ The generator of all group actions here is the Serre functor; its orbit
 counts coincide with counts modulo the entire autoequivalence group.
 
 The brute-force oracles stream and keep one orbit at a time.  The Serre
-orbits on X_n^k, and those on the pairs of interval objects, are each
-walked once, as the cycles of the first return of the Serre step to a
-cross-section: the sequences with a_0 = 0 (_return_cycles), or the pairs
-whose first point is the least of its orbit (_pair_cycles).  Counts and
-orbits are read off those cycles.  Both refuse up front what would pass
+orbits on X_n^k are the rotation classes of (k+1)-subsets of the
+(n+2)-gon (necklace.seq_to_subgon), read off the necklace stream
+necklace.gap_necklaces (_necklaces).  Those on the pairs of interval
+objects are walked once, as the cycles of the first return of the Serre
+step to the pairs whose first point is the least of its orbit
+(_pair_cycles).  Both refuse up front what would pass
 arith.MAX_ENUMERATION: the C(n+2, k+1) sequences, or the P^2 ordered pairs
 of the P points.  The CLI handlers of the `an` counting commands live at
 the end of the module.
 """
 
-from itertools import combinations_with_replacement, compress, cycle, islice
+from itertools import accumulate, combinations_with_replacement, cycle, islice
 from math import comb, gcd
-from operator import getitem, itemgetter, not_
 from typing import NamedTuple
 
 from . import check_oracle
@@ -125,65 +125,39 @@ def serre_step(seq: MonotoneSeq) -> MonotoneSeq:
     return MonotoneSeq(seq.n, seq.k, _serre_values(seq.values, seq.bound))
 
 
-def _seq_rank(k: int, bound: int):
-    """The lexicographic rank of a value tuple of X_n^k, bound = n+1-k: its
-    index in seq_values(n, k).
+def _necklaces(n: int, k: int):
+    """Stream the Serre orbits on X_n^k as necklaces: for each, its least gap
+    sequence g and its size, the sum of g over its least period.
 
-    A sequence b after a first exceeds it at some position t.  For each t,
-    those b share a_0..a_{t-1} and have a_t < b_t <= bound, and they number
-    C(bound - a_t + k - t, k + 1 - t).  The rank is the size
-    C(bound + k + 1, k + 1) less one and less the sum of these counts.
-    """
-    after = [
-        [comb(bound - v + k - t, k + 1 - t) for v in range(bound + 1)]
-        for t in range(k + 1)
-    ]
-    last = comb(bound + k + 1, k + 1) - 1
-    return lambda a: last - sum(map(getitem, after, a))
-
-
-def _first_return(t: tuple, bound: int) -> tuple:
-    """The first return of the Serre step to the sequences with a_0 = 0, on
-    their tails t = (a_1, ..., a_k).  With d = bound - a_k, the sequence
-    (0, t) rises d times to (d, a_1 + d, ..., bound) and then rotates to
-    (0, d, a_1 + d, ..., a_{k-1} + d): d + 1 Serre steps, with a_0 > 0 in
-    between."""
-    d = bound - t[-1]
-    return (d, *[v + d for v in t[:-1]])
-
-
-def _return_cycles(n: int, k: int):
-    """Stream the cycles of _first_return on the tails of X_n^k, each a list
-    starting at its least tail, in the order of their least tails.
-
-    Every Serre orbit crosses the C(n+1, k) sequences with a_0 = 0 and meets
-    them in one such cycle.  The walk marks a cycle's later tails by their
-    rank in C(n+1, k) bytes; they rank above its least, so the enumeration
-    of the tails skips them.  The cap still counts the C(n+2, k+1) sequences.
+    seq_to_subgon conjugates the Serre step to a rotation of the (n+2)-gon,
+    so the orbits are the rotation classes of (k+1)-subsets, which
+    necklace.gap_necklaces streams in O(k) memory and lexicographic order.
+    The cap counts the C(n+2, k+1) sequences; for k > n+1 there are none.
     """
     check_binomial(n + 2, k + 1, f"C({n + 2}, {k + 1}) sequences")
-    bound = n + 1 - k
-    rank = _seq_rank(k - 1, bound)
-    seen = bytearray(comb(n + 1, k))
-    tails = combinations_with_replacement(range(bound + 1), k)
-    for tail in compress(tails, map(not_, seen)):
-        cyc = [tail]
-        img = _first_return(tail, bound)
-        while img != tail:
-            seen[rank(img)] = 1
-            cyc.append(img)
-            img = _first_return(img, bound)
-        yield cyc
+    if k + 1 > n + 2:
+        return
+    from .necklace import gap_necklaces
+
+    periods = divisors(k + 1)
+    for g in gap_necklaces(n + 2, k + 1):
+        p = next(q for q in periods if g[q:] + g[:q] == g)
+        yield g, sum(g[:p])
 
 
 def seq_orbits(n: int, k: int):
     """Stream the Serre orbits on the value tuples of X_n^k, each a list
-    starting at its lexicographically least member (0, t), t the least tail
-    of its cycle of _return_cycles, in the order of those members.  From
-    each tail t of the cycle in turn, (0, t) rises bound - t_k times."""
-    bound = n + 1 - k
-    for cyc in _return_cycles(n, k):
-        yield [(j, *[v + j for v in t]) for t in cyc for j in range(bound + 1 - t[-1])]
+    starting at its lexicographically least member, in the order of those
+    members.  The orbit of the necklace g is the subset {0, g_0, g_0 + g_1,
+    ...} of the (n+2)-gon rotated by j = 0, 1, ..., each read back as the
+    sequence a_t = v_t - t."""
+    m = n + 2
+    for g, size in _necklaces(n, k):
+        v = list(accumulate(g[:-1], initial=0))
+        yield [
+            tuple([w - t for t, w in enumerate(sorted([(x + j) % m for x in v]))])
+            for j in range(size)
+        ]
 
 
 def orbit_partition(n: int, k: int):
@@ -193,11 +167,8 @@ def orbit_partition(n: int, k: int):
 
 
 def orbit_sizes(n: int, k: int):
-    """Stream the sizes of the Serre orbits on X_n^k: the Serre steps around
-    each cycle of _return_cycles, bound + 1 - t_k from the tail t."""
-    steps, last = n + 2 - k, itemgetter(-1)
-    for cyc in _return_cycles(n, k):
-        yield steps * len(cyc) - sum(map(last, cyc))
+    """Stream the sizes of the Serre orbits on X_n^k, read off _necklaces."""
+    return (size for _, size in _necklaces(n, k))
 
 
 def count_id_brute(k: int, vertices: int) -> int:
@@ -207,17 +178,18 @@ def count_id_brute(k: int, vertices: int) -> int:
 
 
 def count_orbits_brute(k: int, vertices: int) -> int:
-    """Serre-orbit count on X_{N-1}^k, counted off the cycles of
-    _return_cycles with at most C(N, k) bytes of marks."""
+    """Serre-orbit count on X_{N-1}^k, counted off the necklace stream of
+    _necklaces in O(k) memory."""
     check_k_vertices(k, vertices)
-    return sum(1 for _ in _return_cycles(vertices - 1, k))
+    return sum(1 for _ in _necklaces(vertices - 1, k))
 
 
 def divisors_of_kn(k: int, n: int) -> list:
     """Divisors of the pair (k, n): the d with 1 <= d <= k+1, d | k+1 and
-    (k+1) | d(n+2).  Always contains k+1."""
-    if not 1 <= k < n + 1:
-        raise ValueError(f"need 1 <= k < n+1, got k={k}, n={n}")
+    (k+1) | d(n+2).  Always contains k+1; at k = n+1, where X_n^k is the one
+    sequence 0, every divisor of n+2."""
+    if not 1 <= k <= n + 1:
+        raise ValueError(f"need 1 <= k <= n+1, got k={k}, n={n}")
     return [
         d
         for d in range(1, k + 2)

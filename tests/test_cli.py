@@ -474,6 +474,10 @@ print(code, sorted(m for m in sys.modules
          ["json", "nccount.arith", "nccount.interval", "nccount.typea"]),
         (["an", "count", "--k", "2", "--vertices", "5", "--format", "plain"], 0,
          ["nccount.arith", "nccount.interval", "nccount.typea"]),
+        # the orbit census reads the necklace stream
+        (["an", "orbits", "--k", "2", "--vertices", "5"], 0,
+         ["json", "nccount.arith", "nccount.interval", "nccount.necklace",
+          "nccount.typea"]),
         # A_N graphs and complexes need the interval objects, not the
         # counting in typea, and plain output needs no json
         (["graph", "--category", "a7", "--format", "plain"], 0,
@@ -488,7 +492,7 @@ print(code, sorted(m for m in sys.modules
           "nccount.quiver"]),
     ],
     ids=["parser", "help", "usage-error", "markov-table", "markov-slopes", "an-count",
-         "an-count-plain", "graph-a7-plain", "sc-a5-plain", "an-graph-json",
+         "an-count-plain", "an-orbits", "graph-a7-plain", "sc-a5-plain", "an-graph-json",
          "incidence-a3-plain"],
 )
 def test_startup_imports(argv, code, loaded):

@@ -72,6 +72,8 @@ def test_gap_necklaces_one_per_rotation_class(ms):
     assert {subgon(m, accumulate(g[:-1], initial=0)).canonical()
             for g in emitted} == classes
     assert len(emitted) == len(classes) == count_subgon_classes_burnside(m, s)
+    # in lexicographic order, which typea.seq_orbits hands on as its orbit order
+    assert emitted == sorted(emitted)
     assert all(sum(g) == m and g == min(g[i:] + g[:i] for i in range(s))
                for g in emitted)
 

@@ -32,7 +32,7 @@ NAMED = {
 # orbits, and the Serre orbits on X_n^k as sequences, whose sizes and periods
 # the tests read (the CLI counts the orbits by their sizes, typea.orbit_sizes;
 # orbit_partition is the only caller of typea.seq_orbits, and both read the
-# one walk of the Serre return map on the sequences with a_0 = 0; the
+# one necklace stream, necklace.gap_necklaces, through typea._necklaces; the
 # affine graphs take the rule of aff_pair_class from quiver.pair_rule, as
 # the d4 record does)
 RESULTS = {

@@ -164,6 +164,11 @@ def test_d_additive_basic():
     zero = monotone_seq(4, 2, (0, 0, 0))
     assert not is_d_additive(zero, 1)
     assert period(zero) == 3
+    # at k = n+1 the one sequence is d-additive for every divisor of n+2
+    whole = monotone_seq(2, 3, (0, 0, 0, 0))
+    assert divisors_of_kn(3, 2) == [1, 2, 4]
+    assert all(is_d_additive(whole, d) for d in (1, 2, 4))
+    assert period(whole) == count_d_additive(2, 3, 2) == 1
 
 
 def test_d_additive_rejects_non_divisor():
@@ -179,7 +184,7 @@ def test_period_requires_zero_start():
 def test_d_additive_census():
     # number of d-additive sequences = C(d(n+2)/(k+1) - 1, d - 1)
     for n in range(1, 13):
-        for k in range(1, n + 1):
+        for k in range(1, n + 2):
             for d in divisors_of_kn(k, n):
                 got = sum(1 for s in enum_seqs(n, k) if is_d_additive(s, d))
                 assert got == count_d_additive(n, k, d), (n, k, d)
@@ -195,7 +200,7 @@ def test_orbit_sizes_and_zero_counts():
     # each orbit has size d(n+2)/(k+1) for a divisor d, and contains
     # exactly d sequences with vanishing leading entry
     for n in range(1, 11):
-        for k in range(1, n + 1):
+        for k in range(1, n + 2):
             divs = divisors_of_kn(k, n)
             for orb in orbit_partition(n, k):
                 size = len(orb)
@@ -211,7 +216,7 @@ def test_orbit_sizes_and_zero_counts():
 def test_period_census_vs_orbit_census():
     # d * (number of orbits of size d(n+2)/(k+1)) sequences of period d
     for n in range(1, 11):
-        for k in range(1, n + 1):
+        for k in range(1, n + 2):
             parts = list(orbit_partition(n, k))
             for d in divisors_of_kn(k, n):
                 size = d * (n + 2) // (k + 1)
@@ -231,18 +236,6 @@ def test_orbit_sum_is_total():
             assert sum(len(p) for p in parts) == comb(n + 2, k + 1)
 
 
-def test_seq_rank_is_the_enumeration_index():
-    for n in range(0, 11):
-        for k in range(1, n + 1):
-            bound = n + 1 - k
-            rank = typea._seq_rank(k, bound)
-            seqs = list(seq_values(n, k))
-            assert [rank(a) for a in seqs] == list(range(len(seqs))), (n, k)
-            # Serre permutes X_n^k, so the ranks of the images do too
-            images = sorted(rank(typea._serre_values(a, bound)) for a in seqs)
-            assert images == list(range(comb(n + 2, k + 1))), (n, k)
-
-
 def test_seq_orbits_match_the_orbit_helper():
     # k > N, where X_n^k is empty, included
     for n in range(0, 11):
@@ -254,39 +247,22 @@ def test_seq_orbits_match_the_orbit_helper():
 
 
 def test_empty_sequence_set_has_no_orbits():
-    # a negative bound builds an empty rank table, which is never read
+    # k + 1 > n + 2: no (k+1)-subsets of the (n+2)-gon, so no necklaces
     for k in range(2, 8):
-        typea._seq_rank(k, 1 - k)
         assert list(seq_orbits(0, k)) == []
         assert count_orbits_brute(k, 1) == count_orbits_formula(k, 1) == 0
 
 
-def test_first_return_is_the_serre_walk_back_to_a0_zero():
-    # one return step, and its bound + 1 - a_k Serre steps, against the
-    # Serre step iterated until a_0 = 0 again
-    for n in range(0, 11):
-        for k in range(1, n + 2):
-            bound = n + 1 - k
-            for a in seq_values(n, k):
-                if a[0]:
-                    continue
-                b, steps = typea._serre_values(a, bound), 1
-                while b[0]:
-                    b, steps = typea._serre_values(b, bound), steps + 1
-                assert typea._first_return(a[1:], bound) == b[1:], (n, k, a)
-                assert bound + 1 - a[-1] == steps, (n, k, a)
-
-
 def _orbit_census(n, k):
     # the orbit helper under the Serre step on all of X_n^k, independent of
-    # the return-map walk behind both seq_orbits and orbit_sizes
+    # the necklace stream behind both seq_orbits and orbit_sizes
     bound = n + 1 - k
     parts = arith.orbits(seq_values(n, k), lambda a: typea._serre_values(a, bound))
     return Counter(map(len, parts))
 
 
 def test_orbit_sizes_match_the_orbits():
-    # the cross-section walk against the orbit helper on all of X_n^k, with
+    # the necklace stream against the orbit helper on all of X_n^k, with
     # k > N, where X_n^k is empty, included
     for n in range(0, 12):
         for k in range(1, n + 4):
@@ -303,9 +279,18 @@ def _traced_peak(f, *args):
 
 
 def test_orbit_oracles_hold_no_enumeration():
-    # marks and one orbit: C(19, 5) = 11,628 sequences and 231^2 point pairs
-    # stay far under 256 KB
+    # one necklace and one orbit: C(19, 5) = 11,628 sequences and 231^2 point
+    # pairs stay far under 256 KB
     assert _traced_peak(count_orbits_brute, 4, 18) < 256 * 1024
+    # the largest admitted k = 5 sizes, C(32, 6) = 906,192 sequences, hold
+    # O(k) of the necklace stream, once its module is loaded
+    count_orbits_brute(5, 6)
+    assert _traced_peak(count_orbits_brute, 5, 31) < 32 * 1024
+    census = Counter()
+    assert _traced_peak(census.update, orbit_sizes(30, 5)) < 32 * 1024
+    assert sum(size * c for size, c in census.items()) == comb(32, 6) == 906_192
+    assert census.total() == count_orbits_formula(5, 31)
+    assert all(32 % size == 0 for size in census)
     assert _traced_peak(lambda: sum(1 for _ in pair_orbits(20, 0))) < 256 * 1024
     # the walk at the cap, 990^2 point pairs: the points, their masks, orbits
     # and index, P bytes of marks and one cycle; the pairs would take MBs
@@ -341,7 +326,7 @@ def _k_vertices(draw, limit=20_000):
 @settings(deadline=None, max_examples=60)
 @given(_k_vertices())
 def test_count_orbits_formula_vs_brute_random(kv):
-    # the return-map walk against the orbit helper under the Serre step
+    # the necklace stream against the orbit helper under the Serre step
     k, vertices = kv
     n = vertices - 1
     want = arith.orbits(enum_seqs(n, k), serre_step)
