@@ -76,24 +76,41 @@ def gap_necklaces(m: int, s: int):
     """
     if not 1 <= s <= m:
         raise ValueError(f"need 1 <= s <= m, got s={s}, m={m}")
+    return (g for g, _ in _periodic_necklaces(m, s))
+
+
+def _periodic_necklaces(m: int, s: int):
+    """gap_necklaces(m, s), each g with its least period p (g[p:] + g[:p]
+    == g), on an explicit stack of s levels, so that no s meets the
+    interpreter's recursion limit.  Level t holds the part a[t], its cap
+    top[t], and the least period and part sum of the prenecklace a[1..t]."""
     a = [1] * (s + 1)  # a[1..s] are the parts; a[0] = 1 is the floor of a[1]
-
-    def extend(t, p, total):
-        # a[1..t-1] is a prenecklace with least period p and part sum total
-        lo = a[t - p]
+    per, total, top = [1] * (s + 1), [0] * (s + 1), [0] * (s + 1)
+    t = 1
+    while True:
+        lo = a[t - per[t - 1]]
         if t == s:  # the last part is forced by the sum
-            last = m - total
-            if last >= lo and s % (p if last == lo else t) == 0:
+            last = m - total[t - 1]
+            p = per[t - 1] if last == lo else t
+            if last >= lo and s % p == 0:
                 a[t] = last
-                yield tuple(a[1:])
+                yield tuple(a[1:]), p
+        else:
+            # every later part is at least a[1], the least part of a prenecklace
+            top[t] = m // s if t == 1 else m - total[t - 1] - (s - t) * a[1]
+            if lo <= top[t]:
+                a[t], per[t], total[t] = lo, per[t - 1], total[t - 1] + lo
+                t += 1
+                continue
+        # back up to the deepest level whose part can still grow
+        t -= 1
+        while t and a[t] == top[t]:
+            t -= 1
+        if not t:
             return
-        # every later part is at least a[1], the least part of a prenecklace
-        hi = m // s if t == 1 else m - total - (s - t) * a[1]
-        for j in range(lo, hi + 1):
-            a[t] = j
-            yield from extend(t + 1, p if j == lo else t, total + j)
-
-    return extend(1, 1, 0)
+        a[t] += 1
+        per[t], total[t] = t, total[t - 1] + a[t]
+        t += 1
 
 
 def count_subgon_classes_brute(m: int, s: int) -> int:

@@ -125,24 +125,24 @@ def serre_step(seq: MonotoneSeq) -> MonotoneSeq:
     return MonotoneSeq(seq.n, seq.k, _serre_values(seq.values, seq.bound))
 
 
-def _necklaces(n: int, k: int):
-    """Stream the Serre orbits on X_n^k as necklaces: for each, its least gap
-    sequence g and its size, the sum of g over its least period.
+def _necklaces(n: int, k: int, s: int):
+    """Stream the Serre orbits on X_n^k as necklaces of s parts: for each,
+    its least gap sequence g and its size, (n+2)p/s for the least period p.
 
     seq_to_subgon conjugates the Serre step to a rotation of the (n+2)-gon,
     so the orbits are the rotation classes of (k+1)-subsets, which
-    necklace.gap_necklaces streams in O(k) memory and lexicographic order.
-    The cap counts the C(n+2, k+1) sequences; for k > n+1 there are none.
+    necklace.gap_necklaces streams in O(s) memory and lexicographic order.
+    s = k+1 streams the subsets, s = n+1-k their complements, which rotate
+    with them.  The cap counts the C(n+2, k+1) sequences; for k > n+1 there
+    are none.
     """
     check_binomial(n + 2, k + 1, f"C({n + 2}, {k + 1}) sequences")
     if k + 1 > n + 2:
         return
-    from .necklace import gap_necklaces
+    from .necklace import _periodic_necklaces
 
-    periods = divisors(k + 1)
-    for g in gap_necklaces(n + 2, k + 1):
-        p = next(q for q in periods if g[q:] + g[:q] == g)
-        yield g, sum(g[:p])
+    for g, p in _periodic_necklaces(n + 2, s):
+        yield g, (n + 2) * p // s
 
 
 def seq_orbits(n: int, k: int):
@@ -152,7 +152,7 @@ def seq_orbits(n: int, k: int):
     ...} of the (n+2)-gon rotated by j = 0, 1, ..., each read back as the
     sequence a_t = v_t - t."""
     m = n + 2
-    for g, size in _necklaces(n, k):
+    for g, size in _necklaces(n, k, k + 1):
         v = list(accumulate(g[:-1], initial=0))
         yield [
             tuple([w - t for t, w in enumerate(sorted([(x + j) % m for x in v]))])
@@ -167,8 +167,10 @@ def orbit_partition(n: int, k: int):
 
 
 def orbit_sizes(n: int, k: int):
-    """Stream the sizes of the Serre orbits on X_n^k, read off _necklaces."""
-    return (size for _, size in _necklaces(n, k))
+    """Stream the sizes of the Serre orbits on X_n^k, read off _necklaces on
+    the smaller of a subset and its complement, but for the empty one."""
+    s = min(k + 1, n + 1 - k) or k + 1
+    return (size for _, size in _necklaces(n, k, s))
 
 
 def count_id_brute(k: int, vertices: int) -> int:
@@ -179,9 +181,9 @@ def count_id_brute(k: int, vertices: int) -> int:
 
 def count_orbits_brute(k: int, vertices: int) -> int:
     """Serre-orbit count on X_{N-1}^k, counted off the necklace stream of
-    _necklaces in O(k) memory."""
+    orbit_sizes in O(min(k, N-k)) memory."""
     check_k_vertices(k, vertices)
-    return sum(1 for _ in _necklaces(vertices - 1, k))
+    return sum(1 for _ in orbit_sizes(vertices - 1, k))
 
 
 def divisors_of_kn(k: int, n: int) -> list:

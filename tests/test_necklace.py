@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from nccount.necklace import (
     Subgon,
+    _periodic_necklaces,
     count_subgon_classes,
     count_subgon_classes_brute,
     count_subgon_classes_burnside,
@@ -76,6 +77,18 @@ def test_gap_necklaces_one_per_rotation_class(ms):
     assert emitted == sorted(emitted)
     assert all(sum(g) == m and g == min(g[i:] + g[:i] for i in range(s))
                for g in emitted)
+    # each with its least period, which typea reads the orbit sizes off
+    for g, p in _periodic_necklaces(m, s):
+        assert p == min(q for q in range(1, s + 1) if g[q:] + g[:q] == g), g
+
+
+def test_gap_necklaces_keep_a_flat_stack():
+    # one level per part, past the interpreter's recursion limit
+    s = sys.getrecursionlimit() + 500
+    assert list(gap_necklaces(s, s)) == [(1,) * s]
+    assert list(_periodic_necklaces(s, s)) == [((1,) * s, 1)]
+    # s + 1 points: one class, s - 1 gaps of 1 and one of 2
+    assert list(_periodic_necklaces(s + 1, s)) == [((1,) * (s - 1) + (2,), s)]
 
 
 def test_brute_cap(monkeypatch):

@@ -253,6 +253,21 @@ def test_empty_sequence_set_has_no_orbits():
         assert count_orbits_brute(k, 1) == count_orbits_formula(k, 1) == 0
 
 
+def test_orbit_streams_past_the_recursion_limit():
+    # k + 1 parts, more than the interpreter's recursion limit: the necklace
+    # stream keeps a flat stack, and sizes and counts read the complement
+    k = sys.getrecursionlimit() + 200
+    assert list(orbit_sizes(k - 1, k)) == [1]
+    assert list(seq_orbits(k - 1, k)) == [[(0,) * (k + 1)]]
+    # one free point: the n+2 sequences are one orbit
+    want = arith.orbits(enum_seqs(k, k), serre_step)
+    assert list(seq_orbits(k, k)) == [[s.values for s in o] for o in want]
+    assert list(orbit_sizes(k, k)) == [k + 2]
+    # two free points, C(1203, 1201) = 723,003 sequences under the cap
+    assert count_orbits_brute(1200, 1202) == count_orbits_formula(1200, 1202) == 601
+    assert Counter(orbit_sizes(1201, 1200)) == {1203: 601}
+
+
 def _orbit_census(n, k):
     # the orbit helper under the Serre step on all of X_n^k, independent of
     # the necklace stream behind both seq_orbits and orbit_sizes
