@@ -15,17 +15,20 @@ rank-2 tubes.  The pairs and their homs are the rule quiver.pair_rule reads
 off the Euler form of the roots.  Serre is quiver.coxeter on the roots and
 the square symmetry theta of q2 the swap of its vertices 1 and 2, both read
 back as base + m * delta up to sign; only the extra shift-like generator
-zeta, which no map of the quiver gives, is typed label by label.  All orbit
-counts of the infinite curve families are computed symbolically from
-index-shift data.
+zeta, which no map of the quiver gives, is typed label by label.
+
+A subcategory family is its list of generators, and each member is known
+by quiver.span of their roots: that names the member any exceptional pair
+generates, transports the group actions and tells the Z-series.  Orbit
+counts of the infinite families are computed from index-shift data.
 """
 
+from functools import cache
 from math import gcd
 from typing import NamedTuple
 
 from . import INFINITE
-from .arith import orbits
-from .quiver import PairClass, coxeter, pair_class, pair_rule
+from .quiver import PairClass, coxeter, pair_class, pair_rule, span
 
 SERIES = {"q1": ("a", "b"), "q2": ("a", "b", "c", "d")}
 SPORADIC = {"q1": ("M", "M'"), "q2": ("F+", "F-", "G+", "G-")}
@@ -74,11 +77,15 @@ def root(x: AffObject) -> tuple:
     return base if x.index is None else tuple(v + x.index for v in base)
 
 
+# quiver -> the pair test and total hom of quiver.pair_rule on its roots
+RULES = {q: pair_rule(arrows, root) for q, arrows in ARROWS.items()}
+
+
 def aff_pair_class(x: AffObject, y: AffObject) -> PairClass:
     """Classification of the ordered pair (x, y) by the Euler form."""
     if x.quiver != y.quiver:
         raise ValueError("the Euler form needs objects of one quiver")
-    return pair_class(*pair_rule(ARROWS[x.quiver], root), x, y)
+    return pair_class(*RULES[x.quiver], x, y)
 
 
 # --- label-level group actions ---------------------------------------------
@@ -159,7 +166,7 @@ class AffSubcat(NamedTuple):
         return f"{self.family}^{self.index}"
 
     def generators(self) -> tuple:
-        gens = _FAMILIES[(self.quiver, self.kind)][self.family][1]
+        gens = _FAMILIES[(self.quiver, self.kind)][self.family]
         base = self.index or 0
         return tuple(
             obj(self.quiver, f) if shift is None else obj(self.quiver, f, base + shift)
@@ -167,67 +174,78 @@ class AffSubcat(NamedTuple):
         )
 
 
-# (quiver, kind) -> family -> (indexed, generators, perp).  indexed is True
-# if the family is a genuine Z-series of distinct subcategories (members of
-# non-indexed families absorb any index shift).  generators are (series
-# family | sporadic name, index shift | None), the shifts relative to the
-# subcategory index.  perp, where set, names the object whose orthogonal the
-# family is, which transports the group actions.
+# (quiver, kind) -> family -> generators, each (series family | sporadic
+# name, index shift | None), the shifts relative to the subcategory index.
+# Every other fact of a family is read off the spans of its members.
 _FAMILIES = {
     ("q1", "genus-1"): {},
     ("q1", "genus0"): {
-        "a-perp": (True, (("a", -1), ("b", 0)), "a"),
-        "b-perp": (True, (("b", -1), ("a", -1)), "b"),
+        "a-perp": (("a", -1), ("b", 0)),
+        "b-perp": (("b", -1), ("a", -1)),
     },
     ("q1", "genus1"): {
-        "M-perp": (False, (("a", 0), ("a", 1)), None),
-        "M'-perp": (False, (("b", 0), ("b", 1)), None),
+        "M-perp": (("a", 0), ("a", 1)),
+        "M'-perp": (("b", 0), ("b", 1)),
     },
     ("q2", "genus-1"): {
-        "AB": (True, (("a", 0), ("b", 1)), None),
-        "CD": (True, (("c", 0), ("d", 0)), None),
-        "F+-": (False, (("F+", None), ("F-", None)), None),
-        "G+-": (False, (("G+", None), ("G-", None)), None),
-        "FG+": (False, (("F+", None), ("G+", None)), None),
-        "FG-": (False, (("F-", None), ("G-", None)), None),
+        "AB": (("a", 0), ("b", 1)),
+        "CD": (("c", 0), ("d", 0)),
+        "F+-": (("F+", None), ("F-", None)),
+        "G+-": (("G+", None), ("G-", None)),
+        "FG+": (("F+", None), ("G+", None)),
+        "FG-": (("F-", None), ("G-", None)),
     },
     ("q2", "genus0"): {
-        "aF+": (True, (("a", 0), ("F+", None)), None),
-        "aF-": (True, (("a", 0), ("F-", None)), None),
-        "bG+": (True, (("b", 0), ("G+", None)), None),
-        "bG-": (True, (("b", 0), ("G-", None)), None),
-        "cG-": (True, (("c", 0), ("G-", None)), None),
-        "cF-": (True, (("c", 0), ("F-", None)), None),
-        "dG+": (True, (("d", 0), ("G+", None)), None),
-        "dF+": (True, (("d", 0), ("F+", None)), None),
+        "aF+": (("a", 0), ("F+", None)),
+        "aF-": (("a", 0), ("F-", None)),
+        "bG+": (("b", 0), ("G+", None)),
+        "bG-": (("b", 0), ("G-", None)),
+        "cG-": (("c", 0), ("G-", None)),
+        "cF-": (("c", 0), ("F-", None)),
+        "dG+": (("d", 0), ("G+", None)),
+        "dF+": (("d", 0), ("F+", None)),
     },
     ("q2", "genus1"): {
-        "A": (False, (("a", 0), ("a", 1)), None),
-        "B": (False, (("b", 0), ("b", 1)), None),
-        "C": (False, (("c", 0), ("c", 1)), None),
-        "D": (False, (("d", 0), ("d", 1)), None),
+        "A": (("a", 0), ("a", 1)),
+        "B": (("b", 0), ("b", 1)),
+        "C": (("c", 0), ("c", 1)),
+        "D": (("d", 0), ("d", 1)),
     },
     ("q2", "triples-A3"): {
-        "a-perp": (True, (("c", 0), ("G-", None), ("d", 0)), "a"),
-        "b-perp": (True, (("c", -1), ("a", -1), ("F-", None)), "b"),
-        "c-perp": (True, (("b", 0), ("d", 0), ("G+", None)), "c"),
-        "d-perp": (True, (("a", -1), ("c", 0), ("F-", None)), "d"),
+        "a-perp": (("c", 0), ("G-", None), ("d", 0)),
+        "b-perp": (("c", -1), ("a", -1), ("F-", None)),
+        "c-perp": (("b", 0), ("d", 0), ("G+", None)),
+        "d-perp": (("a", -1), ("c", 0), ("F-", None)),
     },
     ("q2", "triples-Q1"): {
-        "F+-perp": (False, (("d", 0), ("a", 0), ("d", 1)), "F+"),
-        "F--perp": (False, (("c", 0), ("a", 0), ("c", 1)), "F-"),
-        "G+-perp": (False, (("b", 0), ("d", 0), ("b", 1)), "G+"),
-        "G--perp": (False, (("b", 0), ("c", 0), ("b", 1)), "G-"),
+        "F+-perp": (("d", 0), ("a", 0), ("d", 1)),
+        "F--perp": (("c", 0), ("a", 0), ("c", 1)),
+        "G+-perp": (("b", 0), ("d", 0), ("b", 1)),
+        "G--perp": (("b", 0), ("c", 0), ("b", 1)),
     },
 }
 
 
+@cache
+def _spans(quiver: str, kind: str) -> dict:
+    """family -> (w, d): member m of the family spans w + m * d, where
+    member m's generators are the listed ones shifted by m.  The span is
+    linear in m, since each series generator moves by delta and
+    delta ^ delta = 0.  A family is a genuine Z-series of distinct
+    subcategories iff d != 0; the members of the others absorb any shift."""
+    out = {}
+    for fam in _FAMILIES[(quiver, kind)]:
+        w, w1 = (span(map(root, AffSubcat(quiver, kind, fam, m).generators()))
+                 for m in (0, 1))
+        out[fam] = (w, tuple(b - a for a, b in zip(w, w1)))
+    return out
+
+
 def _families(quiver: str, kind: str) -> dict:
     """family -> indexed? for the given kind."""
-    key = (quiver, kind)
-    if key not in _FAMILIES:
+    if (quiver, kind) not in _FAMILIES:
         raise ValueError(f"no kind {kind!r} for {quiver}")
-    return {fam: entry[0] for fam, entry in _FAMILIES[key].items()}
+    return {fam: any(d) for fam, (_, d) in _spans(quiver, kind).items()}
 
 
 def subcat(quiver: str, kind: str, family: str, index: int | None = None) -> AffSubcat:
@@ -240,62 +258,39 @@ def subcat(quiver: str, kind: str, family: str, index: int | None = None) -> Aff
 
 
 def _match(quiver: str, kind: str, objs) -> AffSubcat | None:
-    """The member of the kind whose generator set is the set objs, up to
-    one index offset, or None."""
-    want = set(objs)
-    for fam, (indexed, gens, _) in _FAMILIES[(quiver, kind)].items():
-        # an indexed generator pins the offset; without one any offset fits
-        offsets = {
-            o.index - shift
-            for f, shift in gens
-            if shift is not None
-            for o in want
-            if o.family == f
-        } or {0}
-        for m in offsets:
-            if set(AffSubcat(quiver, kind, fam, m).generators()) == want:
-                return AffSubcat(quiver, kind, fam, m if indexed else None)
+    """The member of the kind that the exceptional sequence objs generates,
+    the one whose span w + m * d is span(objs) up to sign, or None."""
+    s = span(map(root, objs))
+    for fam, (w, d) in _spans(quiver, kind).items():
+        for sign in (1, -1):
+            v = [sign * e - c for e, c in zip(s, w)]
+            m = next((e // c for e, c in zip(v, d) if c), 0)
+            if all(e == m * c for e, c in zip(v, d)):
+                return AffSubcat(quiver, kind, fam, m if any(d) else None)
     return None
 
 
 def classify_generator_pair(x: AffObject, y: AffObject) -> AffSubcat:
-    """Recognize the subcategory spanned by a two-object generating set as a
-    member of a classified pair family (genus 1, 0 or -1).
+    """Recognize the subcategory spanned by an exceptional pair, in either
+    order, as a member of a classified pair family (genus 1, 0 or -1).
 
     Library API with no CLI caller: it names the family of a pair given in
-    any of the paper's presentations.  The q1 genus-0 curves have several,
-    which are reduced below to the one that _FAMILIES lists.
+    any presentation, e.g. the three of each q1 genus-0 curve.
     """
-    q = x.quiver
-    if q != y.quiver:
+    if x.quiver != y.quiver:
         raise ValueError("mixed quivers")
+    is_pair = RULES[x.quiver][0]
+    if not (is_pair(x, y) or is_pair(y, x)):
+        raise ValueError(f"({x}, {y}) is an exceptional pair in neither order")
     for kind in ("genus1", "genus0", "genus-1"):
-        found = _match(q, kind, (x, y))
+        found = _match(x.quiver, kind, (x, y))
         if found is not None:
             return found
-    # q1 genus-0 curves are spanned by several pair shapes; reduce via the
-    # subcategory equalities <M',a^m> = <a^m,b^{m+1}> = <b^{m+1},M'> and
-    # <M,b^m> = <b^m,a^m> = <a^m,M>
-    if q == "q1":
-        fams = {x.family, y.family}
-        if "M'" in fams:
-            other = x if y.family == "M'" else y
-            m = other.index + 1 if other.family == "a" else other.index
-            return AffSubcat(q, "genus0", "a-perp", m)
-        if "M" in fams:
-            other = x if y.family == "M" else y
-            return AffSubcat(q, "genus0", "b-perp", other.index + 1)
     raise ValueError(f"({x}, {y}) does not match a classified family")
 
 
 def act_on_subcat(g: str, sub: AffSubcat) -> AffSubcat:
     """Transport a group generator to the subcategory families."""
-    table = _FAMILIES[(sub.quiver, sub.kind)]
-    perp = table[sub.family][2]
-    if perp is not None:
-        img = aff_act(g, obj(sub.quiver, perp, sub.index))
-        fam = next(f for f, entry in table.items() if entry[2] == img.family)
-        return AffSubcat(sub.quiver, sub.kind, fam, img.index)
     got = _match(sub.quiver, sub.kind, [aff_act(g, o) for o in sub.generators()])
     if got is None:
         raise AssertionError(f"{g} moves {sub} out of the {sub.kind} families")
@@ -307,15 +302,12 @@ def _family_shift_maps(quiver: str, kind: str, g: str) -> dict:
     derived by probing the object-level action."""
     out = {}
     for fam, indexed in _families(quiver, kind).items():
+        img = act_on_subcat(g, AffSubcat(quiver, kind, fam, 0 if indexed else None))
         if indexed:
-            img0 = act_on_subcat(g, AffSubcat(quiver, kind, fam, 0))
-            img1 = act_on_subcat(g, AffSubcat(quiver, kind, fam, 1))
             # actions are index-affine with unit slope
-            assert (img1.family, img1.index) == (img0.family, img0.index + 1)
-            out[fam] = (img0.family, img0.index)
-        else:
-            img = act_on_subcat(g, AffSubcat(quiver, kind, fam, None))
-            out[fam] = (img.family, None)
+            img1 = act_on_subcat(g, AffSubcat(quiver, kind, fam, 1))
+            assert (img1.family, img1.index) == (img.family, img.index + 1)
+        out[fam] = (img.family, img.index)
     return out
 
 
@@ -323,43 +315,34 @@ def _count_shift_system(families: dict, maps: list):
     """Orbit count of a union of Z-indexed series and sporadic points under
     a group whose generators act by family permutations with index shifts.
 
-    For each connected component of series families the orbit count is the
-    gcd of the index discrepancies around cycles (infinite when every cycle
-    is shift-consistent); sporadic components contribute one orbit each.
+    One walk with index potentials visits each connected component of
+    families.  The component's orbit count is the gcd of the index
+    discrepancies around its cycles, started at 0 on series and at 1 on
+    sporadic points, whose indices never move; it is infinite when every
+    cycle of a series component is shift-consistent.
     """
-    series = [f for f, indexed in families.items() if indexed]
-    sporadic = [f for f, indexed in families.items() if not indexed]
-
-    # sporadic part: the maps permute the sporadic families
-    spor_orbits = len(orbits(sporadic, *(lambda f, m=m: m[f][0] for m in maps)))
-
-    # series part: BFS with potentials, collecting cycle discrepancies
     potential = {}
-    comp = {}
-    discrepancy = {}
-    for root in series:
-        if root in comp:
+    total = 0
+    for start in families:
+        if start in potential:
             continue
-        comp[root] = root
-        potential[root] = 0
-        discrepancy[root] = 0
-        frontier = [root]
+        potential[start] = 0
+        count = 0 if families[start] else 1
+        frontier = [start]
         while frontier:
             f = frontier.pop()
             for m in maps:
                 g, shift = m[f]
-                value = potential[f] + shift
-                if g not in comp:
-                    comp[g] = root
+                value = potential[f] + (shift or 0)
+                if g not in potential:
                     potential[g] = value
                     frontier.append(g)
                 else:
-                    d = abs(value - potential[g])
-                    discrepancy[root] = gcd(discrepancy[root], d)
-    totals = [discrepancy[r] for r in discrepancy]
-    if series and (not maps or any(t == 0 for t in totals)):
-        return INFINITE
-    return sum(totals) + spor_orbits
+                    count = gcd(count, value - potential[g])
+        if not count:
+            return INFINITE
+        total += count
+    return total
 
 
 def aff_count(quiver: str, kind: str, group: str):
@@ -371,12 +354,7 @@ def aff_count(quiver: str, kind: str, group: str):
     if (quiver, group) not in GROUP_GENERATORS:
         raise ValueError(f"unknown group {group!r} for {quiver}")
     families = _families(quiver, kind)
-    gens = GROUP_GENERATORS[(quiver, group)]
-    if not families:
-        return 0
-    if not gens:
-        return INFINITE if any(families.values()) else len(families)
-    maps = [_family_shift_maps(quiver, kind, g) for g in gens]
+    maps = [_family_shift_maps(quiver, kind, g) for g in GROUP_GENERATORS[(quiver, group)]]
     return _count_shift_system(families, maps)
 
 

@@ -113,7 +113,6 @@ def _d4(name):
 
 def _affine(name, lo, hi):
     from . import affine
-    from .quiver import pair_rule
 
     def curves():
         return _curve_category(points, [
@@ -126,8 +125,8 @@ def _affine(name, lo, hi):
     _check_size(len(series) * (hi - lo + 1) + len(sporadic))
     objs = [affine.obj(name, fam, m) for fam in series for m in range(lo, hi + 1)]
     objs += [affine.obj(name, fam) for fam in sporadic]
-    rule = pair_rule(affine.ARROWS[name], affine.root)
-    points = Category(name, {str(o): o for o in objs}, *rule, curves=curves)
+    points = Category(name, {str(o): o for o in objs}, *affine.RULES[name],
+                      curves=curves)
     return points
 
 

@@ -132,20 +132,14 @@ def incidence_structure(category: str) -> IncidenceStructure:
     return IncidenceStructure(tuple(sorted(cat.objects)), lines)
 
 
-def export_incidence(struct: IncidenceStructure) -> str:
-    import json  # only here, so plain calls never load it
-    doc = {
-        "points": list(struct.points),
-        "lines": [{"id": lid, "points": list(pts)} for lid, pts in struct.lines],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 def _cmd_incidence(args):
-    """The CLI handler of `incidence`: the structure as JSON, or its sizes."""
+    """The CLI handler of `incidence`: the structure, or its sizes."""
     struct = incidence_structure(args.category)
     if args.format == "json":
-        return [export_incidence(struct)]
+        return {
+            "points": list(struct.points),
+            "lines": [{"id": lid, "points": list(pts)} for lid, pts in struct.lines],
+        }
     return {
         "points": len(struct.points),
         "lines": len(struct.lines),

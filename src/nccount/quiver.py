@@ -10,13 +10,16 @@ Hom and ext never both live on an exceptional pair (Happel-Ringel), so the
 Euler form of two roots decides the pair and its homs (pair_rule), and the
 Serre functor acts on K_0 as the Coxeter transformation up to sign
 (coxeter).  The D_4 and affine modules read both off their roots; the aN
-categories keep a bitmask form of the pair rule in `interval`.
+categories keep a bitmask form of the pair rule in `interval`.  span gives
+the lattice that roots span, the K_0 of the subcategory an exceptional
+sequence generates, as one integer vector.
 positive_roots grows the roots of a Dynkin quiver; an affine quiver has
 infinitely many, so the affine module tables those of its objects.
 """
 
 from collections.abc import Mapping
 from enum import Enum
+from itertools import combinations
 from operator import add, mul
 
 
@@ -142,6 +145,22 @@ def coxeter(arrows, v) -> tuple:
         out[i] = v[i] + sum(out[t] for s, t in arrows if s == i) - sum(
             v[s] for s, t in arrows if t == i)
     return tuple(out)
+
+
+def span(roots) -> tuple:
+    """The Pluecker vector of the lattice the roots span: the maximal minors
+    of the matrix of the roots as rows, column sets in lexicographic order,
+    each minor of rows 0..k expanded along row k.  It is one vector up to
+    sign for every basis of the lattice, and two saturated lattices with
+    one vector up to sign are equal."""
+    minors = {(): 1}
+    for k, r in enumerate(roots):
+        minors = {
+            cols: sum((-1) ** (k - i) * r[c] * minors[cols[:i] + cols[i + 1:]]
+                      for i, c in enumerate(cols))
+            for cols in combinations(range(len(r)), k + 1)
+        }
+    return tuple(minors.values())
 
 
 def third_point(dims: Mapping, a, b):

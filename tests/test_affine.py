@@ -1,4 +1,5 @@
-from itertools import product
+from itertools import permutations, product
+from math import gcd
 from operator import mul
 
 import pytest
@@ -24,7 +25,7 @@ from nccount.affine import (
 )
 from nccount.category import category
 from nccount.digraph import build_curve_graph
-from nccount.quiver import PairClass, euler_form
+from nccount.quiver import PairClass, euler_form, span
 
 
 def q1(f, i=None):
@@ -266,6 +267,140 @@ def test_generator_pair_classification_q1_rows():
             classify_generator_pair(q1("a", m), q1("M")),
         }
         assert forms == {AffSubcat("q1", "genus0", "b-perp", m + 1)}
+
+
+_KIND_OF_HOM = {
+    PairClass.ORTHOGONAL: "genus-1", PairClass.HOM_ONE: "genus0",
+    PairClass.HOM_TWO: "genus1",
+}
+
+
+@pytest.mark.parametrize("q", ["q1", "q2"])
+def test_every_exceptional_pair_is_named(q):
+    # each ordered exceptional pair names the curve of its hom; an orthogonal
+    # pair is its member's generators, and a hom-one pair x, y spans the
+    # genus-0 curve whose derived points have the roots x, y and x +- y
+    objs = _window_objects(q, -4, 4)
+    for x, y in permutations(objs, 2):
+        hom = aff_pair_class(x, y)
+        if hom is PairClass.NOT_EXCEPTIONAL:
+            continue
+        got = classify_generator_pair(x, y)
+        assert got.kind == _KIND_OF_HOM[hom], (x, y)
+        assert got == subcat(q, got.kind, got.family, got.index), (x, y)
+        if hom is PairClass.ORTHOGONAL:
+            assert set(got.generators()) == {x, y}, (x, y)
+        if hom is PairClass.HOM_ONE:
+            rx, ry = root(x), root(y)
+            points = {rx, ry, tuple(map(sum, zip(rx, ry))),
+                      tuple(a - b for a, b in zip(rx, ry))}
+            assert {_signed(root(g)) for g in got.generators()} <= {
+                _signed(v) for v in points}, (x, y)
+
+
+def test_classify_generator_pair_refuses_a_pair_in_neither_order():
+    for x, y in ((q1("M"), q1("M'")), (q1("M'"), q1("M")), (q2("F+"), q2("G-")),
+                 (q1("a", 0), q1("a", 0)), (q1("a", 0), q1("a", 2))):
+        with pytest.raises(ValueError, match="in neither order"):
+            classify_generator_pair(x, y)
+    with pytest.raises(ValueError, match="mixed"):
+        classify_generator_pair(q1("a", 0), q2("a", 1))
+
+
+# Which families are Z-series of distinct members, typed by hand: the oracle
+# for the flags that the spans of the members give
+_INDEXED = {
+    ("q1", "genus-1"): {},
+    ("q1", "genus0"): {"a-perp": True, "b-perp": True},
+    ("q1", "genus1"): {"M-perp": False, "M'-perp": False},
+    ("q2", "genus-1"): {
+        "AB": True, "CD": True, "F+-": False, "G+-": False, "FG+": False, "FG-": False,
+    },
+    ("q2", "genus0"): {
+        "aF+": True, "aF-": True, "bG+": True, "bG-": True,
+        "cG-": True, "cF-": True, "dG+": True, "dF+": True,
+    },
+    ("q2", "genus1"): {"A": False, "B": False, "C": False, "D": False},
+    ("q2", "triples-A3"): {
+        "a-perp": True, "b-perp": True, "c-perp": True, "d-perp": True,
+    },
+    ("q2", "triples-Q1"): {
+        "F+-perp": False, "F--perp": False, "G+-perp": False, "G--perp": False,
+    },
+}
+
+
+def test_indexed_flags_table():
+    from nccount.affine import _families
+
+    for (q, kind), flags in _INDEXED.items():
+        assert _families(q, kind) == flags, (q, kind)
+
+
+# The object whose orthogonal each of these families is, typed by hand: a
+# member of index m is the orthogonal of the object of index m, so the group
+# moves the member as it moves that object
+_PERP = {
+    ("q1", "genus0"): {"a-perp": "a", "b-perp": "b"},
+    ("q2", "triples-A3"): {f"{f}-perp": f for f in "abcd"},
+    ("q2", "triples-Q1"): {f"{f}-perp": f for f in ("F+", "F-", "G+", "G-")},
+}
+
+
+@pytest.mark.parametrize("q, kind", sorted(_PERP))
+def test_perp_families_follow_their_perp_objects(q, kind):
+    perps = _PERP[q, kind]
+    gens = GROUP_GENERATORS[q, "full"]
+    for fam, perp in perps.items():
+        indexed = _INDEXED[q, kind][fam]
+        for m in range(-8, 9) if indexed else (None,):
+            sub = subcat(q, kind, fam, m)
+            x = obj(q, perp, m)
+            assert all(euler(x, g) == 0 for g in sub.generators()), sub
+            for g in gens:
+                img = aff_act(g, x)
+                want = next(f for f, p in perps.items() if p == img.family)
+                assert act_on_subcat(g, sub) == subcat(q, kind, want, img.index), (g, sub)
+
+
+def _all_members(q, reach):
+    for (quiver, kind), flags in _INDEXED.items():
+        if quiver == q:
+            for fam, indexed in flags.items():
+                for m in range(-reach, reach + 1) if indexed else (None,):
+                    yield subcat(q, kind, fam, m)
+
+
+@pytest.mark.parametrize("q", ["q1", "q2"])
+def test_member_spans_are_saturated_and_distinct(q):
+    # each member's span is saturated (its minors have gcd 1), names the
+    # member back, and no two members of a quiver share one up to sign
+    from nccount.affine import _match
+
+    seen = {}
+    for sub in _all_members(q, 20):
+        v = span([root(g) for g in sub.generators()])
+        assert gcd(*v) == 1, sub
+        assert _signed(v) not in seen, (sub, seen.get(_signed(v)))
+        seen[_signed(v)] = sub
+        assert _match(q, sub.kind, sub.generators()) == sub
+    assert len(seen) == {"q1": 84, "q2": 586}[q]
+
+
+def test_count_shift_system_cases():
+    from nccount.affine import _count_shift_system
+
+    # a series fixed with its index: every member is its own orbit
+    assert _count_shift_system({"x": True}, [{"x": ("x", 0)}]) is INFINITE
+    # a cycle of two series that shifts by 3
+    maps = [{"x": ("y", 1), "y": ("x", 2)}]
+    assert _count_shift_system({"x": True, "y": True}, maps) == 3
+    # two swapped sporadic points, and no generators at all
+    maps = [{"p": ("r", None), "r": ("p", None)}]
+    assert _count_shift_system({"p": False, "r": False}, maps) == 1
+    assert _count_shift_system({"p": False, "r": False}, []) == 2
+    assert _count_shift_system({"p": False, "x": True}, []) is INFINITE
+    assert _count_shift_system({}, []) == 0
 
 
 def test_generators_are_valid():

@@ -67,6 +67,18 @@ def test_check_printable_is_exact_and_refuses_up_front():
         check_printable(10**6, 5 * 10**5, never, "x")
 
 
+@pytest.mark.parametrize("off", ["set to 0", "before 3.10.7"])
+def test_check_printable_counts_without_a_digit_limit(monkeypatch, off):
+    # sys.set_int_max_str_digits(0) lifts the limit, and Python before
+    # 3.10.7 has none: then any count is returned, however long
+    if off == "set to 0":
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    else:
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+    count = 10**50_000
+    assert check_printable(10**6, 5 * 10**5, lambda: count, "x") == count
+
+
 def test_check_binomial_at_the_cap_and_past_the_digit_limit(monkeypatch):
     # exact on both sides of the cap: C(10, 5) = 252 sets, 252 // 10 = 25 classes
     for cap, per, size in ((252, 1, 252), (25, 10, 25)):

@@ -3,11 +3,11 @@ from itertools import combinations
 
 import pytest
 
+from nccount import cli
 from nccount.d4 import GenSet
 from nccount.incidence import (
     TRIVIAL,
     derived_points,
-    export_incidence,
     glb,
     incidence_structure,
     intersect_curves,
@@ -147,8 +147,13 @@ def test_unknown_category():
         incidence_structure("a4")
 
 
-def test_export():
-    doc = json.loads(export_incidence(incidence_structure("a3")))
+def test_export(capsys):
+    assert cli.run(["incidence", "--category", "a3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    struct = incidence_structure("a3")
+    assert doc["points"] == list(struct.points)
+    assert [(line["id"], tuple(line["points"])) for line in doc["lines"]] == list(
+        struct.lines)
     assert set(doc) == {"points", "lines"}
     assert len(doc["points"]) == 6
     assert all(set(line) == {"id", "points"} for line in doc["lines"])

@@ -13,6 +13,7 @@ from nccount.quiver import (
     line_quiver,
     pair_rule,
     positive_roots,
+    span,
 )
 from nccount.typea import Interval, enum_points, interval_dim, serre_on_point
 
@@ -302,3 +303,18 @@ def test_d4_examples():
     assert _homs(q, dims["s2"], dims["s1"]) == (0, 0)
     assert _homs(q, dims["s1"], dims["delta"]) != (0, 0)
     assert sorted(_homs(q, dims["s1o"], dims["delta"])) == [0, 1]
+
+
+def test_span_is_the_plucker_vector():
+    # the maximal minors on the column sets 01, 02, 12 and 012, 013, 023, 123
+    assert span([(1, 2, 3), (0, 1, 1)]) == (1, 1, -1)
+    assert span([(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]) == (0, 0, 1, 0)
+    # a change of basis by a unimodular matrix keeps it, up to its sign
+    assert span([(1, 2, 3), (1, 3, 4)]) == span([(1, 2, 3), (0, 1, 1)])
+    rnd = random.Random(3)
+    for n, k in ((3, 2), (4, 2), (4, 3), (5, 3)):
+        roots = [tuple(rnd.randint(-4, 4) for _ in range(n)) for _ in range(k)]
+        for i, j in itertools.combinations(range(k), 2):
+            swapped = list(roots)
+            swapped[i], swapped[j] = roots[j], roots[i]
+            assert span(swapped) == tuple(-e for e in span(roots))

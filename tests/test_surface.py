@@ -33,8 +33,8 @@ NAMED = {
 # the tests read (the CLI counts the orbits by their sizes, typea.orbit_sizes;
 # orbit_partition is the only caller of typea.seq_orbits, and both read the
 # one necklace stream, necklace.gap_necklaces, through typea._necklaces; the
-# affine graphs take the rule of aff_pair_class from quiver.pair_rule, as
-# the d4 record does)
+# affine graphs read the rule of aff_pair_class from affine.RULES, as the d4
+# record reads d4.RULE)
 RESULTS = {
     "affine.aff_pair_class",
     "affine.aff_vanishing",
