@@ -21,8 +21,10 @@ class ValuedDigraph:
     Vertices are sorted by label and addressed by their index in that
     order.  Row i of `out` and `into` is an int bitmask over the indices of
     the successors and predecessors of vertex i, and a one-sided edge
-    (i, j) keeps its weight in `weights[i][j]`; so every listing below
-    comes out in label order without a sort.
+    (i, j) keeps its weight in `weights[i][j]`; so `induced`, the one
+    edge listing, and the writers list edges by (src, dst) in label order
+    without a sort.  `add_edge` builds a graph by hand and refuses
+    self-loops.
     """
 
     def __init__(self, category, vertices, genus=None):
@@ -47,30 +49,12 @@ class ValuedDigraph:
         else:
             self.weights[i][j] = weight
 
-    def has_edge(self, src, dst):
-        return bool(self.out[self.index[src]] >> self.index[dst] & 1)
-
-    def weight(self, src, dst):
-        if not self.has_edge(src, dst):
-            raise KeyError((src, dst))
-        return self.weights[self.index[src]].get(self.index[dst])
-
     def _one_sided(self, i):
         return self.out[i] & ~self.into[i]
 
     def _double_sided(self, i):
         """The double-sided partners of vertex i after it."""
         return self.out[i] & (self.into[i] >> (i + 1) << (i + 1))
-
-    def _pairs(self, row):
-        vs = self.vertices
-        return [(vs[i], vs[j]) for i in range(len(vs)) for j in _bits(row(i))]
-
-    def one_sided_edges(self):
-        return self._pairs(self._one_sided)
-
-    def double_sided_pairs(self):
-        return self._pairs(self._double_sided)
 
     def census(self):
         """(vertices, one-sided edges, double-sided edges counted once)."""
@@ -80,29 +64,6 @@ class ValuedDigraph:
             sum(self._one_sided(i).bit_count() for i in range(n)),
             sum(self._double_sided(i).bit_count() for i in range(n)),
         )
-
-    def out_degree(self, v):
-        return self.out[self.index[v]].bit_count()
-
-    def in_degree(self, v):
-        return self.into[self.index[v]].bit_count()
-
-    def successors(self, v):
-        return [self.vertices[j] for j in _bits(self.out[self.index[v]])]
-
-    def undirected_components(self):
-        rest, comps = (1 << len(self.vertices)) - 1, []
-        while rest:
-            comp = front = rest & -rest
-            while front:
-                reach = 0
-                for i in _bits(front):
-                    reach |= self.out[i] | self.into[i]
-                front = reach & ~comp
-                comp |= front
-            rest &= ~comp
-            comps.append([self.vertices[i] for i in _bits(comp)])
-        return comps
 
     def induced(self, vertex_subset):
         """Edge dict restricted to a vertex subset."""

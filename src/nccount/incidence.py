@@ -76,14 +76,17 @@ def glb(x, y, category: str, include_orthogonal_pairs: bool = False):
     {trivial, point, genus-0 curve}, optionally extended by the genus -1
     curves (orthogonal pairs of points).
 
-    Elements are tagged pairs ('trivial', None), ('point', p) or
-    ('curve', c); the result is another such pair.
+    Elements are tagged pairs ('trivial', None), ('point', p) with p an
+    object of the category, or ('curve', c); the result is another such
+    pair.
     """
     cat = registry.category(category)
     for item in (x, y):
         if not (isinstance(item, tuple) and len(item) == 2
                 and item[0] in ("trivial", "point", "curve")):
             raise ValueError(f"{item!r} is outside the supported family")
+        if item[0] == "point" and item[1] not in cat.objects.values():
+            raise ValueError(f"{item[1]} is not an object of {category}")
         if item[0] == "curve" and not include_orthogonal_pairs:
             genus, _ = _curve_points(cat, item[1])
             if genus == -1:
@@ -115,9 +118,6 @@ class IncidenceStructure(NamedTuple):
 
     def incidences(self):
         return [(p, lid) for lid, pts in self.lines for p in pts]
-
-    def degree(self, point):
-        return sum(1 for lid, pts in self.lines if point in pts)
 
 
 def incidence_structure(category: str) -> IncidenceStructure:

@@ -52,6 +52,10 @@ def test_object_validation():
         obj("q3", "a", 0)
     with pytest.raises(ValueError):
         obj("q1", "F+")  # q2-only family
+    with pytest.raises(ValueError, match="unknown family 'zz'"):
+        subcat("q2", "genus0", "zz", 0)
+    with pytest.raises(ValueError, match="indexed=True, got None"):
+        subcat("q2", "genus0", "aF+")
 
 
 def test_pair_class_q1():
@@ -250,6 +254,8 @@ def test_vanishing():
     assert not aff_vanishing("q1", 0)
     with pytest.raises(ValueError):
         aff_vanishing("q1", -2)
+    with pytest.raises(ValueError, match="unknown quiver 'q3'"):
+        aff_vanishing("q3", 0)
 
 
 def test_generator_pair_classification_q1_rows():
@@ -757,6 +763,7 @@ def test_curve_graph_on_any_window(q, window):
     curves = cat.curves()
     g = build_curve_graph(q, window)
     assert g.vertices == sorted(curves.objects)
+    edges = g.induced(g.vertices)
     for a, b in product(g.vertices, repeat=2):
         if a == b:
             continue
@@ -766,4 +773,4 @@ def test_curve_graph_on_any_window(q, window):
             for x in gens_b
             for y in gens_a
         )
-        assert g.has_edge(a, b) is want, (a, b)
+        assert ((a, b) in edges) is want, (a, b)

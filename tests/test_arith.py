@@ -9,6 +9,7 @@ from sympy.combinatorics import Permutation, PermutationGroup
 from nccount import arith
 from nccount.arith import (
     check_binomial, check_printable, divisors, euler_phi, mobius, orbits,
+    prime_factors,
 )
 
 
@@ -17,6 +18,10 @@ def test_number_theory_matches_sympy():
         assert mobius(x) == sympy.mobius(x), x
         assert euler_phi(x) == sympy.totient(x), x
         assert divisors(x) == sympy.divisors(x), x
+    with pytest.raises(ValueError, match="divisors: need x >= 1, got 0"):
+        divisors(0)
+    with pytest.raises(ValueError, match="prime_factors: need x >= 1, got 0"):
+        prime_factors(0)
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -89,6 +90,19 @@ def test_glb():
         glb(("line", None), c1, "a3")
 
 
+@pytest.mark.parametrize("bad, other, category", [
+    ("nope", ("point", "nope"), "d4"),
+    ("nope", ("point", "s1"), "d4"),
+    (Interval(0, 7), ("point", Interval(0, 0)), "a3"),
+    (Interval(0, 7), ("curve", curve((0, 0), (1, 1))), "a3"),
+])
+def test_glb_refuses_a_point_outside_the_category(bad, other, category):
+    # a point must be an object of the category, as a curve's generators must
+    for x, y in ((("point", bad), other), (other, ("point", bad))):
+        with pytest.raises(ValueError, match=f"{bad} is not an object of {category}"):
+            glb(x, y, category)
+
+
 def test_glb_with_orthogonal_pairs():
     # genus -1 members are admitted only when the family includes them
     e1 = ("curve", ("s1", "s2"))
@@ -121,8 +135,9 @@ def test_incidence_a3():
     assert len(struct.lines) == 4
     assert all(len(pts) == 3 for _, pts in struct.lines)
     assert len(struct.incidences()) == 12
+    degree = Counter(p for _, pts in struct.lines for p in pts)
     for p in struct.points:
-        assert struct.degree(p) == 2
+        assert degree[p] == 2
 
 
 def test_incidence_d4():
@@ -130,9 +145,10 @@ def test_incidence_d4():
     assert len(struct.points) == 12
     assert len(struct.lines) == 15
     assert len(struct.incidences()) == 45
-    degree3 = {p for p in struct.points if struct.degree(p) == 3}
+    degree = Counter(p for _, pts in struct.lines for p in pts)
+    degree3 = {p for p in struct.points if degree[p] == 3}
     assert degree3 == {"delta", "so", "s123"}
-    assert all(struct.degree(p) == 4 for p in struct.points if p not in degree3)
+    assert all(degree[p] == 4 for p in struct.points if p not in degree3)
 
 
 def test_two_lines_share_at_most_one_point():

@@ -40,6 +40,12 @@ def test_bad_arguments():
         subgon(6, [1, 7])  # 7 == 1 mod 6
     with pytest.raises(ValueError):
         subgon(0, [1])
+    with pytest.raises(ValueError, match="non-empty vertex set"):
+        subgon(5, [])
+    with pytest.raises(ValueError, match="need 1 <= s <= m, got s=0, m=5"):
+        list(gap_necklaces(5, 0))
+    with pytest.raises(ValueError, match="need 1 <= s <= m, got s=6, m=5"):
+        count_subgon_classes_brute(5, 6)
 
 
 def test_canonical_form():

@@ -67,6 +67,8 @@ def test_dimension_vector_mismatch():
     # vectors too short for the arrows
     with pytest.raises(ValueError, match="vertex order"):
         euler_form(q, (1, 0), (0, 1))
+    with pytest.raises(ValueError, match="need n >= 0"):
+        line_quiver(-1)
 
 
 def test_acyclicity_enforced():

@@ -1,13 +1,18 @@
 """The public library surface that no code in src/ calls.
 
 A public top-level name that nothing in src/ references outside its own
-definition is API reached only from tests or from outside.  Each such name
-must be pinned below on purpose, so that a second code path cannot grow
-back unnoticed: give a new name a caller in src/, or pin it here with its
-reason.
+definition, and a public method or property of a top-level class that
+nothing in src/ reads as an attribute `.name` outside its own definition,
+is API reached only from tests or from outside.  Each such name
+(`module.name`) and member (`module.Class.name`) must be pinned below on
+purpose, so that a second code path cannot grow back unnoticed: give a new
+name or member a caller in src/, or pin it here with its reason.  A member
+counts only attribute reads, so a local variable that shares its name is
+no caller.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import nccount
@@ -34,10 +39,12 @@ NAMED = {
 # orbit_partition is the only caller of typea.seq_orbits, and both read the
 # one necklace stream, necklace.gap_necklaces, through typea._necklaces; the
 # affine graphs read the rule of aff_pair_class from affine.RULES, as the d4
-# record reads d4.RULE)
+# record reads d4.RULE), and the paper's ch2 of a Chern pair, fixed by
+# chi(E, E) = 1
 RESULTS = {
     "affine.aff_pair_class",
     "affine.aff_vanishing",
+    "markov.ChernPair.ch2",
     "necklace.seq_to_subgon",
     "typea.count_d_additive",
     "typea.orbit_partition",
@@ -45,15 +52,19 @@ RESULTS = {
     "typea.point_orbits",
 }
 # oracles and the inputs the tests build them from (quiver.line_quiver gives
-# the arrows of the A_N quiver to tests/ and to bench/tests)
+# the arrows of the A_N quiver to tests/ and to bench/tests), and the
+# brute-force least rotation of a subgon
 ORACLES = {
     "markov.normalized_slope",
+    "necklace.Subgon.canonical",
     "quiver.line_quiver",
     "typea.enum_genus_minus1",
 }
-# checked constructors of the value types, and a graph as one string
+# checked constructors of the value types, the checked way to build a graph
+# by hand, which refuses self-loops, and a graph as one string
 CONSTRUCTORS = {
     "affine.subcat",
+    "digraph.ValuedDigraph.add_edge",
     "digraph.export",
     "typea.monotone_seq",
 }
@@ -84,8 +95,12 @@ def _referenced(node):
     }
 
 
+def _trees(src):
+    return {p.stem: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+
+
 def callerless_names(src=Path(nccount.__file__).parent):
-    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    trees = _trees(src)
     reads = [(node, _referenced(node)) for tree in trees.values() for node in tree.body]
     return {
         f"{module}.{name}"
@@ -95,8 +110,39 @@ def callerless_names(src=Path(nccount.__file__).parent):
     }
 
 
+def _members(tree):
+    """(class name, node) for each public method and property of each
+    top-level class of a module."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    yield cls.name, node
+
+
+def _attribute_reads(node):
+    """How often a node reads each attribute name, as `.name`."""
+    return Counter(
+        n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def callerless_members(src=Path(nccount.__file__).parent):
+    trees = _trees(src)
+    reads = sum(map(_attribute_reads, trees.values()), Counter())
+    return {
+        f"{module}.{cls}.{node.name}"
+        for module, tree in trees.items()
+        for cls, node in _members(tree)
+        if reads[node.name] == _attribute_reads(node)[node.name]
+    }
+
+
 def test_callerless_public_names_are_pinned():
-    assert callerless_names() == NAMED | RESULTS | ORACLES | CONSTRUCTORS
+    pinned = NAMED | RESULTS | ORACLES | CONSTRUCTORS
+    assert callerless_names() | callerless_members() == pinned
 
 
 def test_scan_sees_a_callerless_name(tmp_path):
@@ -108,3 +154,16 @@ def test_scan_sees_a_callerless_name(tmp_path):
         "X = used()\n"
     )
     assert callerless_names(tmp_path) == {"m.loop", "m.X"}
+
+
+def test_scan_sees_a_callerless_member(tmp_path):
+    # a method read only inside its own body counts as callerless, one read
+    # as obj.method() from another function does not, and a local variable
+    # that shares a method's name is no caller
+    (tmp_path / "m.py").write_text(
+        "class C:\n"
+        "    def loop(self, n):\n        return self.loop(n - 1) if n else 0\n\n"
+        "    def used(self):\n        return 1\n\n"
+        "def f(obj):\n    loop = obj.used()\n    return loop\n"
+    )
+    assert callerless_members(tmp_path) == {"m.C.loop"}

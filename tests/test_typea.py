@@ -66,6 +66,10 @@ def test_monotone_seq_validation():
         monotone_seq(4, 2, (2, 1, 3))
     with pytest.raises(ValueError):
         monotone_seq(4, 2, (0, 1, 4))
+    with pytest.raises(ValueError, match="need k >= 1"):
+        monotone_seq(3, 0, (0,))
+    with pytest.raises(ValueError, match="no sequences exist for k=3, n=1"):
+        monotone_seq(1, 3, (0, 0, 0, 0))
     assert monotone_seq(4, 2, (0, 1, 3)).bound == 3
 
 
@@ -139,6 +143,8 @@ def test_divisors_of_kn():
     assert divisors_of_kn(2, 5) == [3]
     assert divisors_of_kn(4, 9) == [5]
     assert divisors_of_kn(4, 8) == [1, 5]
+    with pytest.raises(ValueError, match="need 1 <= k <= n\\+1, got k=0, n=3"):
+        divisors_of_kn(0, 3)
 
 
 def test_divisors_of_kn_gcd_form():
@@ -174,6 +180,8 @@ def test_d_additive_basic():
 def test_d_additive_rejects_non_divisor():
     with pytest.raises(ValueError):
         is_d_additive(monotone_seq(4, 2, (0, 1, 2)), 2)
+    with pytest.raises(ValueError, match="5 is not a divisor"):
+        count_d_additive(3, 2, 5)
 
 
 def test_period_requires_zero_start():
@@ -419,6 +427,8 @@ def test_enum_genus_minus1():
         ]
     )
     assert enum_genus_minus1(1) == []
+    with pytest.raises(ValueError, match="need n >= 0"):
+        enum_genus_minus1(-1)
     for n in range(0, 9):
         pairs = enum_genus_minus1(n)
         assert len(pairs) == 2 * comb(n + 2, 4)
