@@ -6,6 +6,8 @@ All arithmetic is exact (Python ints / fractions); counts that are infinite
 are reported as the sentinel :data:`INFINITE`.
 """
 
+from typing import NamedTuple
+
 
 class _Infinite:
     """Singleton sentinel for an infinite count."""
@@ -31,6 +33,15 @@ INFINITE = _Infinite()
 DRAWN = ("a3", "d4")
 
 
+class GenSet(NamedTuple):
+    """The ordered generator list of a subcategory, printed <g1,g2,...>."""
+
+    generators: tuple
+
+    def __str__(self):
+        return "<" + ",".join(map(str, self.generators)) + ">"
+
+
 class VerifyFailed(Exception):
     """A --verify check that failed, raised by a CLI handler; the call exits
     1.  A closed form that disagrees with its oracle carries the line for
@@ -50,4 +61,4 @@ def check_oracle(name, formula, oracle):
         )
 
 
-__all__ = ["DRAWN", "INFINITE", "VerifyFailed", "check_oracle"]
+__all__ = ["DRAWN", "INFINITE", "GenSet", "VerifyFailed", "check_oracle"]

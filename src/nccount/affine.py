@@ -28,6 +28,7 @@ from math import gcd
 from typing import NamedTuple
 
 from . import INFINITE
+from .arith import orbits
 from .quiver import PairClass, coxeter, pair_class, pair_rule, span
 
 SERIES = {"q1": ("a", "b"), "q2": ("a", "b", "c", "d")}
@@ -315,30 +316,22 @@ def _count_shift_system(families: dict, maps: list):
     """Orbit count of a union of Z-indexed series and sporadic points under
     a group whose generators act by family permutations with index shifts.
 
-    One walk with index potentials visits each connected component of
-    families.  The component's orbit count is the gcd of the index
-    discrepancies around its cycles, started at 0 on series and at 1 on
-    sporadic points, whose indices never move; it is infinite when every
-    cycle of a series component is shift-consistent.
+    Each orbit of families under the family permutations gets index
+    potentials, set along the walk of arith.orbits, which reaches every
+    family of the orbit from an earlier one.  The orbit's count is the gcd
+    of the index discrepancies around its cycles, started at 0 on series
+    and at 1 on sporadic points, whose indices never move; it is infinite
+    when every cycle of a series orbit is shift-consistent.
     """
-    potential = {}
     total = 0
-    for start in families:
-        if start in potential:
-            continue
-        potential[start] = 0
-        count = 0 if families[start] else 1
-        frontier = [start]
-        while frontier:
-            f = frontier.pop()
+    for orb in orbits(families, *(lambda f, m=m: m[f][0] for m in maps)):
+        potential = {orb[0]: 0}
+        count = 0 if families[orb[0]] else 1
+        for f in orb:  # the order in which the walk reached them
             for m in maps:
                 g, shift = m[f]
                 value = potential[f] + (shift or 0)
-                if g not in potential:
-                    potential[g] = value
-                    frontier.append(g)
-                else:
-                    count = gcd(count, value - potential[g])
+                count = gcd(count, value - potential.setdefault(g, value))
         if not count:
             return INFINITE
         total += count

@@ -1,5 +1,6 @@
-"""Small exact number-theory helpers, the orbit partition, the brute-force
-cap and the printable-count check shared by the counting modules."""
+"""Small exact number-theory helpers, the closure under moves and the orbit
+partition built on it, the brute-force cap and the printable-count check
+shared by the counting modules."""
 
 import sys
 from functools import lru_cache
@@ -108,26 +109,34 @@ def euler_phi(x: int) -> int:
     return out
 
 
+def closure(seeds, *moves, keep=None) -> list:
+    """The items reached from the seeds under the moves, breadth first, each
+    listed once: the seeds in their order, then each move's image of each
+    listed item in turn where keep(image) holds; keep is asked again where
+    an image it refused recurs."""
+    out = list(dict.fromkeys(seeds))
+    seen = set(out)
+    for cur in out:  # out grows while it is walked
+        for move in moves:
+            img = move(cur)
+            if img not in seen and (keep is None or keep(img)):
+                seen.add(img)
+                out.append(img)
+    return out
+
+
 def orbits(items, *steps) -> list:
     """Partition items into the orbits of the group generated by steps.
 
     Each step maps an item to an item and must permute every orbit it
-    meets.  An orbit is a list that starts at its first member in items and
-    lists the others in the order they are reached; orbits come in the
-    order of their first members.  With no steps each item is its own orbit.
+    meets.  An orbit is the closure of its first member in items; orbits
+    come in the order of their first members.  With no steps each item is
+    its own orbit.
     """
     seen = set()
     parts = []
     for item in items:
-        if item in seen:
-            continue
-        seen.add(item)
-        orb = [item]
-        for cur in orb:  # orb grows while it is walked
-            for step in steps:
-                img = step(cur)
-                if img not in seen:
-                    seen.add(img)
-                    orb.append(img)
-        parts.append(orb)
+        if item not in seen:
+            parts.append(closure([item], *steps))
+            seen.update(parts[-1])
     return parts

@@ -19,8 +19,8 @@ centre.
 
 from functools import partial
 from itertools import combinations, permutations
-from typing import NamedTuple
 
+from . import GenSet
 from . import category as registry
 from .arith import orbits
 from .quiver import PairClass, coxeter, pair_class, pair_rule, positive_roots
@@ -162,15 +162,6 @@ def d4_count(kind: str, group: str) -> int:
         raise ValueError(f"unknown group {group!r}")
     steps = [partial(_apply, perm) for perm in _GROUPS[group]]
     return len(orbits(_orbit_reps(kind), *steps))
-
-
-class GenSet(NamedTuple):
-    """Canonical ordered generator list of a D_4 subcategory."""
-
-    generators: tuple
-
-    def __str__(self):
-        return "<" + ",".join(self.generators) + ">"
 
 
 def d4_enum(kind: str) -> list:

@@ -18,6 +18,7 @@ from math import gcd, log
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import VerifyFailed, check_oracle
+from .arith import closure
 
 # Only the slope functions build a Fraction, and each imports the module
 # itself: fractions loads decimal, which the integer counts never need.
@@ -50,25 +51,20 @@ def _check_size(size: int, what: str, limit: int) -> None:
 
 
 def markov_triples(limit: int) -> list:
-    """All sorted Markov triples with largest entry <= limit, by tree
-    generation from (1, 1, 1)."""
+    """All sorted Markov triples with largest entry <= limit, the closure of
+    (1, 1, 1) under the three Vieta moves."""
     if limit < 1:
         raise ValueError("need limit >= 1")
     _check_size(estimated_triples(limit), "Markov triples", limit)
-    seen = set()
-    stack = [(1, 1, 1)]
-    while stack:
-        triple = stack.pop()
-        if triple in seen:
-            continue
-        seen.add(triple)
-        a, b, c = triple
-        assert a * a + b * b + c * c == 3 * a * b * c
-        for child in ((a, b, 3 * a * b - c), (a, 3 * a * c - b, c), (3 * b * c - a, b, c)):
-            child = tuple(sorted(child))
-            if child not in seen and child[2] <= limit:
-                stack.append(child)
-    return sorted(seen)
+
+    def vieta(i):  # entry i goes to the other root of the equation in it
+        return lambda t: tuple(sorted(
+            (t[i - 1], t[i - 2], 3 * t[i - 1] * t[i - 2] - t[i])))
+
+    triples = closure([(1, 1, 1)], *map(vieta, range(3)), keep=lambda t: t[2] <= limit)
+    assert all(a * a + b * b + c * c == 3 * a * b * c for a, b, c in triples)
+    triples.sort()
+    return triples
 
 
 def markov_numbers(limit: int) -> list:
@@ -197,24 +193,20 @@ def _canonical_triple(t: ExcTriple) -> ExcTriple:
 
 
 def generate_triples(max_rank: int) -> list:
-    """Closure of the seed triple under mutations, pruned to ranks
-    <= max_rank, modulo simultaneous twist."""
+    """The closure of the seed triple under the four mutations, each
+    followed by _canonical_triple, so modulo simultaneous twist, kept to the
+    triples of ranks <= max_rank; sorted."""
     if max_rank < 1:
         raise ValueError("need max_rank >= 1")
     _check_size(
         CLOSURE_PER_TRIPLE * estimated_triples(max_rank), "closure triples", max_rank
     )
-    start = _canonical_triple(SEED)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        cur = frontier.pop()
-        for move in ("left-12", "left-23", "right-12", "right-23"):
-            img = _canonical_triple(mutate(cur, move))
-            if img not in seen and max(img.ranks()) <= max_rank:
-                seen.add(img)
-                frontier.append(img)
-    return sorted(seen)
+    moves = (lambda t, m=m: _canonical_triple(mutate(t, m))
+             for m in ("left-12", "left-23", "right-12", "right-23"))
+    triples = closure([_canonical_triple(SEED)], *moves,
+                      keep=lambda t: max(t.ranks()) <= max_rank)
+    triples.sort()
+    return triples
 
 
 def _bundles(max_rank: int) -> set:

@@ -13,14 +13,17 @@ Serre functor acts on K_0 as the Coxeter transformation up to sign
 categories keep a bitmask form of the pair rule in `interval`.  span gives
 the lattice that roots span, the K_0 of the subcategory an exceptional
 sequence generates, as one integer vector.
-positive_roots grows the roots of a Dynkin quiver; an affine quiver has
-infinitely many, so the affine module tables those of its objects.
+positive_roots grows the roots of a Dynkin quiver by arith.closure; an
+affine quiver has infinitely many, so the affine module tables those of its
+objects.
 """
 
 from collections.abc import Mapping
 from enum import Enum
 from itertools import combinations
 from operator import add, mul
+
+from .arith import closure
 
 
 def _check_arrows(arrows, n: int) -> None:
@@ -54,28 +57,26 @@ def positive_roots(n: int, arrows) -> list:
     <x, x> = 1.
 
     A non-simple positive root minus some simple root is again one, so the
-    roots grow from the simple ones, one simple root at a time, while the
-    form stays 1.  The Tits form <x, x> is positive definite exactly when the
-    quiver is Dynkin, a disjoint union of A, D and E diagrams.  Any other
-    quiver holds a Kronecker or an affine full subquiver, whose imaginary
-    root delta is a root of a Dynkin subquiver plus a simple root, so the
-    growth reaches delta, where <x, x> = 0, unless it stops earlier; the
-    first grown vector with <x, x> <= 0 is refused by name.
+    roots are the closure of the simple roots under adding one simple root,
+    kept while the form stays 1.  The Tits form <x, x> is positive definite
+    exactly when the quiver is Dynkin, a disjoint union of A, D and E
+    diagrams.  Any other quiver holds a Kronecker or an affine full
+    subquiver, whose imaginary root delta is a root of a Dynkin subquiver
+    plus a simple root, so the closure reaches delta, where <x, x> = 0,
+    unless it stops earlier; the first vector with <x, x> <= 0 that the
+    closure reaches, breadth first, is refused by name.
     """
     _check_arrows(arrows, n)
     simple = [tuple(int(v == w) for w in range(n)) for v in range(n)]
-    roots, frontier = set(simple), simple
-    while frontier:
-        grown = {tuple(map(add, x, e)) for x in frontier for e in simple} - roots
-        frontier = []
-        for y in sorted(grown):
-            q = euler_form(arrows, y, y)
-            if q <= 0:
-                raise ValueError(f"<x, x> = {q} at x = {y}: the quiver is not Dynkin")
-            if q == 1:
-                frontier.append(y)
-        roots.update(frontier)
-    return sorted(roots)
+
+    def keep(x):
+        q = euler_form(arrows, x, x)
+        if q <= 0:
+            raise ValueError(f"<x, x> = {q} at x = {x}: the quiver is not Dynkin")
+        return q == 1
+
+    moves = (lambda x, e=e: tuple(map(add, x, e)) for e in simple)
+    return sorted(closure(simple, *moves, keep=keep))
 
 
 class PairClass(Enum):

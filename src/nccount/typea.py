@@ -26,7 +26,7 @@ from itertools import accumulate, combinations_with_replacement, cycle, islice
 from math import comb, gcd
 from typing import NamedTuple
 
-from . import check_oracle
+from . import GenSet, check_oracle
 from .arith import check_binomial, check_enumeration, check_printable
 from .arith import divisors, mobius, orbits
 # the interval objects and their Euler form live in a leaf module, which
@@ -45,15 +45,6 @@ class MonotoneSeq(NamedTuple):
     def bound(self) -> int:
         """delta = n+1-k, the common upper bound of the entries."""
         return self.n + 1 - self.k
-
-
-class GenSetA(NamedTuple):
-    """Normalized generator list of an A-type subcategory."""
-
-    generators: tuple
-
-    def __str__(self):
-        return "<" + ",".join(str(g) for g in self.generators) + ">"
 
 
 def monotone_seq(n: int, k: int, values) -> MonotoneSeq:
@@ -85,7 +76,7 @@ def enum_seqs(n: int, k: int) -> list:
     return [MonotoneSeq(n, k, a) for a in seq_values(n, k)]
 
 
-def seq_to_subcategory(seq: MonotoneSeq) -> GenSetA:
+def seq_to_subcategory(seq: MonotoneSeq) -> GenSet:
     """Staircase generator list of the subcategory encoded by seq.
 
     Generator t (0-based, t = 0..k-1) is the interval
@@ -93,7 +84,7 @@ def seq_to_subcategory(seq: MonotoneSeq) -> GenSetA:
     """
     a = seq.values
     gens = tuple(Interval(a[t] + t, a[t + 1] + t) for t in range(seq.k))
-    return GenSetA(gens)
+    return GenSet(gens)
 
 
 def check_k_vertices(k: int, vertices: int) -> None:
@@ -325,12 +316,12 @@ def enum_genus_minus1(n: int) -> list:
         for b in range(a, n + 1):
             for i in range(b + 2, n + 1):
                 for j in range(i, n + 1):
-                    out.append(GenSetA((Interval(a, b), Interval(i, j))))
+                    out.append(GenSet((Interval(a, b), Interval(i, j))))
     for a in range(n + 1):
         for b in range(a + 2, n + 1):
             for i in range(a + 1, b):
                 for j in range(i, b):
-                    out.append(GenSetA((Interval(a, b), Interval(i, j))))
+                    out.append(GenSet((Interval(a, b), Interval(i, j))))
     return sorted(out)
 
 

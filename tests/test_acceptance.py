@@ -12,7 +12,9 @@ from math import comb, gcd
 
 import networkx as nx
 
-from nccount import INFINITE, affine, d4, digraph, incidence, markov, necklace, typea
+from nccount import (
+    INFINITE, GenSet, affine, d4, digraph, incidence, markov, necklace, typea,
+)
 
 
 def _ok(num, text):
@@ -272,7 +274,7 @@ def test_criterion_12_incidence_structures():
     for seq in typea.enum_seqs(2, 2):
         triple = incidence.derived_points(typea.seq_to_subcategory(seq), "a3")
         for x, y in combinations(sorted(triple), 2):
-            assert incidence.derived_points(typea.GenSetA((x, y)), "a3") == triple
+            assert incidence.derived_points(GenSet((x, y)), "a3") == triple
     _ok(12, "A3 and D4 incidence structures, concurrency points included")
 
 

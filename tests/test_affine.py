@@ -1,4 +1,5 @@
-from itertools import permutations, product
+from collections import Counter
+from itertools import combinations, permutations, product
 from math import gcd
 from operator import mul
 
@@ -12,6 +13,7 @@ from nccount.affine import (
     SERIES,
     SPORADIC,
     AffSubcat,
+    _match,
     act_on_subcat,
     aff_act,
     aff_count,
@@ -302,6 +304,22 @@ def test_every_exceptional_pair_is_named(q):
                       tuple(a - b for a, b in zip(rx, ry))}
             assert {_signed(root(g)) for g in got.generators()} <= {
                 _signed(v) for v in points}, (x, y)
+
+
+def test_every_exceptional_triple_of_q2_is_named():
+    # each 3-set of q2 objects with |m| <= 4 that some order makes an
+    # exceptional sequence, <later, earlier> = 0, generates a member of
+    # exactly one triple kind, as _match names it by its span
+    objs = _window_objects("q2", -4, 4)
+    zero = {(x, y) for x, y in permutations(objs, 2) if not euler(x, y)}
+    named = Counter()
+    for trio in combinations(objs, 3):
+        if not any({(y, x), (z, x), (z, y)} <= zero for x, y, z in permutations(trio)):
+            continue
+        kinds = [k for k in ("triples-A3", "triples-Q1") if _match("q2", k, trio)]
+        assert len(kinds) == 1, trio
+        named[kinds[0]] += 1
+    assert named == {"triples-A3": 414, "triples-Q1": 260}
 
 
 def test_classify_generator_pair_refuses_a_pair_in_neither_order():

@@ -1,5 +1,6 @@
 import sys
 
+import networkx as nx
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from sympy.combinatorics import Permutation, PermutationGroup
 
 from nccount import arith
 from nccount.arith import (
-    check_binomial, check_printable, divisors, euler_phi, mobius, orbits,
+    check_binomial, check_printable, closure, divisors, euler_phi, mobius, orbits,
     prime_factors,
 )
 
@@ -22,6 +23,47 @@ def test_number_theory_matches_sympy():
         divisors(0)
     with pytest.raises(ValueError, match="prime_factors: need x >= 1, got 0"):
         prime_factors(0)
+
+
+@st.composite
+def _move_tables(draw):
+    n = draw(st.integers(1, 12))
+    item = st.integers(0, n - 1)
+    tables = draw(st.lists(st.lists(item, min_size=n, max_size=n), max_size=3))
+    seeds = draw(st.lists(item, min_size=1, max_size=4))
+    return n, tables, seeds, draw(st.sets(item))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_move_tables())
+def test_closure_matches_networkx(drawn):
+    # the items networkx reaches from the seeds along the moves into kept
+    # items, each listed once: the seeds first, then breadth first, each
+    # item after the item that first reached it and in the order of those
+    # first reaches, (listed item, move) taken in order
+    n, tables, seeds, kept = drawn
+    got = closure(seeds, *(t.__getitem__ for t in tables), keep=kept.__contains__)
+    g = nx.DiGraph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from((x, t[x]) for t in tables for x in range(n) if t[x] in kept)
+    want = set(seeds).union(*(nx.descendants(g, s) for s in seeds))
+    assert sorted(got) == sorted(want)  # no item twice
+    firsts = list(dict.fromkeys(seeds))
+    assert got[:len(firsts)] == firsts
+
+    def first_reach(y):
+        return min((i, j) for i, x in enumerate(got) for j, t in enumerate(tables)
+                   if t[x] == y)
+
+    reach = [first_reach(y) for y in got[len(firsts):]]
+    assert reach == sorted(reach)
+    assert all(i < k for k, (i, _) in enumerate(reach, len(firsts)))
+
+
+def test_closure_keeps_every_image_by_default():
+    assert closure([0], lambda x: (x + 2) % 5) == [0, 2, 4, 1, 3]
+    assert closure([3, 1, 3]) == [3, 1]
+    assert closure([]) == []
 
 
 @st.composite

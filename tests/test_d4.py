@@ -2,6 +2,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from nccount import GenSet
 from nccount.d4 import (
     ARROWS,
     DIMS,
@@ -9,7 +10,6 @@ from nccount.d4 import (
     LABELS,
     RULE,
     SERRE,
-    GenSet,
     d4_count,
     d4_enum,
     d4_pair_class,
@@ -21,6 +21,7 @@ from nccount.d4 import (
     triple_generators,
     triple_kind,
 )
+from nccount.interval import Interval
 from nccount.quiver import PairClass, euler_form, third_point
 
 
@@ -321,4 +322,6 @@ def test_counts_invalid_args():
 
 
 def test_genset_str():
+    # one generator list for every category: it prints str of each generator
     assert str(GenSet(("s1", "so"))) == "<s1,so>"
+    assert str(GenSet((Interval(0, 2), Interval(1, 1)))) == "<s0,2,s1,1>"

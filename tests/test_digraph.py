@@ -4,13 +4,16 @@ from functools import lru_cache
 from graphlib import CycleError, TopologicalSorter
 from itertools import combinations, permutations
 from math import comb, factorial
+from operator import mul
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nccount.arith import closure
 from nccount.category import category
+from nccount.d4 import ARROWS as D4
 from nccount.digraph import (
     ValuedDigraph,
     build_curve_graph,
@@ -21,6 +24,7 @@ from nccount.digraph import (
     q1_pattern_subgraphs,
     sc_simplices,
 )
+from nccount.quiver import euler_form, line_quiver
 
 
 def _edges(g):
@@ -117,9 +121,6 @@ def test_q2_window_weights_and_doubles():
 def test_edge_criterion_matches_pair_classifier():
     # cross-module consistency: (a, b) is an edge iff the generators form
     # an exceptional pair under the Euler-form classifier
-    from itertools import combinations
-
-    from nccount.quiver import euler_form, line_quiver
     from nccount import d4 as d4mod
     from nccount.typea import enum_points, interval_dim
 
@@ -270,6 +271,43 @@ def test_simplices_d4_full_collections():
     assert all(_is_simplex_by_orderings(g, s) for s in three)
 
 
+def _arrows(name):
+    """The arrows of the quiver of type name: a_N on N vertices, d4 as the
+    d4 module has them, and for D_n (n >= 5) and E_n the path
+    0 -> 1 -> ... -> n - 2 with vertex n - 1 joined to vertex n - 3 (D) or
+    2 (E)."""
+    n = int(name[1:])
+    if name[0] == "a":
+        return line_quiver(n - 1)
+    if name == "d4":
+        return D4
+    branch = n - 3 if name[0] == "d" else 2
+    return tuple((i, i + 1) for i in range(n - 2)) + ((branch, n - 1),)
+
+
+def _sequences_by_mutation(name):
+    """The complete exceptional sequences of a Dynkin quiver, by their roots:
+    the closure of the simples in vertex order under left mutation of each
+    adjacent pair, (E, F) -> (L_E F, E) with L_E F = |F - <E, F> E|.  The
+    braid group acts transitively on complete exceptional sequences
+    (Crawley-Boevey, "Exceptional sequences of representations of quivers",
+    1993), and the sequences are finitely many, so the closure is the orbit.
+    The Euler form <e, f> = sum e_v f_v - sum over arrows s -> t of e_s f_t
+    is written out here."""
+    arrows, n = _arrows(name), int(name[1:])
+
+    @lru_cache(maxsize=None)
+    def mutate(e, f):
+        c = sum(map(mul, e, f)) - sum(e[s] * f[t] for s, t in arrows)
+        return tuple(abs(b - c * a) for a, b in zip(e, f))
+
+    def left(i):
+        return lambda seq: seq[:i] + (mutate(seq[i], seq[i + 1]), seq[i]) + seq[i + 2:]
+
+    simples = tuple(tuple(int(v == w) for w in range(n)) for v in range(n))
+    return closure([simples], *map(left, range(n - 1)))
+
+
 @pytest.mark.parametrize(
     "name, rank, h, weyl",
     [("d4", 4, 6, 192)] + [(f"a{n}", n, n + 1, factorial(n + 1)) for n in range(1, 6)],
@@ -278,7 +316,8 @@ def test_complete_exceptional_sequences(name, rank, h, weyl):
     # independent oracle: the semi-orthogonal orderings of the top simplices
     # are the complete exceptional sequences up to shift, which number
     # n! h^n / |W| for a Dynkin quiver of rank n, Coxeter number h and Weyl
-    # group W (Deligne; Obaid, Nauman, Al-Shammakh, Fakieh and Ringel)
+    # group W (Deligne; Obaid, Nauman, Al-Shammakh, Fakieh and Ringel); the
+    # closure under mutation counts them a second way
     g = build_point_graph(name)
     edges = _edges(g)
     top = [s for s in sc_simplices(g, rank - 1) if len(s) == rank]
@@ -288,8 +327,29 @@ def test_complete_exceptional_sequences(name, rank, h, weyl):
         for p in permutations(s)
     )
     assert sequences == factorial(rank) * h**rank // weyl
+    assert sequences == len(_sequences_by_mutation(name))
     if name == "d4":
         assert (len(top), sequences) == (87, 162)
+
+
+@pytest.mark.parametrize(
+    "name, count, h, weyl",
+    [(f"a{n}", count, n + 1, factorial(n + 1))
+     for n, count in zip(range(1, 6), (1, 3, 16, 125, 1296))]
+    + [("d4", 162, 6, 192), ("d5", 2048, 8, 1920), ("d6", 31_250, 10, 23_040),
+       ("e6", 41_472, 12, 51_840)],
+)
+def test_complete_exceptional_sequences_by_mutation(name, count, h, weyl):
+    # n! h^n / |W| for rank n, Coxeter number h and Weyl group W; a sample of
+    # the sequences are complete ones: every entry a positive root, and
+    # <later, earlier> = 0
+    n, arrows = int(name[1:]), _arrows(name)
+    sequences = _sequences_by_mutation(name)
+    assert len(sequences) == count == factorial(n) * h**n // weyl
+    for seq in sequences[:: max(1, count // 500)]:
+        assert all(min(x) >= 0 and euler_form(arrows, x, x) == 1 for x in seq)
+        assert all(euler_form(arrows, seq[j], seq[i]) == 0
+                   for i, j in combinations(range(n), 2))
 
 
 @pytest.mark.parametrize("vertices", range(1, 8))

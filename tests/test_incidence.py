@@ -4,8 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from nccount import cli
-from nccount.d4 import GenSet
+from nccount import GenSet, cli
 from nccount.incidence import (
     TRIVIAL,
     derived_points,
@@ -13,11 +12,11 @@ from nccount.incidence import (
     incidence_structure,
     intersect_curves,
 )
-from nccount.typea import GenSetA, Interval
+from nccount.typea import Interval
 
 
 def curve(*pairs):
-    return GenSetA(tuple(Interval(i, j) for i, j in pairs))
+    return GenSet(tuple(Interval(i, j) for i, j in pairs))
 
 
 def test_derived_points_a3():
@@ -50,7 +49,7 @@ def test_every_pair_of_derived_points_spans_the_curve():
             c = seq_to_subcategory(seq)
             triple = derived_points(c, cat)
             for x, y in combinations(sorted(triple), 2):
-                again = derived_points(GenSetA((x, y)), cat)
+                again = derived_points(GenSet((x, y)), cat)
                 assert again == triple
 
 

@@ -1,4 +1,3 @@
-from collections import deque
 from fractions import Fraction
 from math import gcd
 
@@ -172,20 +171,20 @@ def test_exceptional_slopes_match_fraction_normalization(max_rank):
 
 
 def test_generation_is_confluent():
-    # a breadth-first closure written out here reaches the same triples, and
-    # so the same slopes, as the depth-first one of generate_triples
+    # a depth-first closure written out here reaches the same triples, and
+    # so the same slopes, as the breadth-first one of generate_triples
     import nccount.markov as mk
 
     for max_rank in (80, 200):
         start = mk._canonical_triple(SEED)
-        seen, queue = {start}, deque([start])
-        while queue:
-            cur = queue.popleft()
+        seen, stack = {start}, [start]
+        while stack:
+            cur = stack.pop()
             for move in ("left-12", "left-23", "right-12", "right-23"):
                 img = mk._canonical_triple(mutate(cur, move))
                 if img not in seen and max(img.ranks()) <= max_rank:
                     seen.add(img)
-                    queue.append(img)
+                    stack.append(img)
         assert sorted(seen) == generate_triples(max_rank)
     slopes = {normalized_slope(e) for t in seen for e in t.entries if e.r <= 200}
     assert slopes == exceptional_slopes(200)

@@ -9,11 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nccount import arith, typea
+from nccount import GenSet, arith, typea
 from nccount.category import category
 from nccount.quiver import euler_form, line_quiver
 from nccount.typea import (
-    GenSetA,
     Interval,
     MonotoneSeq,
     count_d_additive,
@@ -76,10 +75,10 @@ def test_monotone_seq_validation():
 def test_seq_to_subcategory_zero_seq():
     # a zero sequence yields the leftmost staircase of simples
     seq = monotone_seq(2, 2, (0, 0, 0))
-    assert seq_to_subcategory(seq) == GenSetA((Interval(0, 0), Interval(1, 1)))
+    assert seq_to_subcategory(seq) == GenSet((Interval(0, 0), Interval(1, 1)))
     # with k = n+1 the staircase exhausts the ambient category
     full = monotone_seq(2, 3, (0, 0, 0, 0))
-    assert seq_to_subcategory(full) == GenSetA(
+    assert seq_to_subcategory(full) == GenSet(
         (Interval(0, 0), Interval(1, 1), Interval(2, 2))
     )
 
@@ -87,7 +86,7 @@ def test_seq_to_subcategory_zero_seq():
 def test_seq_to_subcategory_staircase():
     # staircase rule applied literally to (0,1,3) with n=4, k=2
     seq = monotone_seq(4, 2, (0, 1, 3))
-    assert seq_to_subcategory(seq) == GenSetA((Interval(0, 1), Interval(2, 4)))
+    assert seq_to_subcategory(seq) == GenSet((Interval(0, 1), Interval(2, 4)))
 
 
 def test_seq_to_subcategory_injective():
@@ -422,8 +421,8 @@ def test_enum_genus_minus1():
     got = enum_genus_minus1(2)
     assert got == sorted(
         [
-            GenSetA((Interval(0, 0), Interval(2, 2))),
-            GenSetA((Interval(0, 2), Interval(1, 1))),
+            GenSet((Interval(0, 0), Interval(2, 2))),
+            GenSet((Interval(0, 2), Interval(1, 1))),
         ]
     )
     assert enum_genus_minus1(1) == []
@@ -445,7 +444,7 @@ def _decode(codes, n):
 
 def test_exceptional_pairs_genus_minus1_scan_matches_two_shapes():
     for n in range(0, 11):
-        got = {GenSetA(pair) for pair in _decode(_row_scan(n, 0), n)}
+        got = {GenSet(pair) for pair in _decode(_row_scan(n, 0), n)}
         assert got == set(enum_genus_minus1(n)), n
 
 
