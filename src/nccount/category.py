@@ -3,20 +3,20 @@
 `category(name, window)` is the one place a category name is parsed.  Its
 record lists the objects by vertex label and carries the pair test and the
 hom that the graph, complex and incidence builders need, so none of them
-asks which category it has.  The names are 'aN' (D^b(A_N), N >= 1), 'd4',
-the affine quivers 'q1' and 'q2', and 'npL', the category generated by a
-strong pair with L + 1 homs (L >= -1).  q1, q2 and npL with L >= 1 take a
-window (lo, hi) of series indices, inclusive, and no other category does.
-Every record whose size depends on its name or window is refused up front,
-before its objects are built, when its graph would classify more than
-arith.MAX_ENUMERATION ordered pairs of objects.  Records are built per
-call, so they use the backend functions as their modules bind them at that
-moment; each builder imports its own backend, so a record loads only the
-modules its category needs.
+asks which category it has; the quiver categories also carry the roots that
+the census of subcategories, digraph.subcategories, reads.  The names are
+'aN' (D^b(A_N), N >= 1), 'd4', the affine quivers 'q1' and 'q2', and 'npL',
+the category generated by a strong pair with L + 1 homs (L >= -1).  q1, q2
+and npL with L >= 1 take a window (lo, hi) of series indices, inclusive,
+and no other category does.  Every record whose size depends on its name or
+window is refused up front, before its objects are built, when its graph
+would classify more than arith.MAX_ENUMERATION ordered pairs of objects.
+Records are built per call, so they use the backend functions as their
+modules bind them at that moment; each builder imports its own backend, so
+a record loads only the modules its category needs.
 """
 
 import re
-from itertools import permutations
 from typing import Callable, NamedTuple
 
 from .arith import check_enumeration
@@ -160,16 +160,3 @@ def _curve_category(points, entries):
         genus={label: genus for label, genus, _ in entries},
     )
 
-
-def genus0(cat) -> dict:
-    """The genus-0 curves of a record with dims, each as the frozenset of the
-    labels of its 3 derived points, in the order of their sorted labels, and
-    mapped to the labels of its first hom-one pair in the record's order."""
-    from .quiver import third_point
-    label = {x: a for a, x in cat.objects.items()}
-    curves = {}
-    for x, y in permutations(cat.objects.values(), 2):
-        if cat.is_pair(x, y) and cat.total_hom(x, y) == 1:
-            points = (x, y, third_point(cat.dims, x, y))
-            curves.setdefault(frozenset(label[p] for p in points), (label[x], label[y]))
-    return {c: curves[c] for c in sorted(curves, key=sorted)}

@@ -12,6 +12,7 @@ closed-form count and its brute-force oracle, 2 on usage errors.
 
 import os
 import sys
+from itertools import chain
 
 # Each handler lives in the backend it calls, and the command table names it
 # by module and function, so a call loads and compiles only the modules its
@@ -50,8 +51,11 @@ def _stderr(text):
 
 def _emit(doc, fmt):
     if fmt == "json":
+        # the encoder json.dumps runs with an indent, piece by piece, so
+        # the document is never held as one string
         import json
-        _write((json.dumps(doc, indent=2, sort_keys=True), "\n"))
+        encoder = json.JSONEncoder(indent=2, sort_keys=True)
+        _write(chain(encoder.iterencode(doc), ("\n",)))
         return
     # plain: flat key/value lines, one row per line for tables
     def lines(obj, prefix=""):

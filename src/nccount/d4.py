@@ -1,7 +1,12 @@
 """The twelve exceptional objects of the D_4 category and everything built
-from them: pair classification, the diagram-rotation and Serre actions, the
-noncommutative curves of genus 0 and -1, the rank-3 subcategories, and all
-orbit counts.
+from them: the pair rule, the diagram-rotation and Serre actions, the
+subcategories and all their orbit counts.
+
+The subcategories are read off the census digraph.subcategories by rank
+and number of objects: the points, the noncommutative curves of genus 0
+(three objects) and -1 (two), and the rank-3 subcategories of type A_3
+(six) and A_1^3 (three), the perps of the twelve points.  Each orbit table
+cell partitions one kind's object sets under kappa and Serre.
 
 The objects are the indecomposable representations of the D_4 quiver, one
 per positive root as quiver.positive_roots grows them.  The quiver is its
@@ -17,13 +22,13 @@ ones, s123 the thin sincere one and delta the sincere one with a 2 at the
 centre.
 """
 
-from functools import partial
 from itertools import combinations, permutations
 
 from . import GenSet
 from . import category as registry
 from .arith import orbits
-from .quiver import PairClass, coxeter, pair_class, pair_rule, positive_roots
+from .digraph import subcategories
+from .quiver import coxeter, pair_rule, positive_roots
 
 # each leg 1, 2, 3 (vertex 0, 1, 2) points into the centre o (vertex 3)
 ARROWS = ((0, 3), (1, 3), (2, 3))
@@ -60,129 +65,76 @@ def _root(x) -> tuple:
 
 # the pair test and the total hom of ordered pairs of labels
 RULE = pair_rule(ARROWS, _root)
-total_hom = RULE[1]
-d4_pair_class = partial(pair_class, *RULE)
 
 
-# --- curves and triples ----------------------------------------------------
+# --- the subcategories and their orbits --------------------------------------
+
+# each kind of subcategory by its rank and its number of objects
+KINDS = {
+    "points": (1, 1),
+    "genus0": (2, 3),
+    "genusMinus1": (2, 2),
+    "triples-A3": (3, 6),
+    "triples-A1cubed": (3, 3),
+}
 
 
-def _genus0() -> dict:
-    """The 15 genus-0 curves, each as the frozenset of its 3 derived points
-    and in the order of their sorted points, mapped to the least hom-one
-    pair that spans it."""
-    curves = registry.genus0(registry.category("d4"))
-    assert len(curves) == 15
-    return curves
+_CENSUS = {0: {}}  # the census to the largest rank a call has needed
 
 
-def genus0_curves() -> list:
-    """The 15 genus-0 curves, each as the frozenset of its 3 derived points."""
-    return list(_genus0())
+def _census(rank: int) -> dict:
+    """digraph.subcategories of D_4 to at least the given rank: a call that
+    needs a larger rank than every call before walks it, to that rank."""
+    if rank > max(_CENSUS):
+        _CENSUS[rank] = subcategories(registry.category("d4"), rank)
+    return _CENSUS[max(_CENSUS)]
 
 
-def genus_minus1_curves() -> list:
-    """The 9 genus -1 curves: unordered orthogonal pairs."""
-    curves = [
-        frozenset((a, b))
-        for a, b in combinations(LABELS, 2)
-        if d4_pair_class(a, b) is PairClass.ORTHOGONAL
-    ]
-    assert len(curves) == 9
-    return sorted(curves, key=sorted)
+def _subcategories(kind: str) -> list:
+    """The subcategories of a kind, each as the frozenset of its labels: a
+    triple, the perp of one point x (the objects p with no homs from x), in
+    the label order of x, and the others in the order of their sorted
+    labels."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    rank, size = KINDS[kind]
+    subs = [s for s, r in _census(rank).items() if (r, len(s)) == (rank, size)]
+    if rank < 3:
+        return sorted(subs, key=sorted)
+    is_pair = RULE[0]
+    return sorted(subs, key=lambda s: next(
+        x for x in LABELS if all(is_pair(p, x) for p in s)))
 
 
-def right_orthogonal_points(x) -> frozenset:
-    """Derived points of <x>^perp: labels p with all homs from x to p zero."""
-    return frozenset(p for p in LABELS if p != x and total_hom(x, p) == 0)
-
-
-def triple_kind(x) -> str:
-    """Type of the rank-3 subcategory <x>^perp: 'a3' (six derived points)
-    or 'a1cubed' (three pairwise orthogonal derived points)."""
-    pts = right_orthogonal_points(x)
-    if len(pts) == 3:
-        return "a1cubed"
-    if len(pts) == 6:
-        return "a3"
-    raise AssertionError(f"unexpected perp size {len(pts)} for {x}")
-
-
-def is_semiorthogonal_sequence(labels) -> bool:
-    """All homs from later to earlier members vanish."""
-    return all(
-        total_hom(labels[j], labels[i]) == 0
-        for i in range(len(labels))
-        for j in range(i + 1, len(labels))
-    )
-
-
-def triple_generators(x) -> tuple:
-    """Canonical exceptional triple generating <x>^perp: the
-    lexicographically least 3-subset of its derived points that admits a
-    semi-orthogonal ordering, in such an ordering."""
-    pts = sorted(right_orthogonal_points(x))
-    for sub in combinations(pts, 3):
-        for perm in permutations(sub):
-            if is_semiorthogonal_sequence(perm):
-                return perm
-    raise AssertionError(f"no generating triple below {x}")
-
-
-# --- enumeration and orbit counting ----------------------------------------
-
-KINDS = ("points", "genus0", "genusMinus1", "triples-A3", "triples-A1cubed")
-
-
-def _orbit_reps(kind: str):
-    """Internal orbit carriers per kind (hashable, permutation-equivariant)."""
-    if kind == "points":
-        return list(LABELS)
-    if kind == "genus0":
-        return genus0_curves()
-    if kind == "genusMinus1":
-        return genus_minus1_curves()
-    if kind == "triples-A3":
-        return [x for x in LABELS if triple_kind(x) == "a3"]
-    if kind == "triples-A1cubed":
-        return [x for x in LABELS if triple_kind(x) == "a1cubed"]
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def _apply(perm: dict, item):
-    if isinstance(item, str):
-        return perm[item]
-    return frozenset(perm[lbl] for lbl in item)
+def _generators(labels: frozenset, rank: int) -> tuple:
+    """The generators that name a subcategory: for rank 2 its least ordered
+    exceptional pair, otherwise its least sorted rank-subset that has an
+    exceptional order, in its least such order."""
+    is_pair, pts = RULE[0], sorted(labels)
+    seqs = (permutations(pts, 2) if rank == 2 else
+            (p for sub in combinations(pts, rank) for p in permutations(sub)))
+    return next(p for p in seqs if all(is_pair(*q) for q in combinations(p, 2)))
 
 
 def d4_count(kind: str, group: str) -> int:
-    """Orbit count of the enumerated set under the chosen group, by
-    explicit orbit partition."""
+    """Orbit count of the subcategories of a kind under the chosen group,
+    by explicit orbit partition."""
     if group not in _GROUPS:
         raise ValueError(f"unknown group {group!r}")
-    steps = [partial(_apply, perm) for perm in _GROUPS[group]]
-    return len(orbits(_orbit_reps(kind), *steps))
+    steps = [lambda s, p=perm: frozenset(map(p.get, s)) for perm in _GROUPS[group]]
+    return len(orbits(_subcategories(kind), *steps))
 
 
 def d4_enum(kind: str) -> list:
     """Canonical generator lists for each enumerated kind."""
-    if kind == "points":
-        return [GenSet((lbl,)) for lbl in LABELS]
-    if kind == "genus0":
-        return [GenSet(pair) for pair in _genus0().values()]
-    if kind == "genusMinus1":
-        return [GenSet(tuple(sorted(c))) for c in genus_minus1_curves()]
-    if kind in ("triples-A3", "triples-A1cubed"):
-        return [GenSet(triple_generators(x)) for x in _orbit_reps(kind)]
-    raise ValueError(f"unknown kind {kind!r}")
+    subs = _subcategories(kind)
+    return [GenSet(_generators(s, KINDS[kind][0])) for s in subs]
 
 
 def d4_tables() -> dict:
     """All orbit-count tables, keyed by kind then group."""
-    out = {}
-    for kind in KINDS:
-        out[kind] = {g: d4_count(kind, g) for g in ("id", "kappa", "serre", "full")}
-    return out
+    _census(max(rank for rank, _ in KINDS.values()))  # one walk for every kind
+    return {kind: {g: d4_count(kind, g) for g in _GROUPS} for kind in KINDS}
 
 
 # --- the CLI handlers of `d4 table` and `d4 enum` ------------------------------

@@ -173,6 +173,36 @@ def sc_simplices(g: ValuedDigraph, max_dim: int) -> list:
     return out
 
 
+# --- the subcategories -------------------------------------------------------
+
+
+def subcategories(cat, rank: int) -> dict:
+    """The subcategories of rank 1..rank of a category record with dims,
+    each as the frozenset of the labels of its objects, mapped to its rank,
+    in the order of their least exceptional sets.
+
+    The roots of an exceptional sequence span a saturated lattice in K_0,
+    which fixes the subcategory the sequence generates (Ingalls-Thomas),
+    and whose roots are those of that subcategory's objects.  So each
+    exceptional set of k <= rank objects, as sc_simplices lists them, either
+    lies in a rank-k subcategory already found, whose lattice its roots
+    span, or generates a new one: the objects whose root lies in its span.
+    """
+    from .quiver import in_span
+    g = _pair_graph(cat)
+    root = {v: cat.dims[x] for v, x in cat.objects.items()}
+    out, home = {}, {}  # home[k, v]: the rank-k subcategories holding v
+    for s in sc_simplices(g, rank - 1):
+        k = len(s)
+        if not any(sub.issuperset(s) for sub in home.get((k, s[0]), ())):
+            inside = in_span(root[v] for v in s)
+            sub = frozenset(v for v in g.vertices if inside(root[v]))
+            out[sub] = k
+            for v in sub:
+                home.setdefault((k, v), []).append(sub)
+    return out
+
+
 # --- writers -------------------------------------------------------------------
 # Each writer yields its document piece by piece, in the layout of
 # json.dumps(doc, indent=2, sort_keys=True) for JSON, so the CLI streams it

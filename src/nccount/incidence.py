@@ -2,23 +2,28 @@
 lower bounds, and point/line incidence structures.
 
 A curve is given by its two generators, and the category by a name of
-`nccount.category` whose record has dimension vectors.  Only the abstract
-incidence data is modelled; the planar drawings that realize these
-structures are not.
+`nccount.category` whose record has dimension vectors.  A curve's derived
+points are the objects whose root lies in the span of its generators'
+roots (quiver.in_span), and the lines of an incidence structure are the
+curves of genus 0 in the census of subcategories, digraph.subcategories.
+Only the abstract incidence data is modelled; the planar drawings that
+realize these structures are not.
 """
 
 from typing import NamedTuple
 
 from . import DRAWN
 from . import category as registry
-from .quiver import third_point
+from .digraph import subcategories
+from .quiver import in_span
 
 
 def _curve_points(cat, curve):
     """(genus, derived-point set) of a curve of genus 0 or -1.
 
     A genus -1 curve (orthogonal pair) contains exactly its two generators
-    as derived points; a genus-0 curve contains three.
+    as derived points; a genus-0 curve contains three, the objects whose
+    root lies in the span of its generators' roots.
     """
     gens = tuple(getattr(curve, "generators", curve))
     if len(gens) != 2:
@@ -32,7 +37,8 @@ def _curve_points(cat, curve):
     if genus == -1:
         return -1, frozenset(gens)
     if genus == 0:
-        return 0, frozenset((x, y, third_point(cat.dims, x, y)))
+        inside = in_span((cat.dims[x], cat.dims[y]))
+        return 0, frozenset(p for p in cat.objects.values() if inside(cat.dims[p]))
     raise ValueError(f"{curve} has genus {genus}")
 
 
@@ -85,6 +91,8 @@ def glb(x, y, category: str, include_orthogonal_pairs: bool = False):
         if not (isinstance(item, tuple) and len(item) == 2
                 and item[0] in ("trivial", "point", "curve")):
             raise ValueError(f"{item!r} is outside the supported family")
+        if item[0] == "trivial" and item[1] is not None:
+            raise ValueError(f"{item!r} is not the trivial element {TRIVIAL!r}")
         if item[0] == "point" and item[1] not in cat.objects.values():
             raise ValueError(f"{item[1]} is not an object of {category}")
         if item[0] == "curve" and not include_orthogonal_pairs:
@@ -127,8 +135,8 @@ def incidence_structure(category: str) -> IncidenceStructure:
     if category not in DRAWN:
         raise ValueError(f"unknown category {category!r}")
     cat = registry.category(category)
-    triples = [tuple(sorted(c)) for c in registry.genus0(cat)]
-    lines = tuple((";".join(t), t) for t in triples)
+    curves = sorted(tuple(sorted(s)) for s in subcategories(cat, 2) if len(s) == 3)
+    lines = tuple((";".join(t), t) for t in curves)
     return IncidenceStructure(tuple(sorted(cat.objects)), lines)
 
 

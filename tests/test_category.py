@@ -1,11 +1,31 @@
+from collections import Counter
 from itertools import combinations, permutations, product
+from math import comb
 
 import pytest
 
 from nccount.category import category
+from nccount.digraph import subcategories
 from nccount.interval import interval_dim
 from nccount.d4 import ARROWS as D4
-from nccount.quiver import euler_form, line_quiver, pair_rule, third_point
+from nccount.d4 import DIMS as D4_DIMS
+from nccount.quiver import euler_form, line_quiver, pair_rule
+from nccount.typea import count_id
+
+
+def third_point(dims, a, b):
+    """Third derived point of the genus-0 curve spanned by the hom-one pair
+    {a, b}, where dims maps objects to their dimension vectors: the unique
+    object whose vector is the sum or the difference of theirs."""
+    da, db = dims[a], dims[b]
+    cands = (
+        tuple(x + y for x, y in zip(da, db)),
+        tuple(abs(x - y) for x, y in zip(da, db)),
+    )
+    hits = [obj for obj, d in dims.items() if d in cands]
+    if len(hits) != 1:
+        raise ValueError(f"({a}, {b}) does not span a genus-0 curve")
+    return hits[0]
 
 SMALL = (
     [(f"a{n}", None) for n in range(1, 9)]
@@ -125,3 +145,56 @@ def test_size_cap_on_curves(monkeypatch):
     monkeypatch.setattr(arith, "MAX_ENUMERATION", 18 * 18 - 1)
     with pytest.raises(ValueError, match="18\\^2 vertex pairs = 324;"):
         category("q2", (0, 0)).curves()
+
+
+def test_third_point_examples():
+    assert third_point(D4_DIMS, "s3o", "delta") == "s12"
+    assert third_point(D4_DIMS, "s1", "so") == "s1o"
+    with pytest.raises(ValueError):
+        third_point(D4_DIMS, "s1", "s2")  # orthogonal, no third point
+
+
+# --- the census of subcategories ------------------------------------------------
+
+
+@pytest.mark.parametrize("vertices", range(1, 6))
+def test_census_of_an_counts_noncrossing_partitions(vertices):
+    # the subcategories of A_N are the noncrossing partitions of N + 1
+    # points (Ingalls-Thomas), N + 1 - k blocks at rank k: Narayana numbers
+    n = vertices + 1
+    ranks = Counter(subcategories(category(f"a{vertices}"), vertices).values())
+    assert [ranks[k] for k in range(1, n)] == [
+        comb(n, k) * comb(n, k + 1) // n for k in range(1, n)
+    ]
+
+
+def test_census_of_d4():
+    census = subcategories(category("d4"), 3)
+    assert Counter(census.values()) == {1: 12, 2: 24, 3: 12}
+    assert all(len(s) == 1 for s, rank in census.items() if rank == 1)
+
+
+@pytest.mark.parametrize("vertices", range(1, 6))
+def test_census_of_an_counts_type_a_subcategories(vertices):
+    # a rank-k subcategory of type A_k has k(k + 1)/2 objects, one per
+    # positive root; they are the noncrossing partitions with one block of
+    # k + 1 points, C(N + 1, k + 1) of them
+    census = subcategories(category(f"a{vertices}"), vertices)
+    for k in range(1, vertices + 1):
+        shape = (k, k * (k + 1) // 2)
+        got = sum(1 for s, rank in census.items() if (rank, len(s)) == shape)
+        assert got == count_id(k, vertices), k
+
+
+@pytest.mark.parametrize("name", [f"a{n}" for n in range(1, 8)] + ["d4"])
+def test_census_curves_are_third_point_curves(name):
+    # every rank-2 subcategory with three objects is the genus-0 curve of a
+    # hom-one pair and its third point, and every such curve is one
+    cat = category(name)
+    label = {x: v for v, x in cat.objects.items()}
+    curves = {s for s, rank in subcategories(cat, 2).items() if len(s) == 3}
+    assert curves == {
+        frozenset(label[p] for p in (x, y, third_point(cat.dims, x, y)))
+        for x, y in permutations(cat.objects.values(), 2)
+        if cat.is_pair(x, y) and cat.total_hom(x, y) == 1
+    }

@@ -489,9 +489,10 @@ print(code, sorted(m for m in sys.modules
         (["an", "graph", "--vertices", "5"], 0,
          ["json", "nccount.arith", "nccount.category", "nccount.digraph",
           "nccount.interval"]),
+        # the incidence lines are read off the census of digraph
         (["incidence", "--category", "a3", "--format", "plain"], 0,
-         ["nccount.arith", "nccount.category", "nccount.incidence", "nccount.interval",
-          "nccount.quiver"]),
+         ["nccount.arith", "nccount.category", "nccount.digraph", "nccount.incidence",
+          "nccount.interval", "nccount.quiver"]),
     ],
     ids=["parser", "help", "usage-error", "markov-table", "markov-slopes", "an-count",
          "an-count-plain", "an-orbits", "graph-a7-plain", "sc-a5-plain", "an-graph-json",
@@ -556,8 +557,8 @@ def test_deterministic_output(capsys):
 
 
 # sha256 of stdout, each with exit code 0, for one small call per graph
-# builder and per orbit-partition caller; any change to these outputs is a
-# change of behaviour, not a refactor
+# builder, per orbit-partition caller and per writer; any change to these
+# outputs is a change of behaviour, not a refactor
 GOLDEN_STDOUT = [
     ("an graph --vertices 6 --format json",
      "2ad8427e7b7e1de03e98cc27a6e5e7aa8a65fc2895998997b07b4ee37a512100"),
@@ -603,6 +604,18 @@ GOLDEN_STDOUT = [
      "c86e84559497dd98386cfe941c42a9a662f1a6ef35fc52a8c930c1c95674d7ad"),
     ("d4 graph --format dot",
      "b4b6ea36fc019a56ddd60290bb00eeda794a62324bf5f04abeafe43772693e5f"),
+    ("d4 table --format plain",
+     "beb736eaba97164eb1c284aae48b808b871f38d73032e82e5ee7a2a24f35c7f0"),
+    ("d4 enum --kind triples-a3 --format plain",
+     "0e5efb94b4d27b97a9a6ae033ca06a5cd031f2d8abb4fe0bcc6d17d1c7abd1f1"),
+    ("d4 graph --kind curves --format dot",
+     "ff01ba606b5ea9e9afcbc3b283a535ceb25df7fbe9b2b83b381dda5135ab58b9"),
+    ("incidence --category a3 --format plain",
+     "e04aee26500a1d3d2b100ccdf6c904ec021bdaff21f397a448879163e2941c99"),
+    ("incidence --category d4 --format plain",
+     "56bcd5a067d03ef3850f514918ec772a1c68e006a4717ee9bedf0fe4dd6481c4"),
+    ("markov tree --limit 1000",
+     "c180da781b4ebfa2b9a4d6a712c6ab7c8f93015a2857f85a1702f8a906dbca38"),
 ]
 
 

@@ -1,8 +1,10 @@
+from functools import partial
 from itertools import combinations, permutations
 
 import pytest
 
 from nccount import GenSet
+from nccount.category import category
 from nccount.d4 import (
     ARROWS,
     DIMS,
@@ -12,21 +14,50 @@ from nccount.d4 import (
     SERRE,
     d4_count,
     d4_enum,
-    d4_pair_class,
     d4_tables,
-    genus0_curves,
-    genus_minus1_curves,
-    right_orthogonal_points,
-    total_hom,
-    triple_generators,
-    triple_kind,
 )
+from nccount.digraph import subcategories
 from nccount.interval import Interval
-from nccount.quiver import PairClass, euler_form, third_point
+from nccount.quiver import PairClass, euler_form, pair_class
+
+total_hom = RULE[1]
+d4_pair_class = partial(pair_class, *RULE)
+
+# the subcategories of rank at most 3, each as the frozenset of its labels
+CENSUS = subcategories(category("d4"), 3)
 
 
 def _unordered(pairs):
     return {frozenset(p) for p in pairs}
+
+
+# the perps of single objects, the oracle of the rank-3 subcategories ---------
+
+
+def right_orthogonal_points(x) -> frozenset:
+    """Derived points of <x>^perp: labels p with all homs from x to p zero."""
+    return frozenset(p for p in LABELS if p != x and total_hom(x, p) == 0)
+
+
+def triple_kind(x) -> str:
+    """Type of the rank-3 subcategory <x>^perp: 'a3' (six derived points)
+    or 'a1cubed' (three pairwise orthogonal derived points)."""
+    pts = right_orthogonal_points(x)
+    if len(pts) == 3:
+        return "a1cubed"
+    if len(pts) == 6:
+        return "a3"
+    raise AssertionError(f"unexpected perp size {len(pts)} for {x}")
+
+
+def triple_generators(x) -> tuple:
+    """The lexicographically least 3-subset of the derived points of
+    <x>^perp that admits a semi-orthogonal ordering, in its least one."""
+    pts = sorted(right_orthogonal_points(x))
+    return next(
+        perm for sub in combinations(pts, 3) for perm in permutations(sub)
+        if all(total_hom(perm[j], perm[i]) == 0 for i, j in combinations(range(3), 2))
+    )
 
 
 # the objects and actions typed by hand, which the derivation from the
@@ -173,7 +204,7 @@ def test_actions_preserve_pair_classes():
 
 
 def test_genus0_curve_set():
-    curves = genus0_curves()
+    curves = [s for s, rank in CENSUS.items() if (rank, len(s)) == (2, 3)]
     assert len(curves) == 15
     for k, ij in [("1", "23"), ("2", "13"), ("3", "12")]:
         assert frozenset((f"s{k}o", "delta", f"s{ij}")) in curves
@@ -184,16 +215,13 @@ def test_genus0_curve_set():
         assert frozenset((f"s{i}", f"s{j}o", sij)) in curves
 
 
-def test_third_point_examples():
-    assert third_point(DIMS, "s3o", "delta") == "s12"
-    assert third_point(DIMS, "s1", "so") == "s1o"
-    with pytest.raises(ValueError):
-        third_point(DIMS, "s1", "s2")  # orthogonal, no third point
-
-
 def test_genus_minus1_curve_set():
-    curves = genus_minus1_curves()
+    curves = [s for s, rank in CENSUS.items() if (rank, len(s)) == (2, 2)]
     assert len(curves) == 9
+    assert set(curves) == {
+        frozenset(p) for p in combinations(LABELS, 2)
+        if d4_pair_class(*p) is PairClass.ORTHOGONAL
+    }
     assert frozenset(("s1", "s2")) in curves
     assert frozenset(("s12", "s23")) in curves
 
@@ -202,17 +230,29 @@ def test_triple_kinds():
     a1 = {x for x in LABELS if triple_kind(x) == "a1cubed"}
     assert a1 == {"delta", "so", "s123"}
     assert sum(1 for x in LABELS if triple_kind(x) == "a3") == 9
+    # the rank-3 subcategories are the perps of the points, A3 or A1^3 by size
+    triples = {s: "a3" if len(s) == 6 else "a1cubed"
+               for s, rank in CENSUS.items() if rank == 3}
+    assert triples == {right_orthogonal_points(x): triple_kind(x) for x in LABELS}
 
 
 def test_triple_generators():
-    assert set(triple_generators("delta")) == {"s1o", "s2o", "s3o"}
-    assert set(triple_generators("so")) == {"s1", "s2", "s3"}
-    assert set(triple_generators("s123")) == {"s12", "s13", "s23"}
-    gens = triple_generators("s3")
+    # d4_enum lists the triples in the label order of the point whose perp
+    # they are, each by the generators the oracle picks
+    enum = {}
+    for kind, name in (("a3", "triples-A3"), ("a1cubed", "triples-A1cubed")):
+        perps = [x for x in LABELS if triple_kind(x) == kind]
+        got = d4_enum(name)
+        assert got == [GenSet(triple_generators(x)) for x in perps]
+        enum.update((x, g.generators) for x, g in zip(perps, got))
+    assert set(enum["delta"]) == {"s1o", "s2o", "s3o"}
+    assert set(enum["so"]) == {"s1", "s2", "s3"}
+    assert set(enum["s123"]) == {"s12", "s13", "s23"}
+    gens = enum["s3"]
     assert set(gens) <= right_orthogonal_points("s3")
     # generating triples of a1cubed perps are pairwise orthogonal
     for x in ("delta", "so", "s123"):
-        g = triple_generators(x)
+        g = enum[x]
         for a, b in permutations(g, 2):
             assert total_hom(a, b) == 0
 

@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -100,6 +101,20 @@ def test_glb_refuses_a_point_outside_the_category(bad, other, category):
     for x, y in ((("point", bad), other), (other, ("point", bad))):
         with pytest.raises(ValueError, match=f"{bad} is not an object of {category}"):
             glb(x, y, category)
+
+
+@pytest.mark.parametrize("payload, other", [
+    (5, ("point", "s1")),
+    ("x", ("curve", ("s1", "so"))),
+    ("s1", ("point", "s1")),
+    ((), TRIVIAL),
+])
+def test_glb_refuses_a_trivial_element_with_a_payload(payload, other):
+    # the trivial element carries None, and nothing else passes for it
+    bad = ("trivial", payload)
+    for x, y in ((bad, other), (other, bad)):
+        with pytest.raises(ValueError, match=re.escape(f"{bad!r} is not the trivial")):
+            glb(x, y, "d4")
 
 
 def test_glb_with_orthogonal_pairs():

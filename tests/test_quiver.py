@@ -10,6 +10,7 @@ from nccount.d4 import ARROWS as D4
 from nccount.quiver import (
     coxeter,
     euler_form,
+    in_span,
     line_quiver,
     pair_rule,
     positive_roots,
@@ -305,6 +306,27 @@ def test_d4_examples():
     assert _homs(q, dims["s2"], dims["s1"]) == (0, 0)
     assert _homs(q, dims["s1"], dims["delta"]) != (0, 0)
     assert sorted(_homs(q, dims["s1o"], dims["delta"])) == [0, 1]
+
+
+def test_in_span_is_the_vanishing_of_the_span_with_the_vector():
+    # v lies in the span of the roots iff the roots and v span no lattice of
+    # one more rank, that is iff all maximal minors with v as a row vanish
+    rnd = random.Random(5)
+    for n, k in ((2, 1), (3, 2), (4, 2), (4, 3), (5, 3), (6, 4)):
+        for _ in range(20):
+            roots = [tuple(rnd.randint(-2, 2) for _ in range(n)) for _ in range(k)]
+            if not any(span(roots)):
+                continue
+            inside = in_span(roots)
+            coeffs = [rnd.randint(-3, 3) for _ in roots]
+            combo = tuple(sum(c * r[i] for c, r in zip(coeffs, roots)) for i in range(n))
+            assert inside(combo) and all(inside(r) for r in roots)
+            for _ in range(10):
+                v = tuple(rnd.randint(-2, 2) for _ in range(n))
+                assert inside(v) == (not any(span([*roots, v]))), (roots, v)
+    # the curve s1, so of D4 holds s1o and no other root
+    assert [x for x in ((1, 0, 0, 1), (0, 1, 0, 1), (1, 1, 1, 2))
+            if in_span([(1, 0, 0, 0), (0, 0, 0, 1)])(x)] == [(1, 0, 0, 1)]
 
 
 def test_span_is_the_plucker_vector():
