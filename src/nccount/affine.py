@@ -391,6 +391,9 @@ _COUNT_KINDS = {
 
 
 def _cmd_affine_count(args):
-    """The CLI handler of `affine count`."""
-    count = aff_count(args.quiver, _COUNT_KINDS[args.kind], args.group)
-    return {"count": str(count)}
+    """The CLI handler of `affine count`; a kind the quiver lacks is refused
+    by its option name."""
+    kind = _COUNT_KINDS[args.kind]
+    if (args.quiver, kind) not in _FAMILIES:
+        raise ValueError(f"no kind {args.kind!r} for {args.quiver}")
+    return {"count": str(aff_count(args.quiver, kind, args.group))}

@@ -4,7 +4,7 @@
 record lists the objects by vertex label and carries the pair test and the
 hom that the graph, complex and incidence builders need, so none of them
 asks which category it has; the quiver categories also carry the roots that
-the census of subcategories, digraph.subcategories, reads.  The names are
+the census of subcategories, census.subcategories, reads.  The names are
 'aN' (D^b(A_N), N >= 1), 'd4', the affine quivers 'q1' and 'q2', and 'npL',
 the category generated by a strong pair with L + 1 homs (L >= -1).  q1, q2
 and npL with L >= 1 take a window (lo, hi) of series indices, inclusive,

@@ -1,0 +1,114 @@
+"""The exceptional sets of a category and the census of its subcategories.
+
+A category enters as its objects, by label, and its pair test: is_pair(x, y)
+holds iff every hom from y to x vanishes.  The graph layer builds its graphs
+and complexes on pair_rows and exceptional_sets too.  This leaf imports
+nothing of the package at top level, so `d4` and `incidence` read the
+census without the graph layer.
+"""
+
+from itertools import combinations
+
+
+def _bits(mask):
+    """The indices of the set bits of an int mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def pair_rows(objs, is_pair) -> tuple:
+    """(out, into) for the list objs: bit j of out[i] and bit i of into[j]
+    are set iff is_pair(objs[i], objs[j]).  Each unordered pair is tested
+    once in each direction."""
+    out, into = [0] * len(objs), [0] * len(objs)
+    for (i, x), (j, y) in combinations(enumerate(objs), 2):
+        if is_pair(x, y):
+            out[i] |= 1 << j
+            into[j] |= 1 << i
+        if is_pair(y, x):
+            out[j] |= 1 << i
+            into[i] |= 1 << j
+    return out, into
+
+
+def _closes_cycle(one, members: int, succ: int, pred: int) -> bool:
+    """True iff a path of one-sided edges inside the vertex mask members
+    leads from a vertex of succ to one of pred; one[x] is the mask of the
+    one-sided successors of x.  With succ and pred the one-sided successors
+    and predecessors of a vertex w, that path closes a cycle through w."""
+    back = pred & members
+    front = seen = succ & members
+    while front and back and not seen & back:
+        reach = 0
+        for x in _bits(front):
+            reach |= one[x]
+        front = reach & members & ~seen
+        seen |= front
+    return bool(seen & back)
+
+
+def exceptional_sets(out, into, max_dim: int):
+    """The index sets of at most max_dim + 1 vertices of the rows (out,
+    into) of pair_rows that admit a semi-orthogonal order, as sorted tuples,
+    by size and then lexicographically.
+
+    The sets are closed under subsets, so each set of size d + 2 is one of
+    size d + 1 extended by a later vertex w joined to all of its members,
+    which is exceptional unless w closes a cycle of one-sided edges.
+    Layers of index tuples, each with its member mask and the mask of later
+    vertices joined to every member, are grown in lexicographic order, by
+    size, until one is empty.
+    """
+    if max_dim < 0:
+        raise ValueError("need max_dim >= 0")
+    n = len(out)
+    one = [out[i] & ~into[i] for i in range(n)]
+    one_in = [into[i] & ~out[i] for i in range(n)]
+    later = [(out[i] | into[i]) >> (i + 1) << (i + 1) for i in range(n)]
+    layer = [((i,), 1 << i, later[i]) for i in range(n)]
+    yield from ((i,) for i in range(n))
+    for _ in range(max_dim):
+        layer = [
+            (sub + (w,), members | 1 << w, cand & later[w])
+            for sub, members, cand in layer
+            for w in _bits(cand)
+            if not (
+                one_in[w] & members
+                and _closes_cycle(one, members, one[w], one_in[w])
+            )
+        ]
+        if not layer:
+            return
+        yield from (sub for sub, _, _ in layer)
+
+
+def subcategories(objects: dict, is_pair, dims: dict, rank: int) -> dict:
+    """The subcategories of rank 1..rank of the category of the objects (by
+    label) with the pair test is_pair and the root dims[x] of each object
+    x, each as the frozenset of the labels of its objects, mapped to its
+    rank, in the order of their least exceptional sets.
+
+    The roots of an exceptional sequence span a saturated lattice in K_0,
+    which fixes the subcategory the sequence generates (Ingalls-Thomas),
+    and whose roots are those of that subcategory's objects.  So each
+    exceptional set of k <= rank objects, in the order of
+    exceptional_sets, either lies in a rank-k subcategory already found,
+    whose lattice its roots span, or generates a new one: the objects whose
+    root lies in its span.
+    """
+    from .quiver import in_span  # here, so aN graphs and complexes skip it
+    labels = sorted(objects)
+    objs = [objects[v] for v in labels]
+    root = [dims[x] for x in objs]
+    out, home = {}, {}  # home[k, i]: the rank-k subcategories holding i
+    for s in exceptional_sets(*pair_rows(objs, is_pair), rank - 1):
+        k = len(s)
+        if not any(sub.issuperset(s) for sub in home.get((k, s[0]), ())):
+            inside = in_span(root[i] for i in s)
+            sub = frozenset(i for i, r in enumerate(root) if inside(r))
+            out[frozenset(labels[i] for i in sub)] = k
+            for i in sub:
+                home.setdefault((k, i), []).append(sub)
+    return out

@@ -2,11 +2,12 @@
 from them: the pair rule, the diagram-rotation and Serre actions, the
 subcategories and all their orbit counts.
 
-The subcategories are read off the census digraph.subcategories by rank
-and number of objects: the points, the noncommutative curves of genus 0
-(three objects) and -1 (two), and the rank-3 subcategories of type A_3
-(six) and A_1^3 (three), the perps of the twelve points.  Each orbit table
-cell partitions one kind's object sets under kappa and Serre.
+The subcategories are read off census.subcategories by rank and number
+of objects: the points, the noncommutative curves of genus 0 (three
+objects) and -1 (two), and the rank-3 subcategories of type A_3 (six) and
+A_1^3 (three), the perps of the twelve points.  Each orbit table cell
+partitions one kind's object sets under kappa and Serre.  The module
+imports neither the category registry nor the graph layer.
 
 The objects are the indecomposable representations of the D_4 quiver, one
 per positive root as quiver.positive_roots grows them.  The quiver is its
@@ -25,9 +26,8 @@ centre.
 from itertools import combinations, permutations
 
 from . import GenSet
-from . import category as registry
 from .arith import orbits
-from .digraph import subcategories
+from .census import subcategories
 from .quiver import coxeter, pair_rule, positive_roots
 
 # each leg 1, 2, 3 (vertex 0, 1, 2) points into the centre o (vertex 3)
@@ -83,10 +83,10 @@ _CENSUS = {0: {}}  # the census to the largest rank a call has needed
 
 
 def _census(rank: int) -> dict:
-    """digraph.subcategories of D_4 to at least the given rank: a call that
+    """census.subcategories of D_4 to at least the given rank: a call that
     needs a larger rank than every call before walks it, to that rank."""
     if rank > max(_CENSUS):
-        _CENSUS[rank] = subcategories(registry.category("d4"), rank)
+        _CENSUS[rank] = subcategories({x: x for x in LABELS}, RULE[0], DIMS, rank)
     return _CENSUS[max(_CENSUS)]
 
 

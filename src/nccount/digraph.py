@@ -10,9 +10,10 @@ a curve graph; the builders read objects and homs from its record alone.
 
 from collections import Counter
 from functools import cache
-from itertools import chain, combinations, permutations
+from itertools import chain, permutations
 
 from . import category as registry
+from .census import _bits, exceptional_sets, pair_rows
 
 
 class ValuedDigraph:
@@ -39,9 +40,7 @@ class ValuedDigraph:
     def add_edge(self, src, dst, weight=None):
         if src == dst:
             raise ValueError("self-loops are excluded")
-        self._link(self.index[src], self.index[dst], weight)
-
-    def _link(self, i, j, weight):
+        i, j = self.index[src], self.index[dst]
         self.out[i] |= 1 << j
         self.into[j] |= 1 << i
         if weight is None:
@@ -77,31 +76,20 @@ class ValuedDigraph:
         }
 
 
-def _bits(mask):
-    """The indices of the set bits of an int mask, in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 # --- construction ------------------------------------------------------------
 
 
 def _pair_graph(cat) -> ValuedDigraph:
     """The graph on the objects of a category record, with an edge (a, b)
     iff cat.is_pair holds for their objects, that is iff every hom from b
-    to a vanishes.  Each unordered pair is tested once in each direction; a
-    one-sided edge carries the total forward hom, a double-sided one none."""
+    to a vanishes; census.pair_rows gives the edges, and a one-sided edge
+    carries the total forward hom, a double-sided one none."""
     g = ValuedDigraph(cat.name, cat.objects, cat.genus)
-    is_pair, weight = cat.is_pair, cat.total_hom
     objs = [cat.objects[v] for v in g.vertices]
-    for (i, x), (j, y) in combinations(enumerate(objs), 2):
-        ab, ba = is_pair(x, y), is_pair(y, x)
-        if ab:
-            g._link(i, j, weight(x, y) if weight and not ba else None)
-        if ba:
-            g._link(j, i, weight(y, x) if weight and not ab else None)
+    g.out, g.into = pair_rows(objs, cat.is_pair)
+    if cat.total_hom:
+        g.weights = [{j: cat.total_hom(x, objs[j]) for j in _bits(g._one_sided(i))}
+                     for i, x in enumerate(objs)]
     return g
 
 
@@ -122,85 +110,11 @@ def build_curve_graph(category: str, window=None) -> ValuedDigraph:
 # --- simplicial complex -------------------------------------------------------
 
 
-def _closes_cycle(one, members: int, succ: int, pred: int) -> bool:
-    """True iff a path of one-sided edges inside the vertex mask members
-    leads from a vertex of succ to one of pred; one[x] is the mask of the
-    one-sided successors of x.  With succ and pred the one-sided successors
-    and predecessors of a vertex w, that path closes a cycle through w."""
-    back = pred & members
-    front = seen = succ & members
-    while front and back and not seen & back:
-        reach = 0
-        for x in _bits(front):
-            reach |= one[x]
-        front = reach & members & ~seen
-        seen |= front
-    return bool(seen & back)
-
-
 def sc_simplices(g: ValuedDigraph, max_dim: int) -> list:
-    """All simplices of dimension <= max_dim (vertex sets of size <=
-    max_dim + 1 admitting a semi-orthogonal ordering), as sorted tuples.
-
-    The complex is closed under taking faces, so each (d+1)-simplex is a
-    d-simplex extended by a later vertex w joined to all of its members,
-    which is a simplex unless w closes a cycle of one-sided edges.  Layers
-    of vertex-index tuples, each with its member mask and the mask of
-    later vertices joined to every member, are grown in lexicographic
-    order, by size, until one is empty.
-    """
-    if max_dim < 0:
-        raise ValueError("need max_dim >= 0")
-    n, vs = len(g.vertices), g.vertices
-    one = [g._one_sided(i) for i in range(n)]
-    one_in = [g.into[i] & ~g.out[i] for i in range(n)]
-    later = [(g.out[i] | g.into[i]) >> (i + 1) << (i + 1) for i in range(n)]
-    layer = [((i,), 1 << i, later[i]) for i in range(n)]
-    out = [(v,) for v in vs]
-    for _ in range(max_dim):
-        layer = [
-            (sub + (w,), members | 1 << w, cand & later[w])
-            for sub, members, cand in layer
-            for w in _bits(cand)
-            if not (
-                one_in[w] & members
-                and _closes_cycle(one, members, one[w], one_in[w])
-            )
-        ]
-        if not layer:
-            break
-        out += [tuple(vs[i] for i in sub) for sub, _, _ in layer]
-    return out
-
-
-# --- the subcategories -------------------------------------------------------
-
-
-def subcategories(cat, rank: int) -> dict:
-    """The subcategories of rank 1..rank of a category record with dims,
-    each as the frozenset of the labels of its objects, mapped to its rank,
-    in the order of their least exceptional sets.
-
-    The roots of an exceptional sequence span a saturated lattice in K_0,
-    which fixes the subcategory the sequence generates (Ingalls-Thomas),
-    and whose roots are those of that subcategory's objects.  So each
-    exceptional set of k <= rank objects, as sc_simplices lists them, either
-    lies in a rank-k subcategory already found, whose lattice its roots
-    span, or generates a new one: the objects whose root lies in its span.
-    """
-    from .quiver import in_span
-    g = _pair_graph(cat)
-    root = {v: cat.dims[x] for v, x in cat.objects.items()}
-    out, home = {}, {}  # home[k, v]: the rank-k subcategories holding v
-    for s in sc_simplices(g, rank - 1):
-        k = len(s)
-        if not any(sub.issuperset(s) for sub in home.get((k, s[0]), ())):
-            inside = in_span(root[v] for v in s)
-            sub = frozenset(v for v in g.vertices if inside(root[v]))
-            out[sub] = k
-            for v in sub:
-                home.setdefault((k, v), []).append(sub)
-    return out
+    """All simplices of dimension <= max_dim, the exceptional sets of at most
+    max_dim + 1 vertices in the order of census.exceptional_sets, by label."""
+    vs = g.vertices
+    return [tuple(vs[i] for i in s) for s in exceptional_sets(g.out, g.into, max_dim)]
 
 
 # --- writers -------------------------------------------------------------------

@@ -5,16 +5,16 @@ A curve is given by its two generators, and the category by a name of
 `nccount.category` whose record has dimension vectors.  A curve's derived
 points are the objects whose root lies in the span of its generators'
 roots (quiver.in_span), and the lines of an incidence structure are the
-curves of genus 0 in the census of subcategories, digraph.subcategories.
-Only the abstract incidence data is modelled; the planar drawings that
-realize these structures are not.
+curves of genus 0 in census.subcategories of the record, which builds no
+graph.  Only the abstract incidence data is modelled; the planar drawings
+that realize these structures are not.
 """
 
 from typing import NamedTuple
 
 from . import DRAWN
 from . import category as registry
-from .digraph import subcategories
+from .census import subcategories
 from .quiver import in_span
 
 
@@ -59,10 +59,7 @@ class Intersection(NamedTuple):
 def intersect_curves(c1, c2, category: str) -> Intersection:
     """Intersection of two curves of genus 0 or -1: themselves, a single
     shared derived point, or nothing."""
-    return _intersect(registry.category(category), c1, c2)
-
-
-def _intersect(cat, c1, c2):
+    cat = registry.category(category)
     (_, t1), (_, t2) = _curve_points(cat, c1), _curve_points(cat, c2)
     if t1 == t2:
         return Intersection("equal")
@@ -101,23 +98,20 @@ def glb(x, y, category: str, include_orthogonal_pairs: bool = False):
                 raise ValueError(
                     f"{item[1]} has genus -1; pass include_orthogonal_pairs=True"
                 )
-    if x == TRIVIAL or y == TRIVIAL:
+    if TRIVIAL in (x, y):  # read no curve beside the trivial element
         return TRIVIAL
-    (kx, px), (ky, py) = x, y
-    if kx == "point" and ky == "point":
-        return x if px == py else TRIVIAL
-    if kx == "curve" and ky == "curve":
-        hit = _intersect(cat, px, py)
-        if hit.kind == "equal":
-            return x
-        if hit.kind == "point":
-            return ("point", hit.point)
-        return TRIVIAL
-    # mixed point / curve
-    point, curve = (px, py) if kx == "point" else (py, px)
-    if point in _curve_points(cat, curve)[1]:
-        return ("point", point)
-    return TRIVIAL
+    # the derived points of each element: {p} for a point, and the meet is
+    # the element whose points are the common ones, or their one point
+    px, py = (frozenset((v,)) if kind == "point" else _curve_points(cat, v)[1]
+              for kind, v in (x, y))
+    common = px & py
+    if common == px:
+        return x
+    if common == py:
+        return y
+    if len(common) > 1:
+        raise AssertionError(f"distinct curves sharing two points: {x[1]}, {y[1]}")
+    return ("point", next(iter(common))) if common else TRIVIAL
 
 
 class IncidenceStructure(NamedTuple):
@@ -135,7 +129,8 @@ def incidence_structure(category: str) -> IncidenceStructure:
     if category not in DRAWN:
         raise ValueError(f"unknown category {category!r}")
     cat = registry.category(category)
-    curves = sorted(tuple(sorted(s)) for s in subcategories(cat, 2) if len(s) == 3)
+    census = subcategories(cat.objects, cat.is_pair, cat.dims, 2)
+    curves = sorted(tuple(sorted(s)) for s in census if len(s) == 3)
     lines = tuple((";".join(t), t) for t in curves)
     return IncidenceStructure(tuple(sorted(cat.objects)), lines)
 

@@ -14,9 +14,9 @@ from math import comb, gcd
 import networkx as nx
 
 from nccount import (
-    INFINITE, GenSet, affine, d4, digraph, incidence, markov, necklace, typea,
+    INFINITE, GenSet, affine, census, d4, digraph, incidence, markov, necklace,
+    typea,
 )
-from nccount.category import category
 from nccount.quiver import PairClass, pair_class
 
 
@@ -272,8 +272,9 @@ def test_criterion_12_incidence_structures():
         for _, pts in struct.lines:
             assert len(pts) == 3
     # each pair of derived points regenerates its curve
+    objects = {x: x for x in d4.LABELS}
     genus0_curves = [
-        s for s in digraph.subcategories(category("d4"), 2) if len(s) == 3]
+        s for s in census.subcategories(objects, d4.RULE[0], d4.DIMS, 2) if len(s) == 3]
     for curve in genus0_curves:
         for x, y in combinations(sorted(curve), 2):
             assert incidence.derived_points((x, y), "d4") == curve

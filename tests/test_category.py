@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from nccount.category import category
-from nccount.digraph import subcategories
+from nccount.census import subcategories
 from nccount.interval import interval_dim
 from nccount.d4 import ARROWS as D4
 from nccount.d4 import DIMS as D4_DIMS
@@ -157,19 +157,24 @@ def test_third_point_examples():
 # --- the census of subcategories ------------------------------------------------
 
 
+def record_census(cat, rank):
+    """census.subcategories of a category record."""
+    return subcategories(cat.objects, cat.is_pair, cat.dims, rank)
+
+
 @pytest.mark.parametrize("vertices", range(1, 6))
 def test_census_of_an_counts_noncrossing_partitions(vertices):
     # the subcategories of A_N are the noncrossing partitions of N + 1
     # points (Ingalls-Thomas), N + 1 - k blocks at rank k: Narayana numbers
     n = vertices + 1
-    ranks = Counter(subcategories(category(f"a{vertices}"), vertices).values())
+    ranks = Counter(record_census(category(f"a{vertices}"), vertices).values())
     assert [ranks[k] for k in range(1, n)] == [
         comb(n, k) * comb(n, k + 1) // n for k in range(1, n)
     ]
 
 
 def test_census_of_d4():
-    census = subcategories(category("d4"), 3)
+    census = record_census(category("d4"), 3)
     assert Counter(census.values()) == {1: 12, 2: 24, 3: 12}
     assert all(len(s) == 1 for s, rank in census.items() if rank == 1)
 
@@ -179,7 +184,7 @@ def test_census_of_an_counts_type_a_subcategories(vertices):
     # a rank-k subcategory of type A_k has k(k + 1)/2 objects, one per
     # positive root; they are the noncrossing partitions with one block of
     # k + 1 points, C(N + 1, k + 1) of them
-    census = subcategories(category(f"a{vertices}"), vertices)
+    census = record_census(category(f"a{vertices}"), vertices)
     for k in range(1, vertices + 1):
         shape = (k, k * (k + 1) // 2)
         got = sum(1 for s, rank in census.items() if (rank, len(s)) == shape)
@@ -192,7 +197,7 @@ def test_census_curves_are_third_point_curves(name):
     # hom-one pair and its third point, and every such curve is one
     cat = category(name)
     label = {x: v for v, x in cat.objects.items()}
-    curves = {s for s, rank in subcategories(cat, 2).items() if len(s) == 3}
+    curves = {s for s, rank in record_census(cat, 2).items() if len(s) == 3}
     assert curves == {
         frozenset(label[p] for p in (x, y, third_point(cat.dims, x, y)))
         for x, y in permutations(cat.objects.values(), 2)

@@ -219,6 +219,15 @@ def test_affine_count_infinite(capsys):
     assert code == 0 and doc == {"count": "3"}
 
 
+@pytest.mark.parametrize("kind", ["triples-a3", "triples-q1"])
+def test_affine_count_names_a_missing_kind_as_its_option(capsys, kind):
+    # q1 has neither triple kind; the refusal spells the kind as typed
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["affine", "count", "--quiver", "q1", "--kind", kind])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"error: no kind {kind!r} for q1\n")
+
+
 def test_markov_table(capsys):
     code, doc = run_json(capsys, ["markov", "table", "--limit", "200"])
     assert code == 0
@@ -481,22 +490,33 @@ print(code, sorted(m for m in sys.modules
          ["json", "nccount.arith", "nccount.interval", "nccount.necklace",
           "nccount.typea"]),
         # A_N graphs and complexes need the interval objects, not the
-        # counting in typea, and plain output needs no json
+        # counting in typea, and plain output needs no json; the census
+        # reads quiver only for the subcategories
         (["graph", "--category", "a7", "--format", "plain"], 0,
-         ["nccount.arith", "nccount.category", "nccount.digraph", "nccount.interval"]),
-        (["sc", "--category", "a5", "--format", "plain"], 0,
-         ["nccount.arith", "nccount.category", "nccount.digraph", "nccount.interval"]),
-        (["an", "graph", "--vertices", "5"], 0,
-         ["json", "nccount.arith", "nccount.category", "nccount.digraph",
+         ["nccount.arith", "nccount.category", "nccount.census", "nccount.digraph",
           "nccount.interval"]),
-        # the incidence lines are read off the census of digraph
+        (["sc", "--category", "a5", "--format", "plain"], 0,
+         ["nccount.arith", "nccount.category", "nccount.census", "nccount.digraph",
+          "nccount.interval"]),
+        (["an", "graph", "--vertices", "5"], 0,
+         ["json", "nccount.arith", "nccount.category", "nccount.census",
+          "nccount.digraph", "nccount.interval"]),
+        # the d4 kinds and the incidence lines are read off the census,
+        # without the graph layer, and d4 without the registry
         (["incidence", "--category", "a3", "--format", "plain"], 0,
-         ["nccount.arith", "nccount.category", "nccount.digraph", "nccount.incidence",
+         ["nccount.arith", "nccount.category", "nccount.census", "nccount.incidence",
           "nccount.interval", "nccount.quiver"]),
+        (["incidence", "--category", "d4", "--format", "plain"], 0,
+         ["nccount.arith", "nccount.category", "nccount.census", "nccount.d4",
+          "nccount.incidence", "nccount.quiver"]),
+        (["d4", "table"], 0,
+         ["json", "nccount.arith", "nccount.census", "nccount.d4", "nccount.quiver"]),
+        (["d4", "enum", "--kind", "genus0", "--format", "plain"], 0,
+         ["nccount.arith", "nccount.census", "nccount.d4", "nccount.quiver"]),
     ],
     ids=["parser", "help", "usage-error", "markov-table", "markov-slopes", "an-count",
          "an-count-plain", "an-orbits", "graph-a7-plain", "sc-a5-plain", "an-graph-json",
-         "incidence-a3-plain"],
+         "incidence-a3-plain", "incidence-d4-plain", "d4-table", "d4-enum-plain"],
 )
 def test_startup_imports(argv, code, loaded):
     # each call loads only the backend its subcommand needs, the parser none;
@@ -510,15 +530,14 @@ def test_startup_imports(argv, code, loaded):
     assert out == f"{code} {sorted(['nccount', 'nccount.cli', *loaded])}\n"
 
 
-def test_handlers_live_in_the_backends():
-    # the table names each leaf's handler by backend module and function,
-    # and no module of the package imports the CLI back
-    for path, (_, _, fixed) in cli._COMMANDS.items():
-        module, name = fixed["func"]
-        assert module != "cli", path
-        assert callable(getattr(importlib.import_module(f"nccount.{module}"), name))
+def _package_imports():
+    """(module, the package modules it imports) for each module of nccount,
+    from its top-level and in-function import statements alike."""
     src = Path(cli.__file__).parent
-    for py in src.glob("*.py"):
+    modules = {"nccount"} | {f"nccount.{py.stem}" for py in src.glob("*.py")}
+    for py in sorted(src.glob("*.py")):
+        module = "nccount" if py.stem == "__init__" else f"nccount.{py.stem}"
+        imported = set()
         for node in ast.walk(ast.parse(py.read_text())):
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names]
@@ -529,7 +548,35 @@ def test_handlers_live_in_the_backends():
                 names = [base, *(f"{base}.{a.name}" for a in node.names)]
             else:
                 continue
-            assert "nccount.cli" not in names, py.name
+            imported.update(n for n in names if n in modules and n != module)
+        yield module, imported
+
+
+def test_handlers_live_in_the_backends():
+    # the table names each leaf's handler by backend module and function,
+    # and no module of the package imports the CLI back
+    for path, (_, _, fixed) in cli._COMMANDS.items():
+        module, name = fixed["func"]
+        assert module != "cli", path
+        assert callable(getattr(importlib.import_module(f"nccount.{module}"), name))
+    for module, imported in _package_imports():
+        assert "nccount.cli" not in imported, module
+
+
+def test_package_imports_are_acyclic():
+    # no module imports, even inside a function, one that imports it back:
+    # no module reaches itself along the import graph
+    graph = dict(_package_imports())
+
+    def reach(module):
+        seen, todo = set(), [module]
+        while todo:
+            for m in graph[todo.pop()] - seen:
+                seen.add(m)
+                todo.append(m)
+        return seen
+
+    assert [m for m in graph if m in reach(m)] == []
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,6 @@ from itertools import combinations, permutations
 import pytest
 
 from nccount import GenSet
-from nccount.category import category
 from nccount.d4 import (
     ARROWS,
     DIMS,
@@ -16,7 +15,7 @@ from nccount.d4 import (
     d4_enum,
     d4_tables,
 )
-from nccount.digraph import subcategories
+from nccount.census import subcategories
 from nccount.interval import Interval
 from nccount.quiver import PairClass, euler_form, pair_class
 
@@ -24,7 +23,7 @@ total_hom = RULE[1]
 d4_pair_class = partial(pair_class, *RULE)
 
 # the subcategories of rank at most 3, each as the frozenset of its labels
-CENSUS = subcategories(category("d4"), 3)
+CENSUS = subcategories({x: x for x in LABELS}, RULE[0], DIMS, 3)
 
 
 def _unordered(pairs):
