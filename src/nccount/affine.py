@@ -12,10 +12,10 @@ Each object is a real root of its quiver up to sign: the series member x^m
 is the base root of its family plus m times the imaginary root
 delta = (1, ..., 1), and the sporadic objects are the regular simples of the
 rank-2 tubes.  The pairs and their homs are the rule quiver.pair_rule reads
-off the Euler form of the roots.  Serre is quiver.coxeter on the roots and
-the square symmetry theta of q2 the swap of its vertices 1 and 2, both read
-back as base + m * delta up to sign; only the extra shift-like generator
-zeta, which no map of the quiver gives, is typed label by label.
+off the Euler form of the roots.  Each group generator acts by its map on
+the roots, read back as base + m * delta up to sign: Serre is quiver.coxeter,
+theta the swap of q2's vertices 1 and 2, and zeta, which no map of the
+quiver gives, an isometry of the Euler form that fixes delta.
 
 A subcategory family is its list of generators, and each member is known
 by quiver.span of their roots: that names the member any exceptional pair
@@ -23,7 +23,7 @@ generates, transports the group actions and tells the Z-series.  Orbit
 counts of the infinite families are computed from index-shift data.
 """
 
-from functools import cache
+from functools import cache, partial
 from math import gcd
 from typing import NamedTuple
 
@@ -107,43 +107,34 @@ def _object(quiver: str, v: tuple) -> AffObject:
     raise ValueError(f"{v} is the root of no exceptional object of {quiver}")
 
 
-# zeta: series family -> (image family, index shift); sporadic -> name
-_ZETA = {
-    "q1": ({"a": ("b", 0), "b": ("a", -1)}, None),
-    "q2": (
-        {"a": ("d", 0), "b": ("c", -1), "c": ("b", 0), "d": ("a", -1)},
-        {"F+": "F+", "F-": "G+", "G+": "F-", "G-": "G-"},
-    ),
+# quiver -> generator -> its map on roots, in the order of the full group;
+# zeta sends the simple roots of q1 to (1,1,0), (1,0,1), (-1,0,0) and those
+# of q2 to (1,1,0,0), (1,0,1,1), (0,0,1,0), (-1,0,-1,0)
+ACTIONS = {
+    "q1": {
+        "serre": partial(coxeter, ARROWS["q1"]),
+        "zeta": lambda v: (v[0] + v[1] - v[2], v[0], v[1]),
+    },
+    "q2": {
+        "serre": partial(coxeter, ARROWS["q2"]),
+        "theta": lambda v: (v[0], v[2], v[1], v[3]),
+        "zeta": lambda v: (v[0] + v[1] - v[3], v[0], v[1] + v[2] - v[3], v[1]),
+    },
 }
 
 GROUP_GENERATORS = {
-    ("q1", "id"): (),
-    ("q1", "serre"): ("serre",),
-    ("q1", "full"): ("serre", "zeta"),
-    ("q2", "id"): (),
-    ("q2", "serre"): ("serre",),
-    ("q2", "full"): ("serre", "theta", "zeta"),
+    (q, group): gens
+    for q, acts in ACTIONS.items()
+    for group, gens in (("id", ()), ("serre", ("serre",)), ("full", tuple(acts)))
 }
 
 
 def aff_act(g: str, x: AffObject) -> AffObject:
-    """Image of an exceptional object under serre, theta or zeta (up to
-    shift).  theta exists only on q2; zeta on q1 is known on the series
-    objects only."""
-    if g == "serre":
-        return _object(x.quiver, coxeter(ARROWS[x.quiver], root(x)))
-    if (x.quiver, g) == ("q2", "theta"):
-        v = root(x)
-        return _object(x.quiver, (v[0], v[2], v[1], v[3]))
-    if g != "zeta":
+    """Image of an exceptional object (up to shift) under a generator of its
+    quiver's group, serre, zeta or (on q2 only) theta: its map on the root."""
+    if g not in ACTIONS[x.quiver]:
         raise ValueError(f"action {g!r} is not defined on {x.quiver}")
-    series_map, spor_map = _ZETA[x.quiver]
-    if x.index is not None:
-        fam, shift = series_map[x.family]
-        return AffObject(x.quiver, fam, x.index + shift)
-    if spor_map is None or x.family not in spor_map:
-        raise ValueError(f"action {g!r} is undetermined on {x}")
-    return AffObject(x.quiver, spor_map[x.family], None)
+    return _object(x.quiver, ACTIONS[x.quiver][g](root(x)))
 
 
 # --- curve families ---------------------------------------------------------

@@ -84,26 +84,28 @@ def glb(x, y, category: str, include_orthogonal_pairs: bool = False):
     pair.
     """
     cat = registry.category(category)
+    # the derived points of each element: none for the trivial element, {p}
+    # for a point; the meet is the element whose points are the common ones
+    points = []
     for item in (x, y):
         if not (isinstance(item, tuple) and len(item) == 2
                 and item[0] in ("trivial", "point", "curve")):
             raise ValueError(f"{item!r} is outside the supported family")
-        if item[0] == "trivial" and item[1] is not None:
-            raise ValueError(f"{item!r} is not the trivial element {TRIVIAL!r}")
-        if item[0] == "point" and item[1] not in cat.objects.values():
-            raise ValueError(f"{item[1]} is not an object of {category}")
-        if item[0] == "curve" and not include_orthogonal_pairs:
-            genus, _ = _curve_points(cat, item[1])
-            if genus == -1:
-                raise ValueError(
-                    f"{item[1]} has genus -1; pass include_orthogonal_pairs=True"
-                )
-    if TRIVIAL in (x, y):  # read no curve beside the trivial element
-        return TRIVIAL
-    # the derived points of each element: {p} for a point, and the meet is
-    # the element whose points are the common ones, or their one point
-    px, py = (frozenset((v,)) if kind == "point" else _curve_points(cat, v)[1]
-              for kind, v in (x, y))
+        kind, v = item
+        if kind == "trivial":
+            if v is not None:
+                raise ValueError(f"{item!r} is not the trivial element {TRIVIAL!r}")
+            points.append(frozenset())
+        elif kind == "point":
+            if v not in cat.objects.values():
+                raise ValueError(f"{v} is not an object of {category}")
+            points.append(frozenset((v,)))
+        else:
+            genus, pts = _curve_points(cat, v)
+            if genus == -1 and not include_orthogonal_pairs:
+                raise ValueError(f"{v} has genus -1; pass include_orthogonal_pairs=True")
+            points.append(pts)
+    px, py = points
     common = px & py
     if common == px:
         return x

@@ -29,9 +29,7 @@ from typing import NamedTuple
 from . import GenSet, check_oracle
 from .arith import check_binomial, check_enumeration, check_printable
 from .arith import divisors, mobius, orbits
-# the interval objects and their Euler form live in a leaf module, which
-# graph calls load without the counting below; they stay importable here
-from .interval import Interval, enum_points, euler, interval_dim, interval_mask
+from .interval import Interval, enum_points, interval_mask
 
 
 class MonotoneSeq(NamedTuple):

@@ -7,6 +7,7 @@ import pytest
 
 from nccount import INFINITE
 from nccount.affine import (
+    ACTIONS,
     ARROWS,
     GROUP_GENERATORS,
     ROOTS,
@@ -125,10 +126,12 @@ def test_actions_q1():
     # zeta twice steps the b series down by one
     m = 4
     assert aff_act("zeta", aff_act("zeta", q1("b", m))) == q1("b", m - 1)
+    # zeta swaps the sporadic objects, as it swaps their orthogonals M-perp
+    # and M'-perp in the family table
+    assert aff_act("zeta", q1("M")) == q1("M'")
+    assert aff_act("zeta", q1("M'")) == q1("M")
     with pytest.raises(ValueError):
         aff_act("theta", q1("a", 0))
-    with pytest.raises(ValueError):
-        aff_act("zeta", q1("M"))
 
 
 def test_actions_q2():
@@ -143,16 +146,16 @@ def test_actions_q2():
 
 
 def test_actions_preserve_pair_classes():
-    objs = [q2(f, m) for f in "abcd" for m in range(-3, 4)]
-    objs += [q2(s) for s in ("F+", "F-", "G+", "G-")]
-    for g in ("serre", "theta", "zeta"):
-        for x in objs:
-            for y in objs:
-                if x == y:
-                    continue
-                assert aff_pair_class(x, y) is aff_pair_class(
-                    aff_act(g, x), aff_act(g, y)
-                ), (g, x, y)
+    for q in ("q1", "q2"):
+        objs = _window_objects(q, -3, 3)
+        for g in GROUP_GENERATORS[q, "full"]:
+            for x in objs:
+                for y in objs:
+                    if x == y:
+                        continue
+                    assert aff_pair_class(x, y) is aff_pair_class(
+                        aff_act(g, x), aff_act(g, y)
+                    ), (g, x, y)
 
 
 def test_serre_table_genus1_q2():
@@ -739,10 +742,13 @@ def test_root_table(q):
     assert sorted(below) == sorted(ROOTS[q][f] for f in SPORADIC[q])
 
 
-# The Serre and theta actions as they were typed by hand, label by label:
-# series family -> (image family, index shift); sporadic -> name
+# The group actions as they were typed by hand, label by label:
+# series family -> (image family, index shift); sporadic -> name.  The typed
+# zeta of q1 left M and M' open; its swap of them is the one its family
+# table implies (M-perp goes to M'-perp in _SHIFT_MAPS).
 TYPED_ACTIONS = {
     ("q1", "serre"): ({"a": ("b", -1), "b": ("a", -2)}, {"M": "M'", "M'": "M"}),
+    ("q1", "zeta"): ({"a": ("b", 0), "b": ("a", -1)}, {"M": "M'", "M'": "M"}),
     ("q2", "serre"): (
         {"a": ("b", 0), "b": ("a", -2), "c": ("d", -1), "d": ("c", -1)},
         {"F+": "G-", "F-": "G+", "G+": "F-", "G-": "F+"},
@@ -751,17 +757,36 @@ TYPED_ACTIONS = {
         {"a": ("a", 0), "b": ("b", 0), "c": ("d", 0), "d": ("c", 0)},
         {"F+": "F-", "F-": "F+", "G+": "G-", "G-": "G+"},
     ),
+    ("q2", "zeta"): (
+        {"a": ("d", 0), "b": ("c", -1), "c": ("b", 0), "d": ("a", -1)},
+        {"F+": "F+", "F-": "G+", "G+": "F-", "G-": "G-"},
+    ),
 }
+
+# zeta on K_0: the images of the simple roots, in vertex order
+ZETA_IMAGES = {
+    "q1": ((1, 1, 0), (1, 0, 1), (-1, 0, 0)),
+    "q2": ((1, 1, 0, 0), (1, 0, 1, 1), (0, 0, 1, 0), (-1, 0, -1, 0)),
+}
+
+
+def _image(q, g, v):
+    """v under the generator g: E^-1 E^T for Serre, the swap of vertices 1
+    and 2 for theta, and the linear map of ZETA_IMAGES for zeta."""
+    if g == "serre":
+        return _serre(q, v)
+    if g == "theta":
+        return (v[0], v[2], v[1], v[3])
+    return tuple(sum(c * w[j] for c, w in zip(v, ZETA_IMAGES[q])) for j in range(len(v)))
 
 
 @pytest.mark.parametrize("q, g", sorted(TYPED_ACTIONS))
 def test_actions_are_the_quiver_maps(q, g):
-    # Serre acts on roots as E^-1 E^T, theta as the swap of vertices 1 and 2,
-    # and both agree with the typed label maps
+    # each generator acts on roots by its map on K_0, and that agrees with
+    # the typed label maps
     series, sporadic = TYPED_ACTIONS[q, g]
     for x in _window_objects(q, -6, 6):
-        v = root(x)
-        image = _serre(q, v) if g == "serre" else (v[0], v[2], v[1], v[3])
+        image = _image(q, g, root(x))
         got = aff_act(g, x)
         assert _signed(root(got)) == _signed(image), (g, x)
         if x.index is None:
@@ -769,6 +794,19 @@ def test_actions_are_the_quiver_maps(q, g):
         else:
             family, shift = series[x.family]
             assert got == obj(q, family, x.index + shift), (g, x)
+
+
+@pytest.mark.parametrize("q", ["q1", "q2"])
+def test_actions_are_euler_isometries_fixing_delta(q):
+    # every generator of the action table keeps the Euler form of the simple
+    # roots, so of all of K_0, and sends delta to +-delta
+    n = len(_delta(q))
+    simples = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    for g, act in ACTIONS[q].items():
+        for a, b in product(simples, repeat=2):
+            got = euler_form(ARROWS[q], act(a), act(b))
+            assert got == euler_form(ARROWS[q], a, b), (g, a, b)
+        assert _signed(act(_delta(q))) == _delta(q), g
 
 
 @pytest.mark.parametrize("q", ["q1", "q2"])

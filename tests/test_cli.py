@@ -964,3 +964,29 @@ def test_main_ends_a_failed_or_missing_stdout_as_the_normal_exit(sink):
     else:
         code, err = results[0]
         assert code == 120 and err.startswith(b"Exception ignored in: <_io.TextIOWrapper")
+
+
+def _readme_examples():
+    """The `nccount ...` lines of the README's CLI block, each as (argv,
+    the document its `# {...}` comment shows, or None)."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    for line in block.splitlines():
+        call, _, comment = line.partition("#")
+        if call.startswith("nccount "):
+            yield call.split()[1:], json.loads(comment) if comment.strip() else None
+
+
+README_EXAMPLES = list(_readme_examples())
+
+
+@pytest.mark.parametrize("argv, doc", README_EXAMPLES,
+                         ids=[" ".join(argv) for argv, _ in README_EXAMPLES])
+def test_readme_examples_run(capsys, argv, doc):
+    # every example of the README's CLI block succeeds, and prints the
+    # document its comment shows
+    assert cli.run(argv) == 0
+    out = capsys.readouterr().out
+    if doc is not None:
+        assert json.loads(out) == doc
+

@@ -122,7 +122,7 @@ def test_edge_criterion_matches_pair_classifier():
     # cross-module consistency: (a, b) is an edge iff the generators form
     # an exceptional pair under the Euler-form classifier
     from nccount import d4 as d4mod
-    from nccount.typea import enum_points, interval_dim
+    from nccount.interval import enum_points, interval_dim
 
     for vertices in range(1, 7):
         n = vertices - 1

@@ -117,6 +117,21 @@ def test_glb_refuses_a_trivial_element_with_a_payload(payload, other):
             glb(x, y, "d4")
 
 
+@pytest.mark.parametrize("include_orthogonal_pairs", [False, True])
+@pytest.mark.parametrize("gens, message", [
+    (("s1", "delta", "so"), "is not given by a pair of generators"),
+    (("s1", "s1"), "is not spanned by an exceptional pair"),
+], ids=["three-generators", "no-pair"])
+def test_glb_refuses_a_malformed_curve_beside_the_trivial_element(
+        gens, message, include_orthogonal_pairs):
+    # a curve is read whatever the other element is, with or without the
+    # genus -1 members
+    bad = ("curve", gens)
+    for x, y in ((TRIVIAL, bad), (bad, TRIVIAL)):
+        with pytest.raises(ValueError, match=message):
+            glb(x, y, "d4", include_orthogonal_pairs=include_orthogonal_pairs)
+
+
 def test_glb_with_orthogonal_pairs():
     # genus -1 members are admitted only when the family includes them
     e1 = ("curve", ("s1", "s2"))

@@ -16,7 +16,8 @@ from nccount.quiver import (
     positive_roots,
     span,
 )
-from nccount.typea import Interval, enum_points, interval_dim, serre_on_point
+from nccount.interval import interval_dim
+from nccount.typea import Interval, enum_points, serre_on_point
 
 
 def _homs(q, a, b):

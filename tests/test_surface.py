@@ -26,7 +26,6 @@ NAMED = {
     "incidence.intersect_curves",
     "markov.count_c",
     "markov.markov_numbers",
-    "necklace.count_subgon_classes",
     "typea.enum_seqs",
     "typea.genus_minus1_orbits",
     "typea.seq_to_subcategory",

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from nccount import GenSet, arith, typea
 from nccount.category import category
+from nccount.interval import euler, interval_dim
 from nccount.quiver import euler_form, line_quiver
 from nccount.typea import (
     Interval,
@@ -24,9 +25,7 @@ from nccount.typea import (
     enum_genus_minus1,
     enum_points,
     enum_seqs,
-    euler,
     genus_minus1_orbits,
-    interval_dim,
     interval_mask,
     is_d_additive,
     monotone_seq,
