@@ -13,17 +13,18 @@ counts coincide with counts modulo the entire autoequivalence group.
 The brute-force oracles stream and keep one orbit at a time.  The Serre
 orbits on X_n^k are the rotation classes of (k+1)-subsets of the
 (n+2)-gon (necklace.seq_to_subgon), read off the necklace stream
-necklace.gap_necklaces (_necklaces).  Those on the pairs of interval
-objects are walked once, as the cycles of the first return of the Serre
-step to the pairs whose first point is the least of its orbit
-(_pair_cycles).  Both refuse up front what would pass
-arith.MAX_ENUMERATION: the C(n+2, k+1) sequences, or the P^2 ordered pairs
-of the P points.  The CLI handlers of the `an` counting commands live at
-the end of the module.
+necklace.gap_necklaces (_necklaces).  On the interval objects the Serre
+functor rotates the chord {i, j+1} of the same polygon, so the genus -1
+curves, pairs of noncrossing chords, are counted off the 4-subset stream
+(_genus_minus1_census); the pairs with a total hom >= 1 are scanned from
+the least point of each point orbit (_hom_census).  Both refuse up front
+what would pass arith.MAX_ENUMERATION: the C(n+2, k+1) sequences, or the
+P^2 ordered pairs of the P points.  The CLI handlers of the `an` counting
+commands live at the end of the module.
 """
 
-from itertools import accumulate, combinations_with_replacement, cycle, islice
-from math import comb, gcd
+from itertools import accumulate, combinations_with_replacement
+from math import comb, gcd, lcm
 from typing import NamedTuple
 
 from . import GenSet, check_oracle
@@ -302,7 +303,7 @@ def count_genus(genus: int, vertices: int, group: str = "id") -> int:
 def enum_genus_minus1(n: int) -> list:
     """All genus -1 subcategories of the ambient category with n+1 vertices,
     as sorted orthogonal interval pairs; 2*C(n+2, 4) of them.  The tests
-    check the pair scan at hom 0 against this enumeration.
+    check _genus_minus1_census against its Serre orbits.
 
     The two shapes are separated intervals with a gap of at least two
     (b < i-1) and strictly nested intervals (a < i <= j < b).
@@ -333,101 +334,52 @@ def serre_on_point(i: int, j: int, n: int):
     return Interval(0, i), False
 
 
-def _pair_cycles(n: int, hom: int):
-    """Stream the Serre orbits on the exceptional pairs (s_x, s_y) of
-    interval objects with total hom dimension hom from s_x to s_y, each as
-    the cycle (orb, o, ts) of its first return to the pairs (r, y) whose
-    first point r is the least of its point orbit orb = [r, ..., S^(L-1) r].
+def _genus_minus1_census(n: int) -> tuple:
+    """(pairs, Serre orbits) of the genus -1 curves, the orthogonal pairs of
+    interval objects, read off the rotation classes of 4-subsets of the
+    (n+2)-gon that orbit_sizes(n, 3) streams.
 
-    Points index enum_points(n), P of them, in ceil((n+1)/2) Serre orbits.
-    The return map is (r, y) -> (r, S^L y).  The second points of a cycle
-    lie in one point orbit o, y = o[t] for t in ts from the least y, and
-    S^L y = o[(t + L) % |o|]; cycles come in the order of their least
-    codes r*P + y.  Both orders of an orthogonal (hom = 0) pair are walked.
+    s_{i,j} is the chord {i, j+1} of the (n+2)-gon and the Serre functor
+    rotates it by one.  The orthogonal pairs are the pairs of noncrossing
+    chords with four distinct endpoints: the two noncrossing matchings of
+    each 4-subset.  A half turn fixes each matching and a quarter turn swaps
+    them, so a class of size L holds 2L pairs in two orbits, or in one when
+    it is a square (4L = n+2).  The size check is the stream's.
+    """
+    pairs = orbit_count = 0
+    for size in orbit_sizes(n, 3):
+        pairs += 2 * size
+        orbit_count += 1 if 4 * size == n + 2 else 2
+    return pairs, orbit_count
 
-    With a = |r & y|, b = |(r >> 1) & y| and c = |(r << 1) & y| on the
-    interval_masks, euler(y, r) = a - b and euler(r, y) = a - c: P tests
-    of three popcounts for each point orbit, and P bytes of marks.  The
-    stream is empty for hom >= 2, since between interval objects the total
-    hom is at most 1.  The size check, on all P^2 ordered pairs, runs on
-    the call.
+
+def _hom_census(n: int, hom: int) -> tuple:
+    """(pairs, Serre orbits) of the exceptional pairs (s_x, s_y) of interval
+    objects with total hom dimension hom >= 1 from s_x to s_y.
+
+    Scans from the least point r of each point orbit over every interval y,
+    by the popcounts a = |r & y|, b = |(r >> 1) & y|, c = |(r << 1) & y| of
+    the interval_masks: euler(y, r) = a - b and euler(r, y) = a - c.  A hit
+    stands for the |orb r| pairs (S^t r, S^t y).  Their orbit of
+    lcm(|orb r|, |orb y|) pairs starts at r lcm/|orb r| times, so the hit
+    counts |orb r|/lcm of an orbit, summed in units of 1/(n+2), which every
+    orbit size divides.  The census is empty for hom >= 2.  The size check
+    is on all P^2 ordered pairs.
     """
     p = (n + 1) * (n + 2) // 2
     check_enumeration(p * p, f"{p}^2 point pairs")
-    points = enum_points(n)
-    masks = [interval_mask(iv, n) for iv in points]
-    index = {iv: t for t, iv in enumerate(points)}
-    orbs = orbits(range(p), lambda x: index[serre_on_point(*points[x], n)[0]])
-    home, pos = [None] * p, [0] * p
+    orbs = point_orbits(n)
+    ys = [(interval_mask(iv, n), len(orb)) for orb in orbs for iv in orb]
+    pairs = scaled = 0
     for orb in orbs:
-        for t, y in enumerate(orb):
-            home[y], pos[y] = orb, t
-
-    def walk():
-        for orb in orbs:
-            mr, size, seen = masks[orb[0]], len(orb), bytearray(p)
-            sr, lr = mr >> 1, mr << 1
-            for y in [
-                y
-                for y, my in enumerate(masks)
-                if (a := (mr & my).bit_count()) == (sr & my).bit_count()
-                and abs(a - (lr & my).bit_count()) == hom
-            ]:
-                if not seen[y]:
-                    o, ts = home[y], [pos[y]]
-                    while (t := (ts[-1] + size) % len(o)) != ts[0]:
-                        seen[o[t]] = 1
-                        ts.append(t)
-                    yield orb, o, ts
-
-    return walk()
-
-
-def _pair_census(n: int, hom: int) -> tuple:
-    """(pairs, Serre orbits) of _pair_cycles(n, hom); an orbit holds
-    L * len(ts) pairs.  For hom = 0 each unordered pair was walked in both
-    orders: its orbit is two ordered ones, or one holding both (r, y) and
-    (y, r), when y = S^t r with S^(L-t) r = y, that is 2t = L."""
-    pairs = cycles = swapped = 0
-    for orb, o, ts in _pair_cycles(n, hom):
-        pairs += len(orb) * len(ts)
-        cycles += 1
-        swapped += o is orb and 2 * ts[0] == len(orb)
-    if hom:
-        return pairs, cycles
-    return pairs // 2, (cycles + swapped) // 2
-
-
-def pair_orbits(n: int, hom: int):
-    """Stream the Serre orbits on the exceptional pairs of interval objects
-    with total hom dimension hom, each a list of the codes x*P + y of its
-    pairs (s_x, s_y) from its least code, in the order of those codes.  An
-    orthogonal pair (hom = 0) is unordered and coded with x < y.
-
-    Each orbit expands a cycle of _pair_cycles: from each (r, o[t]) in turn,
-    L Serre steps.  For hom = 0 the orbit of (y, r), y = o[t], meets the
-    cross-section at (o[0], S^-t r); the lesser of the two cycles is
-    expanded, and when they are one, L/2 steps from (r, y) reach (y, r).
-    """
-    p = (n + 1) * (n + 2) // 2
-    for orb, o, ts in _pair_cycles(n, hom):
-        steps, t = len(orb), ts[0]
-        if hom == 0:
-            if o[0] < orb[0] or o is orb and o[-t] < o[t]:
-                continue
-            if o is orb and 2 * t == steps:
-                steps //= 2
-        yield [
-            x * p + y if hom or x < y else y * p + x
-            for s in ts
-            for x, y in zip(orb[:steps], islice(cycle(o), s, None))
-        ]
-
-
-def genus_minus1_orbits(n: int) -> list:
-    """Serre orbits on the genus -1 subcategories, as orbits of the codes of
-    their orthogonal generator pairs."""
-    return list(pair_orbits(n, 0))
+        mr, size = interval_mask(orb[0], n), len(orb)
+        sr, lr = mr >> 1, mr << 1
+        for my, size_y in ys:
+            a = (mr & my).bit_count()
+            if a == (sr & my).bit_count() and abs(a - (lr & my).bit_count()) == hom:
+                pairs += size
+                scaled += (n + 2) * size // lcm(size, size_y)
+    return pairs, scaled // (n + 2)
 
 
 def point_orbits(n: int) -> list:
@@ -476,7 +428,10 @@ def _cmd_an_genus(args):
             brute_count = count_orbits_brute if full else count_id_brute
             brute = brute_count(2, args.vertices)
         else:
-            pairs, classes = _pair_census(n, args.genus + 1)
+            if args.genus == -1:
+                pairs, classes = _genus_minus1_census(n)
+            else:
+                pairs, classes = _hom_census(n, args.genus + 1)
             brute = classes if full else pairs
         check_oracle("an genus", count, brute)
     return {"count": str(count)}

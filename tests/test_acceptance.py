@@ -14,8 +14,8 @@ from math import comb, gcd
 import networkx as nx
 
 from nccount import (
-    INFINITE, GenSet, affine, census, d4, digraph, incidence, markov, necklace,
-    typea,
+    INFINITE, GenSet, affine, arith, census, d4, digraph, incidence, markov,
+    necklace, typea,
 )
 from nccount.quiver import PairClass, pair_class
 
@@ -106,8 +106,13 @@ def test_criterion_06_type_a_genus_counts():
         else:
             expected_0 = ((n + 1) * n + 4) // 6
         assert typea.count_genus(0, vertices, "full") == expected_0
-        # brute-force orbit partitions agree
-        orbits = typea.genus_minus1_orbits(n)
+        # brute-force orbit partitions agree: the orbit helper under the
+        # Serre step on the sorted orthogonal pairs
+        def step(pair):
+            images = (typea.serre_on_point(*iv, n)[0] for iv in pair.generators)
+            return GenSet(tuple(sorted(images)))
+
+        orbits = arith.orbits(typea.enum_genus_minus1(n), step)
         assert len(orbits) == expected_m1
         if vertices >= 2:
             assert typea.count_orbits_brute(2, vertices) == expected_0

@@ -105,8 +105,8 @@ def test_an_genus_positive_verify(capsys, genus, group):
 
 @pytest.mark.parametrize("group", ["id", "full"])
 def test_an_genus_verify_mismatch_exits_1(capsys, monkeypatch, group):
-    # a walk that finds one cycle of one pair: one pair in one orbit
-    monkeypatch.setattr("nccount.typea._pair_cycles", lambda n, hom: [([0], [0], [0])])
+    # a scan that finds one pair in one orbit
+    monkeypatch.setattr("nccount.typea._hom_census", lambda n, hom: (1, 1))
     code = cli.run(
         ["an", "genus", "--genus", "1", "--vertices", "5", "--group", group,
          "--verify"]
@@ -114,6 +114,24 @@ def test_an_genus_verify_mismatch_exits_1(capsys, monkeypatch, group):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert "verification failed for an genus: formula=0, oracle=1" in captured.err
+
+
+@pytest.mark.parametrize("group, formula, oracle", [("id", 30, 12), ("full", 6, 2)])
+def test_an_genus_minus1_verify_mismatch_exits_1(
+    capsys, monkeypatch, group, formula, oracle
+):
+    # a 4-subset stream of one class of size n+2 = 6: 12 pairs in 2 orbits
+    monkeypatch.setattr("nccount.typea.orbit_sizes", lambda n, k: iter([n + 2]))
+    code = cli.run(
+        ["an", "genus", "--genus", "-1", "--vertices", "5", "--group", group,
+         "--verify"]
+    )
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert (
+        f"verification failed for an genus: formula={formula}, oracle={oracle}"
+        in captured.err
+    )
 
 
 @pytest.mark.parametrize(
@@ -124,6 +142,7 @@ def test_an_genus_verify_mismatch_exits_1(capsys, monkeypatch, group):
         ("an orbits --k 10 --vertices 30", 84672315),
         ("an genus --genus 0 --vertices 200 --verify", 1333300),
         ("an genus --genus 1 --vertices 60 --group full --verify", 3348900),
+        ("an genus --genus -1 --vertices 71 --group full --verify", 1028790),
         # graphs: the ordered vertex pairs, counted before the category is
         # built (a1000 would take gigabytes); a44, 990^2 pairs, is admitted
         ("an graph --vertices 45", 1071225),

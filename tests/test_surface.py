@@ -27,13 +27,12 @@ NAMED = {
     "markov.count_c",
     "markov.markov_numbers",
     "typea.enum_seqs",
-    "typea.genus_minus1_orbits",
     "typea.seq_to_subcategory",
     "typea.serre_step",
 }
 # results of the paper: the bijection to subgons, d-additive sequences and
-# their periods, the affine pair classes and vanishing classes, the A_N point
-# orbits, and the Serre orbits on X_n^k as sequences, whose sizes and periods
+# their periods, the affine pair classes and vanishing classes, and the Serre
+# orbits on X_n^k as sequences, whose sizes and periods
 # the tests read (the CLI counts the orbits by their sizes, typea.orbit_sizes;
 # orbit_partition is the only caller of typea.seq_orbits, and both read the
 # one necklace stream, necklace.gap_necklaces, through typea._necklaces; the
@@ -48,7 +47,6 @@ RESULTS = {
     "typea.count_d_additive",
     "typea.orbit_partition",
     "typea.period",
-    "typea.point_orbits",
 }
 # oracles and the inputs the tests build them from (quiver.line_quiver gives
 # the arrows of the A_N quiver to tests/ and to bench/tests), and the

@@ -25,13 +25,11 @@ from nccount.typea import (
     enum_genus_minus1,
     enum_points,
     enum_seqs,
-    genus_minus1_orbits,
     interval_mask,
     is_d_additive,
     monotone_seq,
     orbit_partition,
     orbit_sizes,
-    pair_orbits,
     period,
     point_orbits,
     seq_orbits,
@@ -300,8 +298,8 @@ def _traced_peak(f, *args):
 
 
 def test_orbit_oracles_hold_no_enumeration():
-    # one necklace and one orbit: C(19, 5) = 11,628 sequences and 231^2 point
-    # pairs stay far under 256 KB
+    # one necklace and one orbit: C(19, 5) = 11,628 sequences and C(22, 4) =
+    # 7,315 for the genus -1 curves stay far under 256 KB
     assert _traced_peak(count_orbits_brute, 4, 18) < 256 * 1024
     # the largest admitted k = 5 sizes, C(32, 6) = 906,192 sequences, hold
     # O(k) of the necklace stream, once its module is loaded
@@ -312,11 +310,13 @@ def test_orbit_oracles_hold_no_enumeration():
     assert sum(size * c for size, c in census.items()) == comb(32, 6) == 906_192
     assert census.total() == count_orbits_formula(5, 31)
     assert all(32 % size == 0 for size in census)
-    assert _traced_peak(lambda: sum(1 for _ in pair_orbits(20, 0))) < 256 * 1024
-    # the walk at the cap, 990^2 point pairs: the points, their masks, orbits
-    # and index, P bytes of marks and one cycle; the pairs would take MBs
-    for hom in (0, 1):
-        assert _traced_peak(typea._pair_census, 43, hom) < 384 * 1024
+    assert _traced_peak(typea._genus_minus1_census, 20) < 256 * 1024
+    # the censuses at N = 44, 990^2 point pairs: one necklace, or the point
+    # orbits and the masks of the points; the pairs would take MBs
+    assert _traced_peak(typea._genus_minus1_census, 43) < 384 * 1024
+    assert _traced_peak(typea._hom_census, 43, 1) < 384 * 1024
+    # the genus -1 census at its own cap, C(71, 4) = 971,635 sequences
+    assert _traced_peak(typea._genus_minus1_census, 69) < 32 * 1024
 
 
 def test_count_orbits_anchors():
@@ -413,7 +413,18 @@ def test_count_genus_closed_forms_vs_orbits():
         assert count_genus(-1, vertices, "id") == 2 * comb(n + 2, 4)
         if vertices >= 2:
             assert count_genus(0, vertices, "full") == count_orbits_brute(2, vertices)
-        assert count_genus(-1, vertices, "full") == len(genus_minus1_orbits(n))
+        assert count_genus(-1, vertices, "full") == len(_genus_minus1_orbits(n))
+
+
+def _genus_minus1_orbits(n):
+    """The Serre orbits on the genus -1 curves, by the orbit helper under the
+    Serre step on their sorted orthogonal pairs."""
+
+    def step(pair):
+        images = (serre_on_point(*iv, n)[0] for iv in pair.generators)
+        return GenSet(tuple(sorted(images)))
+
+    return arith.orbits(enum_genus_minus1(n), step)
 
 
 def test_enum_genus_minus1():
@@ -454,14 +465,14 @@ def test_exceptional_pairs_hom_census():
         assert len(list(_row_scan(n, 1))) == 3 * comb(n + 2, 3), n
         for hom in (2, 3):
             assert list(_row_scan(n, hom)) == [], (n, hom)
-            assert list(typea._pair_cycles(n, hom)) == [], (n, hom)
+            assert typea._hom_census(n, hom) == (0, 0), (n, hom)
 
 
 def _row_scan(n, hom):
     """The codes x*P + y of the exceptional pairs (s_x, s_y) of interval
     objects with total hom dimension hom, x < y for hom = 0, in increasing
     order, from a scan of every ordered pair, one row x at a time: the
-    reference for the cross-section walk of typea._pair_cycles."""
+    reference for the censuses of typea."""
     p = (n + 1) * (n + 2) // 2
     masks = [interval_mask(iv, n) for iv in enum_points(n)]
 
@@ -480,11 +491,54 @@ def _row_scan(n, hom):
 
 
 def test_exceptional_pairs_match_the_row_scan():
-    # the pairs of the walk's orbits, each once, are the row scan's
+    # interval.euler on every ordered pair finds the row scan's pairs
     for n in range(0, 15):
+        masks = [interval_mask(iv, n) for iv in enum_points(n)]
+        pairs = list(itertools.product(enumerate(masks), repeat=2))
         for hom in range(4):
-            codes = sorted(c for orb in pair_orbits(n, hom) for c in orb)
-            assert codes == list(_row_scan(n, hom)), (n, hom)
+            want = [
+                x * len(masks) + y
+                for (x, mx), (y, my) in pairs
+                if euler(my, mx) == 0 and abs(euler(mx, my)) == hom and (hom or x < y)
+            ]
+            assert list(_row_scan(n, hom)) == want, (n, hom)
+
+
+def _chord(iv):
+    # s_{i,j} is the chord {i, j+1} of the (n+2)-gon
+    return frozenset((iv.i, iv.j + 1))
+
+
+def _crossing(c, d):
+    a, b = sorted(c)
+    return (a < min(d) < b) != (a < max(d) < b)
+
+
+def test_orthogonal_pairs_are_the_noncrossing_chord_pairs():
+    # through interval.euler, the orthogonal pairs of interval objects go one
+    # to one onto the pairs of noncrossing chords with four distinct
+    # endpoints, the Serre step rotates the chords by one, and no two
+    # interval objects have total hom >= 2
+    for n in range(0, 16):
+        points = enum_points(n)
+        masks = {iv: interval_mask(iv, n) for iv in points}
+        assert all(abs(euler(masks[x], masks[y])) <= 1 for x in points for y in points)
+        orthogonal = [
+            frozenset((_chord(x), _chord(y)))
+            for x, y in itertools.combinations(points, 2)
+            if euler(masks[x], masks[y]) == euler(masks[y], masks[x]) == 0
+        ]
+        chords = map(frozenset, itertools.combinations(range(n + 2), 2))
+        noncrossing = {
+            frozenset((c, d))
+            for c, d in itertools.combinations(chords, 2)
+            if len(c | d) == 4 and not _crossing(c, d)
+        }
+        assert len(set(orthogonal)) == len(orthogonal), n
+        assert set(orthogonal) == noncrossing, n
+        for iv in points:
+            image = _chord(serre_on_point(iv.i, iv.j, n)[0])
+            assert image == {(v + 1) % (n + 2) for v in _chord(iv)}, (n, iv)
 
 
 def test_exceptional_pairs_match_quiver_euler_form():
@@ -506,30 +560,6 @@ def test_exceptional_pairs_match_quiver_euler_form():
             assert _decode(codes, n) == want, (n, hom)
 
 
-def test_pair_orbits_partition_the_scan():
-    for n in range(0, 9):
-        for hom in (0, 1):
-            parts = list(pair_orbits(n, hom))
-            flat = sorted(c for orb in parts for c in orb)
-            assert flat == list(_row_scan(n, hom))
-            assert all((n + 2) % len(orb) == 0 for orb in parts)
-
-
-def test_pair_orbits_match_the_orbit_helper():
-    # the Serre step on decoded interval pairs, independent of the walk's
-    for n in range(0, 9):
-        points = enum_points(n)
-        code = {pair: t for t, pair in enumerate(itertools.product(points, repeat=2))}
-
-        def step(c, hom):
-            x, y = (serre_on_point(*iv, n)[0] for iv in _decode([c], n)[0])
-            return code[(y, x) if hom == 0 and y < x else (x, y)]
-
-        for hom in range(3):
-            want = arith.orbits(list(_row_scan(n, hom)), lambda c: step(c, hom))
-            assert list(pair_orbits(n, hom)) == want, (n, hom)
-
-
 def _orbit_helper_census(n, hom):
     # (pairs, Serre orbits) of the row scan, by the orbit helper under the
     # Serre step on decoded point pairs, re-sorted when unordered
@@ -544,25 +574,33 @@ def _orbit_helper_census(n, hom):
     return len(pairs), len(arith.orbits(pairs, step))
 
 
+def _census(n, hom):
+    # (pairs, Serre orbits) as `an genus --verify` counts them, genus hom - 1
+    return typea._genus_minus1_census(n) if hom == 0 else typea._hom_census(n, hom)
+
+
 def test_pair_census_matches_the_row_scan_and_the_orbit_helper():
     for n in range(0, 15):
         for hom in range(4):
-            assert typea._pair_census(n, hom) == _orbit_helper_census(n, hom), (n, hom)
+            assert _census(n, hom) == _orbit_helper_census(n, hom), (n, hom)
 
 
 @pytest.mark.parametrize("genus", [-1, 1])
 def test_pair_census_matches_the_closed_forms_at_the_cap(genus):
-    # 990^2 point pairs at N = 44, the largest the cap admits
-    pairs, orbit_count = typea._pair_census(43, genus + 1)
-    assert pairs == count_genus(genus, 44, "id")
-    assert orbit_count == count_genus(genus, 44, "full")
+    # up to the largest N each cap admits: C(71, 4) = 971,635 sequences at
+    # N = 70 for genus -1, 990^2 point pairs at N = 44 for genus 1
+    for vertices in range(1, 71) if genus == -1 else [44]:
+        census = _census(vertices - 1, genus + 1)
+        assert census == tuple(count_genus(genus, vertices, g) for g in ("id", "full"))
 
 
 def test_enumeration_cap(monkeypatch):
     with pytest.raises(ValueError, match="C\\(31, 11\\) sequences = 84672315;"):
         typea.seq_values(29, 10)
     with pytest.raises(ValueError, match="1830\\^2 point pairs = 3348900;"):
-        typea._pair_cycles(59, 2)
+        typea._hom_census(59, 2)
+    with pytest.raises(ValueError, match="C\\(72, 4\\) sequences = 1028790;"):
+        typea._genus_minus1_census(70)
     # the largest sizes the tests and the benchmark ask for stay below it
     assert max(comb(21, 6), comb(41, 3), (30 * 31 // 2) ** 2) <= arith.MAX_ENUMERATION
     # the cap itself is allowed, one more is refused
@@ -570,15 +608,18 @@ def test_enumeration_cap(monkeypatch):
     assert count_orbits_brute(1, 5) == 3  # C(6, 2) = 15 sequences
     with pytest.raises(ValueError, match="C\\(7, 2\\) sequences = 21;"):
         count_orbits_brute(1, 6)
-    assert list(typea._pair_cycles(1, 2)) == []  # 3^2 pairs
+    assert typea._hom_census(1, 2) == (0, 0)  # 3^2 pairs
     with pytest.raises(ValueError, match="6\\^2 point pairs = 36;"):
-        typea._pair_cycles(2, 2)
+        typea._hom_census(2, 2)
+    assert typea._genus_minus1_census(4) == (30, 6)  # C(6, 4) = 15 sequences
+    with pytest.raises(ValueError, match="C\\(7, 4\\) sequences = 35;"):
+        typea._genus_minus1_census(5)
 
 
 def test_genus_minus1_orbit_census():
     # even n: exactly n/2 orbits of size n/2+1, rest n+2; odd n: all n+2
     for n in range(1, 11):
-        sizes = sorted(len(o) for o in genus_minus1_orbits(n))
+        sizes = sorted(len(o) for o in _genus_minus1_orbits(n))
         if n % 2 == 0:
             small = [s for s in sizes if s == n // 2 + 1]
             rest = [s for s in sizes if s != n // 2 + 1]
