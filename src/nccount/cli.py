@@ -12,6 +12,7 @@ closed-form count and its brute-force oracle, 2 on usage errors.
 
 import os
 import sys
+import types
 from itertools import chain
 
 # Each handler lives in the backend it calls, and the command table names it
@@ -180,13 +181,6 @@ def build_parser():
     return top
 
 
-class _Args:
-    """The argparse.Namespace of a call that _parse_call read."""
-
-    def __init__(self, attrs):
-        self.__dict__.update(attrs)
-
-
 def _parse_call(argv):
     """The namespace argparse would give a well-formed argv, read from
     _COMMANDS, or None for argparse to parse or to report.
@@ -227,7 +221,7 @@ def _parse_call(argv):
             return None
         args[spec.get("dest", flag[2:].replace("-", "_"))] = given.get(
             flag, spec.get("default"))
-    return _Args(args)
+    return types.SimpleNamespace(**args)
 
 
 def run(argv) -> int:

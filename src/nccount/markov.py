@@ -21,7 +21,8 @@ from . import VerifyFailed, check_oracle
 from .arith import closure
 
 # Only the slope functions build a Fraction, and each imports the module
-# itself: fractions loads decimal, which the integer counts never need.
+# itself: fractions loads decimal, which the integer counts, the CLI's
+# slopes included, never need.
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -215,16 +216,19 @@ def _bundles(max_rank: int) -> set:
     return {e for t in generate_triples(max_rank) for e in t.entries}
 
 
-def exceptional_slopes(max_rank: int) -> set:
-    """Normalized slopes of all exceptional bundles of rank <= max_rank.
+def _slope_residues(max_rank: int) -> set:
+    """(r, c) for the normalized slope c/r of each exceptional bundle of
+    rank <= max_rank: c = min(c mod r, r - c mod r), on ints.  Each bundle
+    has r and c coprime, so c/r is in lowest terms."""
+    return {(r, min(c % r, r - c % r)) for r, c in _bundles(max_rank)}
 
-    The normalized slope of (r, c) is min(c mod r, r - c mod r) / r, as
-    normalized_slope computes it on Fractions; the residues are taken on
-    ints and one Fraction is built per distinct slope.
-    """
+
+def exceptional_slopes(max_rank: int) -> set:
+    """Normalized slopes of all exceptional bundles of rank <= max_rank, as
+    normalized_slope computes them on Fractions: one Fraction per residue
+    of _slope_residues."""
     from fractions import Fraction
-    residues = {(r, min(c % r, r - c % r)) for r, c in _bundles(max_rank)}
-    return {Fraction(c, r) for r, c in residues}
+    return {Fraction(c, r) for r, c in _slope_residues(max_rank)}
 
 
 def closure_counts(max_rank: int) -> dict:
@@ -272,13 +276,10 @@ def _cmd_markov_table(args):
 
 
 def _cmd_markov_slopes(args):
-    slopes = sorted(
-        exceptional_slopes(args.max_rank),
-        key=lambda mu: (mu.denominator, mu.numerator),
-    )
+    residues = sorted(_slope_residues(args.max_rank))
     return {
-        "slopes": [f"{mu.numerator}/{mu.denominator}" for mu in slopes],
-        "ranks": [str(mu.denominator) for mu in slopes],
+        "slopes": [f"{c}/{r}" for r, c in residues],
+        "ranks": [str(r) for r, _ in residues],
     }
 
 

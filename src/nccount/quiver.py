@@ -12,9 +12,9 @@ Serre functor acts on K_0 as the Coxeter transformation up to sign
 (coxeter).  The D_4 and affine modules read both off their roots; the aN
 categories keep a bitmask form of the pair rule in `interval`.  span gives
 the lattice that roots span, the K_0 of the subcategory an exceptional
-sequence generates, as one integer vector, and in_span tests a root
-against it: the objects of that subcategory are those whose root lies in
-it.
+sequence generates, as one integer vector.  in_span tests a root against
+that lattice by elimination, since it is saturated: the objects of that
+subcategory are those whose root lies in its rational span.
 positive_roots grows the roots of a Dynkin quiver by arith.closure; an
 affine quiver has infinitely many, so the affine module tables those of its
 objects.
@@ -149,18 +149,6 @@ def coxeter(arrows, v) -> tuple:
     return tuple(out)
 
 
-def _forms(minors: dict, n: int, k: int) -> dict:
-    """The (k + 1)-minors of a matrix with n columns and one row r more than
-    the one whose k-minors are minors, each as its expansion along r: the
-    linear form in r, with its column sets in lexicographic order."""
-    forms = {}
-    for cols in combinations(range(n), k + 1):
-        forms[cols] = form = [0] * n
-        for i, c in enumerate(cols):
-            form[c] = (-1) ** (k - i) * minors[cols[:i] + cols[i + 1:]]
-    return forms
-
-
 def span(roots) -> tuple:
     """The Pluecker vector of the lattice the roots span: the maximal minors
     of the matrix of the roots as rows, column sets in lexicographic order,
@@ -169,20 +157,33 @@ def span(roots) -> tuple:
     one vector up to sign are equal."""
     minors = {(): 1}
     for k, r in enumerate(roots):
-        forms = _forms(minors, len(r), k)
-        minors = {cols: sum(map(mul, form, r)) for cols, form in forms.items()}
+        minors = {
+            cols: sum((-1) ** (k - i) * minors[cols[:i] + cols[i + 1:]] * r[c]
+                      for i, c in enumerate(cols))
+            for cols in combinations(range(len(r)), k + 1)
+        }
     return tuple(minors.values())
 
 
 def in_span(roots):
-    """The test whether a vector lies in the span of the roots: it does iff
-    every maximal minor of the roots with it as a last row vanishes, and
-    each of those is a linear form in it, fixed once from span(roots).
-    The roots of an exceptional sequence span a saturated lattice, so this
-    is also the test of that lattice, the K_0 of the subcategory the
-    sequence generates."""
-    roots = list(roots)
-    n, k = len(roots[0]), len(roots)
-    minors = dict(zip(combinations(range(n), k), span(roots)))
-    forms = [form for form in _forms(minors, n, k).values() if any(form)]
-    return lambda v: not any(sum(map(mul, form, v)) for form in forms)
+    """The test whether a vector lies in the rational span of the roots, by
+    fraction-free elimination: the roots are reduced to rows with distinct
+    pivots, each zero at the pivots of the rows before it, and a vector lies
+    in their span iff reducing it by each row in turn leaves nothing.  The
+    roots may be dependent, repeated or none.  The roots of an exceptional
+    sequence span a saturated lattice, so this is also the test of that
+    lattice, the K_0 of the subcategory the sequence generates."""
+    rows = []
+
+    def reduce(v):
+        for p, row in rows:
+            if v[p]:
+                a, b = row[p], v[p]
+                v = [a * x - b * y for x, y in zip(v, row)]
+        return v
+
+    for r in roots:
+        r = reduce(r)
+        if any(r):
+            rows.append((next(i for i, x in enumerate(r) if x), r))
+    return lambda v: not any(reduce(v))

@@ -267,6 +267,34 @@ def test_markov_slopes(capsys):
     ]
 
 
+
+def _fraction_slopes_doc(max_rank):
+    """The markov slopes document as the Fractions of exceptional_slopes
+    give it, sorted by rank and then numerator."""
+    from nccount.markov import exceptional_slopes
+
+    slopes = sorted(exceptional_slopes(max_rank),
+                    key=lambda mu: (mu.denominator, mu.numerator))
+    return {"slopes": [f"{mu.numerator}/{mu.denominator}" for mu in slopes],
+            "ranks": [str(mu.denominator) for mu in slopes]}
+
+
+def test_markov_slopes_is_the_fraction_document_without_fractions():
+    # the call formats the integer residues c/r, which are coprime, so it
+    # writes the document the library's Fractions give without loading
+    # fractions (or the decimal module that fractions imports)
+    probe = ("import sys; from nccount import cli; code = cli.run(sys.argv[1:]); "
+             "print(code, 'fractions' in sys.modules, file=sys.stderr)")
+    src = Path(cli.__file__).resolve().parents[1]
+    for max_rank in (1, 2, 194, 5000, 10**20):
+        out = subprocess.run(
+            [sys.executable, "-c", probe, "markov", "slopes", "--max-rank", str(max_rank)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stderr == "0 False\n"
+        assert json.loads(out.stdout) == _fraction_slopes_doc(max_rank)
+
 def test_markov_tyurin(capsys):
     code, doc = run_json(capsys, ["markov", "tyurin", "--verify"])
     assert code == 0
@@ -469,8 +497,8 @@ def test_cli_import_leaves_numpy_out():
 
 # the exit code of a call (of building the parser, without argv) and the
 # nccount modules it has loaded, with argparse, which only help and errors
-# need, fractions (and the decimal module it imports), which only the slopes
-# need, and json, which only JSON output needs
+# need, fractions (and the decimal module it imports), which no call needs,
+# and json, which only JSON output needs
 STARTUP_PROBE = """
 import contextlib, io, sys
 import nccount.cli as cli
@@ -499,7 +527,7 @@ print(code, sorted(m for m in sys.modules
         # the Markov tree and the mutation closure are closures of arith
         (["markov", "table", "--format", "plain"], 0, ["nccount.arith", "nccount.markov"]),
         (["markov", "slopes", "--format", "plain"], 0,
-         ["fractions", "nccount.arith", "nccount.markov"]),
+         ["nccount.arith", "nccount.markov"]),
         (["an", "count", "--k", "2", "--vertices", "5"], 0,
          ["json", "nccount.arith", "nccount.interval", "nccount.typea"]),
         (["an", "count", "--k", "2", "--vertices", "5", "--format", "plain"], 0,

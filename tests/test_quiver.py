@@ -4,8 +4,11 @@ import re
 from operator import mul
 
 import pytest
+import sympy
 
 from nccount.affine import ARROWS as AFFINE
+from nccount.category import category
+from nccount.census import exceptional_sets, pair_rows
 from nccount.d4 import ARROWS as D4
 from nccount.quiver import (
     coxeter,
@@ -309,25 +312,65 @@ def test_d4_examples():
     assert sorted(_homs(q, dims["s1o"], dims["delta"])) == [0, 1]
 
 
+def _rank(vectors):
+    return sympy.Matrix(vectors).rank() if vectors else 0
+
+
 def test_in_span_is_the_vanishing_of_the_span_with_the_vector():
-    # v lies in the span of the roots iff the roots and v span no lattice of
-    # one more rank, that is iff all maximal minors with v as a row vanish
+    # v lies in the span of independent roots iff the roots and v span no
+    # lattice of one more rank, that is iff all maximal minors with v as a
+    # row vanish.  Those all vanish for dependent, repeated or no roots, so
+    # there the oracle is rank(roots) == rank(roots + [v]).
     rnd = random.Random(5)
-    for n, k in ((2, 1), (3, 2), (4, 2), (4, 3), (5, 3), (6, 4)):
-        for _ in range(20):
+    for n, k in ((2, 0), (2, 1), (3, 2), (4, 2), (4, 3), (5, 3), (6, 4), (3, 4)):
+        for trial in range(20):
             roots = [tuple(rnd.randint(-2, 2) for _ in range(n)) for _ in range(k)]
-            if not any(span(roots)):
-                continue
+            if roots and trial % 4 == 0:
+                roots.append(rnd.choice(roots))
+            elif len(roots) > 1 and trial % 4 == 1:
+                a, b = rnd.sample(roots, 2)
+                roots.append(tuple(x - 2 * y for x, y in zip(a, b)))
+            independent = any(span(roots))
             inside = in_span(roots)
             coeffs = [rnd.randint(-3, 3) for _ in roots]
             combo = tuple(sum(c * r[i] for c, r in zip(coeffs, roots)) for i in range(n))
             assert inside(combo) and all(inside(r) for r in roots)
+            rank = _rank(roots)
             for _ in range(10):
                 v = tuple(rnd.randint(-2, 2) for _ in range(n))
-                assert inside(v) == (not any(span([*roots, v]))), (roots, v)
-    # the curve s1, so of D4 holds s1o and no other root
+                assert inside(v) == (rank == _rank([*roots, v])), (roots, v)
+                if independent:
+                    assert inside(v) == (not any(span([*roots, v]))), (roots, v)
+    # a repeated root spans its line only, no roots span only 0, and the
+    # curve s1, so of D4 holds s1o and no other root
+    line = in_span([(1, 0, 0), (1, 0, 0)])
+    assert [line(v) for v in ((2, 0, 0), (0, 1, 0), (1, 0, 1))] == [True, False, False]
+    assert in_span([])((0, 0)) and not in_span([])((0, 1))
+    assert not in_span([(0, 0, 0)])((1, 0, 0))
     assert [x for x in ((1, 0, 0, 1), (0, 1, 0, 1), (1, 1, 1, 2))
             if in_span([(1, 0, 0, 0), (0, 0, 0, 1)])(x)] == [(1, 0, 0, 1)]
+
+
+# an orientation of E_6: the chain 0-1-2-3-4 with 5 attached to 2
+E6 = ((0, 1), (1, 2), (2, 3), (3, 4), (2, 5))
+
+
+@pytest.mark.parametrize("name", [f"a{n}" for n in range(1, 9)] + ["d4", "e6"])
+def test_in_span_is_the_plucker_test_on_exceptional_sets(name):
+    # the roots of an exceptional set are independent, so a root lies in
+    # their span iff every maximal minor with it as a last row vanishes
+    if name == "e6":
+        objs = positive_roots(6, E6)
+        is_pair, dims = pair_rule(E6, lambda x: x)[0], {x: x for x in objs}
+    else:
+        cat = category(name)
+        objs, is_pair, dims = list(cat.objects.values()), cat.is_pair, cat.dims
+    sets = list(exceptional_sets(*pair_rows(objs, is_pair), 3))
+    for s in random.Random(name).sample(sets, min(len(sets), 40)):
+        roots = [dims[objs[i]] for i in s]
+        inside = in_span(roots)
+        for x in objs:
+            assert inside(dims[x]) == (not any(span([*roots, dims[x]]))), (s, x)
 
 
 def test_span_is_the_plucker_vector():

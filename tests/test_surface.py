@@ -25,6 +25,7 @@ NAMED = {
     "incidence.glb",
     "incidence.intersect_curves",
     "markov.count_c",
+    "markov.exceptional_slopes",
     "markov.markov_numbers",
     "typea.enum_seqs",
     "typea.seq_to_subcategory",
