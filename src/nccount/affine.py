@@ -152,10 +152,7 @@ class AffSubcat(NamedTuple):
     family: str
     index: int | None = None
 
-    def __str__(self):
-        if self.index is None:
-            return self.family
-        return f"{self.family}^{self.index}"
+    __str__ = AffObject.__str__
 
     def generators(self) -> tuple:
         gens = _FAMILIES[(self.quiver, self.kind)][self.family]

@@ -1,8 +1,11 @@
 """Command-line interface.
 
-Every computation of the library is reachable from here with
-machine-readable output: JSON by default, `--format plain` for aligned
-text, `--format dot` on graph commands.  All counts are serialized as
+The counts, graphs, complexes and incidence structures of the library are
+reachable from here with machine-readable output: JSON by default,
+`--format plain` for aligned text, `--format dot` on graph commands.  A few
+library functions have no command (incidence.glb, intersect_curves and
+derived_points, affine.classify_generator_pair and
+digraph.q1_pattern_subgraphs).  All counts are serialized as
 decimal strings so arbitrary precision survives any JSON reader, and
 infinite counts appear as the string "infinite".
 

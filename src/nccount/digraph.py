@@ -11,42 +11,30 @@ a curve graph; the builders read objects and homs from its record alone.
 from collections import Counter
 from functools import cache
 from itertools import chain, permutations
+from typing import NamedTuple
 
 from . import category as registry
 from .census import _bits, exceptional_sets, pair_rows
 
 
-class ValuedDigraph:
-    """Finite directed graph with optional weights on one-sided edges.
+class ValuedDigraph(NamedTuple):
+    """Finite directed graph with optional weights on one-sided edges,
+    built whole by pair_graph.
 
     Vertices are sorted by label and addressed by their index in that
     order.  Row i of `out` and `into` is an int bitmask over the indices of
     the successors and predecessors of vertex i, and a one-sided edge
     (i, j) keeps its weight in `weights[i][j]`; so `induced`, the one
     edge listing, and the writers list edges by (src, dst) in label order
-    without a sort.  `add_edge` builds a graph by hand and refuses
-    self-loops.
+    without a sort.
     """
 
-    def __init__(self, category, vertices, genus=None):
-        self.category = category
-        self.vertices = sorted(vertices)
-        self.genus = dict(genus or {})
-        self.index = {v: i for i, v in enumerate(self.vertices)}
-        self.out = [0] * len(self.vertices)
-        self.into = [0] * len(self.vertices)
-        self.weights = [{} for _ in self.vertices]
-
-    def add_edge(self, src, dst, weight=None):
-        if src == dst:
-            raise ValueError("self-loops are excluded")
-        i, j = self.index[src], self.index[dst]
-        self.out[i] |= 1 << j
-        self.into[j] |= 1 << i
-        if weight is None:
-            self.weights[i].pop(j, None)
-        else:
-            self.weights[i][j] = weight
+    category: str
+    vertices: list
+    genus: dict
+    out: list
+    into: list
+    weights: list
 
     def _one_sided(self, i):
         return self.out[i] & ~self.into[i]
@@ -66,9 +54,10 @@ class ValuedDigraph:
 
     def induced(self, vertex_subset):
         """Edge dict restricted to a vertex subset."""
-        members = {self.index[v] for v in vertex_subset if v in self.index}
-        mask = sum(1 << i for i in members)
         vs = self.vertices
+        index = {v: i for i, v in enumerate(vs)}
+        members = {index[v] for v in vertex_subset if v in index}
+        mask = sum(1 << i for i in members)
         return {
             (vs[i], vs[j]): self.weights[i].get(j)
             for i in sorted(members)
@@ -79,23 +68,26 @@ class ValuedDigraph:
 # --- construction ------------------------------------------------------------
 
 
-def _pair_graph(cat) -> ValuedDigraph:
+def pair_graph(cat: registry.Category) -> ValuedDigraph:
     """The graph on the objects of a category record, with an edge (a, b)
     iff cat.is_pair holds for their objects, that is iff every hom from b
-    to a vanishes; census.pair_rows gives the edges, and a one-sided edge
-    carries the total forward hom, a double-sided one none."""
-    g = ValuedDigraph(cat.name, cat.objects, cat.genus)
-    objs = [cat.objects[v] for v in g.vertices]
-    g.out, g.into = pair_rows(objs, cat.is_pair)
-    if cat.total_hom:
-        g.weights = [{j: cat.total_hom(x, objs[j]) for j in _bits(g._one_sided(i))}
-                     for i, x in enumerate(objs)]
-    return g
+    to a vanishes; census.pair_rows gives the edges, so there is no
+    self-loop, and a one-sided edge carries the total forward hom, a
+    double-sided one none."""
+    vertices = sorted(cat.objects)
+    objs = [cat.objects[v] for v in vertices]
+    out, into = pair_rows(objs, cat.is_pair)
+    weights = [
+        {j: cat.total_hom(x, objs[j]) for j in _bits(out[i] & ~into[i])}
+        if cat.total_hom else {}
+        for i, x in enumerate(objs)
+    ]
+    return ValuedDigraph(cat.name, vertices, dict(cat.genus or {}), out, into, weights)
 
 
 def build_point_graph(category: str, window=None) -> ValuedDigraph:
     """Graph of derived points of a category named as in `nccount.category`."""
-    return _pair_graph(registry.category(category, window))
+    return pair_graph(registry.category(category, window))
 
 
 def build_curve_graph(category: str, window=None) -> ValuedDigraph:
@@ -104,7 +96,7 @@ def build_curve_graph(category: str, window=None) -> ValuedDigraph:
     cat = registry.category(category, window)
     if cat.curves is None:
         raise ValueError(f"no curve graph for {category!r}")
-    return _pair_graph(cat.curves())
+    return pair_graph(cat.curves())
 
 
 # --- simplicial complex -------------------------------------------------------
@@ -196,11 +188,6 @@ def export_lines(g: ValuedDigraph, format: str = "json"):
     return _GRAPH_WRITERS[format](g)
 
 
-def export(g: ValuedDigraph, format: str = "json") -> str:
-    """The whole document of export_lines as one string."""
-    return "".join(export_lines(g, format))
-
-
 def complex_lines(g: ValuedDigraph, simplices, format: str = "json"):
     """The pieces of the document of simplices of g (as sc_simplices lists
     them): the category, the number of simplices of each dimension and the
@@ -238,6 +225,7 @@ def q1_pattern_subgraphs(window) -> list:
     from . import affine
     g2 = build_point_graph("q2", window)
     reference = build_point_graph("q1", window)
+    reference_edges = reference.induced(reference.vertices)
     lo, hi = window
     found = set()
     for x, y in permutations(affine.SERIES["q2"], 2):
@@ -247,7 +235,7 @@ def q1_pattern_subgraphs(window) -> list:
             relabel.update({f"b^{i}": f"{y}^{i}" for i in range(lo, hi + 1)})
             image_edges = {
                 (relabel[s], relabel[t]): w
-                for (s, t), w in reference.induced(reference.vertices).items()
+                for (s, t), w in reference_edges.items()
             }
             candidate = g2.induced(relabel.values())
             if candidate == image_edges:

@@ -135,25 +135,18 @@ def _necklaces(n: int, k: int, s: int):
         yield g, (n + 2) * p // s
 
 
-def seq_orbits(n: int, k: int):
-    """Stream the Serre orbits on the value tuples of X_n^k, each a list
-    starting at its lexicographically least member, in the order of those
-    members.  The orbit of the necklace g is the subset {0, g_0, g_0 + g_1,
-    ...} of the (n+2)-gon rotated by j = 0, 1, ..., each read back as the
-    sequence a_t = v_t - t."""
+def orbit_partition(n: int, k: int):
+    """Stream the Serre orbits on X_n^k, each a list of sequences starting at
+    its lexicographically least member, in the order of those members.  The
+    orbit of the necklace g is the subset {0, g_0, g_0 + g_1, ...} of the
+    (n+2)-gon rotated by j = 0, 1, ..., each read back as the sequence
+    a_t = v_t - t."""
     m = n + 2
     for g, size in _necklaces(n, k, k + 1):
         v = list(accumulate(g[:-1], initial=0))
-        yield [
-            tuple([w - t for t, w in enumerate(sorted([(x + j) % m for x in v]))])
-            for j in range(size)
-        ]
-
-
-def orbit_partition(n: int, k: int):
-    """Stream the Serre orbits on X_n^k, each a list of sequences starting at
-    its lexicographically least member."""
-    return ([MonotoneSeq(n, k, a) for a in orb] for orb in seq_orbits(n, k))
+        rotations = (sorted([(x + j) % m for x in v]) for j in range(size))
+        yield [MonotoneSeq(n, k, tuple([w - t for t, w in enumerate(r)]))
+               for r in rotations]
 
 
 def orbit_sizes(n: int, k: int):

@@ -1,0 +1,107 @@
+"""Functoriality oracles for the census of subcategories.
+
+Every orientation of a Dynkin tree gives a path algebra derived equivalent
+to every other (reflection functors, Bernstein-Gelfand-Ponomarev), and a
+derived equivalence carries one census onto the other, so the census
+profile by rank does not depend on the orientation.  A fully faithful
+functor carries the census of a subcategory onto the census elements below
+it, so each lower interval of the census is the census of the subcategory
+itself.  Neither oracle needs a closed form; the profiles are also checked
+against the Narayana numbers of types A and D and the row of E_6.
+"""
+
+from collections import Counter
+from graphlib import TopologicalSorter
+from math import comb
+
+import pytest
+
+from nccount.census import subcategories
+from nccount.quiver import pair_rule, positive_roots
+
+
+def _tree(kind, n):
+    """The edges of the Dynkin diagram A_n, D_n or E_n: the path 0 - 1 - ...
+    - n - 1 for A, and for D and E the path to n - 2 with vertex n - 1
+    joined to vertex n - 3 (D) or 2 (E)."""
+    if kind == "A":
+        return [(i, i + 1) for i in range(n - 1)]
+    branch = n - 3 if kind == "D" else 2
+    return [(i, i + 1) for i in range(n - 2)] + [(branch, n - 1)]
+
+
+def _oriented(n, edges, flips):
+    """The quiver on the tree edges, edge i reversed where bit i of flips is
+    set, with its vertices relabelled in a topological order, since the
+    quiver module takes arrows s -> t with s < t only."""
+    arrows = [(t, s) if flips >> i & 1 else (s, t) for i, (s, t) in enumerate(edges)]
+    preds = {v: {s for s, t in arrows if t == v} for v in range(n)}
+    pos = {v: i for i, v in enumerate(TopologicalSorter(preds).static_order())}
+    return tuple(sorted((pos[s], pos[t]) for s, t in arrows))
+
+
+def _orientations(kind, n):
+    edges = _tree(kind, n)
+    return [_oriented(n, edges, flips) for flips in range(1 << len(edges))]
+
+
+def _census(n, arrows):
+    """(census of every rank, pair test, root of each object) of the quiver,
+    its objects labelled by their roots."""
+    roots = {x: x for x in positive_roots(n, arrows)}
+    is_pair = pair_rule(arrows, lambda x: x)[0]
+    return subcategories(roots, is_pair, roots, n), is_pair, roots
+
+
+def _profile(n, arrows):
+    """The number of subcategories of each rank 1..n."""
+    ranks = Counter(_census(n, arrows)[0].values())
+    return tuple(ranks[k] for k in range(1, n + 1))
+
+
+def _narayana(kind, n):
+    """The noncrossing partitions of type A_n or D_n by rank: Narayana
+    numbers, and for D_n C(n, k)^2 - n/(n - 1) C(n - 1, k - 1) C(n - 1, k)
+    (Athanasiadis and Reiner, 2004)."""
+    if kind == "A":
+        return tuple(
+            comb(n + 1, k) * comb(n + 1, k + 1) // (n + 1) for k in range(1, n + 1))
+    return tuple(
+        comb(n, k) ** 2 - n * comb(n - 1, k - 1) * comb(n - 1, k) // (n - 1)
+        for k in range(1, n + 1)
+    )
+
+
+def test_narayana_numbers_of_type_d():
+    # the rows of D_4 and D_5 as the census found them at one orientation
+    assert _narayana("D", 4) == (12, 24, 12, 1)
+    assert _narayana("D", 5) == (20, 70, 70, 20, 1)
+
+
+@pytest.mark.parametrize(
+    "kind, n", [("A", n) for n in range(1, 7)] + [("D", 4), ("D", 5)])
+def test_census_profile_does_not_depend_on_the_orientation(kind, n):
+    # all 2^(n - 1) orientations; A_6 is the largest, 32 censuses of 21
+    # objects each in about 2 s
+    profiles = {_profile(n, q) for q in _orientations(kind, n)}
+    assert profiles == {_narayana(kind, n)}
+
+
+@pytest.mark.parametrize("flips", [0, 0b01010, 0b10101])
+def test_census_profile_of_e6(flips):
+    # three of the 32 orientations of E_6: equioriented, and the path
+    # alternating either way; each census walks 36 objects in under 0.5 s
+    arrows = _oriented(6, _tree("E", 6), flips)
+    assert _profile(6, arrows) == (36, 204, 351, 204, 36, 1)
+
+
+@pytest.mark.parametrize("kind, n", [("A", 4), ("D", 4), ("D", 5)])
+def test_lower_intervals_are_the_census_of_the_subcategory(kind, n):
+    # for each element X of the census, the elements below it are the
+    # census of X's own objects under the same pair rule; all orientations,
+    # D_5 the largest, 16 censuses of 181 elements each in about 1.5 s
+    for arrows in _orientations(kind, n):
+        census, is_pair, roots = _census(n, arrows)
+        for sub, rank in census.items():
+            below = {s: r for s, r in census.items() if s <= sub}
+            assert subcategories({x: x for x in sub}, is_pair, roots, rank) == below

@@ -12,19 +12,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nccount.arith import closure
-from nccount.category import category
+from nccount.category import Category, category
 from nccount.d4 import ARROWS as D4
 from nccount.digraph import (
-    ValuedDigraph,
     build_curve_graph,
     build_point_graph,
     complex_lines,
-    export,
     export_lines,
+    pair_graph,
     q1_pattern_subgraphs,
     sc_simplices,
 )
 from nccount.quiver import euler_form, line_quiver
+
+
+def _hand_made(name, vertices, edges):
+    """The graph on the vertices with the edges {(src, dst): weight}, built
+    by pair_graph from a record whose pair test and hom read the edges."""
+    return pair_graph(Category(
+        name, {v: v for v in vertices},
+        lambda x, y: (x, y) in edges, lambda x, y: edges[x, y],
+    ))
 
 
 def _edges(g):
@@ -419,14 +427,14 @@ def test_simplex_validation():
 
 def test_export_dot():
     g = build_point_graph("np0")
-    dot = export(g, "dot")
+    dot = "".join(export_lines(g, "dot"))
     assert dot.startswith("digraph G {")
     assert dot.endswith("}\n")
     assert '"s0,0" -> "s1,1" [label=1];' in dot
     g = build_point_graph("np-1")
-    assert '"E1" -> "E2" [dir=both];' in export(g, "dot")
+    assert '"E1" -> "E2" [dir=both];' in "".join(export_lines(g, "dot"))
     with pytest.raises(ValueError):
-        export(g, "gml")
+        export_lines(g, "gml")
     with pytest.raises(ValueError, match="unknown format 'xml'"):
         complex_lines(g, [], "xml")
 
@@ -464,12 +472,10 @@ def _reference_dot(g):
 def _quoted_labels():
     # labels that JSON and DOT must escape, and a weight on a one-sided
     # edge next to an unweighted one
-    g = ValuedDigraph('x"y', ['a"b', "\u00e9", "back\\slash", "plain"])
-    g.add_edge('a"b', "\u00e9", 7)
-    g.add_edge("\u00e9", 'a"b')
-    g.add_edge("plain", "back\\slash")
-    g.add_edge('a"b', "plain", 2)
-    return g
+    return _hand_made('x"y', ['a"b', "\u00e9", "back\\slash", "plain"], {
+        ('a"b', "\u00e9"): 7, ("\u00e9", 'a"b'): None,
+        ("plain", "back\\slash"): None, ('a"b', "plain"): 2,
+    })
 
 
 # every category and curve graph: a1 has no edges, np-1 only a
@@ -488,34 +494,33 @@ _EXPORTED = [
 def test_export_json_roundtrip():
     for name, window, curves in _EXPORTED:
         g = (build_curve_graph if curves else build_point_graph)(name, window)
-        doc = export(g, "json")
-        assert doc == _reference_json(g), name
-        assert export(g, "dot") == _reference_dot(g), name
+        assert "".join(export_lines(g, "json")) == _reference_json(g), name
+        assert "".join(export_lines(g, "dot")) == _reference_dot(g), name
 
 
 def test_export_edge_cases():
     assert build_point_graph("a1").census() == (1, 0, 0)
     assert build_point_graph("np-1").census() == (2, 0, 1)
-    doc = json.loads(export(build_point_graph("np3", (0, 3)), "json"))
+    doc = json.loads("".join(export_lines(build_point_graph("np3", (0, 3)), "json")))
     assert {e["weight"] for e in doc["edges"] if not e["both"]} == {4}
     genera = set(build_curve_graph("q2", (-1, 1)).genus.values())
     assert genera == {-1, 0, 1}
-    for g in (_quoted_labels(), ValuedDigraph("empty", [])):
-        assert export(g, "json") == _reference_json(g)
-        assert export(g, "dot") == _reference_dot(g)
-        assert "".join(export_lines(g, "json")) == export(g, "json")
+    for g in (_quoted_labels(), _hand_made("empty", [], {})):
+        assert "".join(export_lines(g, "json")) == _reference_json(g)
+        assert "".join(export_lines(g, "dot")) == _reference_dot(g)
 
 
 def _complete(n):
     """n vertices, every pair joined: one-sided from the earlier vertex
     where the index sum is divisible by 3, double-sided otherwise, so the
     whole vertex set is a simplex of dimension n - 1."""
-    g = ValuedDigraph("k", [f"v{i:02d}" for i in range(n)])
-    for a, b in combinations(g.vertices, 2):
-        g.add_edge(a, b, 1)
+    vertices = [f"v{i:02d}" for i in range(n)]
+    edges = {}
+    for a, b in combinations(vertices, 2):
+        edges[a, b] = 1
         if (int(a[1:]) + int(b[1:])) % 3:
-            g.add_edge(b, a)
-    return g
+            edges[b, a] = None
+    return _hand_made("k", vertices, edges)
 
 
 _COMPLEXES = {
@@ -528,7 +533,7 @@ _COMPLEXES = {
     # dimensions 10 and 11 sort before 2 as JSON keys
     "k12": (lambda: _complete(12), 11),
     "quoted": (_quoted_labels, 3),
-    "empty": (lambda: ValuedDigraph("empty", []), 2),
+    "empty": (lambda: _hand_made("empty", [], {}), 2),
 }
 
 
@@ -553,8 +558,8 @@ def test_complex_writer_matches_emit(capsys, graph, max_dim, fmt):
 
 
 def test_export_deterministic():
-    a = export(build_point_graph("q2", window=(0, 3)), "json")
-    b = export(build_point_graph("q2", window=(0, 3)), "json")
+    a = "".join(export_lines(build_point_graph("q2", window=(0, 3)), "json"))
+    b = "".join(export_lines(build_point_graph("q2", window=(0, 3)), "json"))
     assert a == b
 
 
@@ -575,7 +580,7 @@ def _is_simplex_by_orderings(g, subset):
 
 def _in_complex(g, subset):
     """True iff sc_simplices lists the subset among its simplices."""
-    key = tuple(sorted(subset, key=g.index.get))
+    key = tuple(sorted(subset))  # vertices are indexed in label order
     return key in set(sc_simplices(g, len(subset) - 1))
 
 
@@ -620,30 +625,27 @@ def test_simplices_match_dag_cliques(category, window, max_dim):
     assert simps == _simplices_from_cliques(g, max_dim)
 
 
-def test_add_edge_replaces_the_weight_and_refuses_self_loops():
-    g = ValuedDigraph("t", ["x", "y"])
-    g.add_edge("x", "y", 1)
-    g.add_edge("x", "y", 2)  # re-adding an edge only replaces its weight
-    assert _edges(g) == {("x", "y"): 2}
-    g.add_edge("x", "y")
-    assert _edges(g) == {("x", "y"): None}
-    with pytest.raises(ValueError, match="self-loops"):
-        g.add_edge("x", "x")
-    assert _edges(g) == {("x", "y"): None}
+def test_pair_graph_tests_distinct_objects_only():
+    # a pair test that holds everywhere, of each object with itself too,
+    # gives the complete double-sided graph and no self-loop
+    g = pair_graph(Category("all", {v: v for v in "xyz"}, lambda x, y: True, None))
+    assert g.census() == (3, 0, 3)
+    assert _edges(g) == {(a, b): None for a, b in permutations("xyz", 2)}
 
 
 @st.composite
 def random_digraphs(draw):
     """Up to 9 vertices, each pair unjoined, joined one way or both ways,
     so that one-sided cycles occur."""
-    g = ValuedDigraph("random", [f"v{i}" for i in range(draw(st.integers(0, 9)))])
-    for a, b in combinations(g.vertices, 2):
+    vertices = [f"v{i}" for i in range(draw(st.integers(0, 9)))]
+    edges = {}
+    for a, b in combinations(vertices, 2):
         kind = draw(st.sampled_from(("none", "ab", "ba", "both")))
         if kind in ("ab", "both"):
-            g.add_edge(a, b, draw(st.sampled_from((None, 1, 3))))
+            edges[a, b] = draw(st.sampled_from((None, 1, 3)))
         if kind in ("ba", "both"):
-            g.add_edge(b, a)
-    return g
+            edges[b, a] = None
+    return _hand_made("random", vertices, edges)
 
 
 @settings(deadline=None, max_examples=300)

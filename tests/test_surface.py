@@ -33,10 +33,9 @@ NAMED = {
 }
 # results of the paper: the bijection to subgons, d-additive sequences and
 # their periods, the affine pair classes and vanishing classes, and the Serre
-# orbits on X_n^k as sequences, whose sizes and periods
-# the tests read (the CLI counts the orbits by their sizes, typea.orbit_sizes;
-# orbit_partition is the only caller of typea.seq_orbits, and both read the
-# one necklace stream, necklace.gap_necklaces, through typea._necklaces; the
+# orbits on X_n^k as sequences, whose sizes and periods the tests read (the
+# CLI counts the orbits by their sizes, typea.orbit_sizes; both read the one
+# necklace stream, necklace.gap_necklaces, through typea._necklaces; the
 # affine graphs read the rule of aff_pair_class from affine.RULES, as the d4
 # record reads d4.RULE), and the paper's ch2 of a Chern pair, fixed by
 # chi(E, E) = 1
@@ -58,12 +57,9 @@ ORACLES = {
     "quiver.line_quiver",
     "typea.enum_genus_minus1",
 }
-# checked constructors of the value types, the checked way to build a graph
-# by hand, which refuses self-loops, and a graph as one string
+# checked constructors of the value types
 CONSTRUCTORS = {
     "affine.subcat",
-    "digraph.ValuedDigraph.add_edge",
-    "digraph.export",
     "typea.monotone_seq",
 }
 

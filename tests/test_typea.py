@@ -32,7 +32,6 @@ from nccount.typea import (
     orbit_sizes,
     period,
     point_orbits,
-    seq_orbits,
     seq_to_subcategory,
     seq_values,
     serre_on_point,
@@ -247,13 +246,12 @@ def test_seq_orbits_match_the_orbit_helper():
             want = arith.orbits(enum_seqs(n, k), serre_step)
             got = list(orbit_partition(n, k))
             assert got == want, (n, k)
-            assert list(seq_orbits(n, k)) == [[s.values for s in o] for o in want]
 
 
 def test_empty_sequence_set_has_no_orbits():
     # k + 1 > n + 2: no (k+1)-subsets of the (n+2)-gon, so no necklaces
     for k in range(2, 8):
-        assert list(seq_orbits(0, k)) == []
+        assert list(orbit_partition(0, k)) == []
         assert count_orbits_brute(k, 1) == count_orbits_formula(k, 1) == 0
 
 
@@ -262,10 +260,10 @@ def test_orbit_streams_past_the_recursion_limit():
     # stream keeps a flat stack, and sizes and counts read the complement
     k = sys.getrecursionlimit() + 200
     assert list(orbit_sizes(k - 1, k)) == [1]
-    assert list(seq_orbits(k - 1, k)) == [[(0,) * (k + 1)]]
+    assert list(orbit_partition(k - 1, k)) == [[MonotoneSeq(k - 1, k, (0,) * (k + 1))]]
     # one free point: the n+2 sequences are one orbit
     want = arith.orbits(enum_seqs(k, k), serre_step)
-    assert list(seq_orbits(k, k)) == [[s.values for s in o] for o in want]
+    assert list(orbit_partition(k, k)) == want
     assert list(orbit_sizes(k, k)) == [k + 2]
     # two free points, C(1203, 1201) = 723,003 sequences under the cap
     assert count_orbits_brute(1200, 1202) == count_orbits_formula(1200, 1202) == 601
@@ -274,7 +272,7 @@ def test_orbit_streams_past_the_recursion_limit():
 
 def _orbit_census(n, k):
     # the orbit helper under the Serre step on all of X_n^k, independent of
-    # the necklace stream behind both seq_orbits and orbit_sizes
+    # the necklace stream behind both orbit_partition and orbit_sizes
     bound = n + 1 - k
     parts = arith.orbits(seq_values(n, k), lambda a: typea._serre_values(a, bound))
     return Counter(map(len, parts))
