@@ -7,7 +7,7 @@ nothing of the package at top level, so `d4` and `incidence` read the
 census without the graph layer.
 """
 
-from itertools import combinations
+from itertools import combinations, islice
 
 
 def _bits(mask):
@@ -59,8 +59,9 @@ def exceptional_sets(out, into, max_dim: int):
     which is exceptional unless w closes a cycle of one-sided edges.
     Layers of index tuples, each with its member mask and the mask of later
     vertices joined to every member, are grown in lexicographic order, by
-    size, until one is empty.
+    size, until one is empty.  Past arith.MAX_ENUMERATION sets it refuses.
     """
+    from .arith import MAX_ENUMERATION  # here, so this module stays a leaf
     if max_dim < 0:
         raise ValueError("need max_dim >= 0")
     n = len(out)
@@ -69,8 +70,9 @@ def exceptional_sets(out, into, max_dim: int):
     later = [(out[i] | into[i]) >> (i + 1) << (i + 1) for i in range(n)]
     layer = [((i,), 1 << i, later[i]) for i in range(n)]
     yield from ((i,) for i in range(n))
+    total = n
     for _ in range(max_dim):
-        layer = [
+        layer = list(islice((
             (sub + (w,), members | 1 << w, cand & later[w])
             for sub, members, cand in layer
             for w in _bits(cand)
@@ -78,7 +80,11 @@ def exceptional_sets(out, into, max_dim: int):
                 one_in[w] & members
                 and _closes_cycle(one, members, one[w], one_in[w])
             )
-        ]
+        ), MAX_ENUMERATION - total + 1))
+        total += len(layer)
+        if total > MAX_ENUMERATION:
+            raise ValueError("refusing to enumerate more than the brute-force cap of "
+                             f"{MAX_ENUMERATION} exceptional sets to max_dim {max_dim}")
         if not layer:
             return
         yield from (sub for sub, _, _ in layer)

@@ -28,6 +28,9 @@ def _curve_points(cat, curve):
     gens = tuple(getattr(curve, "generators", curve))
     if len(gens) != 2:
         raise ValueError(f"{curve} is not given by a pair of generators")
+    for g in gens:
+        if g not in cat.objects.values():
+            raise ValueError(f"{g} is not an object of {cat.name}")
     x, y = gens
     if cat.is_pair(y, x):
         x, y = y, x

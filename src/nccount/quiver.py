@@ -43,13 +43,22 @@ def line_quiver(n: int) -> tuple:
     return tuple((i, i + 1) for i in range(n))
 
 
+def _euler_row(arrows, x) -> list:
+    """E^T x, the row r with <x, v> = sum(r[i] * v[i]) for every v of the
+    length of x, once the arrows are checked against that length."""
+    _check_arrows(arrows, len(x))
+    out = list(x)
+    for s, t in arrows:
+        out[t] -= x[s]
+    return out
+
+
 def euler_form(arrows, a, b) -> int:
     """<a, b> = sum_v a_v b_v - sum over the arrows s -> t of a_s b_t, for
     two vectors of one length n on the quiver's vertices 0..n - 1."""
     if len(a) != len(b):
         raise ValueError(f"dimension vectors of lengths {len(a)} and {len(b)}")
-    _check_arrows(arrows, len(a))
-    return sum(map(mul, a, b)) - sum(a[s] * b[t] for s, t in arrows)
+    return sum(map(mul, _euler_row(arrows, a), b))
 
 
 def positive_roots(n: int, arrows) -> list:
@@ -105,19 +114,9 @@ def pair_rule(arrows, root) -> tuple:
     objects of the quiver with the given arrows (source, target) on its
     vertices 0, 1, ..., where root(x) is the root of x up to sign: (x, y) is
     a pair iff <y, x> = 0, with |<x, y>| homs from x to y.  Each object's
-    root and Euler row r, with <x, v> = sum(r[i] * v[i]), are kept from its
-    first use, so every later test is one dot product; that first use also
-    checks the arrows against the length of the root."""
-
-    def row(x):
-        vec = roots[x]
-        _check_arrows(arrows, len(vec))
-        out = list(vec)
-        for s, t in arrows:
-            out[t] -= vec[s]
-        return out
-
-    roots, rows = _Table(root), _Table(row)
+    root and Euler row (_euler_row) are kept from its first use, so every
+    later test is one dot product."""
+    roots, rows = _Table(root), _Table(lambda x: _euler_row(arrows, roots[x]))
     return (
         lambda x, y: not sum(map(mul, rows[y], roots[x])),
         lambda x, y: abs(sum(map(mul, rows[x], roots[y]))),
@@ -140,12 +139,10 @@ def coxeter(arrows, v) -> tuple:
     <x, z> = <z, Sx> is E^T x = E Sx, so this is minus the Coxeter
     transformation -E^-1 E^T (Ringel, LNM 1099), and it sends the root of an
     exceptional object to that of its Serre image up to sign.  E is
-    unitriangular, so the solve runs from the last vertex up."""
-    _check_arrows(arrows, len(v))
-    out = [0] * len(v)
-    for i in reversed(range(len(v))):
-        out[i] = v[i] + sum(out[t] for s, t in arrows if s == i) - sum(
-            v[s] for s, t in arrows if t == i)
+    unitriangular, so the solve runs up from the last vertex on E^T v."""
+    out = _euler_row(arrows, v)
+    for i in reversed(range(len(out))):
+        out[i] += sum(out[t] for s, t in arrows if s == i)
     return tuple(out)
 
 

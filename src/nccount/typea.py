@@ -30,7 +30,7 @@ from typing import NamedTuple
 from . import GenSet, check_oracle
 from .arith import check_binomial, check_enumeration, check_printable
 from .arith import divisors, mobius, orbits
-from .interval import Interval, enum_points, interval_mask
+from .interval import Interval, enum_points, euler, interval_mask
 
 
 class MonotoneSeq(NamedTuple):
@@ -103,16 +103,11 @@ def count_id(k: int, vertices: int) -> int:
     return check_printable(m, s, lambda: comb(m, s), f"C({m}, {s}) subcategories")
 
 
-def _serre_values(a: tuple, bound: int) -> tuple:
-    """The Serre step on the value tuple of a sequence bounded by bound."""
-    if a[-1] < bound:
-        return tuple([v + 1 for v in a])
-    return (0,) + a[:-1]
-
-
 def serre_step(seq: MonotoneSeq) -> MonotoneSeq:
     """One application of the Serre functor on X_n^k."""
-    return MonotoneSeq(seq.n, seq.k, _serre_values(seq.values, seq.bound))
+    a = seq.values
+    image = tuple([v + 1 for v in a]) if a[-1] < seq.bound else (0,) + a[:-1]
+    return MonotoneSeq(seq.n, seq.k, image)
 
 
 def _necklaces(n: int, k: int, s: int):
@@ -351,13 +346,12 @@ def _hom_census(n: int, hom: int) -> tuple:
     objects with total hom dimension hom >= 1 from s_x to s_y.
 
     Scans from the least point r of each point orbit over every interval y,
-    by the popcounts a = |r & y|, b = |(r >> 1) & y|, c = |(r << 1) & y| of
-    the interval_masks: euler(y, r) = a - b and euler(r, y) = a - c.  A hit
-    stands for the |orb r| pairs (S^t r, S^t y).  Their orbit of
-    lcm(|orb r|, |orb y|) pairs starts at r lcm/|orb r| times, so the hit
-    counts |orb r|/lcm of an orbit, summed in units of 1/(n+2), which every
-    orbit size divides.  The census is empty for hom >= 2.  The size check
-    is on all P^2 ordered pairs.
+    by interval.euler on their interval_masks: (r, y) is a pair iff
+    euler(y, r) = 0, with |euler(r, y)| homs.  A hit stands for the |orb r|
+    pairs (S^t r, S^t y).  Their orbit of lcm(|orb r|, |orb y|) pairs starts
+    at r lcm/|orb r| times, so the hit counts |orb r|/lcm of an orbit, summed
+    in units of 1/(n+2), which every orbit size divides.  The census is
+    empty for hom >= 2.  The size check is on all P^2 ordered pairs.
     """
     p = (n + 1) * (n + 2) // 2
     check_enumeration(p * p, f"{p}^2 point pairs")
@@ -366,10 +360,8 @@ def _hom_census(n: int, hom: int) -> tuple:
     pairs = scaled = 0
     for orb in orbs:
         mr, size = interval_mask(orb[0], n), len(orb)
-        sr, lr = mr >> 1, mr << 1
         for my, size_y in ys:
-            a = (mr & my).bit_count()
-            if a == (sr & my).bit_count() and abs(a - (lr & my).bit_count()) == hom:
+            if not euler(my, mr) and abs(euler(mr, my)) == hom:
                 pairs += size
                 scaled += (n + 2) * size // lcm(size, size_y)
     return pairs, scaled // (n + 2)

@@ -376,6 +376,25 @@ def test_simplices_of_an_count_noncrossing_forests(vertices):
     assert Counter(map(len, simps)) == want
 
 
+def test_simplex_walk_refuses_past_the_cap(monkeypatch, capsys):
+    # sc(a5) has 1,082 simplices to full depth (the noncrossing forests):
+    # exactly at the cap they are listed, one fewer and the walk is refused
+    # with the cap and max_dim named, before the CLI writes anything
+    from nccount import arith, cli
+
+    g = build_point_graph("a5")
+    monkeypatch.setattr(arith, "MAX_ENUMERATION", 1082)
+    assert len(sc_simplices(g, 5)) == 1082
+    monkeypatch.setattr(arith, "MAX_ENUMERATION", 1081)
+    with pytest.raises(ValueError, match="cap of 1081 exceptional sets to max_dim 5$"):
+        sc_simplices(g, 5)
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["sc", "--category", "a5", "--max-dim", "5", "--format", "plain"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "cap of 1081 exceptional sets to max_dim 5" in captured.err
+
+
 def _arc(label):
     # the vertex s_{i,j} of sc(a_N) goes to the arc {i, j + 1} among the N + 1
     # points 0..N on a circle

@@ -85,6 +85,7 @@ def test_glb():
     assert glb(p, c1, "a3") == p
     assert glb(p, c2, "a3") == TRIVIAL
     assert glb(p, p, "a3") == p
+    assert glb(("curve", ("s1", "s1o")), ("point", "s1"), "d4") == ("point", "s1")
     assert glb(p, ("point", Interval(0, 0)), "a3") == TRIVIAL
     with pytest.raises(ValueError):
         glb(("line", None), c1, "a3")
@@ -101,6 +102,25 @@ def test_glb_refuses_a_point_outside_the_category(bad, other, category):
     for x, y in ((("point", bad), other), (other, ("point", bad))):
         with pytest.raises(ValueError, match=f"{bad} is not an object of {category}"):
             glb(x, y, category)
+
+
+@pytest.mark.parametrize("gens, bad, category", [
+    (("x", "y"), "x", "a3"),
+    (("x", "y"), "x", "a4"),
+    ((Interval(0, 0), Interval(0, 7)), Interval(0, 7), "a4"),
+    (("x", "y"), "x", "d4"),
+    (("s1", "nope"), "nope", "d4"),
+])
+def test_a_curve_refuses_generators_outside_the_category(gens, bad, category):
+    # each generator is checked as glb checks a point, before any hom is read
+    message = re.escape(f"{bad} is not an object of {category}")
+    with pytest.raises(ValueError, match=message):
+        derived_points(gens, category)
+    with pytest.raises(ValueError, match=message):
+        intersect_curves(gens, gens, category)
+    for x, y in ((("curve", gens), TRIVIAL), (TRIVIAL, ("curve", gens))):
+        with pytest.raises(ValueError, match=message):
+            glb(x, y, category, include_orthogonal_pairs=True)
 
 
 @pytest.mark.parametrize("payload, other", [

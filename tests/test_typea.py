@@ -33,7 +33,6 @@ from nccount.typea import (
     period,
     point_orbits,
     seq_to_subcategory,
-    seq_values,
     serre_on_point,
     serre_step,
 )
@@ -273,8 +272,7 @@ def test_orbit_streams_past_the_recursion_limit():
 def _orbit_census(n, k):
     # the orbit helper under the Serre step on all of X_n^k, independent of
     # the necklace stream behind both orbit_partition and orbit_sizes
-    bound = n + 1 - k
-    parts = arith.orbits(seq_values(n, k), lambda a: typea._serre_values(a, bound))
+    parts = arith.orbits(enum_seqs(n, k), serre_step)
     return Counter(map(len, parts))
 
 
