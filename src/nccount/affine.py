@@ -28,7 +28,7 @@ from math import gcd
 from typing import NamedTuple
 
 from . import INFINITE
-from .arith import orbits
+from .arith import check_int, orbits
 from .quiver import PairClass, coxeter, pair_class, pair_rule, span
 
 SERIES = {"q1": ("a", "b"), "q2": ("a", "b", "c", "d")}
@@ -64,7 +64,7 @@ def obj(quiver: str, family: str, index: int | None = None) -> AffObject:
     if family in SERIES[quiver]:
         if index is None:
             raise ValueError(f"series object {family} needs an index")
-        return AffObject(quiver, family, int(index))
+        return AffObject(quiver, family, check_int(index, "index"))
     if family in SPORADIC[quiver]:
         if index is not None:
             raise ValueError(f"sporadic object {family} carries no index")
@@ -243,6 +243,8 @@ def subcat(quiver: str, kind: str, family: str, index: int | None = None) -> Aff
         raise ValueError(f"unknown family {family!r} for ({quiver}, {kind})")
     if fams[family] != (index is not None):
         raise ValueError(f"family {family!r} indexed={fams[family]}, got {index}")
+    if index is not None:
+        check_int(index, "index")
     return AffSubcat(quiver, kind, family, index)
 
 

@@ -1,6 +1,7 @@
 """Small exact number-theory helpers, the closure under moves and the orbit
 partition built on it, the brute-force cap and the printable-count check
-shared by the counting modules."""
+shared by the counting modules, and the integer check of the checked
+constructors."""
 
 import sys
 from functools import lru_cache
@@ -20,6 +21,13 @@ def check_enumeration(size: int, what: str) -> None:
             f"refusing to enumerate {what} = {size}; "
             f"the brute-force cap is {MAX_ENUMERATION}"
         )
+
+
+def check_int(value, what: str) -> int:
+    """Return value, refused unless it is an int other than a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} {value!r} is not an int")
+    return value
 
 
 def check_printable(m: int, s: int, count, what: str) -> int:

@@ -61,17 +61,11 @@ class Intersection(NamedTuple):
 
 def intersect_curves(c1, c2, category: str) -> Intersection:
     """Intersection of two curves of genus 0 or -1: themselves, a single
-    shared derived point, or nothing."""
-    cat = registry.category(category)
-    (_, t1), (_, t2) = _curve_points(cat, c1), _curve_points(cat, c2)
-    if t1 == t2:
+    shared derived point, or nothing, read off their glb."""
+    kind, p = glb(("curve", c1), ("curve", c2), category, include_orthogonal_pairs=True)
+    if kind == "curve":
         return Intersection("equal")
-    common = t1 & t2
-    if not common:
-        return Intersection("empty")
-    if len(common) == 1:
-        return Intersection("point", next(iter(common)))
-    raise AssertionError(f"distinct curves sharing two points: {c1}, {c2}")
+    return Intersection("point", p) if kind == "point" else Intersection("empty")
 
 
 TRIVIAL = ("trivial", None)

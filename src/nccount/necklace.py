@@ -15,7 +15,7 @@ from math import comb, gcd
 from typing import NamedTuple
 
 from . import check_oracle
-from .arith import check_binomial, check_printable, divisors, euler_phi
+from .arith import check_binomial, check_int, check_printable, divisors, euler_phi
 
 
 class Subgon(NamedTuple):
@@ -36,7 +36,7 @@ class Subgon(NamedTuple):
 def subgon(m: int, vertices) -> Subgon:
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
-    verts = tuple(sorted(int(v) % m for v in vertices))
+    verts = tuple(sorted(check_int(v, "vertex") % m for v in vertices))
     if not verts:
         raise ValueError("need a non-empty vertex set")
     if len(set(verts)) != len(verts):

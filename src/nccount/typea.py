@@ -13,14 +13,15 @@ counts coincide with counts modulo the entire autoequivalence group.
 The brute-force oracles stream and keep one orbit at a time.  The Serre
 orbits on X_n^k are the rotation classes of (k+1)-subsets of the
 (n+2)-gon (necklace.seq_to_subgon), read off the necklace stream
-necklace.gap_necklaces (_necklaces).  On the interval objects the Serre
-functor rotates the chord {i, j+1} of the same polygon, so the genus -1
-curves, pairs of noncrossing chords, are counted off the 4-subset stream
-(_genus_minus1_census); the pairs with a total hom >= 1 are scanned from
-the least point of each point orbit (_hom_census).  Both refuse up front
-what would pass arith.MAX_ENUMERATION: the C(n+2, k+1) sequences, or the
-P^2 ordered pairs of the P points.  The CLI handlers of the `an` counting
-commands live at the end of the module.
+necklace.gap_necklaces (_necklaces).  The interval objects are X_n^1: the
+sequence (i, j) is s_{i,j}, and the Serre functor rotates the chord
+{i, j+1} of the same polygon.  So the genus -1 curves, pairs of
+noncrossing chords, are counted off the 4-subset stream
+(_genus_minus1_census), and the pairs with a total hom >= 1 are scanned
+from the least point of each orbit of orbit_partition(n, 1) (_hom_census).
+Both refuse up front what would pass arith.MAX_ENUMERATION: the C(n+2, k+1)
+sequences, or the P^2 ordered pairs of the P points.  The CLI handlers of
+the `an` counting commands live at the end of the module.
 """
 
 from itertools import accumulate, combinations_with_replacement
@@ -29,8 +30,8 @@ from typing import NamedTuple
 
 from . import GenSet, check_oracle
 from .arith import check_binomial, check_enumeration, check_printable
-from .arith import divisors, mobius, orbits
-from .interval import Interval, enum_points, euler, interval_mask
+from .arith import check_int, divisors, mobius
+from .interval import Interval, euler, interval_mask
 
 
 class MonotoneSeq(NamedTuple):
@@ -47,7 +48,7 @@ class MonotoneSeq(NamedTuple):
 
 
 def monotone_seq(n: int, k: int, values) -> MonotoneSeq:
-    vals = tuple(int(v) for v in values)
+    vals = tuple(check_int(v, "value") for v in values)
     if k < 1 or len(vals) != k + 1:
         raise ValueError(f"need k >= 1 and k+1 values, got k={k}, {vals}")
     bound = n + 1 - k
@@ -312,16 +313,6 @@ def enum_genus_minus1(n: int) -> list:
     return sorted(out)
 
 
-def serre_on_point(i: int, j: int, n: int):
-    """Serre image of the interval object s_{i,j}: a new interval plus a
-    flag recording whether a shift [1] was picked up."""
-    if not 0 <= i <= j <= n:
-        raise ValueError(f"interval ({i},{j}) outside 0..{n}")
-    if j < n:
-        return Interval(i + 1, j + 1), True
-    return Interval(0, i), False
-
-
 def _genus_minus1_census(n: int) -> tuple:
     """(pairs, Serre orbits) of the genus -1 curves, the orthogonal pairs of
     interval objects, read off the rotation classes of 4-subsets of the
@@ -345,31 +336,29 @@ def _hom_census(n: int, hom: int) -> tuple:
     """(pairs, Serre orbits) of the exceptional pairs (s_x, s_y) of interval
     objects with total hom dimension hom >= 1 from s_x to s_y.
 
-    Scans from the least point r of each point orbit over every interval y,
-    by interval.euler on their interval_masks: (r, y) is a pair iff
-    euler(y, r) = 0, with |euler(r, y)| homs.  A hit stands for the |orb r|
-    pairs (S^t r, S^t y).  Their orbit of lcm(|orb r|, |orb y|) pairs starts
-    at r lcm/|orb r| times, so the hit counts |orb r|/lcm of an orbit, summed
-    in units of 1/(n+2), which every orbit size divides.  The census is
-    empty for hom >= 2.  The size check is on all P^2 ordered pairs.
+    The point orbits are the Serre orbits on X_n^1, orbit_partition(n, 1),
+    each sequence (i, j) read as s_{i,j}.  Scans from the least point r of
+    each orbit over every interval y, by interval.euler on their
+    interval_masks: (r, y) is a pair iff euler(y, r) = 0, with
+    |euler(r, y)| homs.  A hit stands for the |orb r| pairs (S^t r, S^t y).
+    Their orbit of lcm(|orb r|, |orb y|) pairs starts at r lcm/|orb r|
+    times, so the hit counts |orb r|/lcm of an orbit, summed in units of
+    1/(n+2), which every orbit size divides.  The census is empty for
+    hom >= 2.  The size check is on all P^2 ordered pairs.
     """
     p = (n + 1) * (n + 2) // 2
     check_enumeration(p * p, f"{p}^2 point pairs")
-    orbs = point_orbits(n)
-    ys = [(interval_mask(iv, n), len(orb)) for orb in orbs for iv in orb]
+    orbs = [[interval_mask(Interval(*s.values), n) for s in orb]
+            for orb in orbit_partition(n, 1)]
+    ys = [(my, len(orb)) for orb in orbs for my in orb]
     pairs = scaled = 0
     for orb in orbs:
-        mr, size = interval_mask(orb[0], n), len(orb)
+        mr, size = orb[0], len(orb)
         for my, size_y in ys:
             if not euler(my, mr) and abs(euler(mr, my)) == hom:
                 pairs += size
                 scaled += (n + 2) * size // lcm(size, size_y)
     return pairs, scaled // (n + 2)
-
-
-def point_orbits(n: int) -> list:
-    """Serre orbits on the interval objects themselves."""
-    return orbits(enum_points(n), lambda iv: serre_on_point(iv.i, iv.j, n)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -107,9 +107,11 @@ def test_criterion_06_type_a_genus_counts():
             expected_0 = ((n + 1) * n + 4) // 6
         assert typea.count_genus(0, vertices, "full") == expected_0
         # brute-force orbit partitions agree: the orbit helper under the
-        # Serre step on the sorted orthogonal pairs
+        # Serre step on the sorted orthogonal pairs, each interval stepped as
+        # its sequence of X_n^1
         def step(pair):
-            images = (typea.serre_on_point(*iv, n)[0] for iv in pair.generators)
+            seqs = (typea.MonotoneSeq(n, 1, tuple(iv)) for iv in pair.generators)
+            images = (typea.Interval(*typea.serre_step(s).values) for s in seqs)
             return GenSet(tuple(sorted(images)))
 
         orbits = arith.orbits(typea.enum_genus_minus1(n), step)

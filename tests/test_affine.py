@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from itertools import combinations, permutations, product
 from math import gcd
@@ -59,6 +60,18 @@ def test_object_validation():
         subcat("q2", "genus0", "zz", 0)
     with pytest.raises(ValueError, match="indexed=True, got None"):
         subcat("q2", "genus0", "aF+")
+
+
+@pytest.mark.parametrize("index", [2.5, "7", 2.0, True])
+def test_obj_refuses_a_non_int_index(index):
+    with pytest.raises(ValueError, match=re.escape(f"index {index!r} is not an int")):
+        obj("q1", "a", index)
+
+
+@pytest.mark.parametrize("index", [1.0, "3", 1.5, False])
+def test_subcat_refuses_a_non_int_index(index):
+    with pytest.raises(ValueError, match=re.escape(f"index {index!r} is not an int")):
+        subcat("q1", "genus0", "a-perp", index)
 
 
 def test_pair_class_q1():

@@ -1,3 +1,4 @@
+import re
 import sys
 from itertools import accumulate, combinations
 from math import comb, gcd
@@ -46,6 +47,12 @@ def test_bad_arguments():
         list(gap_necklaces(5, 0))
     with pytest.raises(ValueError, match="need 1 <= s <= m, got s=6, m=5"):
         count_subgon_classes_brute(5, 6)
+
+
+@pytest.mark.parametrize("vertex", [1.5, "1", 1.0, True])
+def test_subgon_refuses_a_non_int_vertex(vertex):
+    with pytest.raises(ValueError, match=re.escape(f"vertex {vertex!r} is not an int")):
+        subgon(5, [0, vertex])
 
 
 def test_canonical_form():

@@ -19,8 +19,8 @@ from nccount.quiver import (
     positive_roots,
     span,
 )
-from nccount.interval import interval_dim
-from nccount.typea import Interval, enum_points, serre_on_point
+from nccount.interval import Interval, enum_points, interval_dim
+from nccount.typea import MonotoneSeq, serre_step
 
 
 def _homs(q, a, b):
@@ -176,7 +176,8 @@ def test_coxeter_matches_intervals():
             image = coxeter(arrows, interval_dim(p, n))
             if min(image) < 0:
                 image = tuple(-v for v in image)
-            assert image == interval_dim(serre_on_point(p.i, p.j, n)[0], n), (n, p)
+            serre = Interval(*serre_step(MonotoneSeq(n, 1, tuple(p))).values)
+            assert image == interval_dim(serre, n), (n, p)
 
 
 def test_coxeter_is_serre_duality():

@@ -22,7 +22,6 @@ NAMED = {
     "affine.classify_generator_pair",
     "digraph.q1_pattern_subgraphs",
     "incidence.derived_points",
-    "incidence.glb",
     "incidence.intersect_curves",
     "markov.count_c",
     "markov.exceptional_slopes",
@@ -32,12 +31,9 @@ NAMED = {
     "typea.serre_step",
 }
 # results of the paper: the bijection to subgons, d-additive sequences and
-# their periods, the affine pair classes and vanishing classes, and the Serre
-# orbits on X_n^k as sequences, whose sizes and periods the tests read (the
-# CLI counts the orbits by their sizes, typea.orbit_sizes; both read the one
-# necklace stream, necklace.gap_necklaces, through typea._necklaces; the
-# affine graphs read the rule of aff_pair_class from affine.RULES, as the d4
-# record reads d4.RULE), and the paper's ch2 of a Chern pair, fixed by
+# their periods, the affine pair classes and vanishing classes (the affine
+# graphs read the rule of aff_pair_class from affine.RULES, as the d4 record
+# reads d4.RULE), and the paper's ch2 of a Chern pair, fixed by
 # chi(E, E) = 1
 RESULTS = {
     "affine.aff_pair_class",
@@ -45,7 +41,6 @@ RESULTS = {
     "markov.ChernPair.ch2",
     "necklace.seq_to_subgon",
     "typea.count_d_additive",
-    "typea.orbit_partition",
     "typea.period",
 }
 # oracles and the inputs the tests build them from (quiver.line_quiver gives

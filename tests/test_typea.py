@@ -1,4 +1,5 @@
 import itertools
+import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from nccount import GenSet, arith, typea
 from nccount.category import category
-from nccount.interval import euler, interval_dim
+from nccount.interval import enum_points, euler, interval_dim
 from nccount.quiver import euler_form, line_quiver
 from nccount.typea import (
     Interval,
@@ -23,7 +24,6 @@ from nccount.typea import (
     count_orbits_formula,
     divisors_of_kn,
     enum_genus_minus1,
-    enum_points,
     enum_seqs,
     interval_mask,
     is_d_additive,
@@ -31,9 +31,7 @@ from nccount.typea import (
     orbit_partition,
     orbit_sizes,
     period,
-    point_orbits,
     seq_to_subcategory,
-    serre_on_point,
     serre_step,
 )
 
@@ -65,6 +63,22 @@ def test_monotone_seq_validation():
     with pytest.raises(ValueError, match="no sequences exist for k=3, n=1"):
         monotone_seq(1, 3, (0, 0, 0, 0))
     assert monotone_seq(4, 2, (0, 1, 3)).bound == 3
+
+
+@pytest.mark.parametrize("value", [1.5, "1", 1.0, True])
+def test_monotone_seq_refuses_a_non_int_value(value):
+    with pytest.raises(ValueError, match=re.escape(f"value {value!r} is not an int")):
+        monotone_seq(2, 1, (0, value))
+
+
+def test_interval_objects_are_the_sequences_of_x_n_1():
+    # the sequence (i, j) of X_n^1 is the interval object s_{i,j}, in the
+    # same order, and its subcategory is generated by s_{i,j} alone
+    for n in range(13):
+        seqs = enum_seqs(n, 1)
+        assert enum_points(n) == [Interval(*s.values) for s in seqs], n
+        for s in seqs:
+            assert seq_to_subcategory(s) == GenSet((Interval(*s.values),)), s
 
 
 def test_seq_to_subcategory_zero_seq():
@@ -111,6 +125,9 @@ def test_count_id_values():
 def test_serre_step_examples():
     assert serre_step(monotone_seq(4, 2, (0, 1, 2))).values == (1, 2, 3)
     assert serre_step(monotone_seq(4, 2, (1, 2, 3))).values == (0, 1, 2)
+    # at k = 1 the sequence (i, j) is the interval object s_{i,j}
+    assert serre_step(monotone_seq(2, 1, (0, 0))).values == (1, 1)
+    assert serre_step(monotone_seq(2, 1, (1, 2))).values == (0, 1)
 
 
 def test_serre_step_order_divides_n_plus_2():
@@ -412,12 +429,18 @@ def test_count_genus_closed_forms_vs_orbits():
         assert count_genus(-1, vertices, "full") == len(_genus_minus1_orbits(n))
 
 
+def _serre_point(iv, n):
+    """The Serre image of the interval object iv, stepped as its sequence of
+    X_n^1 by serre_step, apart from the necklace stream."""
+    return Interval(*serre_step(MonotoneSeq(n, 1, tuple(iv))).values)
+
+
 def _genus_minus1_orbits(n):
     """The Serre orbits on the genus -1 curves, by the orbit helper under the
     Serre step on their sorted orthogonal pairs."""
 
     def step(pair):
-        images = (serre_on_point(*iv, n)[0] for iv in pair.generators)
+        images = (_serre_point(iv, n) for iv in pair.generators)
         return GenSet(tuple(sorted(images)))
 
     return arith.orbits(enum_genus_minus1(n), step)
@@ -533,7 +556,7 @@ def test_orthogonal_pairs_are_the_noncrossing_chord_pairs():
         assert len(set(orthogonal)) == len(orthogonal), n
         assert set(orthogonal) == noncrossing, n
         for iv in points:
-            image = _chord(serre_on_point(iv.i, iv.j, n)[0])
+            image = _chord(_serre_point(iv, n))
             assert image == {(v + 1) % (n + 2) for v in _chord(iv)}, (n, iv)
 
 
@@ -563,7 +586,7 @@ def _orbit_helper_census(n, hom):
     index = {iv: t for t, iv in enumerate(points)}
 
     def step(pair):
-        x, y = (index[serre_on_point(*points[t], n)[0]] for t in pair)
+        x, y = (index[_serre_point(points[t], n)] for t in pair)
         return (y, x) if hom == 0 and y < x else (x, y)
 
     pairs = [divmod(c, len(points)) for c in _row_scan(n, hom)]
@@ -625,18 +648,11 @@ def test_genus_minus1_orbit_census():
             assert all(s == n + 2 for s in sizes)
 
 
-def test_serre_on_point():
-    assert serre_on_point(0, 0, 2) == (Interval(1, 1), True)
-    assert serre_on_point(1, 2, 2) == (Interval(0, 1), False)
-    with pytest.raises(ValueError):
-        serre_on_point(2, 1, 3)
-
-
 def test_point_orbit_sizes():
     # orbit sizes are n+2, except the middle-length orbit (n even) of size n/2+1
     for n in range(1, 11):
-        for orb in point_orbits(n):
-            if n % 2 == 0 and any(iv.j - iv.i == n // 2 for iv in orb):
+        for orb in orbit_partition(n, 1):
+            if n % 2 == 0 and any(s.values[1] - s.values[0] == n // 2 for s in orb):
                 assert len(orb) == n // 2 + 1
             else:
                 assert len(orb) == n + 2
