@@ -2,15 +2,14 @@
 
 `category(name, window)` is the one place a category name is parsed.  Its
 record lists the objects by vertex label and carries the pair test and the
-hom that the graph, complex and incidence builders need, so none of them
-asks which category it has; the quiver categories also carry the roots that
-the census of subcategories, census.subcategories, reads.  The names are
-'aN' (D^b(A_N), N >= 1), 'd4', the affine quivers 'q1' and 'q2', and 'npL',
-the category generated by a strong pair with L + 1 homs (L >= -1).  q1, q2
-and npL with L >= 1 take a window (lo, hi) of series indices, inclusive,
-and no other category does.  Every record whose size depends on its name or
-window is refused up front, before its objects are built, when its graph
-would classify more than arith.MAX_ENUMERATION ordered pairs of objects.
+hom that the graph, complex, census and incidence builders need, so none of
+them asks which category it has.  The names are 'aN' (D^b(A_N), N >= 1),
+'d4', the affine quivers 'q1' and 'q2', and 'npL', the category generated
+by a strong pair with L + 1 homs (L >= -1).  q1, q2 and npL with L >= 1
+take a window (lo, hi) of series indices, inclusive, and no other
+category does.  Every record whose size depends on its name or window is
+refused up front, before its objects are built, when its graph would
+classify more than arith.MAX_ENUMERATION ordered pairs of objects.
 Records are built per call, so they use the backend functions as their
 modules bind them at that moment; each builder imports its own backend, so
 a record loads only the modules its category needs.
@@ -27,18 +26,15 @@ class Category(NamedTuple):
 
     is_pair(x, y) holds iff every hom from y to x vanishes: (x, y) is a
     semi-orthogonal pair.  total_hom(x, y) is the total forward hom of such
-    a pair, or None where edges carry no weight.  dims maps each object to
-    its dimension vector where the homs are read off a quiver's Euler form.
-    genus holds the genus of each curve of a curve category, and curves,
-    where curve graphs exist, returns the category whose objects are the
-    curves.
+    a pair, or None where edges carry no weight.  genus holds the genus of
+    each curve of a curve category, and curves, where curve graphs exist,
+    returns the category whose objects are the curves.
     """
 
     name: str
     objects: dict  # vertex label -> object
     is_pair: Callable
     total_hom: Callable | None
-    dims: dict | None = None
     genus: dict | None = None
     curves: Callable | None = None
 
@@ -92,7 +88,6 @@ def _line(name, vertices):
         {str(p): p for p in points},
         lambda x, y: interval.euler(mask(y), mask(x)) == 0,
         lambda x, y: abs(interval.euler(mask(x), mask(y))),
-        dims={p: interval.interval_dim(p, n) for p in points},
     )
 
 
@@ -106,8 +101,7 @@ def _d4(name):
             for s in d4.d4_enum(kind)
         ])
 
-    points = Category(name, {x: x for x in d4.LABELS}, *d4.RULE, dims=d4.DIMS,
-                      curves=curves)
+    points = Category(name, {x: x for x in d4.LABELS}, *d4.RULE, curves=curves)
     return points
 
 

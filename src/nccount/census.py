@@ -1,10 +1,10 @@
 """The exceptional sets of a category and the census of its subcategories.
 
 A category enters as its objects, by label, and its pair test: is_pair(x, y)
-holds iff every hom from y to x vanishes.  The graph layer builds its graphs
-and complexes on pair_rows and exceptional_sets too.  This leaf imports
-nothing of the package at top level, so `d4` and `incidence` read the
-census without the graph layer.
+holds iff every hom from y to x vanishes.  The census is a walk of perps on
+pair_rows, and the graph layer builds its graphs and complexes on pair_rows
+and exceptional_sets too.  This leaf imports nothing of the package at top
+level, so `d4` and `incidence` read the census without the graph layer.
 """
 
 from itertools import combinations, islice
@@ -90,31 +90,57 @@ def exceptional_sets(out, into, max_dim: int):
         yield from (sub for sub, _, _ in layer)
 
 
-def subcategories(objects: dict, is_pair, dims: dict, rank: int) -> dict:
+def subcategories(objects: dict, is_pair, rank: int) -> dict:
     """The subcategories of rank 1..rank of the category of the objects (by
-    label) with the pair test is_pair and the root dims[x] of each object
-    x, each as the frozenset of the labels of its objects, mapped to its
-    rank, in the order of their least exceptional sets.
+    label) with the pair test is_pair, each as the frozenset of the labels
+    of its objects, mapped to its rank, by rank.
 
-    The roots of an exceptional sequence span a saturated lattice in K_0,
-    which fixes the subcategory the sequence generates (Ingalls-Thomas),
-    and whose roots are those of that subcategory's objects.  So each
-    exceptional set of k <= rank objects, in the order of
-    exceptional_sets, either lies in a rank-k subcategory already found,
-    whose lattice its roots span, or generates a new one: the objects whose
-    root lies in its span.
+    The objects must be all the indecomposables of a category of finite
+    type, each once.  Then every subcategory B is admissible and is the left
+    perp of its right perp (Bondal), the objects with no homs to any object
+    with no homs from B.  On the rows of pair_rows the left perp of a set is
+    the AND of out[i] over its members, and the right perp of y is into[y].
+    The walk starts from the zero subcategory, whose right perp is every
+    object.  For an element A of rank k with right perp rA and each y in the
+    left perp of A, the subcategory B that A and y generate has the right
+    perp rA & into[y], so B is its left perp, and every element of rank
+    k + 1 is one such B.  Each y in B gives B again, so clearing B from A's
+    candidates leaves one y per element that covers A.  Elements are held as
+    masks until the answer, and past arith.MAX_ENUMERATION of them the walk
+    refuses.
     """
-    from .quiver import in_span  # here, so aN graphs and complexes skip it
+    from .arith import MAX_ENUMERATION  # here, so this module stays a leaf
     labels = sorted(objects)
-    objs = [objects[v] for v in labels]
-    root = [dims[x] for x in objs]
-    out, home = {}, {}  # home[k, i]: the rank-k subcategories holding i
-    for s in exceptional_sets(*pair_rows(objs, is_pair), rank - 1):
-        k = len(s)
-        if not any(sub.issuperset(s) for sub in home.get((k, s[0]), ())):
-            inside = in_span(root[i] for i in s)
-            sub = frozenset(i for i, r in enumerate(root) if inside(r))
-            out[frozenset(labels[i] for i in sub)] = k
-            for i in sub:
-                home.setdefault((k, i), []).append(sub)
-    return out
+    out, into = pair_rows([objects[v] for v in labels], is_pair)
+    every = (1 << len(labels)) - 1
+
+    def left(mask):
+        perp = every
+        for i in _bits(mask):
+            perp &= out[i]
+        return perp
+
+    # each layer maps the right perp of each element to the element, which
+    # it fixes, so an element reached again is not rebuilt
+    layers, layer, total = [], {every: 0}, 0
+    for _ in range(rank):
+        found = {}
+        for ra, a in layer.items():
+            cand = left(a)
+            while cand:
+                r = ra & into[(cand & -cand).bit_length() - 1]
+                b = found.get(r)
+                if b is None:
+                    if total == MAX_ENUMERATION:
+                        raise ValueError(
+                            "refusing to enumerate more than the brute-force cap of "
+                            f"{MAX_ENUMERATION} subcategories to rank {rank}")
+                    total += 1
+                    found[r] = b = left(r)
+                cand &= ~b
+        if not found:
+            break
+        layers.append(found)
+        layer = found
+    return {frozenset(labels[i] for i in _bits(b)): k
+            for k, found in enumerate(layers, 1) for b in found.values()}

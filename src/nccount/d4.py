@@ -86,7 +86,7 @@ def _census(rank: int) -> dict:
     """census.subcategories of D_4 to at least the given rank: a call that
     needs a larger rank than every call before walks it, to that rank."""
     if rank > max(_CENSUS):
-        _CENSUS[rank] = subcategories({x: x for x in LABELS}, RULE[0], DIMS, rank)
+        _CENSUS[rank] = subcategories({x: x for x in LABELS}, RULE[0], rank)
     return _CENSUS[max(_CENSUS)]
 
 

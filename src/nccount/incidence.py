@@ -2,12 +2,13 @@
 lower bounds, and point/line incidence structures.
 
 A curve is given by its two generators, and the category by a name of
-`nccount.category` whose record has dimension vectors.  A curve's derived
-points are the objects whose root lies in the span of its generators'
-roots (quiver.in_span), and the lines of an incidence structure are the
-curves of genus 0 in census.subcategories of the record, which builds no
-graph.  Only the abstract incidence data is modelled; the planar drawings
-that realize these structures are not.
+`nccount.category` whose objects are all the indecomposables of a category
+of finite type.  A curve's derived points are the objects of the
+subcategory its generators generate, the left perp of their common right
+perp, and the lines of an incidence structure are the curves of genus 0 in
+census.subcategories of the record, which builds no graph.  Only the
+abstract incidence data is modelled; the planar drawings that realize these
+structures are not.
 """
 
 from typing import NamedTuple
@@ -15,15 +16,16 @@ from typing import NamedTuple
 from . import DRAWN
 from . import category as registry
 from .census import subcategories
-from .quiver import in_span
 
 
 def _curve_points(cat, curve):
     """(genus, derived-point set) of a curve of genus 0 or -1.
 
     A genus -1 curve (orthogonal pair) contains exactly its two generators
-    as derived points; a genus-0 curve contains three, the objects whose
-    root lies in the span of its generators' roots.
+    as derived points; a genus-0 curve contains three.  Every subcategory
+    is the left perp of its right perp (Bondal), so those are the objects
+    with no homs to any object of the right perp, the objects with no homs
+    from x or y.
     """
     gens = tuple(getattr(curve, "generators", curve))
     if len(gens) != 2:
@@ -40,8 +42,9 @@ def _curve_points(cat, curve):
     if genus == -1:
         return -1, frozenset(gens)
     if genus == 0:
-        inside = in_span((cat.dims[x], cat.dims[y]))
-        return 0, frozenset(p for p in cat.objects.values() if inside(cat.dims[p]))
+        objs = cat.objects.values()
+        right = [z for z in objs if cat.is_pair(z, x) and cat.is_pair(z, y)]
+        return 0, frozenset(p for p in objs if all(cat.is_pair(z, p) for z in right))
     raise ValueError(f"{curve} has genus {genus}")
 
 
@@ -128,7 +131,7 @@ def incidence_structure(category: str) -> IncidenceStructure:
     if category not in DRAWN:
         raise ValueError(f"unknown category {category!r}")
     cat = registry.category(category)
-    census = subcategories(cat.objects, cat.is_pair, cat.dims, 2)
+    census = subcategories(cat.objects, cat.is_pair, 2)
     curves = sorted(tuple(sorted(s)) for s in census if len(s) == 3)
     lines = tuple((";".join(t), t) for t in curves)
     return IncidenceStructure(tuple(sorted(cat.objects)), lines)

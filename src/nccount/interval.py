@@ -20,12 +20,6 @@ class Interval(NamedTuple):
         return f"s{self.i},{self.j}"
 
 
-def interval_dim(iv: Interval, n: int) -> tuple:
-    """Dimension vector of s_{i,j} over the vertices 0..n."""
-    mask = interval_mask(iv, n)
-    return tuple(mask >> v & 1 for v in range(n + 1))
-
-
 def interval_mask(iv: Interval, n: int) -> int:
     """Dimension vector of s_{i,j} as a bitmask: bit v is set iff i <= v <= j."""
     if not 0 <= iv.i <= iv.j <= n:

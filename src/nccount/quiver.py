@@ -12,12 +12,9 @@ Serre functor acts on K_0 as the Coxeter transformation up to sign
 (coxeter).  The D_4 and affine modules read both off their roots; the aN
 categories keep a bitmask form of the pair rule in `interval`.  span gives
 the lattice that roots span, the K_0 of the subcategory an exceptional
-sequence generates, as one integer vector.  in_span tests a root against
-that lattice by elimination, since it is saturated: the objects of that
-subcategory are those whose root lies in its rational span.
-positive_roots grows the roots of a Dynkin quiver by arith.closure; an
-affine quiver has infinitely many, so the affine module tables those of its
-objects.
+sequence generates, as one integer vector.  positive_roots grows the roots
+of a Dynkin quiver by arith.closure; an affine quiver has infinitely many,
+so the affine module tables those of its objects.
 """
 
 from enum import Enum
@@ -160,27 +157,3 @@ def span(roots) -> tuple:
             for cols in combinations(range(len(r)), k + 1)
         }
     return tuple(minors.values())
-
-
-def in_span(roots):
-    """The test whether a vector lies in the rational span of the roots, by
-    fraction-free elimination: the roots are reduced to rows with distinct
-    pivots, each zero at the pivots of the rows before it, and a vector lies
-    in their span iff reducing it by each row in turn leaves nothing.  The
-    roots may be dependent, repeated or none.  The roots of an exceptional
-    sequence span a saturated lattice, so this is also the test of that
-    lattice, the K_0 of the subcategory the sequence generates."""
-    rows = []
-
-    def reduce(v):
-        for p, row in rows:
-            if v[p]:
-                a, b = row[p], v[p]
-                v = [a * x - b * y for x, y in zip(v, row)]
-        return v
-
-    for r in roots:
-        r = reduce(r)
-        if any(r):
-            rows.append((next(i for i, x in enumerate(r) if x), r))
-    return lambda v: not any(reduce(v))

@@ -281,7 +281,7 @@ def test_criterion_12_incidence_structures():
     # each pair of derived points regenerates its curve
     objects = {x: x for x in d4.LABELS}
     genus0_curves = [
-        s for s in census.subcategories(objects, d4.RULE[0], d4.DIMS, 2) if len(s) == 3]
+        s for s in census.subcategories(objects, d4.RULE[0], 2) if len(s) == 3]
     for curve in genus0_curves:
         for x, y in combinations(sorted(curve), 2):
             assert incidence.derived_points((x, y), "d4") == curve

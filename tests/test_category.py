@@ -3,10 +3,10 @@ from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
+from oracles import interval_dim, record_roots
 
 from nccount.category import category
 from nccount.census import subcategories
-from nccount.interval import interval_dim
 from nccount.d4 import ARROWS as D4
 from nccount.d4 import DIMS as D4_DIMS
 from nccount.quiver import euler_form, line_quiver, pair_rule
@@ -44,9 +44,9 @@ def test_registry_against_euler_form(name, window):
         if cat.is_pair(x, y):
             # a pair is double-sided exactly when no hom joins it
             assert cat.is_pair(y, x) == (cat.total_hom(x, y) == 0)
-    if cat.dims is None:
+    dims = record_roots(cat)
+    if dims is None:
         return
-    dims = cat.dims
     rank = len(next(iter(dims.values())))
     q = D4 if name == "d4" else line_quiver(rank - 1)
     for x, y in permutations(cat.objects.values(), 2):
@@ -74,7 +74,10 @@ def test_line_bitmasks_follow_the_generic_rule(vertices):
 def test_np0_is_a2():
     np0, a2 = category("np0"), category("a2")
     assert np0.name == "np0"
-    assert np0.objects == a2.objects and np0.dims == a2.dims
+    assert np0.objects == a2.objects
+    for x, y in product(a2.objects.values(), repeat=2):
+        assert np0.is_pair(x, y) == a2.is_pair(x, y)
+        assert np0.total_hom(x, y) == a2.total_hom(x, y)
 
 
 @pytest.mark.parametrize(
@@ -159,13 +162,14 @@ def test_third_point_examples():
 
 def record_census(cat, rank):
     """census.subcategories of a category record."""
-    return subcategories(cat.objects, cat.is_pair, cat.dims, rank)
+    return subcategories(cat.objects, cat.is_pair, rank)
 
 
-@pytest.mark.parametrize("vertices", range(1, 6))
+@pytest.mark.parametrize("vertices", [*range(1, 6), 9])
 def test_census_of_an_counts_noncrossing_partitions(vertices):
     # the subcategories of A_N are the noncrossing partitions of N + 1
-    # points (Ingalls-Thomas), N + 1 - k blocks at rank k: Narayana numbers
+    # points (Ingalls-Thomas), N + 1 - k blocks at rank k: Narayana numbers;
+    # a9 has 16,795, past the exceptional sets the span census walks
     n = vertices + 1
     ranks = Counter(record_census(category(f"a{vertices}"), vertices).values())
     assert [ranks[k] for k in range(1, n)] == [
@@ -199,7 +203,7 @@ def test_census_curves_are_third_point_curves(name):
     label = {x: v for v, x in cat.objects.items()}
     curves = {s for s, rank in record_census(cat, 2).items() if len(s) == 3}
     assert curves == {
-        frozenset(label[p] for p in (x, y, third_point(cat.dims, x, y)))
+        frozenset(label[p] for p in (x, y, third_point(record_roots(cat), x, y)))
         for x, y in permutations(cat.objects.values(), 2)
         if cat.is_pair(x, y) and cat.total_hom(x, y) == 1
     }

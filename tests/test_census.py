@@ -7,17 +7,23 @@ profile by rank does not depend on the orientation.  A fully faithful
 functor carries the census of a subcategory onto the census elements below
 it, so each lower interval of the census is the census of the subcategory
 itself.  Neither oracle needs a closed form; the profiles are also checked
-against the Narayana numbers of types A and D and the row of E_6.
+against the Narayana numbers of types A and D and the row of E_6.  The walk
+of perps is checked against the census by the spans of roots, and the
+perps it walks against the Serre functor and the lattice they close.
 """
 
 from collections import Counter
 from graphlib import TopologicalSorter
+from itertools import combinations
 from math import comb
 
 import pytest
+from oracles import record_roots, span_census
 
+from nccount import arith
+from nccount.category import category
 from nccount.census import subcategories
-from nccount.quiver import pair_rule, positive_roots
+from nccount.quiver import coxeter, pair_rule, positive_roots
 
 
 def _tree(kind, n):
@@ -50,7 +56,7 @@ def _census(n, arrows):
     its objects labelled by their roots."""
     roots = {x: x for x in positive_roots(n, arrows)}
     is_pair = pair_rule(arrows, lambda x: x)[0]
-    return subcategories(roots, is_pair, roots, n), is_pair, roots
+    return subcategories(roots, is_pair, n), is_pair, roots
 
 
 def _profile(n, arrows):
@@ -104,4 +110,67 @@ def test_lower_intervals_are_the_census_of_the_subcategory(kind, n):
         census, is_pair, roots = _census(n, arrows)
         for sub, rank in census.items():
             below = {s: r for s, r in census.items() if s <= sub}
-            assert subcategories({x: x for x in sub}, is_pair, roots, rank) == below
+            assert subcategories({x: x for x in sub}, is_pair, rank) == below
+
+
+@pytest.mark.parametrize(
+    "kind, n, orientations",
+    [("A", n, _orientations("A", n)) for n in range(1, 7)]
+    + [("D", n, _orientations("D", n)) for n in (4, 5)]
+    + [("E", 6, [_oriented(6, _tree("E", 6), f) for f in (0, 0b01010, 0b10101)])],
+    ids=[f"A-{n}" for n in range(1, 7)] + ["D-4", "D-5", "E-6"])
+def test_census_is_the_span_census(kind, n, orientations):
+    # every orientation the tests above walk: the walk of perps against the
+    # exceptional sets grouped by the lattice their roots span
+    for arrows in orientations:
+        census, is_pair, roots = _census(n, arrows)
+        assert census == span_census(roots, is_pair, roots, n), arrows
+
+
+@pytest.mark.parametrize(
+    "name, rank",
+    [(f"a{n}", n) for n in range(1, 9)] + [("a12", 2), ("a16", 2), ("d4", 3)])
+def test_census_of_records_is_the_span_census(name, rank):
+    # a8 at full rank is the largest: 4,861 subcategories, whose span census
+    # walks every exceptional set of a8 in about 4 s
+    cat = category(name)
+    census = subcategories(cat.objects, cat.is_pair, rank)
+    assert census == span_census(cat.objects, cat.is_pair, record_roots(cat), rank)
+
+
+def test_census_refuses_past_the_cap(monkeypatch):
+    # a3 has 13 subcategories of rank 1..3
+    cat = category("a3")
+    monkeypatch.setattr(arith, "MAX_ENUMERATION", 13)
+    assert len(subcategories(cat.objects, cat.is_pair, 3)) == 13
+    monkeypatch.setattr(arith, "MAX_ENUMERATION", 12)
+    with pytest.raises(ValueError, match="cap of 12 subcategories to rank 3"):
+        subcategories(cat.objects, cat.is_pair, 3)
+
+
+def _right_perp(objs, is_pair, sub):
+    """The objects with no homs from any object of sub."""
+    return frozenset(z for z in objs if all(is_pair(z, x) for x in sub))
+
+
+@pytest.mark.parametrize(
+    "kind, n, orientations",
+    [(kind, n, _orientations(kind, n))
+     for kind, n in (("A", 4), ("A", 5), ("D", 4), ("D", 5))]
+    + [("E", 6, [_oriented(6, _tree("E", 6), 0)])],
+    ids=["A-4", "A-5", "D-4", "D-5", "E-6"])
+def test_perps_close_the_census(kind, n, orientations):
+    # with the zero subcategory, the census is closed under the meet A & B;
+    # the right perp maps it onto itself, rank k to rank n - k, and twice it
+    # is the Serre functor, the Coxeter map on roots up to sign
+    for arrows in orientations:
+        census, is_pair, roots = _census(n, arrows)
+        elements = {frozenset(): 0, **census}
+        serre = {x: tuple(map(abs, coxeter(arrows, x))) for x in roots}
+        assert set(serre.values()) == set(roots)
+        perp = {sub: _right_perp(roots, is_pair, sub) for sub in elements}
+        for sub, rank in elements.items():
+            assert elements.get(perp[sub]) == n - rank, (arrows, sub)
+            assert perp[perp[sub]] == frozenset(map(serre.get, sub)), (arrows, sub)
+        for a, b in combinations(elements, 2):
+            assert a & b in elements, (arrows, a, b)

@@ -537,8 +537,7 @@ print(code, sorted(m for m in sys.modules
          ["json", "nccount.arith", "nccount.interval", "nccount.necklace",
           "nccount.typea"]),
         # A_N graphs and complexes need the interval objects, not the
-        # counting in typea, and plain output needs no json; the census
-        # reads quiver only for the subcategories
+        # counting in typea, and plain output needs no json
         (["graph", "--category", "a7", "--format", "plain"], 0,
          ["nccount.arith", "nccount.category", "nccount.census", "nccount.digraph",
           "nccount.interval"]),
@@ -549,10 +548,11 @@ print(code, sorted(m for m in sys.modules
          ["json", "nccount.arith", "nccount.category", "nccount.census",
           "nccount.digraph", "nccount.interval"]),
         # the d4 kinds and the incidence lines are read off the census,
-        # without the graph layer, and d4 without the registry
+        # without the graph layer, and d4 without the registry; only d4
+        # reads quiver, for its roots
         (["incidence", "--category", "a3", "--format", "plain"], 0,
          ["nccount.arith", "nccount.category", "nccount.census", "nccount.incidence",
-          "nccount.interval", "nccount.quiver"]),
+          "nccount.interval"]),
         (["incidence", "--category", "d4", "--format", "plain"], 0,
          ["nccount.arith", "nccount.category", "nccount.census", "nccount.d4",
           "nccount.incidence", "nccount.quiver"]),

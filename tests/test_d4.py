@@ -23,7 +23,7 @@ total_hom = RULE[1]
 d4_pair_class = partial(pair_class, *RULE)
 
 # the subcategories of rank at most 3, each as the frozenset of its labels
-CENSUS = subcategories({x: x for x in LABELS}, RULE[0], DIMS, 3)
+CENSUS = subcategories({x: x for x in LABELS}, RULE[0], 3)
 
 
 def _unordered(pairs):

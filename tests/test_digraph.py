@@ -129,8 +129,10 @@ def test_q2_window_weights_and_doubles():
 def test_edge_criterion_matches_pair_classifier():
     # cross-module consistency: (a, b) is an edge iff the generators form
     # an exceptional pair under the Euler-form classifier
+    from oracles import interval_dim
+
     from nccount import d4 as d4mod
-    from nccount.interval import enum_points, interval_dim
+    from nccount.interval import enum_points
 
     for vertices in range(1, 7):
         n = vertices - 1

@@ -5,6 +5,7 @@ from operator import mul
 
 import pytest
 import sympy
+from oracles import in_span, interval_dim, record_roots
 
 from nccount.affine import ARROWS as AFFINE
 from nccount.category import category
@@ -13,13 +14,12 @@ from nccount.d4 import ARROWS as D4
 from nccount.quiver import (
     coxeter,
     euler_form,
-    in_span,
     line_quiver,
     pair_rule,
     positive_roots,
     span,
 )
-from nccount.interval import Interval, enum_points, interval_dim
+from nccount.interval import Interval, enum_points
 from nccount.typea import MonotoneSeq, serre_step
 
 
@@ -365,7 +365,7 @@ def test_in_span_is_the_plucker_test_on_exceptional_sets(name):
         is_pair, dims = pair_rule(E6, lambda x: x)[0], {x: x for x in objs}
     else:
         cat = category(name)
-        objs, is_pair, dims = list(cat.objects.values()), cat.is_pair, cat.dims
+        objs, is_pair, dims = list(cat.objects.values()), cat.is_pair, record_roots(cat)
     sets = list(exceptional_sets(*pair_rows(objs, is_pair), 3))
     for s in random.Random(name).sample(sets, min(len(sets), 40)):
         roots = [dims[objs[i]] for i in s]

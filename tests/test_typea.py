@@ -9,10 +9,11 @@ from math import comb, gcd
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import interval_dim
 
 from nccount import GenSet, arith, typea
 from nccount.category import category
-from nccount.interval import enum_points, euler, interval_dim
+from nccount.interval import enum_points, euler
 from nccount.quiver import euler_form, line_quiver
 from nccount.typea import (
     Interval,
