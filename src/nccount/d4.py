@@ -2,12 +2,13 @@
 from them: the pair rule, the diagram-rotation and Serre actions, the
 subcategories and all their orbit counts.
 
-The subcategories are read off census.subcategories by rank and number
-of objects: the points, the noncommutative curves of genus 0 (three
-objects) and -1 (two), and the rank-3 subcategories of type A_3 (six) and
-A_1^3 (three), the perps of the twelve points.  Each orbit table cell
-partitions one kind's object sets under kappa and Serre.  The module
-imports neither the category registry nor the graph layer.
+The points and the noncommutative curves of genus 0 (three objects) and -1
+(two) are read by rank and number of objects off census.subcategories,
+walked once, to rank 2.  The right perp sends rank k to rank 4 - k, so the
+rank-3 subcategories of type A_3 (six objects) and A_1^3 (three) are the
+perps of the twelve points, one each.  Each orbit table cell partitions
+one kind's object sets under kappa and Serre.  The module imports neither
+the category registry nor the graph layer.
 
 The objects are the indecomposable representations of the D_4 quiver, one
 per positive root as quiver.positive_roots grows them.  The quiver is its
@@ -23,6 +24,7 @@ ones, s123 the thin sincere one and delta the sincere one with a 2 at the
 centre.
 """
 
+from functools import cache
 from itertools import combinations, permutations
 
 from . import GenSet
@@ -79,31 +81,25 @@ KINDS = {
 }
 
 
-_CENSUS = {0: {}}  # the census to the largest rank a call has needed
-
-
-def _census(rank: int) -> dict:
-    """census.subcategories of D_4 to at least the given rank: a call that
-    needs a larger rank than every call before walks it, to that rank."""
-    if rank > max(_CENSUS):
-        _CENSUS[rank] = subcategories({x: x for x in LABELS}, RULE[0], rank)
-    return _CENSUS[max(_CENSUS)]
+@cache
+def _census() -> dict:
+    """census.subcategories of D_4 to rank 2, walked once."""
+    return subcategories({x: x for x in LABELS}, RULE[0], 2)
 
 
 def _subcategories(kind: str) -> list:
     """The subcategories of a kind, each as the frozenset of its labels: a
-    triple, the perp of one point x (the objects p with no homs from x), in
-    the label order of x, and the others in the order of their sorted
-    labels."""
+    triple as the perp of one point x (the objects p with no homs from x),
+    in the label order of x, and the points and curves off the census, in
+    the order of their sorted labels."""
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     rank, size = KINDS[kind]
-    subs = [s for s, r in _census(rank).items() if (r, len(s)) == (rank, size)]
-    if rank < 3:
-        return sorted(subs, key=sorted)
-    is_pair = RULE[0]
-    return sorted(subs, key=lambda s: next(
-        x for x in LABELS if all(is_pair(p, x) for p in s)))
+    if rank == 3:
+        perps = (frozenset(p for p in LABELS if RULE[0](p, x)) for x in LABELS)
+        return [s for s in perps if len(s) == size]
+    return sorted((s for s, r in _census().items() if (r, len(s)) == (rank, size)),
+                  key=sorted)
 
 
 def _generators(labels: frozenset, rank: int) -> tuple:
@@ -133,7 +129,6 @@ def d4_enum(kind: str) -> list:
 
 def d4_tables() -> dict:
     """All orbit-count tables, keyed by kind then group."""
-    _census(max(rank for rank, _ in KINDS.values()))  # one walk for every kind
     return {kind: {g: d4_count(kind, g) for g in _GROUPS} for kind in KINDS}
 
 

@@ -183,7 +183,8 @@ def is_d_additive(seq: MonotoneSeq, d: int) -> bool:
 
     For the improper divisor d = k+1 the condition degenerates to a(0) = 0;
     for a proper divisor it pins a(d) = d*delta/(k+1) and forces
-    a(j + i*d) = a(j) + i*a(d) wherever defined.
+    a(j + i*d) = a(j) + i*a(d) wherever defined, which the one-step law
+    a(j + d) = a(j) + a(d) implies by induction on i.
     """
     n, k, a = seq.n, seq.k, seq.values
     if d not in divisors_of_kn(k, n):
@@ -192,13 +193,7 @@ def is_d_additive(seq: MonotoneSeq, d: int) -> bool:
         return a[0] == 0
     if a[d] * (k + 1) != d * seq.bound:
         return False
-    for j in range(k + 1):
-        i = 1
-        while j + i * d <= k:
-            if a[j + i * d] != a[j] + i * a[d]:
-                return False
-            i += 1
-    return True
+    return all(a[j + d] == a[j] + a[d] for j in range(k + 1 - d))
 
 
 def period(seq: MonotoneSeq) -> int:

@@ -7,15 +7,16 @@ profile by rank does not depend on the orientation.  A fully faithful
 functor carries the census of a subcategory onto the census elements below
 it, so each lower interval of the census is the census of the subcategory
 itself.  Neither oracle needs a closed form; the profiles are also checked
-against the Narayana numbers of types A and D and the row of E_6.  The walk
-of perps is checked against the census by the spans of roots, and the
-perps it walks against the Serre functor and the lattice they close.
+against the Narayana numbers of types A and D and the rows of E_6, E_7 and
+E_8.  The walk of perps is checked against the census by the spans of
+roots, and the perps it walks against the Serre functor and the lattice
+they close.
 """
 
 from collections import Counter
 from graphlib import TopologicalSorter
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import pytest
 from oracles import record_roots, span_census
@@ -99,6 +100,20 @@ def test_census_profile_of_e6(flips):
     # alternating either way; each census walks 36 objects in under 0.5 s
     arrows = _oriented(6, _tree("E", 6), flips)
     assert _profile(6, arrows) == (36, 204, 351, 204, 36, 1)
+
+
+@pytest.mark.parametrize(
+    "n, degrees, row",
+    [(7, (2, 6, 8, 10, 12, 14, 18), (63, 546, 1470, 1470, 546, 63, 1)),
+     (8, (2, 8, 12, 14, 18, 20, 24, 30), (120, 1540, 6120, 9518, 6120, 1540, 120, 1))],
+    ids=["E-7", "E-8"])
+def test_census_profile_of_e7_and_e8(n, degrees, row):
+    # the equioriented E_7 and E_8, 4,159 and 25,079 elements, E_8 in under
+    # 0.5 s: the W-Narayana row, and with the zero subcategory the Catalan
+    # number Cat(W) = prod (h + d)/d over the degrees d of W, h the largest
+    assert _profile(n, _oriented(n, _tree("E", n), 0)) == row
+    h = max(degrees)
+    assert (sum(row) + 1) * prod(degrees) == prod(h + d for d in degrees)
 
 
 @pytest.mark.parametrize("kind, n", [("A", 4), ("D", 4), ("D", 5)])

@@ -484,6 +484,17 @@ def test_an_orbits_rejects_bad_domain(capsys, k, vertices):
     assert "need k >= 1 and vertices >= 1" in captured.err
 
 
+@pytest.mark.parametrize("vertices", [0, -3])
+@pytest.mark.parametrize("genus", [-1, 0, 1])
+def test_an_genus_rejects_bad_vertices(capsys, genus, vertices):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["an", "genus", "--genus", str(genus), "--vertices", str(vertices)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "need vertices >= 1" in captured.err
+
+
 def test_cli_import_leaves_numpy_out():
     src = Path(cli.__file__).resolve().parents[1]
     probe = "import sys, nccount.cli; print('numpy' in sys.modules)"

@@ -3,11 +3,12 @@ from itertools import combinations, permutations
 
 import pytest
 
-from nccount import GenSet
+from nccount import GenSet, d4
 from nccount.d4 import (
     ARROWS,
     DIMS,
     KAPPA,
+    KINDS,
     LABELS,
     RULE,
     SERRE,
@@ -229,7 +230,9 @@ def test_triple_kinds():
     a1 = {x for x in LABELS if triple_kind(x) == "a1cubed"}
     assert a1 == {"delta", "so", "s123"}
     assert sum(1 for x in LABELS if triple_kind(x) == "a3") == 9
-    # the rank-3 subcategories are the perps of the points, A3 or A1^3 by size
+    # the rank-3 subcategories are the perps of the points, A3 or A1^3 by
+    # size: the census at rank 3, which d4 does not walk, is the oracle for
+    # the perps it reads
     triples = {s: "a3" if len(s) == 6 else "a1cubed"
                for s, rank in CENSUS.items() if rank == 3}
     assert triples == {right_orthogonal_points(x): triple_kind(x) for x in LABELS}
@@ -254,6 +257,23 @@ def test_triple_generators():
         g = enum[x]
         for a, b in permutations(g, 2):
             assert total_hom(a, b) == 0
+
+
+def test_census_is_walked_once_to_rank_2(monkeypatch):
+    # every table and every kind of d4_enum reads one walk, to rank 2: the
+    # triples are the perps of the points
+    ranks = []
+
+    def record(objects, is_pair, rank):
+        ranks.append(rank)
+        return subcategories(objects, is_pair, rank)
+
+    d4._census.cache_clear()
+    monkeypatch.setattr(d4, "subcategories", record)
+    d4_tables()
+    for kind in KINDS:
+        d4_enum(kind)
+    assert ranks == [2]
 
 
 # explicit representations: leg maps into the centre space, as columns
