@@ -97,7 +97,7 @@ def _d4(name):
     def curves():
         return _curve_category(points, [
             (str(s), genus, s.generators)
-            for genus, kind in ((0, "genus0"), (-1, "genusMinus1"))
+            for genus, kind in ((0, "genus0"), (-1, "genus-1"))
             for s in d4.d4_enum(kind)
         ])
 

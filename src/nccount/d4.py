@@ -71,13 +71,14 @@ RULE = pair_rule(ARROWS, _root)
 
 # --- the subcategories and their orbits --------------------------------------
 
-# each kind of subcategory by its rank and its number of objects
+# each kind of subcategory, by its --kind word of `d4 enum`, to its rank,
+# its number of objects and its row of d4_tables
 KINDS = {
-    "points": (1, 1),
-    "genus0": (2, 3),
-    "genusMinus1": (2, 2),
-    "triples-A3": (3, 6),
-    "triples-A1cubed": (3, 3),
+    "points": (1, 1, "points"),
+    "genus0": (2, 3, "genus0"),
+    "genus-1": (2, 2, "genusMinus1"),
+    "triples-a3": (3, 6, "triples-A3"),
+    "triples-a1cubed": (3, 3, "triples-A1cubed"),
 }
 
 
@@ -94,7 +95,7 @@ def _subcategories(kind: str) -> list:
     the order of their sorted labels."""
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    rank, size = KINDS[kind]
+    rank, size, _ = KINDS[kind]
     if rank == 3:
         perps = (frozenset(p for p in LABELS if RULE[0](p, x)) for x in LABELS)
         return [s for s in perps if len(s) == size]
@@ -128,21 +129,12 @@ def d4_enum(kind: str) -> list:
 
 
 def d4_tables() -> dict:
-    """All orbit-count tables, keyed by kind then group."""
-    return {kind: {g: d4_count(kind, g) for g in _GROUPS} for kind in KINDS}
+    """All orbit-count tables, keyed by the table row of a kind, then group."""
+    return {row: {g: d4_count(kind, g) for g in _GROUPS}
+            for kind, (_, _, row) in KINDS.items()}
 
 
 # --- the CLI handlers of `d4 table` and `d4 enum` ------------------------------
-
-# the --kind choices of `d4 enum`, by the kind names of d4_enum
-_ENUM_KINDS = {
-    "points": "points",
-    "genus0": "genus0",
-    "genus-1": "genusMinus1",
-    "triples-a3": "triples-A3",
-    "triples-a1cubed": "triples-A1cubed",
-}
-
 
 def _cmd_d4_table(args):
     return {
@@ -152,5 +144,5 @@ def _cmd_d4_table(args):
 
 
 def _cmd_d4_enum(args):
-    gens = d4_enum(_ENUM_KINDS[args.kind])
+    gens = d4_enum(args.kind)
     return {"kind": args.kind, "subcategories": [str(g) for g in gens]}

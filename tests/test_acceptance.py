@@ -53,6 +53,12 @@ def test_criterion_03_necklace_equivalence():
             assert necklace.count_subgon_classes(n + 2, k + 1) == (
                 typea.count_orbits_brute(k, n + 1)
             ), (n, k)
+            # the polygon bijection: the Serre orbits on X_n^k, partitioned
+            # from the sequences themselves, are the rotation classes of
+            # (k+1)-subsets of the (n+2)-gon
+            assert len(arith.orbits(typea.enum_seqs(n, k), typea.serre_step)) == (
+                necklace.count_subgon_classes(n + 2, k + 1)
+            ), (n, k)
     assert necklace.count_subgon_classes(6, 3) == 4
     assert necklace.count_subgon_classes(7, 4) == 5
     for m in range(1, 25):
@@ -181,8 +187,8 @@ def test_criterion_09_affine_tables():
         ("q2", "genus-1"): (INFINITE, 4, 2),
         ("q2", "genus0"): (INFINITE, 8, 1),
         ("q2", "genus1"): (4, 2, 1),
-        ("q2", "triples-A3"): (INFINITE, 4, 1),
-        ("q2", "triples-Q1"): (4, 2, 1),
+        ("q2", "triples-a3"): (INFINITE, 4, 1),
+        ("q2", "triples-q1"): (4, 2, 1),
     }
     for (quiver, kind), row in expected.items():
         got = tuple(aff for aff in (

@@ -223,17 +223,17 @@ def test_count_tables():
     assert aff_count("q2", "genus1", "serre") == 2
     assert aff_count("q2", "genus1", "full") == 1
     # triples on the square quiver
-    assert aff_count("q2", "triples-A3", "id") is INFINITE
-    assert aff_count("q2", "triples-A3", "serre") == 4
-    assert aff_count("q2", "triples-A3", "full") == 1
-    assert aff_count("q2", "triples-Q1", "id") == 4
-    assert aff_count("q2", "triples-Q1", "serre") == 2
-    assert aff_count("q2", "triples-Q1", "full") == 1
+    assert aff_count("q2", "triples-a3", "id") is INFINITE
+    assert aff_count("q2", "triples-a3", "serre") == 4
+    assert aff_count("q2", "triples-a3", "full") == 1
+    assert aff_count("q2", "triples-q1", "id") == 4
+    assert aff_count("q2", "triples-q1", "serre") == 2
+    assert aff_count("q2", "triples-q1", "full") == 1
 
 
 def test_count_invalid():
     with pytest.raises(ValueError):
-        aff_count("q1", "triples-Q1", "id")
+        aff_count("q1", "triples-q1", "id")
     with pytest.raises(ValueError):
         aff_count("q2", "genus0", "kappa")
 
@@ -332,10 +332,10 @@ def test_every_exceptional_triple_of_q2_is_named():
     for trio in combinations(objs, 3):
         if not any({(y, x), (z, x), (z, y)} <= zero for x, y, z in permutations(trio)):
             continue
-        kinds = [k for k in ("triples-A3", "triples-Q1") if _match("q2", k, trio)]
+        kinds = [k for k in ("triples-a3", "triples-q1") if _match("q2", k, trio)]
         assert len(kinds) == 1, trio
         named[kinds[0]] += 1
-    assert named == {"triples-A3": 414, "triples-Q1": 260}
+    assert named == {"triples-a3": 414, "triples-q1": 260}
 
 
 def test_classify_generator_pair_refuses_a_pair_in_neither_order():
@@ -361,10 +361,10 @@ _INDEXED = {
         "cG-": True, "cF-": True, "dG+": True, "dF+": True,
     },
     ("q2", "genus1"): {"A": False, "B": False, "C": False, "D": False},
-    ("q2", "triples-A3"): {
+    ("q2", "triples-a3"): {
         "a-perp": True, "b-perp": True, "c-perp": True, "d-perp": True,
     },
-    ("q2", "triples-Q1"): {
+    ("q2", "triples-q1"): {
         "F+-perp": False, "F--perp": False, "G+-perp": False, "G--perp": False,
     },
 }
@@ -382,8 +382,8 @@ def test_indexed_flags_table():
 # moves the member as it moves that object
 _PERP = {
     ("q1", "genus0"): {"a-perp": "a", "b-perp": "b"},
-    ("q2", "triples-A3"): {f"{f}-perp": f for f in "abcd"},
-    ("q2", "triples-Q1"): {f"{f}-perp": f for f in ("F+", "F-", "G+", "G-")},
+    ("q2", "triples-a3"): {f"{f}-perp": f for f in "abcd"},
+    ("q2", "triples-q1"): {f"{f}-perp": f for f in ("F+", "F-", "G+", "G-")},
 }
 
 
@@ -447,7 +447,7 @@ def test_generators_are_valid():
     # every emitted family member is generated by a semi-orthogonal sequence
     for quiver, kinds in [
         ("q1", ("genus0", "genus1")),
-        ("q2", ("genus-1", "genus0", "genus1", "triples-A3", "triples-Q1")),
+        ("q2", ("genus-1", "genus0", "genus1", "triples-a3", "triples-q1")),
     ]:
         for kind in kinds:
             for sub in _members(quiver, kind):
@@ -516,27 +516,27 @@ _SHIFT_MAPS = {
     ("q2", "genus1", "zeta"): {
         "A": ("D", None), "B": ("C", None), "C": ("B", None), "D": ("A", None),
     },
-    ("q2", "triples-A3", "serre"): {
+    ("q2", "triples-a3", "serre"): {
         "a-perp": ("b-perp", 0), "b-perp": ("a-perp", -2),
         "c-perp": ("d-perp", -1), "d-perp": ("c-perp", -1),
     },
-    ("q2", "triples-A3", "theta"): {
+    ("q2", "triples-a3", "theta"): {
         "a-perp": ("a-perp", 0), "b-perp": ("b-perp", 0),
         "c-perp": ("d-perp", 0), "d-perp": ("c-perp", 0),
     },
-    ("q2", "triples-A3", "zeta"): {
+    ("q2", "triples-a3", "zeta"): {
         "a-perp": ("d-perp", 0), "b-perp": ("c-perp", -1),
         "c-perp": ("b-perp", 0), "d-perp": ("a-perp", -1),
     },
-    ("q2", "triples-Q1", "serre"): {
+    ("q2", "triples-q1", "serre"): {
         "F+-perp": ("G--perp", None), "F--perp": ("G+-perp", None),
         "G+-perp": ("F--perp", None), "G--perp": ("F+-perp", None),
     },
-    ("q2", "triples-Q1", "theta"): {
+    ("q2", "triples-q1", "theta"): {
         "F+-perp": ("F--perp", None), "F--perp": ("F+-perp", None),
         "G+-perp": ("G--perp", None), "G--perp": ("G+-perp", None),
     },
-    ("q2", "triples-Q1", "zeta"): {
+    ("q2", "triples-q1", "zeta"): {
         "F+-perp": ("F+-perp", None), "F--perp": ("G+-perp", None),
         "G+-perp": ("F--perp", None), "G--perp": ("G--perp", None),
     },
@@ -548,7 +548,7 @@ def test_family_shift_maps_table():
 
     kinds = {
         "q1": ("genus-1", "genus0", "genus1"),
-        "q2": ("genus-1", "genus0", "genus1", "triples-A3", "triples-Q1"),
+        "q2": ("genus-1", "genus0", "genus1", "triples-a3", "triples-q1"),
     }
     keys = {
         (q, kind, g)

@@ -247,6 +247,18 @@ def test_affine_count_names_a_missing_kind_as_its_option(capsys, kind):
     assert capsys.readouterr() == ("", f"error: no kind {kind!r} for q1\n")
 
 
+def test_kind_choices_are_the_library_kinds():
+    # the command table lists its choices without importing a backend, so
+    # this is what keeps them the kinds d4 and affine name
+    from nccount import affine, d4
+
+    def choices(path):
+        return cli._COMMANDS[path][1]["--kind"]["choices"]
+
+    assert choices(("d4", "enum")) == tuple(d4.KINDS)
+    assert set(choices(("affine", "count"))) == {kind for _, kind in affine._FAMILIES}
+
+
 def test_markov_table(capsys):
     code, doc = run_json(capsys, ["markov", "table", "--limit", "200"])
     assert code == 0

@@ -242,7 +242,7 @@ def test_triple_generators():
     # d4_enum lists the triples in the label order of the point whose perp
     # they are, each by the generators the oracle picks
     enum = {}
-    for kind, name in (("a3", "triples-A3"), ("a1cubed", "triples-A1cubed")):
+    for kind, name in (("a3", "triples-a3"), ("a1cubed", "triples-a1cubed")):
         perps = [x for x in LABELS if triple_kind(x) == kind]
         got = d4_enum(name)
         assert got == [GenSet(triple_generators(x)) for x in perps]
@@ -359,10 +359,10 @@ def test_tables():
 def test_enum_shapes():
     assert len(d4_enum("points")) == 12
     assert len(d4_enum("genus0")) == 15
-    assert len(d4_enum("genusMinus1")) == 9
-    assert len(d4_enum("triples-A3")) == 9
-    assert len(d4_enum("triples-A1cubed")) == 3
-    a1_triples = {frozenset(g.generators) for g in d4_enum("triples-A1cubed")}
+    assert len(d4_enum("genus-1")) == 9
+    assert len(d4_enum("triples-a3")) == 9
+    assert len(d4_enum("triples-a1cubed")) == 3
+    a1_triples = {frozenset(g.generators) for g in d4_enum("triples-a1cubed")}
     assert a1_triples == {
         frozenset(("s1o", "s2o", "s3o")),
         frozenset(("s1", "s2", "s3")),
