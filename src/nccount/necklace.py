@@ -7,8 +7,9 @@ two must agree; the enumeration is refused up front past the brute-force
 cap, arith.MAX_ENUMERATION.  Reflections are never quotiented out.
 
 seq_to_subgon conjugates the Serre step on the sequences of X_n^k to a
-rotation, so the same stream, gap_necklaces, is the one enumeration of the
-Serre orbits on X_n^k: typea reads their sizes and members off it.
+rotation, so the same stream is the one enumeration of the Serre orbits on
+X_n^k.  class_sizes alone picks the side of a subset to stream, and typea
+reads the orbit sizes off it.
 """
 
 from math import comb, gcd
@@ -113,21 +114,30 @@ def _periodic_necklaces(m: int, s: int):
         t += 1
 
 
-def count_subgon_classes_brute(m: int, s: int) -> int:
-    """Rotation classes of s-subsets by streaming fixed-density enumeration.
+def class_sizes(m: int, s: int):
+    """Stream the size of each rotation class of s-subsets of Z/m, 0 <= s <= m.
 
-    A subset and its complement rotate together, so the k = min(s, m - s)
-    subsets are enumerated: about C(m, k)/m classes of k gaps each.  More
-    classes than the cap of arith.check_enumeration are refused up front,
-    which keeps k <= 13 at the default cap.
+    A subset and its complement rotate together, so the side of
+    k = min(s, m - s) parts is streamed: a necklace of least period p in
+    _periodic_necklaces(m, k) is a class of m*p/k.  At k = 0 the one subset
+    is one class of size 1, read off no stream.
     """
+    if not 0 <= s <= m:
+        raise ValueError(f"need 0 <= s <= m, got s={s}, m={m}")
+    k = min(s, m - s)
+    if k == 0:
+        return iter([1])
+    return (m * p // k for _, p in _periodic_necklaces(m, k))
+
+
+def count_subgon_classes_brute(m: int, s: int) -> int:
+    """Rotation classes of s-subsets, counted off class_sizes: about
+    C(m, s)/m of them.  More than the cap of arith.check_enumeration are
+    refused up front, which keeps min(s, m - s) <= 13 at the default cap."""
     if not 1 <= s <= m:
         raise ValueError(f"need 1 <= s <= m, got s={s}, m={m}")
-    k = min(s, m - s)
-    if k == 0:  # the whole vertex set is its own class
-        return 1
-    check_binomial(m, k, f"C({m}, {s})/{m} necklaces", m)
-    return sum(1 for _ in gap_necklaces(m, k))
+    check_binomial(m, s, f"C({m}, {s})/{m} necklaces", m)
+    return sum(1 for _ in class_sizes(m, s))
 
 
 def count_subgon_classes(m: int, s: int) -> int:

@@ -12,8 +12,9 @@ counts coincide with counts modulo the entire autoequivalence group.
 
 The brute-force oracles stream and keep one orbit at a time.  The Serre
 orbits on X_n^k are the rotation classes of (k+1)-subsets of the
-(n+2)-gon (necklace.seq_to_subgon), read off the necklace stream
-necklace.gap_necklaces (_necklaces).  The interval objects are X_n^1: the
+(n+2)-gon (necklace.seq_to_subgon): their sizes are read off
+necklace.class_sizes, and summed by the identity oracle, their members off
+the necklaces of the (k+1)-subsets.  The interval objects are X_n^1: the
 sequence (i, j) is s_{i,j}, and the Serre functor rotates the chord
 {i, j+1} of the same polygon.  So the genus -1 curves, pairs of
 noncrossing chords, are counted off the 4-subset stream
@@ -61,19 +62,13 @@ def monotone_seq(n: int, k: int, values) -> MonotoneSeq:
     return MonotoneSeq(n, k, vals)
 
 
-def seq_values(n: int, k: int):
-    """Stream the value tuples of X_n^k in lexicographic order.
-
-    These are the weakly increasing (k+1)-tuples over 0..n+1-k, C(n+2, k+1)
-    of them; a larger set than arith.MAX_ENUMERATION is refused up front.
-    """
-    check_binomial(n + 2, k + 1, f"C({n + 2}, {k + 1}) sequences")
-    return combinations_with_replacement(range(n + 2 - k), k + 1)
-
-
 def enum_seqs(n: int, k: int) -> list:
-    """The set X_n^k in lexicographic order; C(n+2, k+1) elements."""
-    return [MonotoneSeq(n, k, a) for a in seq_values(n, k)]
+    """The set X_n^k in lexicographic order: the weakly increasing
+    (k+1)-tuples over 0..n+1-k, C(n+2, k+1) of them; a larger set than
+    arith.MAX_ENUMERATION is refused up front."""
+    check_binomial(n + 2, k + 1, f"C({n + 2}, {k + 1}) sequences")
+    values = combinations_with_replacement(range(n + 2 - k), k + 1)
+    return [MonotoneSeq(n, k, a) for a in values]
 
 
 def seq_to_subcategory(seq: MonotoneSeq) -> GenSet:
@@ -111,51 +106,43 @@ def serre_step(seq: MonotoneSeq) -> MonotoneSeq:
     return MonotoneSeq(seq.n, seq.k, image)
 
 
-def _necklaces(n: int, k: int, s: int):
-    """Stream the Serre orbits on X_n^k as necklaces of s parts: for each,
-    its least gap sequence g and its size, (n+2)p/s for the least period p.
-
-    seq_to_subgon conjugates the Serre step to a rotation of the (n+2)-gon,
-    so the orbits are the rotation classes of (k+1)-subsets, which
-    necklace.gap_necklaces streams in O(s) memory and lexicographic order.
-    s = k+1 streams the subsets, s = n+1-k their complements, which rotate
-    with them.  The cap counts the C(n+2, k+1) sequences; for k > n+1 there
-    are none.
-    """
+def orbit_partition(n: int, k: int):
+    """Stream the Serre orbits on X_n^k, each a list of sequences starting at
+    its lexicographically least member, in the order of those members.  The
+    orbit of the necklace g of least period p in the (k+1)-subset stream of
+    necklace._periodic_necklaces is the subset {0, g_0, g_0 + g_1, ...} of
+    the (n+2)-gon rotated by j < (n+2)p/(k+1), each read back as the
+    sequence a_t = v_t - t.  The cap counts the C(n+2, k+1) sequences."""
     check_binomial(n + 2, k + 1, f"C({n + 2}, {k + 1}) sequences")
     if k + 1 > n + 2:
         return
     from .necklace import _periodic_necklaces
 
-    for g, p in _periodic_necklaces(n + 2, s):
-        yield g, (n + 2) * p // s
-
-
-def orbit_partition(n: int, k: int):
-    """Stream the Serre orbits on X_n^k, each a list of sequences starting at
-    its lexicographically least member, in the order of those members.  The
-    orbit of the necklace g is the subset {0, g_0, g_0 + g_1, ...} of the
-    (n+2)-gon rotated by j = 0, 1, ..., each read back as the sequence
-    a_t = v_t - t."""
-    m = n + 2
-    for g, size in _necklaces(n, k, k + 1):
+    m, s = n + 2, k + 1
+    for g, p in _periodic_necklaces(m, s):
         v = list(accumulate(g[:-1], initial=0))
-        rotations = (sorted([(x + j) % m for x in v]) for j in range(size))
+        rotations = (sorted([(x + j) % m for x in v]) for j in range(m * p // s))
         yield [MonotoneSeq(n, k, tuple([w - t for t, w in enumerate(r)]))
                for r in rotations]
 
 
 def orbit_sizes(n: int, k: int):
-    """Stream the sizes of the Serre orbits on X_n^k, read off _necklaces on
-    the smaller of a subset and its complement, but for the empty one."""
-    s = min(k + 1, n + 1 - k) or k + 1
-    return (size for _, size in _necklaces(n, k, s))
+    """Stream the sizes of the Serre orbits on X_n^k, the rotation classes
+    of (k+1)-subsets of the (n+2)-gon, off necklace.class_sizes.  The cap
+    counts the C(n+2, k+1) sequences; for k > n+1 there are none."""
+    check_binomial(n + 2, k + 1, f"C({n + 2}, {k + 1}) sequences")
+    if k + 1 > n + 2:
+        return iter(())
+    from .necklace import class_sizes
+
+    return class_sizes(n + 2, k + 1)
 
 
 def count_id_brute(k: int, vertices: int) -> int:
-    """Size of X_{N-1}^k, counted off the stream without storing it."""
+    """Size of X_{N-1}^k, the sum of orbit_sizes: the classes must cover all
+    C(N+1, k+1) subsets."""
     check_k_vertices(k, vertices)
-    return sum(1 for _ in seq_values(vertices - 1, k))
+    return sum(orbit_sizes(vertices - 1, k))
 
 
 def count_orbits_brute(k: int, vertices: int) -> int:

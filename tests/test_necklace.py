@@ -1,5 +1,6 @@
 import re
 import sys
+from collections import Counter
 from itertools import accumulate, combinations
 from math import comb, gcd
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from nccount.necklace import (
     Subgon,
     _periodic_necklaces,
+    class_sizes,
     count_subgon_classes,
     count_subgon_classes_brute,
     count_subgon_classes_burnside,
@@ -102,6 +104,18 @@ def test_gap_necklaces_keep_a_flat_stack():
     assert list(_periodic_necklaces(s, s)) == [((1,) * s, 1)]
     # s + 1 points: one class, s - 1 gaps of 1 and one of 2
     assert list(_periodic_necklaces(s + 1, s)) == [((1,) * (s - 1) + (2,), s)]
+
+
+def test_class_sizes_are_the_rotation_classes():
+    # the sizes of the classes under Subgon.canonical, the empty set and the
+    # whole set included, whichever side class_sizes streams
+    for m in range(1, 13):
+        for s in range(m + 1):
+            classes = Counter(Subgon(m, c).canonical() for c in combinations(range(m), s))
+            assert Counter(class_sizes(m, s)) == Counter(classes.values()), (m, s)
+    for m, s in [(5, -1), (5, 6)]:
+        with pytest.raises(ValueError, match=f"need 0 <= s <= m, got s={s}, m=5"):
+            class_sizes(m, s)
 
 
 def test_brute_cap(monkeypatch):

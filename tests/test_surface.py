@@ -17,7 +17,9 @@ from pathlib import Path
 
 import nccount
 
-# named by the README or by the acceptance criteria
+# named by the README or by the acceptance criteria (the README describes
+# necklace.gap_necklaces, the stream of least gap sequences that
+# necklace.class_sizes reads with their periods)
 NAMED = {
     "affine.classify_generator_pair",
     "digraph.q1_pattern_subgraphs",
@@ -26,6 +28,7 @@ NAMED = {
     "markov.count_c",
     "markov.exceptional_slopes",
     "markov.markov_numbers",
+    "necklace.gap_necklaces",
     "typea.enum_seqs",
     "typea.seq_to_subcategory",
     "typea.serre_step",

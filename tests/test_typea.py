@@ -333,6 +333,25 @@ def test_orbit_oracles_hold_no_enumeration():
     assert _traced_peak(typea._genus_minus1_census, 69) < 32 * 1024
 
 
+def test_near_diagonal_oracles_stay_bounded():
+    # k = N: the complement is empty, one class of size 1 that no stream
+    # walks; k = N - 1: one class of size N + 1, a one-part necklace of the
+    # complement, and no sequence of N + 1 entries is built; traced once
+    # the necklace module is loaded
+    count_orbits_brute(5, 6)
+    big = 10**5
+    calls = [
+        (lambda: count_orbits_brute(big, big), 1),
+        (lambda: typea.count_id_brute(big, big), 1),
+        (lambda: list(orbit_sizes(big - 1, big)), [1]),
+        (lambda: typea.count_id_brute(9999, 10000), 10001),
+    ]
+    for call, want in calls:
+        got = []
+        assert _traced_peak(lambda: got.append(call())) < 32 * 1024
+        assert got == [want]
+
+
 def test_count_orbits_anchors():
     assert count_orbits_brute(2, 5) == 4
     assert count_orbits_brute(3, 6) == 5
@@ -616,7 +635,7 @@ def test_pair_census_matches_the_closed_forms_at_the_cap(genus):
 
 def test_enumeration_cap(monkeypatch):
     with pytest.raises(ValueError, match="C\\(31, 11\\) sequences = 84672315;"):
-        typea.seq_values(29, 10)
+        typea.enum_seqs(29, 10)
     with pytest.raises(ValueError, match="1830\\^2 point pairs = 3348900;"):
         typea._hom_census(59, 2)
     with pytest.raises(ValueError, match="C\\(72, 4\\) sequences = 1028790;"):
