@@ -10,7 +10,7 @@ level, so `d4` and `incidence` read the census without the graph layer.
 from itertools import combinations, islice
 
 
-def _bits(mask):
+def bits(mask):
     """The indices of the set bits of an int mask, in increasing order."""
     while mask:
         low = mask & -mask
@@ -42,7 +42,7 @@ def _closes_cycle(one, members: int, succ: int, pred: int) -> bool:
     front = seen = succ & members
     while front and back and not seen & back:
         reach = 0
-        for x in _bits(front):
+        for x in bits(front):
             reach |= one[x]
         front = reach & members & ~seen
         seen |= front
@@ -75,7 +75,7 @@ def exceptional_sets(out, into, max_dim: int):
         layer = list(islice((
             (sub + (w,), members | 1 << w, cand & later[w])
             for sub, members, cand in layer
-            for w in _bits(cand)
+            for w in bits(cand)
             if not (
                 one_in[w] & members
                 and _closes_cycle(one, members, one[w], one_in[w])
@@ -116,7 +116,7 @@ def subcategories(objects: dict, is_pair, rank: int) -> dict:
 
     def left(mask):
         perp = every
-        for i in _bits(mask):
+        for i in bits(mask):
             perp &= out[i]
         return perp
 
@@ -142,5 +142,5 @@ def subcategories(objects: dict, is_pair, rank: int) -> dict:
             break
         layers.append(found)
         layer = found
-    return {frozenset(labels[i] for i in _bits(b)): k
+    return {frozenset(labels[i] for i in bits(b)): k
             for k, found in enumerate(layers, 1) for b in found.values()}

@@ -14,7 +14,7 @@ from itertools import chain, permutations
 from typing import NamedTuple
 
 from . import category as registry
-from .census import _bits, exceptional_sets, pair_rows
+from .census import bits, exceptional_sets, pair_rows
 
 
 class ValuedDigraph(NamedTuple):
@@ -61,7 +61,7 @@ class ValuedDigraph(NamedTuple):
         return {
             (vs[i], vs[j]): self.weights[i].get(j)
             for i in sorted(members)
-            for j in _bits(self.out[i] & mask)
+            for j in bits(self.out[i] & mask)
         }
 
 
@@ -78,7 +78,7 @@ def pair_graph(cat: registry.Category) -> ValuedDigraph:
     objs = [cat.objects[v] for v in vertices]
     out, into = pair_rows(objs, cat.is_pair)
     weights = [
-        {j: cat.total_hom(x, objs[j]) for j in _bits(out[i] & ~into[i])}
+        {j: cat.total_hom(x, objs[j]) for j in bits(out[i] & ~into[i])}
         if cat.total_hom else {}
         for i, x in enumerate(objs)
     ]
@@ -141,12 +141,12 @@ def _dot_lines(g):
     for q in quoted:
         yield f"  {q};\n"
     for i, src in enumerate(quoted):
-        for j in _bits(g._one_sided(i)):
+        for j in bits(g._one_sided(i)):
             w = g.weights[i].get(j)
             label = f" [label={w}]" if w is not None else ""
             yield f"  {src} -> {quoted[j]}{label};\n"
     for i, src in enumerate(quoted):
-        for j in _bits(g._double_sided(i)):
+        for j in bits(g._double_sided(i)):
             yield f"  {src} -> {quoted[j]} [dir=both];\n"
     yield "}\n"
 
@@ -160,7 +160,7 @@ def _json_lines(g):
         # by (src, dst): every edge out of i but the double-sided ones
         # back to an earlier vertex, which are listed from there
         for i, src in enumerate(quoted):
-            for j in _bits(g.out[i] & ~(g.into[i] & (2 << i) - 1)):
+            for j in bits(g.out[i] & ~(g.into[i] & (2 << i) - 1)):
                 both = g.into[i] >> j & 1
                 w = weight(None if both else g.weights[i].get(j))
                 yield (

@@ -9,7 +9,7 @@ cap, arith.MAX_ENUMERATION.  Reflections are never quotiented out.
 seq_to_subgon conjugates the Serre step on the sequences of X_n^k to a
 rotation, so the same stream is the one enumeration of the Serre orbits on
 X_n^k.  class_sizes alone picks the side of a subset to stream, and typea
-reads the orbit sizes off it.
+reads the orbit sizes off it, and its orbits off gap_necklaces.
 """
 
 from math import comb, gcd

@@ -10,11 +10,13 @@ sequences of length k+1 bounded by delta = n+1-k.
 The generator of all group actions here is the Serre functor; its orbit
 counts coincide with counts modulo the entire autoequivalence group.
 
-The brute-force oracles stream and keep one orbit at a time.  The Serre
-orbits on X_n^k are the rotation classes of (k+1)-subsets of the
-(n+2)-gon (necklace.seq_to_subgon): their sizes are read off
-necklace.class_sizes, and summed by the identity oracle, their members off
-the necklaces of the (k+1)-subsets.  The interval objects are X_n^1: the
+The orbit formula is the paper's sequence calculus: Moebius inversion of
+the d-additive counts over divisors_of_kn.  The brute-force oracles stream
+and keep one orbit at a time.  The Serre orbits on X_n^k are the rotation
+classes of (k+1)-subsets of the (n+2)-gon (necklace.seq_to_subgon): their
+sizes are read off necklace.class_sizes, and summed by the identity
+oracle, and each orbit is the serre_step closure of the least sequence of
+one necklace of necklace.gap_necklaces.  The interval objects are X_n^1: the
 sequence (i, j) is s_{i,j}, and the Serre functor rotates the chord
 {i, j+1} of the same polygon.  So the genus -1 curves, pairs of
 noncrossing chords, are counted off the 4-subset stream
@@ -31,7 +33,7 @@ from typing import NamedTuple
 
 from . import GenSet, check_oracle
 from .arith import check_binomial, check_enumeration, check_printable
-from .arith import check_int, divisors, mobius
+from .arith import check_int, closure, divisors, mobius
 from .interval import Interval, euler, interval_mask
 
 
@@ -107,23 +109,21 @@ def serre_step(seq: MonotoneSeq) -> MonotoneSeq:
 
 
 def orbit_partition(n: int, k: int):
-    """Stream the Serre orbits on X_n^k, each a list of sequences starting at
-    its lexicographically least member, in the order of those members.  The
-    orbit of the necklace g of least period p in the (k+1)-subset stream of
-    necklace._periodic_necklaces is the subset {0, g_0, g_0 + g_1, ...} of
-    the (n+2)-gon rotated by j < (n+2)p/(k+1), each read back as the
-    sequence a_t = v_t - t.  The cap counts the C(n+2, k+1) sequences."""
+    """Stream the Serre orbits on X_n^k, one per gap necklace g of
+    necklace.gap_necklaces(n+2, k+1), in its order.  Each starts at its
+    lexicographically least member, the subset {0, g_0, g_0 + g_1, ...} of
+    the (n+2)-gon read back as a_t = v_t - t, and is its closure under
+    serre_step, which necklace.seq_to_subgon conjugates to rotation by one.
+    The cap counts the C(n+2, k+1) sequences."""
     check_binomial(n + 2, k + 1, f"C({n + 2}, {k + 1}) sequences")
     if k + 1 > n + 2:
         return
-    from .necklace import _periodic_necklaces
+    from .necklace import gap_necklaces
 
-    m, s = n + 2, k + 1
-    for g, p in _periodic_necklaces(m, s):
-        v = list(accumulate(g[:-1], initial=0))
-        rotations = (sorted([(x + j) % m for x in v]) for j in range(m * p // s))
-        yield [MonotoneSeq(n, k, tuple([w - t for t, w in enumerate(r)]))
-               for r in rotations]
+    for g in gap_necklaces(n + 2, k + 1):
+        v = accumulate(g[:-1], initial=0)
+        least = MonotoneSeq(n, k, tuple([w - t for t, w in enumerate(v)]))
+        yield closure([least], serre_step)
 
 
 def orbit_sizes(n: int, k: int):
@@ -154,15 +154,12 @@ def count_orbits_brute(k: int, vertices: int) -> int:
 
 def divisors_of_kn(k: int, n: int) -> list:
     """Divisors of the pair (k, n): the d with 1 <= d <= k+1, d | k+1 and
-    (k+1) | d(n+2).  Always contains k+1; at k = n+1, where X_n^k is the one
-    sequence 0, every divisor of n+2."""
+    (k+1) | d(n+2), in increasing order.  Those are d = (k+1)/e for the
+    divisors e of gcd(k+1, n+2).  Always contains k+1; at k = n+1, where
+    X_n^k is the one sequence 0, every divisor of n+2."""
     if not 1 <= k <= n + 1:
         raise ValueError(f"need 1 <= k <= n+1, got k={k}, n={n}")
-    return [
-        d
-        for d in range(1, k + 2)
-        if (k + 1) % d == 0 and (d * (n + 2)) % (k + 1) == 0
-    ]
+    return [(k + 1) // e for e in reversed(divisors(gcd(k + 1, n + 2)))]
 
 
 def is_d_additive(seq: MonotoneSeq, d: int) -> bool:
@@ -205,11 +202,15 @@ def count_d_additive(n: int, k: int, d: int) -> int:
 
 
 def count_orbits_formula(k: int, vertices: int) -> int:
-    """Serre-orbit count on X_{N-1}^k via the Moebius divisor sum.
+    """Serre-orbit count on X_{N-1}^k by Moebius inversion, n = N-1.
 
-    With D = gcd(k+1, N+1) the count is
-        sum over divisor pairs y | x | D with mu(x/y) != 0 of
-        D*mu(x/y) / ((k+1)*x) * C(y(N+1)/D - 1, y(k+1)/D - 1).
+    An orbit of period d holds exactly d sequences with a(0) = 0, and those
+    whose period divides e are the count_d_additive(n, k, e) e-additive
+    ones.  So, over d and e in divisors_of_kn(k, n), the count is
+        sum over e of count_d_additive(n, k, e)
+            * (sum over e | d of mu(d/e) * (k+1)/d), divided by k+1:
+    the paper's sum over y | x | D = gcd(k+1, N+1), whose binomial
+    C(y(N+1)/D - 1, y(k+1)/D - 1) is count_d_additive(n, k, y(k+1)/D).
     Agrees with count_orbits_brute everywhere; equals 1 at k = N and 0 for
     k > N, both answered before the sum, which would factor N+1.  Otherwise
     D <= min(k+1, N-k), bounded by arith.check_printable before the sum.
@@ -217,25 +218,18 @@ def count_orbits_formula(k: int, vertices: int) -> int:
     check_k_vertices(k, vertices)
     if k >= vertices:
         return int(k == vertices)
-    m = vertices + 1  # = n+2 in internal indexing
-    d_big = gcd(k + 1, m)
+    m, n = vertices + 1, vertices - 1  # m = n+2
 
     def count():
-        # the sum times (k+1)*D, in integers: x divides D, so every term's
-        # denominator (k+1)*x divides the scale
-        scale = (k + 1) * d_big
-        total = 0
-        for x in divisors(d_big):
-            for y in divisors(x):
-                mu = mobius(x // y)
-                if mu == 0:
-                    continue
-                total += d_big * mu * (d_big // x) * comb(
-                    y * m // d_big - 1, y * (k + 1) // d_big - 1
-                )
-        orbit_count, rest = divmod(total, scale)
+        ds = divisors_of_kn(k, n)
+        total = sum(
+            count_d_additive(n, k, e)
+            * sum(mobius(d // e) * ((k + 1) // d) for d in ds if d % e == 0)
+            for e in ds
+        )
+        orbit_count, rest = divmod(total, k + 1)
         if rest:
-            raise AssertionError(f"non-integral orbit count {total}/{scale}")
+            raise AssertionError(f"non-integral orbit count {total}/{k + 1}")
         return orbit_count
 
     return check_printable(m, k + 1, count, f"C({m}, {k + 1})/{m} Serre orbits")
@@ -248,27 +242,32 @@ def count_orbits_formula(k: int, vertices: int) -> int:
 
 def count_genus(genus: int, vertices: int, group: str = "id") -> int:
     """|C_genus(D^b(A_N))| for genus in {-1, 0}, modulo nothing ("id") or
-    modulo all autoequivalences ("full").  Positive genus gives 0."""
+    modulo all autoequivalences ("full"); refused when too long to print
+    (arith.check_printable).  Positive genus gives 0."""
     if vertices < 1:
         raise ValueError("need vertices >= 1")
     if group not in ("id", "full"):
         raise ValueError(f"unknown group {group!r}")
     if genus >= 1:
         return 0
+    if genus not in (0, -1):
+        raise ValueError(f"unsupported genus {genus}")
     n = vertices - 1
-    if genus == 0:
-        if group == "id":
-            return comb(n + 2, 3)
-        if (n - 1) % 3 != 0:
-            return (n + 1) * n // 6
-        return ((n + 1) * n + 4) // 6
-    if genus == -1:
+
+    def count():
+        if genus == 0:
+            if group == "id":
+                return comb(n + 2, 3)
+            if (n - 1) % 3 != 0:
+                return (n + 1) * n // 6
+            return ((n + 1) * n + 4) // 6
         if group == "id":
             return 2 * comb(n + 2, 4)
         if n % 2 == 1:
             return (n - 1) * n * (n + 1) // 12
         return n * (n * n + 2) // 12
-    raise ValueError(f"unsupported genus {genus}")
+
+    return check_printable(n + 2, 3 - genus, count, f"genus {genus} curves")
 
 
 def enum_genus_minus1(n: int) -> list:

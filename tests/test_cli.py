@@ -507,6 +507,31 @@ def test_an_genus_rejects_bad_vertices(capsys, genus, vertices):
     assert "need vertices >= 1" in captured.err
 
 
+@pytest.mark.parametrize(
+    "genus, group", [(0, "id"), (-1, "id"), (-1, "full")],
+)
+def test_an_genus_refuses_a_count_too_long_to_print(capsys, genus, group):
+    # C(N+1, 3) and the genus -1 counts at N = 10^1500 pass the digit limit
+    vertices = 10**1500
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["an", "genus", "--genus", str(genus), "--vertices", str(vertices),
+                 "--group", group])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"refusing to count genus {genus} curves: the count has" in captured.err
+
+
+def test_an_genus_answers_a_long_count_that_prints(capsys):
+    # about N^2/6, some 3,000 digits: under the digit limit
+    n = 10**1500 - 1
+    code, doc = run_json(
+        capsys, ["an", "genus", "--genus", "0", "--vertices", str(n + 1), "--group", "full"]
+    )
+    assert code == 0
+    assert doc == {"count": str((n + 1) * n // 6)}
+
+
 def test_cli_import_leaves_numpy_out():
     src = Path(cli.__file__).resolve().parents[1]
     probe = "import sys, nccount.cli; print('numpy' in sys.modules)"

@@ -8,7 +8,8 @@ is API reached only from tests or from outside.  Each such name
 purpose, so that a second code path cannot grow back unnoticed: give a new
 name or member a caller in src/, or pin it here with its reason.  A member
 counts only attribute reads, so a local variable that shares its name is
-no caller.
+no caller.  A private name stays inside its module: no module imports
+another's.
 """
 
 import ast
@@ -17,9 +18,7 @@ from pathlib import Path
 
 import nccount
 
-# named by the README or by the acceptance criteria (the README describes
-# necklace.gap_necklaces, the stream of least gap sequences that
-# necklace.class_sizes reads with their periods)
+# named by the README or by the acceptance criteria
 NAMED = {
     "affine.classify_generator_pair",
     "digraph.q1_pattern_subgraphs",
@@ -28,13 +27,11 @@ NAMED = {
     "markov.count_c",
     "markov.exceptional_slopes",
     "markov.markov_numbers",
-    "necklace.gap_necklaces",
     "typea.enum_seqs",
     "typea.seq_to_subcategory",
-    "typea.serre_step",
 }
-# results of the paper: the bijection to subgons, d-additive sequences and
-# their periods, the affine pair classes and vanishing classes (the affine
+# results of the paper: the bijection to subgons, the periods of d-additive
+# sequences, the affine pair classes and vanishing classes (the affine
 # graphs read the rule of aff_pair_class from affine.RULES, as the d4 record
 # reads d4.RULE), and the paper's ch2 of a Chern pair, fixed by
 # chi(E, E) = 1
@@ -43,7 +40,6 @@ RESULTS = {
     "affine.aff_vanishing",
     "markov.ChernPair.ch2",
     "necklace.seq_to_subgon",
-    "typea.count_d_additive",
     "typea.period",
 }
 # oracles and the inputs the tests build them from (quiver.line_quiver gives
@@ -135,6 +131,20 @@ def callerless_members(src=Path(nccount.__file__).parent):
 def test_callerless_public_names_are_pinned():
     pinned = NAMED | RESULTS | ORACLES | CONSTRUCTORS
     assert callerless_names() | callerless_members() == pinned
+
+
+def test_no_module_imports_a_private_name():
+    # a private name is its module's own; every `from .m import _x`, at top
+    # level or inside a function, reaches into another module
+    reach_ins = {
+        f"{module}: from {node.module} import {alias.name}"
+        for module, tree in _trees(Path(nccount.__file__).parent).items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert not reach_ins
 
 
 def test_scan_sees_a_callerless_name(tmp_path):

@@ -14,6 +14,7 @@ from oracles import interval_dim
 from nccount import GenSet, arith, typea
 from nccount.category import category
 from nccount.interval import enum_points, euler
+from nccount.necklace import class_sizes, count_subgon_classes_burnside, seq_to_subgon
 from nccount.quiver import euler_form, line_quiver
 from nccount.typea import (
     Interval,
@@ -160,13 +161,15 @@ def test_divisors_of_kn():
 
 
 def test_divisors_of_kn_gcd_form():
-    from math import gcd
-
+    # the gcd form against the definition, k = n+1 included
     for n in range(1, 13):
-        for k in range(1, n):
-            d_big = gcd(k + 1, n + 2)
-            expected = sorted((k + 1) // d_big * x for x in range(1, d_big + 1) if d_big % x == 0)
-            assert divisors_of_kn(k, n) == expected
+        for k in range(1, n + 2):
+            expected = [d for d in range(1, k + 2)
+                        if (k + 1) % d == 0 and d * (n + 2) % (k + 1) == 0]
+            assert divisors_of_kn(k, n) == expected, (k, n)
+    k, n = 10**6 - 1, 2 * 10**6 - 2
+    expected = [d for d in arith.divisors(k + 1) if d * (n + 2) % (k + 1) == 0]
+    assert divisors_of_kn(k, n) == expected
 
 
 def test_d_additive_basic():
@@ -263,6 +266,20 @@ def test_seq_orbits_match_the_orbit_helper():
             want = arith.orbits(enum_seqs(n, k), serre_step)
             got = list(orbit_partition(n, k))
             assert got == want, (n, k)
+
+
+def test_orbits_are_the_rotation_classes():
+    # orbit_partition steps serre_step, as the orbit helper does; under
+    # seq_to_subgon each orbit is the rotations of its first subset, and
+    # the orbits are the rotation classes
+    for n in range(0, 11):
+        for k in range(1, n + 2):
+            parts = list(orbit_partition(n, k))
+            for orb in parts:
+                first = seq_to_subgon(orb[0])
+                rotations = {first.rotate(t) for t in range(n + 2)}
+                assert {seq_to_subgon(s) for s in orb} == rotations, (n, k)
+            assert Counter(map(len, parts)) == Counter(class_sizes(n + 2, k + 1))
 
 
 def test_empty_sequence_set_has_no_orbits():
@@ -400,6 +417,17 @@ def test_count_orbits_special_cases():
     for k, vertices in [(1, 3), (2, 7), (4, 9), (6, 11)]:
         if (vertices + 1) % (k + 1) != 0:
             assert count_orbits_formula(k, vertices) == comb(vertices, k) // (k + 1)
+
+
+def test_count_orbits_formula_is_the_necklace_count():
+    # the Moebius inversion against the Burnside sum of the necklace module,
+    # for every k < N <= 100 and on large divisor lattices, up to the 60
+    # divisors of 5040, the most that a printable count meets
+    cases = [(k, vertices) for vertices in range(2, 101) for k in range(1, vertices)]
+    cases += [(5039, 10079), (2519, 5039), (719, 100799), (1259, 2519)]
+    for k, vertices in cases:
+        want = count_subgon_classes_burnside(vertices + 1, k + 1)
+        assert count_orbits_formula(k, vertices) == want, (k, vertices)
 
 
 def _necklace_count(m, s):
