@@ -1,13 +1,15 @@
 """The exceptional sets of a category and the census of its subcategories.
 
-A category enters as its objects, by label, and its pair test: is_pair(x, y)
-holds iff every hom from y to x vanishes.  The census is a walk of perps on
-pair_rows, and the graph layer builds its graphs and complexes on pair_rows
-and exceptional_sets too.  This leaf imports nothing of the package at top
-level, so `d4` and `incidence` read the census without the graph layer.
+A category enters as the rows of pair_rows over its objects, is_pair(x, y)
+holding iff every hom from y to x vanishes, and leaves as index tuples or
+int masks over them, so labels stay with the caller.  The census is a walk
+of perps on the rows, as are the graphs and complexes of the graph layer;
+this module needs only `arith`, so `d4` and `incidence` skip that layer.
 """
 
 from itertools import combinations, islice
+
+from . import arith
 
 
 def bits(mask):
@@ -61,7 +63,6 @@ def exceptional_sets(out, into, max_dim: int):
     vertices joined to every member, are grown in lexicographic order, by
     size, until one is empty.  Past arith.MAX_ENUMERATION sets it refuses.
     """
-    from .arith import MAX_ENUMERATION  # here, so this module stays a leaf
     if max_dim < 0:
         raise ValueError("need max_dim >= 0")
     n = len(out)
@@ -80,39 +81,36 @@ def exceptional_sets(out, into, max_dim: int):
                 one_in[w] & members
                 and _closes_cycle(one, members, one[w], one_in[w])
             )
-        ), MAX_ENUMERATION - total + 1))
+        ), arith.MAX_ENUMERATION - total + 1))
         total += len(layer)
-        if total > MAX_ENUMERATION:
-            raise ValueError("refusing to enumerate more than the brute-force cap of "
-                             f"{MAX_ENUMERATION} exceptional sets to max_dim {max_dim}")
+        if total > arith.MAX_ENUMERATION:
+            raise ValueError(
+                "refusing to enumerate more than the brute-force cap of "
+                f"{arith.MAX_ENUMERATION} exceptional sets to max_dim {max_dim}")
         if not layer:
             return
         yield from (sub for sub, _, _ in layer)
 
 
-def subcategories(objects: dict, is_pair, rank: int) -> dict:
-    """The subcategories of rank 1..rank of the category of the objects (by
-    label) with the pair test is_pair, each as the frozenset of the labels
-    of its objects, mapped to its rank, by rank.
+def subcategories(out, into, rank: int) -> list:
+    """The subcategories of rank 1..rank of the category with the pair_rows
+    (out, into), as int masks over its objects: one list per rank k at index
+    k - 1, none past the rank of the category.
 
     The objects must be all the indecomposables of a category of finite
     type, each once.  Then every subcategory B is admissible and is the left
     perp of its right perp (Bondal), the objects with no homs to any object
-    with no homs from B.  On the rows of pair_rows the left perp of a set is
-    the AND of out[i] over its members, and the right perp of y is into[y].
-    The walk starts from the zero subcategory, whose right perp is every
-    object.  For an element A of rank k with right perp rA and each y in the
-    left perp of A, the subcategory B that A and y generate has the right
-    perp rA & into[y], so B is its left perp, and every element of rank
-    k + 1 is one such B.  Each y in B gives B again, so clearing B from A's
-    candidates leaves one y per element that covers A.  Elements are held as
-    masks until the answer, and past arith.MAX_ENUMERATION of them the walk
-    refuses.
+    with no homs from B.  On the rows the left perp of a set is the AND of
+    out[i] over its members, and the right perp of y is into[y].  The walk
+    starts from the zero subcategory, whose right perp is every object.  For
+    an element A of rank k with right perp rA and each y in the left perp of
+    A, the subcategory B that A and y generate has the right perp
+    rA & into[y], so B is its left perp, and every element of rank k + 1 is
+    one such B.  Each y in B gives B again, so clearing B from A's
+    candidates leaves one y per element that covers A.  Past
+    arith.MAX_ENUMERATION elements the walk refuses.
     """
-    from .arith import MAX_ENUMERATION  # here, so this module stays a leaf
-    labels = sorted(objects)
-    out, into = pair_rows([objects[v] for v in labels], is_pair)
-    every = (1 << len(labels)) - 1
+    every = (1 << len(out)) - 1
 
     def left(mask):
         perp = every
@@ -122,7 +120,7 @@ def subcategories(objects: dict, is_pair, rank: int) -> dict:
 
     # each layer maps the right perp of each element to the element, which
     # it fixes, so an element reached again is not rebuilt
-    layers, layer, total = [], {every: 0}, 0
+    ranks, layer, total = [], {every: 0}, 0
     for _ in range(rank):
         found = {}
         for ra, a in layer.items():
@@ -131,16 +129,15 @@ def subcategories(objects: dict, is_pair, rank: int) -> dict:
                 r = ra & into[(cand & -cand).bit_length() - 1]
                 b = found.get(r)
                 if b is None:
-                    if total == MAX_ENUMERATION:
+                    if total == arith.MAX_ENUMERATION:
                         raise ValueError(
                             "refusing to enumerate more than the brute-force cap of "
-                            f"{MAX_ENUMERATION} subcategories to rank {rank}")
+                            f"{arith.MAX_ENUMERATION} subcategories to rank {rank}")
                     total += 1
                     found[r] = b = left(r)
                 cand &= ~b
         if not found:
             break
-        layers.append(found)
+        ranks.append(list(found.values()))
         layer = found
-    return {frozenset(labels[i] for i in bits(b)): k
-            for k, found in enumerate(layers, 1) for b in found.values()}
+    return ranks

@@ -4,11 +4,11 @@ subcategories and all their orbit counts.
 
 The points and the noncommutative curves of genus 0 (three objects) and -1
 (two) are read by rank and number of objects off census.subcategories,
-walked once, to rank 2.  The right perp sends rank k to rank 4 - k, so the
-rank-3 subcategories of type A_3 (six objects) and A_1^3 (three) are the
-perps of the twelve points, one each.  Each orbit table cell partitions
-one kind's object sets under kappa and Serre.  The module imports neither
-the category registry nor the graph layer.
+walked once to rank 2 on the labels' pair_rows.  The right perp sends rank
+k to rank 4 - k, so the rank-3 subcategories of type A_3 (six objects) and
+A_1^3 (three) are the perps of the twelve points, their into rows.  Each
+orbit table cell partitions one kind's object sets under kappa and Serre.
+The module imports neither the category registry nor the graph layer.
 
 The objects are the indecomposable representations of the D_4 quiver, one
 per positive root as quiver.positive_roots grows them.  The quiver is its
@@ -29,7 +29,7 @@ from itertools import combinations, permutations
 
 from . import GenSet
 from .arith import orbits
-from .census import subcategories
+from .census import bits, pair_rows, subcategories
 from .quiver import coxeter, pair_rule, positive_roots
 
 # each leg 1, 2, 3 (vertex 0, 1, 2) points into the centre o (vertex 3)
@@ -83,24 +83,24 @@ KINDS = {
 
 
 @cache
-def _census() -> dict:
-    """census.subcategories of D_4 to rank 2, walked once."""
-    return subcategories({x: x for x in LABELS}, RULE[0], 2)
+def _census() -> tuple:
+    """(into, census.subcategories to rank 2) of the labels' pair_rows, once."""
+    out, into = pair_rows(LABELS, RULE[0])
+    return into, subcategories(out, into, 2)
 
 
 def _subcategories(kind: str) -> list:
     """The subcategories of a kind, each as the frozenset of its labels: a
-    triple as the perp of one point x (the objects p with no homs from x),
-    in the label order of x, and the points and curves off the census, in
-    the order of their sorted labels."""
+    triple as the right perp into[x] of one point x, in the label order of
+    x, and the points and curves off the census, in the order of their
+    sorted labels."""
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     rank, size, _ = KINDS[kind]
-    if rank == 3:
-        perps = (frozenset(p for p in LABELS if RULE[0](p, x)) for x in LABELS)
-        return [s for s in perps if len(s) == size]
-    return sorted((s for s, r in _census().items() if (r, len(s)) == (rank, size)),
-                  key=sorted)
+    into, census = _census()
+    masks = into if rank == 3 else sorted(census[rank - 1], key=lambda m: [*bits(m)])
+    return [frozenset(LABELS[i] for i in bits(m))
+            for m in masks if m.bit_count() == size]
 
 
 def _generators(labels: frozenset, rank: int) -> tuple:

@@ -5,17 +5,17 @@ A curve is given by its two generators, and the category by a name of
 `nccount.category` whose objects are all the indecomposables of a category
 of finite type.  A curve's derived points are the objects of the
 subcategory its generators generate, the left perp of their common right
-perp, and the lines of an incidence structure are the curves of genus 0 in
-census.subcategories of the record, which builds no graph.  Only the
-abstract incidence data is modelled; the planar drawings that realize these
-structures are not.
+perp, and the lines of an incidence structure, its genus-0 curves, are the
+rank-2 masks of three objects in census.subcategories, which builds no
+graph.  Only the abstract incidence data is modelled; the planar drawings
+that realize these structures are not.
 """
 
 from typing import NamedTuple
 
 from . import DRAWN
 from . import category as registry
-from .census import subcategories
+from .census import bits, pair_rows, subcategories
 
 
 def _curve_points(cat, curve):
@@ -131,10 +131,12 @@ def incidence_structure(category: str) -> IncidenceStructure:
     if category not in DRAWN:
         raise ValueError(f"unknown category {category!r}")
     cat = registry.category(category)
-    census = subcategories(cat.objects, cat.is_pair, 2)
-    curves = sorted(tuple(sorted(s)) for s in census if len(s) == 3)
+    labels = sorted(cat.objects)
+    rows = pair_rows([cat.objects[v] for v in labels], cat.is_pair)
+    curves = sorted(tuple(labels[i] for i in bits(m))
+                    for m in subcategories(*rows, 2)[1] if m.bit_count() == 3)
     lines = tuple((";".join(t), t) for t in curves)
-    return IncidenceStructure(tuple(sorted(cat.objects)), lines)
+    return IncidenceStructure(tuple(labels), lines)
 
 
 def _cmd_incidence(args):

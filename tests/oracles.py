@@ -10,7 +10,7 @@ their roots span.
 import re
 
 from nccount import d4
-from nccount.census import exceptional_sets, pair_rows
+from nccount.census import bits, exceptional_sets, pair_rows, subcategories
 from nccount.interval import interval_mask
 
 
@@ -56,8 +56,18 @@ def in_span(roots):
     return lambda v: not any(reduce(v))
 
 
+def label_census(objects: dict, is_pair, rank: int) -> dict:
+    """census.subcategories of rank 1..rank of the objects (by label) with
+    the pair test is_pair, walked on the pair_rows of the sorted labels,
+    each element as the frozenset of its labels, mapped to its rank."""
+    labels = sorted(objects)
+    ranks = subcategories(*pair_rows([objects[v] for v in labels], is_pair), rank)
+    return {frozenset(labels[i] for i in bits(m)): k
+            for k, masks in enumerate(ranks, 1) for m in masks}
+
+
 def span_census(objects: dict, is_pair, dims: dict, rank: int) -> dict:
-    """census.subcategories by the spans of roots: the subcategories of rank
+    """label_census by the spans of roots: the subcategories of rank
     1..rank of the objects (by label) with the pair test is_pair and the
     root dims[x] of each object x, each as the frozenset of its labels,
     mapped to its rank.

@@ -12,9 +12,10 @@ from itertools import combinations, permutations
 from math import comb, gcd
 
 import networkx as nx
+from oracles import label_census
 
 from nccount import (
-    INFINITE, GenSet, affine, arith, census, d4, digraph, incidence, markov,
+    INFINITE, GenSet, affine, arith, d4, digraph, incidence, markov,
     necklace, typea,
 )
 from nccount.quiver import PairClass, pair_class
@@ -287,7 +288,7 @@ def test_criterion_12_incidence_structures():
     # each pair of derived points regenerates its curve
     objects = {x: x for x in d4.LABELS}
     genus0_curves = [
-        s for s in census.subcategories(objects, d4.RULE[0], 2) if len(s) == 3]
+        s for s in label_census(objects, d4.RULE[0], 2) if len(s) == 3]
     for curve in genus0_curves:
         for x, y in combinations(sorted(curve), 2):
             assert incidence.derived_points((x, y), "d4") == curve

