@@ -1,17 +1,22 @@
 """Small exact number-theory helpers, the closure under moves and the orbit
-partition built on it, the brute-force cap and the printable-count check
-shared by the counting modules, and the integer check of the checked
-constructors."""
+partition built on it, the refusal caps shared by the counting modules
+(MAX_ENUMERATION items walked, MAX_DIGITS digits counted) with their checks
+and texts, and the integer check of the checked constructors."""
 
 import sys
 from functools import lru_cache
 from math import comb, log
+from typing import NoReturn
 
 # The largest set a brute-force oracle may enumerate: sequences for the
 # subcategory counts, ordered point pairs for the curve scan, necklace
 # classes, and the ordered vertex pairs of a graph.  Beyond it an oracle
 # refuses up front instead of exhausting time and memory.
 MAX_ENUMERATION = 1_000_000
+
+# The most digits a count may have, CPython's default int-to-string limit; a
+# lower interpreter limit is honoured, and a lifted or missing one is this.
+MAX_DIGITS = 4300
 
 
 def check_enumeration(size: int, what: str) -> None:
@@ -23,6 +28,12 @@ def check_enumeration(size: int, what: str) -> None:
         )
 
 
+def refuse_walk(what: str) -> NoReturn:
+    """Refuse a walk that would pass MAX_ENUMERATION items, named by what."""
+    raise ValueError("refusing to enumerate more than the brute-force cap of "
+                     f"{MAX_ENUMERATION} {what}")
+
+
 def check_int(value, what: str) -> int:
     """Return value, refused unless it is an int other than a bool."""
     if not isinstance(value, int) or isinstance(value, bool):
@@ -32,7 +43,7 @@ def check_int(value, what: str) -> int:
 
 def check_printable(m: int, s: int, count, what: str) -> int:
     """Return count(), a count between C(m, s)/m and C(m, s), unless it has
-    more digits than Python converts to a string (sys.get_int_max_str_digits()).
+    more than MAX_DIGITS digits, or than a lower nonzero interpreter limit.
 
     ln C(m, s) is summed as ln((m - k + i)/i), k = min(s, m - s), only until
     C(m, s)/m passes the limit by a margin, and is then refused up front.
@@ -41,10 +52,7 @@ def check_printable(m: int, s: int, count, what: str) -> int:
     units (m past about 10^14) or overflows.  A count short of that is below
     e*m*10^limit, cheap to compute, and compared with the limit exactly.
     """
-    # Python before 3.10.7 prints ints of any length
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit:
-        return count()
+    limit = min(getattr(sys, "get_int_max_str_digits", int)() or MAX_DIGITS, MAX_DIGITS)
     k, ln, top = min(s, m - s), -log(m), limit * log(10) + 1
     for i in range(1, k + 1):
         ln += log(m - k + i) - log(i)
@@ -60,7 +68,7 @@ def check_printable(m: int, s: int, count, what: str) -> int:
 
 def check_binomial(m: int, s: int, what: str, per: int = 1) -> None:
     """check_enumeration of C(m, s) // per items, per 1 or m; check_printable
-    refuses a binomial too long to print before it is built."""
+    refuses a binomial of more than MAX_DIGITS digits before it is built."""
     check_enumeration(check_printable(m, s, lambda: comb(m, s) // per, what), what)
 
 
@@ -68,15 +76,10 @@ def divisors(x: int) -> list[int]:
     """Sorted list of positive divisors of x >= 1."""
     if x < 1:
         raise ValueError(f"divisors: need x >= 1, got {x}")
-    small, large = [], []
-    d = 1
-    while d * d <= x:
-        if x % d == 0:
-            small.append(d)
-            if d != x // d:
-                large.append(x // d)
-        d += 1
-    return small + large[::-1]
+    out = [1]
+    for p, e in prime_factors(x):
+        out = [d * p**i for d in out for i in range(e + 1)]
+    return sorted(out)
 
 
 @lru_cache(maxsize=None)

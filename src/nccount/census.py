@@ -84,9 +84,7 @@ def exceptional_sets(out, into, max_dim: int):
         ), arith.MAX_ENUMERATION - total + 1))
         total += len(layer)
         if total > arith.MAX_ENUMERATION:
-            raise ValueError(
-                "refusing to enumerate more than the brute-force cap of "
-                f"{arith.MAX_ENUMERATION} exceptional sets to max_dim {max_dim}")
+            arith.refuse_walk(f"exceptional sets to max_dim {max_dim}")
         if not layer:
             return
         yield from (sub for sub, _, _ in layer)
@@ -130,9 +128,7 @@ def subcategories(out, into, rank: int) -> list:
                 b = found.get(r)
                 if b is None:
                     if total == arith.MAX_ENUMERATION:
-                        raise ValueError(
-                            "refusing to enumerate more than the brute-force cap of "
-                            f"{arith.MAX_ENUMERATION} subcategories to rank {rank}")
+                        arith.refuse_walk(f"subcategories to rank {rank}")
                     total += 1
                     found[r] = b = left(r)
                 cand &= ~b

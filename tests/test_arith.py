@@ -100,7 +100,7 @@ def test_orbits_without_steps_are_singletons():
 
 
 def test_check_printable_is_exact_and_refuses_up_front():
-    limit = sys.get_int_max_str_digits()
+    limit = arith.MAX_DIGITS
     # C(4, 2)/4 is far from the limit, so the count itself decides
     assert check_printable(4, 2, lambda: 10**limit - 1, "x") == 10**limit - 1
     with pytest.raises(ValueError, match=f"count x: the count has more than {limit} "):
@@ -114,16 +114,21 @@ def test_check_printable_is_exact_and_refuses_up_front():
         check_printable(10**6, 5 * 10**5, never, "x")
 
 
-@pytest.mark.parametrize("off", ["set to 0", "before 3.10.7"])
+@pytest.mark.parametrize("off", ["set to 0", "before 3.10.7", "set to 640"])
 def test_check_printable_counts_without_a_digit_limit(monkeypatch, off):
-    # sys.set_int_max_str_digits(0) lifts the limit, and Python before
-    # 3.10.7 has none: then any count is returned, however long
-    if off == "set to 0":
-        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
-    else:
+    # sys.set_int_max_str_digits(0) lifts the interpreter's limit, and Python
+    # before 3.10.7 has none: arith.MAX_DIGITS holds all the same, while a
+    # lower limit is honoured
+    if off == "before 3.10.7":
         monkeypatch.delattr(sys, "get_int_max_str_digits")
-    count = 10**50_000
-    assert check_printable(10**6, 5 * 10**5, lambda: count, "x") == count
+    else:
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: int(off.split()[-1]))
+    limit = 640 if off == "set to 640" else arith.MAX_DIGITS
+    with pytest.raises(ValueError, match=f"more than {limit} digits"):
+        check_printable(10**6, 5 * 10**5, lambda: 10**50_000, "x")
+    assert check_printable(4, 2, lambda: 10**limit - 1, "x") == 10**limit - 1
+    with pytest.raises(ValueError, match=f"more than {limit} digits"):
+        check_printable(4, 2, lambda: 10**limit, "x")
 
 
 def test_check_binomial_at_the_cap_and_past_the_digit_limit(monkeypatch):

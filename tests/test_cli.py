@@ -942,11 +942,11 @@ def test_a_handler_error_ends_alike_whichever_parser_ran(capsys, monkeypatch, ar
 NORMAL_EXIT = "import sys; from nccount import cli; sys.exit(cli.run(sys.argv[1:]))"
 
 
-def _python(args, **kwargs):
-    """Run the interpreter on args with this checkout's nccount and block-
-    buffered stdout, the default outside a terminal."""
+def _python(args, env=(), **kwargs):
+    """Run the interpreter on args with this checkout's nccount, block-
+    buffered stdout, the default outside a terminal, and the variables env."""
     src = Path(cli.__file__).resolve().parents[1]
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"} | dict(env)
     env["PYTHONPATH"] = str(src)
     return subprocess.run([sys.executable, *args], env=env, stderr=subprocess.PIPE,
                           **kwargs)
@@ -1008,6 +1008,20 @@ def test_huge_arguments_answer_or_refuse_at_once(argv, code, text):
     assert r.returncode == code
     assert text.encode() in (r.stdout if code == 0 else r.stderr)
     assert (r.stderr if code == 0 else r.stdout) == b""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    # counts of about 3*10^11 and 300,000 digits, which arith.MAX_DIGITS
+    # refuses where the interpreter's limit is lifted
+    ["necklace count --m 1000000000000 --s 500000000000",
+     "an count --k 500000 --vertices 1000000 --group full"],
+)
+def test_counts_past_the_digit_cap_are_refused_with_the_limit_lifted(argv):
+    r = _python(["-m", "nccount.cli", *argv.split()], {"PYTHONINTMAXSTRDIGITS": "0"},
+                stdout=subprocess.PIPE, timeout=10)
+    assert (r.returncode, r.stdout) == (2, b"")
+    assert b"the count has more than 4300 digits" in r.stderr
 
 
 def _closed_pipe():

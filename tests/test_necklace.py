@@ -139,8 +139,8 @@ def test_brute_cap(monkeypatch):
 )
 def test_check_printable_at_the_digit_limit(m, s):
     # refused exactly when the Burnside sum, taken here without the check,
-    # has more digits than Python prints
-    limit = sys.get_int_max_str_digits()
+    # has more than arith.MAX_DIGITS digits
+    limit = arith.MAX_DIGITS
     total = sum(euler_phi(d) * comb(m // d, s // d) for d in divisors(gcd(m, s)))
     if total // m >= 10**limit:
         with pytest.raises(ValueError, match=f"more than {limit} digits"):

@@ -443,7 +443,7 @@ def _necklace_count(m, s):
     "k, vertices", [(7144, 14290), (7145, 14291), (7151, 14304), (7152, 14305)],
 )
 def test_counts_refused_exactly_at_the_digit_limit(k, vertices):
-    limit = sys.get_int_max_str_digits()
+    limit = arith.MAX_DIGITS
     m, s = vertices + 1, k + 1
     for formula, want in ((count_id, comb(m, s)),
                           (count_orbits_formula, _necklace_count(m, s))):
