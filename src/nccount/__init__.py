@@ -10,14 +10,7 @@ from typing import NamedTuple
 
 
 class _Infinite:
-    """Singleton sentinel for an infinite count."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """The sentinel for an infinite count; INFINITE is its one instance."""
 
     def __repr__(self):
         return "INFINITE"

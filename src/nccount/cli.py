@@ -2,12 +2,10 @@
 
 The counts, graphs, complexes and incidence structures of the library are
 reachable from here with machine-readable output: JSON by default,
-`--format plain` for aligned text, `--format dot` on graph commands.  A few
-library functions have no command (incidence.glb, intersect_curves and
-derived_points, affine.classify_generator_pair and
-digraph.q1_pattern_subgraphs).  All counts are serialized as
-decimal strings so arbitrary precision survives any JSON reader, and
-infinite counts appear as the string "infinite".
+`--format plain` for aligned text, `--format dot` on graph commands.  The
+library names that nothing in src/ calls are pinned in tests/test_surface.py.
+All counts are serialized as decimal strings so arbitrary precision survives
+any JSON reader, and infinite counts appear as the string "infinite".
 
 Exit codes: 0 on success, 1 when --verify detects a mismatch between a
 closed-form count and its brute-force oracle, 2 on usage errors.

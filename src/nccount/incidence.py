@@ -19,13 +19,11 @@ from .census import bits, pair_rows, subcategories
 
 
 def _curve_points(cat, curve):
-    """(genus, derived-point set) of a curve of genus 0 or -1.
-
-    A genus -1 curve (orthogonal pair) contains exactly its two generators
-    as derived points; a genus-0 curve contains three.  Every subcategory
-    is the left perp of its right perp (Bondal), so those are the objects
-    with no homs to any object of the right perp, the objects with no homs
-    from x or y.
+    """The derived points of a curve of genus 0 or -1: three for genus 0,
+    the two generators for genus -1 (an orthogonal pair).  Every
+    subcategory is the left perp of its right perp (Bondal), so those are
+    the objects with no homs to any object of the right perp, the objects
+    with no homs from x or y.
     """
     gens = tuple(getattr(curve, "generators", curve))
     if len(gens) != 2:
@@ -38,21 +36,19 @@ def _curve_points(cat, curve):
         x, y = y, x
     if not cat.is_pair(x, y):
         raise ValueError(f"{curve} is not spanned by an exceptional pair")
-    genus = cat.total_hom(x, y) - 1
-    if genus == -1:
-        return -1, frozenset(gens)
-    if genus == 0:
-        objs = cat.objects.values()
-        right = [z for z in objs if cat.is_pair(z, x) and cat.is_pair(z, y)]
-        return 0, frozenset(p for p in objs if all(cat.is_pair(z, p) for z in right))
-    raise ValueError(f"{curve} has genus {genus}")
+    total = cat.total_hom(x, y)
+    if total >= 2:
+        raise ValueError(f"{curve} has genus {total - 1}")
+    objs = cat.objects.values()
+    right = [z for z in objs if cat.is_pair(z, x) and cat.is_pair(z, y)]
+    return frozenset(p for p in objs if all(cat.is_pair(z, p) for z in right))
 
 
 def derived_points(curve, category: str) -> frozenset:
     """The three derived points of a genus-0 curve, given by any spanning
     pair of objects."""
-    genus, points = _curve_points(registry.category(category), curve)
-    if genus:
+    points = _curve_points(registry.category(category), curve)
+    if len(points) != 3:
         raise ValueError(f"{curve} is not a genus-0 curve")
     return points
 
@@ -65,7 +61,7 @@ class Intersection(NamedTuple):
 def intersect_curves(c1, c2, category: str) -> Intersection:
     """Intersection of two curves of genus 0 or -1: themselves, a single
     shared derived point, or nothing, read off their glb."""
-    kind, p = glb(("curve", c1), ("curve", c2), category, include_orthogonal_pairs=True)
+    kind, p = glb(("curve", c1), ("curve", c2), category)
     if kind == "curve":
         return Intersection("equal")
     return Intersection("point", p) if kind == "point" else Intersection("empty")
@@ -74,10 +70,9 @@ def intersect_curves(c1, c2, category: str) -> Intersection:
 TRIVIAL = ("trivial", None)
 
 
-def glb(x, y, category: str, include_orthogonal_pairs: bool = False):
+def glb(x, y, category: str):
     """Greatest lower bound in the poset of subcategories of the family
-    {trivial, point, genus-0 curve}, optionally extended by the genus -1
-    curves (orthogonal pairs of points).
+    {trivial, point, curve of genus 0 or -1}.
 
     Elements are tagged pairs ('trivial', None), ('point', p) with p an
     object of the category, or ('curve', c); the result is another such
@@ -101,10 +96,7 @@ def glb(x, y, category: str, include_orthogonal_pairs: bool = False):
                 raise ValueError(f"{v} is not an object of {category}")
             points.append(frozenset((v,)))
         else:
-            genus, pts = _curve_points(cat, v)
-            if genus == -1 and not include_orthogonal_pairs:
-                raise ValueError(f"{v} has genus -1; pass include_orthogonal_pairs=True")
-            points.append(pts)
+            points.append(_curve_points(cat, v))
     px, py = points
     common = px & py
     if common == px:

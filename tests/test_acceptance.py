@@ -1,8 +1,8 @@
 """Acceptance criteria, one test per criterion.
 
 All arithmetic is exact, so every comparison is plain equality.  Each
-criterion prints a PASS line when it goes through (visible under
-``pytest -s`` or ``python3 -m tests.test_acceptance``); a failure raises.
+criterion prints a PASS line when it goes through, visible under
+``python3 -m pytest tests/test_acceptance.py -s``; a failure raises.
 """
 
 from collections import Counter
@@ -311,19 +311,3 @@ def test_criterion_13_functorial_embedding():
                 assert small_edges[(x, y)] == big_edges[(x, y)]
     _ok(13, "point graphs embed fully with weights along A(N) in A(N+1)")
 
-
-if __name__ == "__main__":
-    import sys
-    import traceback
-
-    failed = 0
-    names = sorted(k for k in globals() if k.startswith("test_criterion_"))
-    for name in names:
-        try:
-            globals()[name]()
-        except Exception:
-            failed += 1
-            num = name.split("_")[2]
-            print(f"ACCEPTANCE {num} FAIL: {name}")
-            traceback.print_exc()
-    sys.exit(1 if failed else 0)

@@ -1,11 +1,13 @@
 import json
 import re
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from nccount import GenSet, cli
+from nccount.category import category as record
+from nccount.census import bits, pair_rows, subcategories
 from nccount.incidence import (
     TRIVIAL,
     derived_points,
@@ -120,7 +122,7 @@ def test_a_curve_refuses_generators_outside_the_category(gens, bad, category):
         intersect_curves(gens, gens, category)
     for x, y in ((("curve", gens), TRIVIAL), (TRIVIAL, ("curve", gens))):
         with pytest.raises(ValueError, match=message):
-            glb(x, y, category, include_orthogonal_pairs=True)
+            glb(x, y, category)
 
 
 @pytest.mark.parametrize("payload, other", [
@@ -137,35 +139,67 @@ def test_glb_refuses_a_trivial_element_with_a_payload(payload, other):
             glb(x, y, "d4")
 
 
-@pytest.mark.parametrize("include_orthogonal_pairs", [False, True])
+@pytest.mark.parametrize("bad_first", [False, True])
 @pytest.mark.parametrize("gens, message", [
     (("s1", "delta", "so"), "is not given by a pair of generators"),
     (("s1", "s1"), "is not spanned by an exceptional pair"),
 ], ids=["three-generators", "no-pair"])
 def test_glb_refuses_a_malformed_curve_beside_the_trivial_element(
-        gens, message, include_orthogonal_pairs):
-    # a curve is read whatever the other element is, with or without the
-    # genus -1 members
+        gens, message, bad_first):
+    # a curve is read whatever the other element is, on either side
     bad = ("curve", gens)
-    for x, y in ((TRIVIAL, bad), (bad, TRIVIAL)):
-        with pytest.raises(ValueError, match=message):
-            glb(x, y, "d4", include_orthogonal_pairs=include_orthogonal_pairs)
+    x, y = (bad, TRIVIAL) if bad_first else (TRIVIAL, bad)
+    with pytest.raises(ValueError, match=message):
+        glb(x, y, "d4")
 
 
 def test_glb_with_orthogonal_pairs():
-    # genus -1 members are admitted only when the family includes them
+    # a genus -1 curve is an element like any other: its points are its
+    # two generators
     e1 = ("curve", ("s1", "s2"))
     e2 = ("curve", ("s1", "s3"))
     c = ("curve", ("s1", "so"))
-    with pytest.raises(ValueError):
-        glb(e1, c, "d4")
-    assert glb(e1, e2, "d4", include_orthogonal_pairs=True) == ("point", "s1")
-    assert glb(e1, c, "d4", include_orthogonal_pairs=True) == ("point", "s1")
-    assert glb(e1, e1, "d4", include_orthogonal_pairs=True) == e1
+    assert glb(e1, e2, "d4") == ("point", "s1")
+    assert glb(e1, c, "d4") == ("point", "s1")
+    assert glb(e1, e1, "d4") == e1
     far = ("curve", curve((0, 0), (2, 2)))
     near = ("curve", curve((0, 0), (1, 1)))
-    hit = glb(far, near, "a3", include_orthogonal_pairs=True)
+    hit = glb(far, near, "a3")
     assert hit == ("point", Interval(0, 0))
+
+
+@pytest.mark.parametrize("name", ["a3", "a4", "a5", "d4"])
+def test_glb_is_the_meet_of_the_rank_2_census(name):
+    # the elements are the trivial element, the points and the curves of
+    # genus 0 and -1 of the census, each a mask over the sorted labels; the
+    # meet of two elements is the one whose objects are the AND of theirs
+    cat = record(name)
+    labels = sorted(cat.objects)
+    objs = [cat.objects[v] for v in labels]
+    out, into = pair_rows(objs, cat.is_pair)
+    points, lines = subcategories(out, into, 2)
+    assert {m.bit_count() for m in lines} == {2, 3}
+    # every exceptional-pair presentation of each curve, the first in the
+    # all-pairs loop and the others checked against it
+    shows = {m: [(objs[i], objs[j]) for i in bits(m) for j in bits(out[i] & m)]
+             for m in lines}
+    by_mask = {0: TRIVIAL}
+    by_mask.update((m, ("point", objs[next(bits(m))])) for m in points)
+    by_mask.update((m, ("curve", gens[0])) for m, gens in shows.items())
+    for m, (first, *others) in shows.items():
+        for gens in others:
+            if m.bit_count() == 3:
+                assert derived_points(gens, name) == derived_points(first, name)
+            assert glb(("curve", gens), ("curve", first), name) == ("curve", gens)
+            assert glb(("curve", first), ("curve", gens), name) == ("curve", first)
+    for (mx, x), (my, y) in product(by_mask.items(), repeat=2):
+        meet = mx & my
+        want = x if meet == mx else y if meet == my else by_mask[meet]
+        assert glb(x, y, name) == want
+        if x[0] == y[0] == "curve":
+            hit = (("equal", None) if mx == my
+                   else ("point", want[1]) if meet else ("empty", None))
+            assert intersect_curves(x[1], y[1], name) == hit
 
 
 def test_intersect_mixed_genus():
