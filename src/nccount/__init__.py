@@ -21,11 +21,6 @@ class _Infinite:
 
 INFINITE = _Infinite()
 
-# the categories whose incidence structures are drawn in the plane; defined
-# here so that the CLI parser offers them without importing a backend
-DRAWN = ("a3", "d4")
-
-
 class GenSet(NamedTuple):
     """The ordered generator list of a subcategory, printed <g1,g2,...>."""
 
@@ -54,4 +49,4 @@ def check_oracle(name, formula, oracle):
         )
 
 
-__all__ = ["DRAWN", "INFINITE", "GenSet", "VerifyFailed", "check_oracle"]
+__all__ = ["INFINITE", "GenSet", "VerifyFailed", "check_oracle"]

@@ -7,12 +7,14 @@ them asks which category it has.  The names are 'aN' (D^b(A_N), N >= 1),
 'd4', the affine quivers 'q1' and 'q2', and 'npL', the category generated
 by a strong pair with L + 1 homs (L >= -1).  q1, q2 and npL with L >= 1
 take a window (lo, hi) of series indices, inclusive, and no other
-category does.  Every record whose size depends on its name or window is
-refused up front, before its objects are built, when its graph would
-classify more than arith.MAX_ENUMERATION ordered pairs of objects.
-Records are built per call, so they use the backend functions as their
-modules bind them at that moment; each builder imports its own backend, so
-a record loads only the modules its category needs.
+category does.  The records built without a window are the categories of
+finite type, whose objects are all the indecomposables up to shift, as
+census.subcategories requires.  Every record whose size depends on its
+name or window is refused up front, before its objects are built, when its
+graph would classify more than arith.MAX_ENUMERATION ordered pairs of
+objects.  Records are built per call, so they use the backend functions as
+their modules bind them at that moment; each builder imports its own
+backend, so a record loads only the modules its category needs.
 """
 
 import re

@@ -20,7 +20,7 @@ from itertools import chain
 # by module and function, so a call loads and compiles only the modules its
 # subcommand needs; the command table imports none, and a well-formed call
 # does not import argparse either.
-from . import DRAWN, VerifyFailed
+from . import VerifyFailed
 
 
 def _write(pieces):
@@ -148,7 +148,8 @@ _COMMANDS = {
         "--max-rank": _LIMIT, "--verify": _VERIFY, "--format": _FORMAT,
     }, {"func": ("markov", "_cmd_markov_tyurin")}),
     ("incidence",): ("point/line incidence structures", {
-        "--category": {"choices": DRAWN, "required": True}, "--format": _FORMAT,
+        "--category": {"required": True, "help": "aN, d4, np-1 or np0"},
+        "--format": _FORMAT,
     }, {"func": ("incidence", "_cmd_incidence")}),
     ("graph",): ("point graph of any category", {
         "--category": {"required": True, "help": "aN, d4, q1, q2 or npL (L >= -1)"},

@@ -1,19 +1,18 @@
 """Derived points of genus-0 curves, pairwise curve intersections, greatest
 lower bounds, and point/line incidence structures.
 
-A curve is given by its two generators, and the category by a name of
-`nccount.category` whose objects are all the indecomposables of a category
-of finite type.  A curve's derived points are the objects of the
-subcategory its generators generate, the left perp of their common right
-perp, and the lines of an incidence structure, its genus-0 curves, are the
-rank-2 masks of three objects in census.subcategories, which builds no
-graph.  Only the abstract incidence data is modelled; the planar drawings
-that realize these structures are not.
+A curve is given by its two generators, and the category by the name of
+a `nccount.category` record built without a window: aN, d4, np-1 or np0.
+A curve's derived points are the objects of the subcategory its
+generators generate, the left perp of their common right perp, and the
+lines of an incidence structure, its genus-0 curves, are the rank-2 masks
+of three objects in census.subcategories, which builds no graph.  Only
+the abstract incidence data is modelled; the planar drawings that realize
+these structures are not.
 """
 
 from typing import NamedTuple
 
-from . import DRAWN
 from . import category as registry
 from .census import bits, pair_rows, subcategories
 
@@ -119,14 +118,14 @@ class IncidenceStructure(NamedTuple):
 def incidence_structure(category: str) -> IncidenceStructure:
     """Point/line incidence of the genus-0 curves, each line the set of its
     derived points: 6 points and 4 lines for 'a3', 12 points and 15 lines
-    for 'd4'."""
-    if category not in DRAWN:
-        raise ValueError(f"unknown category {category!r}")
+    for 'd4'.  A category of rank 1 has no curves, so no lines; a name that
+    needs a window, or is too large, is refused by the registry."""
     cat = registry.category(category)
     labels = sorted(cat.objects)
     rows = pair_rows([cat.objects[v] for v in labels], cat.is_pair)
     curves = sorted(tuple(labels[i] for i in bits(m))
-                    for m in subcategories(*rows, 2)[1] if m.bit_count() == 3)
+                    for rank2 in subcategories(*rows, 2)[1:]
+                    for m in rank2 if m.bit_count() == 3)
     lines = tuple((";".join(t), t) for t in curves)
     return IncidenceStructure(tuple(labels), lines)
 

@@ -2,10 +2,11 @@ import json
 import re
 from collections import Counter
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
-from nccount import GenSet, cli
+from nccount import GenSet, cli, typea
 from nccount.category import category as record
 from nccount.census import bits, pair_rows, subcategories
 from nccount.incidence import (
@@ -242,8 +243,55 @@ def test_two_lines_share_at_most_one_point():
 
 
 def test_unknown_category():
-    with pytest.raises(ValueError):
-        incidence_structure("a4")
+    # unknown names, an empty quiver, and the windowed categories, which
+    # have no finite object list
+    for name in ("x", "a0", "q1", "np3"):
+        with pytest.raises(ValueError):
+            incidence_structure(name)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_incidence_a_n_is_the_triangles_of_the_polygon(n):
+    # under s_{i,j} -> chord {i, j+1} of the (n+1)-gon, the three points of
+    # each line are the three sides of one triangle
+    struct = incidence_structure(f"a{n}")
+    objects = record(f"a{n}").objects
+    chord = {p: frozenset((objects[p].i, objects[p].j + 1)) for p in struct.points}
+    assert len(struct.points) == comb(n + 1, 2)
+    assert len(struct.lines) == comb(n + 1, 3) == typea.count_genus(0, n)
+    triangles = set()
+    for _, pts in struct.lines:
+        corners = frozenset().union(*(chord[p] for p in pts))
+        assert len(corners) == 3
+        assert {chord[p] for p in pts} == set(map(frozenset, combinations(corners, 2)))
+        triangles.add(corners)
+    assert len(triangles) == len(struct.lines)
+    degree = Counter(p for _, pts in struct.lines for p in pts)
+    assert all(degree[p] == n - 1 for p in struct.points)
+    for (_, p1), (_, p2) in combinations(struct.lines, 2):
+        assert len(set(p1) & set(p2)) <= 1
+
+
+def test_incidence_of_a1_and_the_strong_pairs():
+    # a rank-1 category has no curves; np-1 is two orthogonal objects, whose
+    # one curve has genus -1, and np0 is a2
+    def sizes(name):
+        struct = incidence_structure(name)
+        return len(struct.points), len(struct.lines), len(struct.incidences())
+
+    assert sizes("a1") == (1, 0, 0)
+    assert sizes("np-1") == (2, 0, 0)
+    assert sizes("np0") == sizes("a2") == (3, 1, 3)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_incidence_embeds_along_a_n(n):
+    # the points of a(n-1) are points of an, and the lines of an that lie
+    # among them are exactly the lines of a(n-1)
+    small, big = incidence_structure(f"a{n - 1}"), incidence_structure(f"a{n}")
+    assert set(small.points) <= set(big.points)
+    inside = {pts for _, pts in big.lines if set(pts) <= set(small.points)}
+    assert inside == {pts for _, pts in small.lines}
 
 
 def test_export(capsys):
