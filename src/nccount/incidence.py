@@ -5,16 +5,18 @@ A curve is given by its two generators, and the category by the name of
 a `nccount.category` record built without a window: aN, d4, np-1 or np0.
 A curve's derived points are the objects of the subcategory its
 generators generate, the left perp of their common right perp, and the
-lines of an incidence structure, its genus-0 curves, are the rank-2 masks
-of three objects in census.subcategories, which builds no graph.  Only
-the abstract incidence data is modelled; the planar drawings that realize
-these structures are not.
+lines of an incidence structure, its genus-0 curves, are read by the same
+rule off the pair rows of census.pair_rows, which builds no graph and no
+census.  Only the abstract incidence data is modelled; the planar
+drawings that realize these structures are not.
 """
 
+from functools import reduce
+from operator import and_
 from typing import NamedTuple
 
 from . import category as registry
-from .census import bits, pair_rows, subcategories
+from .census import bits, pair_rows
 
 
 def _curve_points(cat, curve):
@@ -119,13 +121,23 @@ def incidence_structure(category: str) -> IncidenceStructure:
     """Point/line incidence of the genus-0 curves, each line the set of its
     derived points: 6 points and 4 lines for 'a3', 12 points and 15 lines
     for 'd4'.  A category of rank 1 has no curves, so no lines; a name that
-    needs a window, or is too large, is refused by the registry."""
+    needs a window, or is too large, is refused by the registry.
+
+    On the pair rows, the curve a one-sided pair (x, y) spans is the left
+    perp of the common right perp into[x] & into[y], the AND of out[z] over
+    its members, and the curves of three objects are the lines; the three
+    pairs of a line share that right perp, so each is read once.  An
+    orthogonal pair spans a genus -1 curve and is skipped.
+    """
     cat = registry.category(category)
     labels = sorted(cat.objects)
-    rows = pair_rows([cat.objects[v] for v in labels], cat.is_pair)
+    out, into = pair_rows([cat.objects[v] for v in labels], cat.is_pair)
+    every = (1 << len(out)) - 1
+    rights = {into[x] & into[y]
+              for x in range(len(out)) for y in bits(out[x] & ~into[x])}
+    masks = (reduce(and_, (out[z] for z in bits(r)), every) for r in rights)
     curves = sorted(tuple(labels[i] for i in bits(m))
-                    for rank2 in subcategories(*rows, 2)[1:]
-                    for m in rank2 if m.bit_count() == 3)
+                    for m in masks if m.bit_count() == 3)
     lines = tuple((";".join(t), t) for t in curves)
     return IncidenceStructure(tuple(labels), lines)
 

@@ -99,11 +99,14 @@ def test_glb():
     ("nope", ("point", "s1"), "d4"),
     (Interval(0, 7), ("point", Interval(0, 0)), "a3"),
     (Interval(0, 7), ("curve", curve((0, 0), (1, 1))), "a3"),
+    (["s1"], ("point", "s1"), "d4"),
 ])
 def test_glb_refuses_a_point_outside_the_category(bad, other, category):
-    # a point must be an object of the category, as a curve's generators must
+    # a point must be an object of the category, as a curve's generators
+    # must, and an unhashable one is refused alike
+    message = re.escape(f"{bad} is not an object of {category}")
     for x, y in ((("point", bad), other), (other, ("point", bad))):
-        with pytest.raises(ValueError, match=f"{bad} is not an object of {category}"):
+        with pytest.raises(ValueError, match=message):
             glb(x, y, category)
 
 
@@ -113,6 +116,7 @@ def test_glb_refuses_a_point_outside_the_category(bad, other, category):
     ((Interval(0, 0), Interval(0, 7)), Interval(0, 7), "a4"),
     (("x", "y"), "x", "d4"),
     (("s1", "nope"), "nope", "d4"),
+    (("s1", ["s1"]), ["s1"], "d4"),
 ])
 def test_a_curve_refuses_generators_outside_the_category(gens, bad, category):
     # each generator is checked as glb checks a point, before any hom is read
@@ -211,6 +215,27 @@ def test_intersect_mixed_genus():
     assert hit.kind == "empty"
     hit = intersect_curves(curve((0, 0), (2, 2)), curve((1, 1), (0, 2)), "a3")
     assert hit.kind == "empty"
+
+
+@pytest.mark.parametrize("name", [*(f"a{n}" for n in range(1, 11)), "d4", "np-1", "np0"])
+def test_the_lines_are_the_rank_2_census_masks_of_three_objects(name):
+    # the census is the oracle: its rank-2 masks of three objects, on the
+    # rows of the objects in label order, are the lines, ids and order too
+    cat = record(name)
+    labels = sorted(cat.objects)
+    rows = pair_rows([cat.objects[v] for v in labels], cat.is_pair)
+    curves = sorted(tuple(labels[i] for i in bits(m))
+                    for rank2 in subcategories(*rows, 2)[1:]
+                    for m in rank2 if m.bit_count() == 3)
+    struct = incidence_structure(name)
+    assert struct.points == tuple(labels)
+    assert struct.lines == tuple((";".join(t), t) for t in curves)
+    # and, by the pair test alone, the lines are the derived points of the
+    # one-sided pairs
+    lines = {frozenset(cat.objects[v] for v in pts) for _, pts in struct.lines}
+    assert lines == {derived_points((x, y), name)
+                     for x, y in combinations(cat.objects.values(), 2)
+                     if cat.is_pair(x, y) != cat.is_pair(y, x)}
 
 
 def test_incidence_a3():
