@@ -28,15 +28,21 @@ class Category(NamedTuple):
 
     is_pair(x, y) holds iff every hom from y to x vanishes: (x, y) is a
     semi-orthogonal pair.  total_hom(x, y) is the total forward hom of such
-    a pair, or None where edges carry no weight.  genus holds the genus of
-    each curve of a curve category, and curves, where curve graphs exist,
-    returns the category whose objects are the curves.
+    a pair, None on a curve record, whose edges carry no weight.  genus
+    holds the genus of each curve of a curve category, and curves, where
+    curve graphs exist, returns the category whose objects are the curves.
+
+    Every record keeps one contract, which its readers do not check:
+    is_pair(x, x) never holds, and in a record built without a window
+    (finite type) an exceptional pair has at most one hom, since the curve
+    D^b(K(l)) of a pair with l >= 2 homs, of genus l - 1, has infinitely
+    many exceptional objects.
     """
 
     name: str
     objects: dict  # vertex label -> object
     is_pair: Callable
-    total_hom: Callable | None
+    total_hom: Callable
     genus: dict | None = None
     curves: Callable | None = None
 
@@ -130,7 +136,7 @@ def _strong_pair(name, l, window):
     if l < -1:
         raise ValueError("genus must be >= -1")
     if l == -1:
-        return Category(name, {"E1": 1, "E2": 2}, lambda x, y: True, lambda x, y: 0)
+        return Category(name, {"E1": 1, "E2": 2}, lambda x, y: x != y, lambda x, y: 0)
     if l == 0:
         return _line(name, 2)
     lo, hi = window
@@ -151,8 +157,8 @@ def _curve_category(points, entries):
     return Category(
         f"{points.name}-curves",
         {label: gens for label, _, gens in entries},
-        lambda a, b: all(x != y and points.is_pair(y, x) for x in b for y in a),
-        None,
+        lambda a, b: all(points.is_pair(y, x) for x in b for y in a),
+        lambda a, b: None,
         genus={label: genus for label, genus, _ in entries},
     )
 

@@ -79,7 +79,6 @@ def pair_graph(cat: registry.Category) -> ValuedDigraph:
     out, into = pair_rows(objs, cat.is_pair)
     weights = [
         {j: cat.total_hom(x, objs[j]) for j in bits(out[i] & ~into[i])}
-        if cat.total_hom else {}
         for i, x in enumerate(objs)
     ]
     return ValuedDigraph(cat.name, vertices, dict(cat.genus or {}), out, into, weights)

@@ -20,12 +20,11 @@ from .census import bits, pair_rows
 
 
 def _curve_points(cat, curve):
-    """The derived points of a curve of genus 0 or -1: three for genus 0,
-    the two generators for genus -1 (an orthogonal pair).  Every
-    subcategory is the left perp of its right perp (Bondal), so those are
-    the objects with no homs to any object of the right perp, the objects
-    with no homs from x or y.
-    """
+    """The derived points of a curve given by an exceptional pair, in
+    either order: three for genus 0, the generators for genus -1; by the
+    record contract there is no higher genus.  Every subcategory is the
+    left perp of its right perp (Bondal): the objects with no homs to any
+    object of the right perp, the objects with no homs from x or y."""
     gens = tuple(getattr(curve, "generators", curve))
     if len(gens) != 2:
         raise ValueError(f"{curve} is not given by a pair of generators")
@@ -33,13 +32,8 @@ def _curve_points(cat, curve):
         if g not in cat.objects.values():
             raise ValueError(f"{g} is not an object of {cat.name}")
     x, y = gens
-    if cat.is_pair(y, x):
-        x, y = y, x
-    if not cat.is_pair(x, y):
+    if not (cat.is_pair(x, y) or cat.is_pair(y, x)):
         raise ValueError(f"{curve} is not spanned by an exceptional pair")
-    total = cat.total_hom(x, y)
-    if total >= 2:
-        raise ValueError(f"{curve} has genus {total - 1}")
     objs = cat.objects.values()
     right = [z for z in objs if cat.is_pair(z, x) and cat.is_pair(z, y)]
     return frozenset(p for p in objs if all(cat.is_pair(z, p) for z in right))
@@ -125,9 +119,9 @@ def incidence_structure(category: str) -> IncidenceStructure:
 
     On the pair rows, the curve a one-sided pair (x, y) spans is the left
     perp of the common right perp into[x] & into[y], the AND of out[z] over
-    its members, and the curves of three objects are the lines; the three
-    pairs of a line share that right perp, so each is read once.  An
-    orthogonal pair spans a genus -1 curve and is skipped.
+    its members, and each distinct mask is a line (three objects, by the
+    record contract); the three pairs of a line share that right perp, so
+    each is read once.  An orthogonal pair's genus -1 curve is skipped.
     """
     cat = registry.category(category)
     labels = sorted(cat.objects)
@@ -136,8 +130,7 @@ def incidence_structure(category: str) -> IncidenceStructure:
     rights = {into[x] & into[y]
               for x in range(len(out)) for y in bits(out[x] & ~into[x])}
     masks = (reduce(and_, (out[z] for z in bits(r)), every) for r in rights)
-    curves = sorted(tuple(labels[i] for i in bits(m))
-                    for m in masks if m.bit_count() == 3)
+    curves = sorted(tuple(labels[i] for i in bits(m)) for m in masks)
     lines = tuple((";".join(t), t) for t in curves)
     return IncidenceStructure(tuple(labels), lines)
 

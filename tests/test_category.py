@@ -39,10 +39,20 @@ SMALL = (
 def test_registry_against_euler_form(name, window):
     cat = category(name, window)
     assert cat.name == name
+    # the record contract: no object pairs with itself, and an exceptional
+    # pair of a record of finite type (built without a window) carries at
+    # most one hom
+    assert not any(cat.is_pair(x, x) for x in cat.objects.values())
     for x, y in permutations(cat.objects.values(), 2):
         if cat.is_pair(x, y):
             # a pair is double-sided exactly when no hom joins it
             assert cat.is_pair(y, x) == (cat.total_hom(x, y) == 0)
+            assert window is not None or cat.total_hom(x, y) <= 1
+    if cat.curves is not None:
+        curves = cat.curves()
+        pairs = list(permutations(curves.objects.values(), 2))
+        assert not any(curves.is_pair(a, a) for a in curves.objects.values())
+        assert {curves.total_hom(a, b) for a, b in pairs} <= {None}
     dims = record_roots(cat)
     if dims is None:
         return

@@ -172,8 +172,7 @@ def test_graph_matches_ordered_pair_definition(name, window, curves):
     want = {}
     for (a, x), (b, y) in permutations(cat.objects.items(), 2):
         if cat.is_pair(x, y):
-            weighted = not cat.is_pair(y, x) and cat.total_hom is not None
-            want[(a, b)] = cat.total_hom(x, y) if weighted else None
+            want[(a, b)] = None if cat.is_pair(y, x) else cat.total_hom(x, y)
     assert g.vertices == sorted(cat.objects)
     assert g.induced(g.vertices) == want
 

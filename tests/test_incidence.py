@@ -36,6 +36,9 @@ def test_derived_points_rejects_non_genus0():
         derived_points(curve((0, 0), (2, 2)), "a3")  # orthogonal pair
     with pytest.raises(ValueError):
         derived_points(curve((0, 0), (1, 1), (2, 2)), "a3")
+    # one object given twice spans nothing, on np-1 as on every record
+    with pytest.raises(ValueError, match="is not spanned by an exceptional pair"):
+        derived_points((1, 1), "np-1")
 
 
 def test_derived_points_d4():
@@ -145,17 +148,18 @@ def test_glb_refuses_a_trivial_element_with_a_payload(payload, other):
 
 
 @pytest.mark.parametrize("bad_first", [False, True])
-@pytest.mark.parametrize("gens, message", [
-    (("s1", "delta", "so"), "is not given by a pair of generators"),
-    (("s1", "s1"), "is not spanned by an exceptional pair"),
-], ids=["three-generators", "no-pair"])
+@pytest.mark.parametrize("category, gens, message", [
+    ("d4", ("s1", "delta", "so"), "is not given by a pair of generators"),
+    ("d4", ("s1", "s1"), "is not spanned by an exceptional pair"),
+    ("np-1", (1, 1), "is not spanned by an exceptional pair"),
+], ids=["three-generators", "no-pair", "np-1-no-pair"])
 def test_glb_refuses_a_malformed_curve_beside_the_trivial_element(
-        gens, message, bad_first):
+        category, gens, message, bad_first):
     # a curve is read whatever the other element is, on either side
     bad = ("curve", gens)
     x, y = (bad, TRIVIAL) if bad_first else (TRIVIAL, bad)
     with pytest.raises(ValueError, match=message):
-        glb(x, y, "d4")
+        glb(x, y, category)
 
 
 def test_glb_with_orthogonal_pairs():
