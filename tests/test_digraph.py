@@ -646,9 +646,11 @@ def test_simplices_match_dag_cliques(category, window, max_dim):
 
 
 def test_pair_graph_tests_distinct_objects_only():
-    # a pair test that holds everywhere, of each object with itself too,
-    # gives the complete double-sided graph and no self-loop
-    g = pair_graph(Category("all", {v: v for v in "xyz"}, lambda x, y: True, None))
+    # a pair test that holds everywhere gives the complete double-sided
+    # graph and no self-loop; its diagonal True breaks the record contract
+    # on purpose, to show that pair_rows never reads the diagonal
+    g = pair_graph(Category("all", {v: v for v in "xyz"}, lambda x, y: True,
+                            lambda x, y: None))
     assert g.census() == (3, 0, 3)
     assert _edges(g) == {(a, b): None for a, b in permutations("xyz", 2)}
 

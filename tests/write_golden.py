@@ -5,9 +5,9 @@ The list is every distinct argv of the benchmark workloads (bench/workloads.py,
 the three workloads, seeds 1-20), then each leaf's --help and one usage error,
 one refusal per leaf that can refuse, and the calls in EXTRA.  Each entry holds
 the argv, its exit code and the sha256 of its stdout and of its stderr, as
-`outcome` reads them in process through cli.run.  tests/test_golden.py checks
-every entry against the tree; a change that alters an entry names that argv
-and why.
+`outcome` reads them in process through cli.run.
+tests/test_cli.py::test_golden_stdout checks every entry against the tree; a
+change that alters an entry names that argv and why.
 
 Run from the repository root: python tests/write_golden.py
 """
@@ -19,6 +19,7 @@ import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 from nccount import cli
 
@@ -55,6 +56,24 @@ EXTRA = [
     "d4 graph --kind curves --format dot",
     "d4 graph --kind curves --format plain",
     "affine graph --quiver q2 --kind curves --window 3",
+    # one small call per graph builder, per orbit-partition caller and per
+    # writer that the lists above lack
+    "an graph --vertices 5 --format dot",
+    "an graph --vertices 6 --format json",
+    "d4 graph",
+    "d4 graph --format dot",
+    "d4 graph --kind curves",
+    "d4 table --format plain",
+    "d4 enum --kind triples-a3 --format plain",
+    "affine count --quiver q2 --kind genus-1 --group full",
+    "graph --category np-1",
+    "graph --category np0",
+    "graph --category np2 --window 5",
+    "sc --category d4 --max-dim 6",
+    "sc --category q2 --window 3 --max-dim 3",
+    "incidence --category a3",
+    "incidence --category d4",
+    "markov tree --limit 1000",
 ]
 
 
@@ -72,10 +91,12 @@ def _argparse_answers(argv) -> bool:
 
 def outcome(argv) -> dict:
     """The golden entry of argv: its exit code and the sha256 of its stdout
-    and stderr.  Help and usage errors keep the exit code alone, since
-    their text is argparse's and differs between Python versions."""
+    and stderr, with COLUMNS=80.  Help and usage errors keep the exit code
+    alone, since their text is argparse's and differs between Python
+    versions."""
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    with patch.dict(os.environ, COLUMNS="80"), \
+            redirect_stdout(out), redirect_stderr(err):
         try:
             code = cli.run(argv)
         except SystemExit as exc:
@@ -102,7 +123,6 @@ def argvs() -> list:
 
 
 def main():
-    os.environ["COLUMNS"] = "80"
     entries = [outcome(a) for a in argvs()]
     GOLDEN.write_text(
         "[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")
